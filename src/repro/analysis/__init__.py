@@ -1,9 +1,10 @@
 """repro.analysis — a zero-dependency invariant linter for this repo.
 
-The service's headline guarantee — bit-identical results across shard
-counts and serial-vs-thread execution — rests on a handful of coding
-invariants: seeded per-object RNG streams, injectable clocks,
-lock-guarded shared state, atomic checkpoint writes. This package makes
+The service's headline guarantee — bit-identical results at any gateway
+partition count, with telemetry on or off, and across restarts — rests
+on a handful of coding invariants: seeded per-object RNG streams,
+injectable clocks, lock-guarded shared state, atomic checkpoint writes.
+This package makes
 those invariants mechanically checkable: a stdlib-``ast`` rule framework
 (registry, per-file driver, pragma suppression, baseline amnesty, text +
 JSON reporters) plus the built-in rule set DET / CLK / THR / FP / IO

@@ -19,7 +19,7 @@ JsonScalar = Union[str, int]
 class Severity(enum.Enum):
     """How bad a violation is.
 
-    ``ERROR`` findings break the shard-determinism guarantee outright
+    ``ERROR`` findings break the per-object determinism guarantee outright
     (unseeded RNG, wall-clock in a replayed path); ``WARNING`` findings
     are latent hazards (unguarded shared state that today happens to be
     touched single-threaded).

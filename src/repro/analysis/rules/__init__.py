@@ -6,7 +6,7 @@ Per-file rules (one parsed module at a time):
 |-----|-----------|
 | DET | randomness flows through seeded ``repro.rng`` factories |
 | CLK | wall-clock reads go through injectable clocks |
-| THR | shared module state in shard-worker packages is lock-guarded |
+| THR | shared module state in thread-reachable packages is lock-guarded |
 | FP  | no exact float equality in geometry/graph coordinate math |
 | IO  | durable service state is written via temp + atomic rename |
 

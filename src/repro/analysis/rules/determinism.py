@@ -1,10 +1,10 @@
 """DET — all randomness flows through seeded, labeled generator factories.
 
-The shard-determinism guarantee (PR 2) holds because every filter run
+The per-object determinism guarantee holds because every filter run
 draws from a private ``child_rng(seed, "pf:{second}:{object_id}")``
 stream. One call into process-global RNG state — ``random.random()``,
 ``np.random.seed()``, an unseeded ``Random()`` — reintroduces
-cross-object coupling and makes results depend on shard count and
+cross-object coupling and makes results depend on partition count and
 thread interleaving.
 
 Flagged inside ``repro.core`` / ``repro.filters`` / ``repro.service`` /

@@ -2,7 +2,7 @@
 
 The per-file DET rule catches *locally visible* global-RNG use; what it
 cannot see is a generator constructed two modules away and handed down a
-call chain. The shard-determinism guarantee needs the stronger,
+call chain. The per-object determinism guarantee needs the stronger,
 whole-program statement: **every RNG object reaching
 ``repro.core`` / ``repro.filters`` / ``repro.service`` derives from the
 seeded ``repro.rng`` factories** (``make_rng`` / ``child_rng`` /

@@ -1,13 +1,14 @@
-"""THR — shared module state is lock-guarded in shard-worker packages.
+"""THR — shared module state is lock-guarded in thread-reachable packages.
 
-``ShardedFilterExecutor`` runs shard tasks on a thread pool; any module
-the workers import is effectively concurrent code. Module-level mutable
-containers (registries, caches) mutated from function bodies without a
-lock are data races waiting for a scheduler interleaving — exactly the
-class of bug that silently breaks the serial-vs-thread bit-identity
-guarantee.
+The filter step runs on the scheduler's loop while other threads touch
+the same modules: the metrics HTTP server reads registries and health,
+the gateway's pipe pumps and HTTP handlers run beside the tick loop.
+Module-level mutable containers (registries, caches) mutated from
+function bodies without a lock are data races waiting for a scheduler
+interleaving — the class of bug that silently breaks the telemetry
+on/off bit-identity guarantee.
 
-Two checks, inside the packages shard workers import:
+Two checks, inside the packages those threads import:
 
 * a module-level ``dict``/``list``/``set`` (literal or constructor,
   annotated or not) mutated from inside a function or method — subscript
@@ -131,7 +132,7 @@ class ThreadSafetyRule:
         rule_id="THR",
         title="lock-guarded shared module state",
         invariant=(
-            "module-level mutable containers in shard-worker packages are "
+            "module-level mutable containers in thread-reachable packages are "
             "only mutated under a lock; locks are held via `with`, never "
             "bare .acquire()"
         ),

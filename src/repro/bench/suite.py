@@ -176,7 +176,7 @@ def _bench_filter_replay(profile: str, seed: int) -> WorkloadResult:
 
 
 def _bench_service_replay(profile: str, seed: int) -> WorkloadResult:
-    """Online service: sharded thread-mode replay of a recorded log."""
+    """Online service: replay of a recorded log through ``TrackingService``."""
     from repro.geometry import Point, Rect
     from repro.service import ReplaySource, TrackingService
     from repro.sim import Simulation
@@ -192,7 +192,7 @@ def _bench_service_replay(profile: str, seed: int) -> WorkloadResult:
     obs.enable(fresh=True)
     deltas = 0
     try:
-        service = TrackingService(config, num_shards=2, mode="thread", seed=seed)
+        service = TrackingService(config, seed=seed)
         try:
             service.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="r0")
             service.sessions.subscribe_knn(Point(30, 5), 3, session_id="k0")
@@ -209,7 +209,7 @@ def _bench_service_replay(profile: str, seed: int) -> WorkloadResult:
         finally:
             service.close()
         work = _counter_work(
-            ("filter.runs", "filter.backend_runs", "service.shard_objects_filtered")
+            ("filter.runs", "filter.backend_runs")
         )
     finally:
         obs.disable()

@@ -70,10 +70,9 @@ class ParticleCacheManager:
     ``decoder`` keeps plain ``ParticleCacheManager()`` (and pre-backend
     checkpoints) decoding particle sets.
 
-    Thread-safe: the sharded executor (:mod:`repro.service.shards`) shares
-    one cache across its worker threads, so lookups, stores, and the
-    statistics counters are guarded by a lock. Entries are keyed per
-    object, so concurrent shards never contend on the same entry.
+    Thread-safe, so callers may filter and checkpoint from different
+    threads: lookups, stores, serialization and the statistics counters
+    are guarded by one lock.
     """
 
     def __init__(

@@ -7,7 +7,7 @@ Ten subcommands::
     repro render      draw a floor plan (and optional deployment) as ASCII
     repro experiment  regenerate one of the paper's figures (9-13)
     repro serve       run the online tracking service over a replayed log
-                      (or live simulation): sharded filtering, standing
+                      (or live simulation): per-object filtering, standing
                       queries, checkpoint/restore; ``--metrics-port``
                       serves /metrics + /healthz (+/alerts), ``--events``
                       writes the per-epoch event log (with rotation),
@@ -20,7 +20,7 @@ Ten subcommands::
                       stacks)
     repro profile     run a seeded workload under the deterministic
                       profiler clock and print/export where time goes
-                      (per phase, shard, backend, object bucket)
+                      (per phase, backend, object bucket)
     repro top         live ANSI dashboard over a running serve endpoint
                       or an --events log file
     repro bench       run the deterministic benchmark suite and gate a
@@ -178,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--objects", type=int, default=25, help="live mode: object count")
     serve.add_argument("--seconds", type=int, default=None, help="max seconds to serve")
     serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument("--shards", type=int, default=1, help="filter worker shards")
-    serve.add_argument(
-        "--shard-mode", choices=["serial", "thread", "process"], default="thread",
-    )
     serve.add_argument(
         "--tick-rate", type=float, default=0.0, metavar="HZ",
         help="target ticks per second (0 = as fast as possible)",
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", metavar="JSONL",
         help=(
             "write one structured event record per epoch tick here "
-            "(phase timings, per-shard wall time, queue pressure, "
+            "(phase timings, queue pressure, "
             "accuracy proxies); implies observability"
         ),
     )
@@ -1146,8 +1142,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.restore,
                 plan=plan,
                 readers=readers,
-                num_shards=args.shards,
-                mode=args.shard_mode,
                 use_cache=None if not args.no_cache else False,
                 filter_backend=args.filter_backend,
             )
@@ -1175,8 +1169,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             plan=plan,
             readers=readers,
             tag_to_object=tags,
-            num_shards=args.shards,
-            mode=args.shard_mode,
             use_cache=not args.no_cache,
             use_pruning=args.prune,
             seed=args.seed,
@@ -1362,8 +1354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args,
             meta={
                 "command": "serve",
-                "shards": args.shards,
-                "mode": args.shard_mode,
                 "ticks": ticks,
                 "filter": service.executor.filter_backend.name,
             },

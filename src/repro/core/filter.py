@@ -103,7 +103,7 @@ class ParticleFilter:
                 t_state = resume[1]
                 obs.add("filter.resumed_runs")
             else:
-                particles = self._initialize(history, generator)
+                particles = self.initialize(history, generator)
                 t_state = t0
             obs.add("filter.runs")
             obs.add("filter.seconds_replayed", max(t_end - t_state, 0))
@@ -169,9 +169,6 @@ class ParticleFilter:
         return self.motion.initialize_in_circle(
             self.config.num_particles, reader.detection_circle, rng
         )
-
-    # Backwards-compatible alias (pre-repro.filters name).
-    _initialize = initialize
 
     def observe(
         self, particles: ParticleSet, reader_id: str, rng: np.random.Generator

@@ -59,11 +59,6 @@ class PreprocessingModule:
         self.compiled_anchors = self.backend.compiled_anchors
         self.readers = self.backend.readers
 
-    @property
-    def filter(self):
-        """The particle backend's underlying filter (legacy accessor)."""
-        return self.backend.filter  # type: ignore[attr-defined]
-
     def process(
         self,
         candidates: Iterable[str],
@@ -81,8 +76,9 @@ class PreprocessingModule:
         object id instead of threading one shared ``rng`` stream through
         every filter run. Per-object streams make the result independent
         of candidate *ordering and partitioning*, which is what lets the
-        sharded executor (:mod:`repro.service.shards`) produce bit-identical
-        tables at any shard count.
+        tracking service and the gateway's partitions
+        (:mod:`repro.gateway`) produce bit-identical tables at any
+        partition count.
         """
         from repro.index.hashtable import AnchorObjectTable
 

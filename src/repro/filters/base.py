@@ -24,7 +24,7 @@ Bayesian cycle:
 Randomness is injected: the caller passes a generator derived from the
 ``(seed, second, object_id)`` child stream
 (:func:`repro.rng.filter_run_rng`), never a shared evolving stream —
-this is what makes every backend's results independent of sharding and
+this is what makes every backend's results independent of partitioning and
 restarts. Deterministic backends simply ignore the generator.
 
 :meth:`FilterBackend.replay` is the shared run loop (paper Algorithm 2's

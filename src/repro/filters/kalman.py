@@ -32,7 +32,7 @@ The mixture is kept small by moment-matched merging of same-edge
 same-direction hypotheses closer than ``kalman_merge_distance``, pruning
 of negligible weights, and a deterministic top-``kalman_max_hypotheses``
 cap. The filter draws no random numbers at all — the injected generator
-is ignored — so its results are trivially independent of sharding,
+is ignored — so its results are trivially independent of partitioning,
 execution order, and restarts.
 """
 

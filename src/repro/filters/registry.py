@@ -2,7 +2,7 @@
 
 Backends self-register at import time via the :func:`register_backend`
 class decorator; everything that needs an estimator — the query engine,
-the sharded executor, the CLI's ``--filter`` flag — resolves it by name
+the tracking service, the CLI's ``--filter`` flag — resolves it by name
 through one shared factory, so adding a backend is one new module plus
 one decorator.
 """

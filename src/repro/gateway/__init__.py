@@ -2,8 +2,8 @@
 
 The scale-out ring above :mod:`repro.service`: tracked objects are
 partitioned across worker *processes* by a consistent-hash ring, each
-worker runs one single-shard tracking service per tenant over its
-slice, and the gateway merges the per-partition snapshots back into
+worker runs one tracking service per tenant over its slice, and the
+gateway merges the per-partition snapshots back into
 one table per tenant — bit-identical to a single-process run at any
 partition count, because filter randomness derives from
 ``(seed, second, object_id)`` and never from placement.

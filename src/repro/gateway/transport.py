@@ -311,7 +311,13 @@ class ProcessWorkerHandle:
         self._mark_dead()
 
     def close(self) -> None:
-        """Graceful shutdown: stop op, drain, reap the child."""
+        """Graceful shutdown: stop op, drain, reap the child.
+
+        The pipe closes last. The receiver may still be about to call
+        ``recv()``; closing the pipe under it kills the thread with a
+        ``TypeError``. Once the child has exited, the receiver reads
+        ``EOFError`` and returns, so it is joined before the close.
+        """
         with self._send_cv:
             if not self._dead and not self._closed:
                 self._pending.append({"op": "stop"})
@@ -323,13 +329,13 @@ class ProcessWorkerHandle:
         if self._process.is_alive():  # pragma: no cover - stuck child
             self._process.terminate()
             self._process.join(timeout=5)
+        if self._receiver is not None:
+            self._receiver.join(timeout=5)
+        self._mark_dead()
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        self._mark_dead()
-        if self._receiver is not None:
-            self._receiver.join(timeout=5)
 
 
 def _monotonic() -> float:

@@ -2,9 +2,9 @@
 
 A worker owns *its ring slice* of every tenant's objects and runs one
 :class:`~repro.service.tracking.TrackingService` per tenant over that
-slice (serial mode, single shard — cross-process parallelism replaces
-in-process sharding here). The gateway talks to workers through a tiny
-op-code protocol of picklable dicts:
+slice; the partitions are the system's only scale-out path. The
+gateway talks to workers through a tiny op-code protocol of picklable
+dicts:
 
 =========  ===========================================================
 op         meaning
@@ -112,8 +112,6 @@ class PartitionWorkerCore:
                 world.config,
                 plan=world.plan,
                 readers=world.readers,
-                num_shards=1,
-                mode="serial",
                 use_cache=True,
                 seed=spec.seed,
                 filter_backend=spec.filter_backend,

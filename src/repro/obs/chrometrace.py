@@ -10,7 +10,8 @@ Mapping:
 * span ``start``/``duration`` (seconds on the obs clock) → ``ts``/``dur``
   in microseconds;
 * the tracer's normalized thread id → ``tid`` (one track per worker
-  thread, so shard-pool spans render side by side instead of stacked);
+  thread, so concurrent threads' spans render side by side instead of
+  stacked);
 * a span's optional ``process`` id → ``pid`` (multi-process snapshots —
   the gateway's federated fleet trace — render one process row per
   worker; the default pid 0 keeps single-process traces unchanged),

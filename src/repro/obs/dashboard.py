@@ -243,14 +243,6 @@ def render_top(state: TopState, width: int = 80) -> str:
                 lines.append(
                     f"  {name:<24} {bar(fraction)} {_fmt(numeric[name], 6)}"
                 )
-        shards = last.get("shards")
-        if isinstance(shards, Mapping) and shards:
-            rendered = "  ".join(
-                f"s{shard}={_fmt(float(str(seconds)), 5)}"
-                for shard, seconds in sorted(shards.items())
-                if isinstance(seconds, (int, float))
-            )
-            lines.append(f"shard seconds  {rendered}")
         cache = last.get("cache")
         if isinstance(cache, Mapping):
             lines.append(

@@ -7,9 +7,7 @@ registry each tick and emits deltas, so a record answers "what did tick
 N cost and how healthy was the belief state" directly:
 
 * wall time of the whole tick plus per-phase breakdown (predict /
-  weight / normalize / resample / the sharded filter step);
-* per-shard filter seconds (from the ``service.shard_time`` series,
-  one per ``shard`` label);
+  weight / normalize / resample / the whole filter step);
 * queue depth and backpressure stalls, cache hits/misses and hit ratio;
 * accuracy-drift proxies: mean particle effective sample size (plus the
   fraction of runs whose ESS collapsed), mean Kalman mixture entropy,
@@ -327,11 +325,6 @@ class EpochEventRecorder:
             for family in PHASE_FAMILIES
             if any(key[0] == family for key in histogram_deltas)
         }
-        shards = {
-            dict(key[1]).get("shard", "?"): round(d[1], 9)
-            for key, d in sorted(histogram_deltas.items())
-            if key[0] == "service.shard_time"
-        }
 
         gauges = {
             _series_key(item): item.get("value")
@@ -355,7 +348,6 @@ class EpochEventRecorder:
             "second": second,
             "wall_seconds": wall_seconds,
             "phases": phases,
-            "shards": shards,
             "queue": {
                 "depth": gauges.get(("service.queue_depth", ())),
                 "backpressure_waits": self._family_counter(

@@ -13,7 +13,7 @@ Two pieces, both stdlib-only:
   default; ``repro serve --metrics-port N``) serving ``GET /metrics``
   from a snapshot provider, plus ``/healthz`` and ``/readyz`` JSON from
   caller-supplied providers (epoch lag, queue depth, checkpoint age,
-  shard liveness — see ``EpochScheduler.health``).
+  filter backend — see ``EpochScheduler.health``).
 
 The server binds loopback by default and never touches the pipeline:
 providers read already-published registry state, so a scrape cannot

@@ -14,7 +14,7 @@ time actually went, as
 * **speedscope JSON** — an evented profile per thread, loadable at
   https://www.speedscope.app (``repro profile --speedscope`` /
   ``repro stats --flamegraph``);
-* **per-shard / per-backend / per-object-bucket rollups** — read from
+* **per-backend / per-object-bucket rollups** — read from
   the labeled metric series and ``filter.run`` span attributes, the
   decision record for where vectorization effort should go.
 
@@ -84,7 +84,7 @@ class CountingClock:
 
 
 def object_bucket(object_id: str, buckets: int = OBJECT_BUCKETS) -> int:
-    """Stable object-id bucket (CRC32, same family as shard assignment)."""
+    """Stable object-id bucket (CRC32 of the id, modulo ``buckets``)."""
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
     return zlib.crc32(object_id.encode("utf-8")) % buckets
@@ -167,7 +167,6 @@ class AttributionProfile:
     phases: List[PhaseRow]
     timers: List[Dict[str, object]]
     paths: List[PathRow]
-    shards: List[Dict[str, object]]
     backends: List[Dict[str, object]]
     object_buckets: List[Dict[str, object]]
     dropped_spans: int
@@ -183,7 +182,6 @@ class AttributionProfile:
             "phases": [row.as_dict() for row in self.phases],
             "timers": list(self.timers),
             "paths": [row.as_dict() for row in self.paths],
-            "shards": list(self.shards),
             "backends": list(self.backends),
             "object_buckets": list(self.object_buckets),
             "dropped_spans": self.dropped_spans,
@@ -207,21 +205,6 @@ def _labels_of(item: Mapping[str, object]) -> Dict[str, str]:
     if isinstance(labels, dict):
         return {str(k): str(v) for k, v in labels.items()}
     return {}
-
-
-def _shard_rows(snapshot: Mapping[str, object]) -> List[Dict[str, object]]:
-    rows = []
-    for item in _metric_series(snapshot, "histograms", "service.shard_time"):
-        labels = _labels_of(item)
-        rows.append(
-            {
-                "shard": labels.get("shard", "?"),
-                "ticks": int(str(item.get("count") or 0)),
-                "seconds": _round(float(str(item.get("total") or 0.0))),
-            }
-        )
-    rows.sort(key=lambda r: str(r["shard"]))
-    return rows
 
 
 def _backend_rows(snapshot: Mapping[str, object]) -> List[Dict[str, object]]:
@@ -407,7 +390,6 @@ def build_profile(
         phases=phases,
         timers=_timer_rows(snapshot),
         paths=paths,
-        shards=_shard_rows(snapshot),
         backends=_backend_rows(snapshot),
         object_buckets=_bucket_rows(spans),
         dropped_spans=dropped,
@@ -568,15 +550,6 @@ def render_attribution(profile: AttributionProfile, top: int = 12) -> str:
         if len(profile.timers) > top:
             lines.append(f"  ... {len(profile.timers) - top} more series")
 
-    if profile.shards:
-        lines.append("")
-        lines.append("per-shard filter time")
-        for shard in profile.shards:
-            lines.append(
-                f"  shard {shard['shard']}: "
-                f"{_fmt_seconds(float(str(shard['seconds'])), deterministic)} {unit} "
-                f"over {shard['ticks']} ticks"
-            )
     if profile.backends:
         lines.append("")
         lines.append("per-backend filter time")

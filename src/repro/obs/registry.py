@@ -12,7 +12,7 @@ paper's Section 5 reports:
   manager, plus a :class:`Stopwatch` for accumulating coarse sections.
 
 Every instrument may carry a small **frozen label set** — a mapping of
-dimension names to values fixed at creation (``shard="3"``,
+dimension names to values fixed at creation (``partition="3"``,
 ``backend="kalman"``, ``query="knn"``). Each distinct ``(name, labels)``
 pair is its own series, aggregated independently in the registry and
 exported side by side in snapshots; the Prometheus exposition
@@ -21,7 +21,8 @@ exported side by side in snapshots; the Prometheus exposition
 Everything is plain Python with no dependencies. Time is read through an
 injectable monotonic clock so tests (and the determinism suite) can drive
 instruments with a fake clock and get byte-stable output. Instruments are
-safe to create and record into from shard worker threads: series creation
+safe to create and record into from any thread (the scheduler loop, the
+metrics HTTP server, the gateway's pipe pumps): series creation
 is guarded by a registry lock, per-instrument mutation by the instrument's
 own lock, and timer start stacks are thread-local.
 """
@@ -42,7 +43,7 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: count/sum/min/max exact but stops storing samples for quantiles.
 DEFAULT_MAX_SAMPLES = 65536
 
-#: Label dimensionality bound: labels are for small frozen sets (shard,
+#: Label dimensionality bound: labels are for small frozen sets (partition,
 #: backend, query kind), not for unbounded values like object ids.
 MAX_LABELS = 8
 
@@ -72,8 +73,8 @@ def freeze_labels(labels: Optional[Mapping[str, object]]) -> LabelKey:
 
 
 class Counter:
-    """A monotonically increasing count. Safe to increment from worker
-    threads (the service's sharded filter executor)."""
+    """A monotonically increasing count. Safe to increment from any
+    thread."""
 
     __slots__ = ("name", "labels", "value", "_lock")
 
@@ -219,9 +220,9 @@ class Timer:
                 ...
 
     Re-entrant use of one timer object is also safe: each ``with`` keeps
-    its start time on a stack. The stack is thread-local, so shard worker
-    threads timing the same phase concurrently pair their own start and
-    stop instead of popping each other's.
+    its start time on a stack. The stack is thread-local, so threads
+    timing the same phase concurrently pair their own start and stop
+    instead of popping each other's.
     """
 
     __slots__ = ("histogram", "_clock", "_local")
@@ -293,7 +294,7 @@ class MetricsRegistry:
     (``counter("filter.runs", {"backend": "kalman"})``). One registry
     instance is process-local state — the :mod:`repro.obs` facade owns a
     default instance, but tests may build private ones. Series creation
-    is lock-guarded so shard worker threads may create labeled series
+    is lock-guarded so any thread may create labeled series
     concurrently.
     """
 

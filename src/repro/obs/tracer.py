@@ -12,8 +12,8 @@ reports exact per-phase totals. Like the registry, it reads time through
 an injectable monotonic clock.
 
 Nesting is tracked per thread: each thread has its own open-span stack,
-so spans opened inside a worker pool (the service's sharded filter
-executor) form their own trees instead of corrupting the main thread's.
+so spans opened on another thread (an HTTP handler, a gateway pipe
+pump) form their own trees instead of corrupting the main thread's.
 Finished spans and aggregates land in shared, lock-guarded storage.
 """
 

@@ -46,10 +46,10 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
 def filter_run_label(second: int, object_id: str) -> str:
     """The canonical child-stream label of one object's filter run at one tick.
 
-    Every per-object filter run in the system — serial, thread-sharded,
-    process-sharded, or resumed from a checkpoint — must derive its
-    generator from this exact label, which is what makes results
-    bit-identical across shard counts and restarts (the PR-2 shard
+    Every per-object filter run in the system — in the tracking service,
+    in any gateway partition, or resumed from a checkpoint — must derive
+    its generator from this exact label, which is what makes results
+    bit-identical across partition counts and restarts (the per-object
     determinism scheme). Filter backends get their stream through
     :func:`filter_run_rng` instead of formatting the label themselves, so
     the convention cannot drift between backends.

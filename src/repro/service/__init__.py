@@ -2,23 +2,28 @@
 
 Turns the offline batch pipeline into a continuously-running service
 (paper Section 6 future work; Hui et al. 2022): raw RFID readings stream
-in, per-object particle filters are stepped every epoch tick across a
-shard pool, and standing range/kNN query sessions receive result deltas
+in, every tracked object's filter is stepped once per epoch tick in one
+serial loop, and standing range/kNN query sessions receive result deltas
 as objects move. The layers compose left to right::
 
-    ingest  ->  scheduler  ->  shards  ->  sessions
-      |             |             |            |
-   bounded      epoch tick    parallel     standing-query
-   replay /     loop, inj.    per-object   subscriptions,
-   live queue   clock         filtering    delta fan-out
+    ingest  ->  scheduler  ->  filter step  ->  sessions
+      |             |              |               |
+   bounded      epoch tick     per-object      standing-query
+   replay /     loop, inj.     filtering,      subscriptions,
+   live queue   clock          APtoObjHT       delta fan-out
                        \\
                         checkpoint (warm restart)
+
+Scale-out is not this package's job: :mod:`repro.gateway` partitions
+objects across worker processes, each running one service per tenant.
 
 Determinism guarantee: every filter run draws from a private RNG stream
 derived from ``(seed, second, object_id)`` via :mod:`repro.rng`, so the
 published anchor-point tables, the delta streams, and the final particle
-states are bit-identical at **any** shard count, and a checkpoint →
-restore → resume sequence reproduces an uninterrupted run tick-for-tick.
+states do not depend on which objects share a process — a gateway run
+at **any** partition count matches a single service — and a checkpoint
+→ restore → resume sequence reproduces an uninterrupted run
+tick-for-tick.
 """
 
 from repro.service.checkpoint import (
@@ -38,7 +43,6 @@ from repro.service.ingest import (
 )
 from repro.service.scheduler import EpochScheduler, ManualClock, SystemClock
 from repro.service.sessions import SessionManager, Subscription
-from repro.service.shards import ShardedFilterExecutor, partition_objects, shard_of
 from repro.service.tracking import ServiceSnapshot, TrackingService
 
 __all__ = [
@@ -51,16 +55,13 @@ __all__ = [
     "ReplaySource",
     "ServiceSnapshot",
     "SessionManager",
-    "ShardedFilterExecutor",
     "SourceFeeder",
     "Subscription",
     "SystemClock",
     "TrackingService",
     "load_checkpoint",
-    "partition_objects",
     "CheckpointCompatibilityError",
     "restore_from_file",
     "restore_service",
     "save_checkpoint",
-    "shard_of",
 ]

@@ -122,8 +122,6 @@ def restore_service(
     state: dict,
     plan: Optional[FloorPlan] = None,
     readers: Optional[Sequence[RFIDReader]] = None,
-    num_shards: int = 1,
-    mode: str = "thread",
     use_cache: Optional[bool] = None,
     filter_backend: Optional[str] = None,
 ) -> TrackingService:
@@ -131,10 +129,9 @@ def restore_service(
 
     The world geometry (floor plan, deployment) is not serialized — pass
     the same ``plan``/``readers`` the original service ran with (or rely
-    on the paper defaults, which are deterministic). Shard count and
-    execution mode are free to change across a restart: determinism is
-    per-object, so a service checkpointed at 1 shard resumes identically
-    at 4.
+    on the paper defaults, which are deterministic). The state records no
+    placement: determinism is per-object, so a checkpoint resumes the
+    same way whatever process layout wrote it.
 
     The filter backend is **not** free to change: cached beliefs only
     decode under the backend that produced them. ``filter_backend=None``
@@ -173,8 +170,6 @@ def restore_service(
         plan=plan,
         readers=readers,
         tag_to_object=None if state["identity_tags"] else {},
-        num_shards=num_shards,
-        mode=mode,
         use_cache=use_cache,
         use_pruning=bool(state["use_pruning"]),
         seed=int(state["seed"]),
@@ -188,8 +183,6 @@ def restore_from_file(
     path: PathLike,
     plan: Optional[FloorPlan] = None,
     readers: Optional[Sequence[RFIDReader]] = None,
-    num_shards: int = 1,
-    mode: str = "thread",
     use_cache: Optional[bool] = None,
     filter_backend: Optional[str] = None,
 ) -> TrackingService:
@@ -198,8 +191,6 @@ def restore_from_file(
         load_checkpoint(path),
         plan=plan,
         readers=readers,
-        num_shards=num_shards,
-        mode=mode,
         use_cache=use_cache,
         filter_backend=filter_backend,
     )

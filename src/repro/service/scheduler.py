@@ -1,7 +1,7 @@
 """The epoch tick loop.
 
 Pulls reading batches off the ingest queue and drives one service tick
-per batch: collector ingest → sharded filter step → snapshot publish →
+per batch: collector ingest → filter step → snapshot publish →
 session delta fan-out. Wall-clock pacing is decoupled from the pipeline
 through an injectable clock, so tests (and full-speed replays) run the
 identical code path with no real sleeping.
@@ -10,7 +10,7 @@ The scheduler is also the home of the service's operational vitals: it
 timestamps every tick and checkpoint on its injectable clock, feeds the
 optional per-epoch event log (:mod:`repro.obs.events`), and assembles
 the ``/healthz`` document (epoch lag, queue depth, last-checkpoint age,
-shard liveness) served by ``repro serve --metrics-port``.
+filter backend) served by ``repro serve --metrics-port``.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class EpochScheduler:
         return self.ticks_run > 0
 
     def health(self, stall_after: Optional[float] = None) -> Dict[str, object]:
-        """The ``/healthz`` document: lag, queue, checkpoint age, shards.
+        """The ``/healthz`` document: lag, queue, checkpoint age, backend.
 
         ``stall_after`` (seconds) marks the service degraded when the
         last published tick is older than that; by default a quiet loop
@@ -176,7 +176,6 @@ class EpochScheduler:
         status = "ok"
         if stall_after is not None and epoch_lag is not None and epoch_lag > stall_after:
             status = "stalled"
-        executor = self.service.executor
         return {
             "status": status,
             "ticks": self.ticks_run,
@@ -189,8 +188,7 @@ class EpochScheduler:
             "checkpoints_written": self.checkpoints_written,
             "tracked_objects": len(self.service.snapshot().table.objects()),
             "standing_queries": len(self.service.sessions),
-            "shards": executor.shard_health(),
-            "filter_backend": executor.filter_backend.name,
+            "filter_backend": self.service.executor.filter_backend.name,
             "active_alerts": (
                 len(self.alert_engine.active())
                 if self.alert_engine is not None

@@ -1,13 +1,13 @@
 """The online tracking service: write path, read path, state.
 
 :class:`TrackingService` owns the full online pipeline state — the
-event-driven collector, the sharded filter executor, and the standing
-query sessions — and exposes:
+event-driven collector, the filter executor, and the standing query
+sessions — and exposes:
 
 * the **write path**: :meth:`process_batch`, one epoch tick (ingest one
-  second of readings, step every tracked object's particle filter across
-  the shard pool, publish the fresh ``APtoObjHT`` snapshot, fan deltas
-  out to sessions);
+  second of readings, step every tracked object's filter in one serial
+  loop, publish the fresh ``APtoObjHT`` snapshot, fan deltas out to
+  sessions);
 * the **read path**: :meth:`query_range` / :meth:`query_knn` / standing
   sessions — all answered from the last *published* snapshot, a table
   that is never mutated after publication, so reads are lock-free and
@@ -19,6 +19,10 @@ query sessions — and exposes:
 Unknown tags default to *identity registration* (the tag id is the
 object id), matching how a real deployment treats never-seen-before
 badges; pass an explicit ``tag_to_object`` mapping to rename.
+
+One service filters its objects in one process; scale-out is the
+gateway's job (:mod:`repro.gateway` partitions objects across worker
+processes, each running one service over its slice).
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ from repro.analytics.engine import DEFAULT_FLOW_HYSTERESIS, AnalyticsEngine
 from repro.analytics.streaming import DEFAULT_DWELL_EDGES
 from repro.collector.collector import EventDrivenCollector
 from repro.config import DEFAULT_CONFIG, SimulationConfig
+from repro.core.preprocessing import PreprocessingModule
 from repro.floorplan.plan import FloorPlan
 from repro.floorplan.presets import paper_office_plan
 from repro.geometry import Point, Rect
-from repro.graph.anchors import build_anchor_index
-from repro.graph.walking_graph import build_walking_graph
+from repro.graph.anchors import AnchorIndex, build_anchor_index
+from repro.graph.walking_graph import WalkingGraph, build_walking_graph
 from repro.index.hashtable import AnchorObjectTable
 from repro.queries.continuous import ResultDelta
 from repro.queries.pruning import QueryAwareOptimizer
@@ -46,9 +51,69 @@ from repro.queries.range_query import evaluate_range_query
 from repro.rfid.deployment import deploy_readers_uniform
 from repro.rfid.reader import RFIDReader
 from repro.filters.registry import BackendSpec
+from repro.rng import filter_run_rng
 from repro.service.ingest import ReadingBatch
 from repro.service.sessions import SessionManager
-from repro.service.shards import ShardedFilterExecutor
+
+
+class FilterExecutor:
+    """The per-object filter step of one tick (paper Section 4.4).
+
+    Owns the tick's filter backend, its particle cache and the
+    :class:`PreprocessingModule` that runs them. Every object's run draws
+    from its own :func:`repro.rng.filter_run_rng` stream, so the table
+    does not depend on which other objects share the tick — the property
+    that makes a gateway partition's slice bit-identical to the same
+    objects tracked in one process.
+    """
+
+    def __init__(
+        self,
+        graph: WalkingGraph,
+        anchor_index: AnchorIndex,
+        readers: Sequence[RFIDReader],
+        config: SimulationConfig,
+        use_cache: bool = True,
+        seed: Optional[int] = None,
+        filter_backend: BackendSpec = "particle",
+    ) -> None:
+        from repro.cache.particle_cache import ParticleCacheManager
+        from repro.filters.registry import create_backend
+
+        self.seed = seed if seed is not None else config.seed
+        self.filter_backend = create_backend(
+            filter_backend, graph, anchor_index, readers, config
+        )
+        self.cache = (
+            ParticleCacheManager(
+                backend=self.filter_backend.name,
+                state_version=self.filter_backend.state_version,
+                decoder=self.filter_backend.state_from_dict,
+            )
+            if use_cache and self.filter_backend.cacheable
+            else None
+        )
+        self.preprocessing = PreprocessingModule(
+            graph, anchor_index, readers, config,
+            cache=self.cache, backend=self.filter_backend,
+        )
+
+    def build_table(
+        self, candidates: Sequence[str], collector: EventDrivenCollector, second: int
+    ) -> AnchorObjectTable:
+        """Filter every candidate, in the given order, into a fresh table."""
+        with obs.timer(
+            "service.filter_tick", labels={"backend": self.filter_backend.name}
+        ):
+            table: AnchorObjectTable = self.preprocessing.process(
+                candidates,
+                collector,
+                second,
+                rng_factory=lambda object_id: filter_run_rng(
+                    self.seed, second, object_id
+                ),
+            )
+        return table
 
 
 @dataclass(frozen=True)
@@ -74,8 +139,6 @@ class TrackingService:
         plan: Optional[FloorPlan] = None,
         readers: Optional[Sequence[RFIDReader]] = None,
         tag_to_object: Optional[Dict[str, str]] = None,
-        num_shards: int = 1,
-        mode: str = "thread",
         use_cache: bool = True,
         use_pruning: bool = False,
         seed: Optional[int] = None,
@@ -99,13 +162,11 @@ class TrackingService:
         self.seed = seed if seed is not None else config.seed
         self._identity_tags = tag_to_object is None
         self.collector = EventDrivenCollector(tag_to_object or {})
-        self.executor = ShardedFilterExecutor(
+        self.executor = FilterExecutor(
             self.graph,
             self.anchor_index,
             self.readers,
             config,
-            num_shards=num_shards,
-            mode=mode,
             use_cache=use_cache,
             seed=self.seed,
             filter_backend=filter_backend,
@@ -295,8 +356,7 @@ class TrackingService:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release worker pools."""
-        self.executor.close()
+        """Nothing to release; kept so every owner closes services alike."""
 
     def __enter__(self) -> "TrackingService":
         return self

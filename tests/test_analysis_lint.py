@@ -280,19 +280,19 @@ def test_repo_is_invariant_clean():
     assert result.files_checked > 90
 
 
-def test_injected_unseeded_rng_in_shards_is_caught():
-    """The acceptance scenario: an unseeded Random() in repro.service.shards."""
-    shards_path = REPO_SRC / "repro" / "service" / "shards.py"
-    source = shards_path.read_text(encoding="utf-8")
+def test_injected_unseeded_rng_in_tracking_is_caught():
+    """The acceptance scenario: an unseeded Random() in repro.service.tracking."""
+    tracking_path = REPO_SRC / "repro" / "service" / "tracking.py"
+    source = tracking_path.read_text(encoding="utf-8")
     sabotaged = source.replace(
-        "import itertools", "import itertools\nimport random", 1
+        "from dataclasses import", "import random\nfrom dataclasses import", 1
     ).replace(
-        "rng = filter_run_rng(seed,",
-        "rng = random.Random()  # sabotage\n        rng = filter_run_rng(seed,",
+        "rng_factory=lambda object_id: filter_run_rng(",
+        "rng_factory=lambda object_id: random.Random() or filter_run_rng(",
         1,
     )
-    assert sabotaged != source
-    result = lint_source(sabotaged, path=str(shards_path))
+    assert "random.Random() or filter_run_rng(" in sabotaged
+    result = lint_source(sabotaged, path=str(tracking_path))
     assert any(
         f.rule == "DET" and "unseeded `random.Random()`" in f.message
         for f in result.findings

@@ -2,9 +2,8 @@
 
 Every registered backend — whatever its estimator — must honor the same
 observable contract: posteriors are probability distributions over
-anchors, states checkpoint and restore bit-exactly, results are
-invariant to shard count, and incompatible state documents are refused
-loudly instead of mis-decoded.
+anchors, states checkpoint and restore bit-exactly, and incompatible
+state documents are refused loudly instead of mis-decoded.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.filters import (
     available_backends,
     create_backend,
 )
-from repro.geometry import Point, Rect
 from repro.rng import filter_run_rng
 from repro.service import (
     CheckpointCompatibilityError,
@@ -157,40 +155,6 @@ class TestBackendContract:
         empty = ReadingHistory(object_id="ghost", runs=())
         with pytest.raises(ValueError, match="ghost"):
             backend.run(empty, 10)
-
-
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-class TestShardInvariance:
-    def test_serial_1_shard_equals_thread_3_shards(
-        self, name, replay_readings
-    ):
-        """Shard count and execution mode never change any backend's output."""
-
-        def run(num_shards, mode):
-            service = TrackingService(
-                FAST, num_shards=num_shards, mode=mode, filter_backend=name
-            )
-            service.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="r0")
-            service.sessions.subscribe_knn(Point(30, 5), 3, session_id="k0")
-            deltas = []
-            try:
-                for batch in ReplaySource(replay_readings, max_seconds=14).batches():
-                    deltas.extend(service.process_batch(batch))
-                table = service.snapshot().table
-                tables = {
-                    obj: table.distribution_of(obj) for obj in sorted(table.objects())
-                }
-            finally:
-                service.close()
-            keyed = [
-                (d.query_id, d.second, d.entered, d.left, d.updated) for d in deltas
-            ]
-            return keyed, tables
-
-        deltas_a, tables_a = run(1, "serial")
-        deltas_b, tables_b = run(3, "thread")
-        assert deltas_a == deltas_b
-        assert tables_a == tables_b
 
 
 class TestParticleEquivalence:

@@ -1,11 +1,11 @@
 """The gateway coordinator: the bit-identity guarantee and degradation.
 
-The acceptance property of the gateway (mirroring the shard guarantee
-in ``test_service_shards``): a multi-tenant run partitioned across 1,
-2, or 4 workers produces snapshots, standing-query deltas, and query
-answers identical to a single-process ``TrackingService`` per tenant —
-because every filter run draws from a ``(seed, second, object_id)`` RNG
-stream, placement cannot change the output.
+The acceptance property of the gateway: a multi-tenant run partitioned
+across 1, 2, or 4 workers produces snapshots, standing-query deltas, and
+query answers identical to a single-process ``TrackingService`` per
+tenant — because every filter run draws from a
+``(seed, second, object_id)`` RNG stream, placement cannot change the
+output.
 """
 
 import pytest
@@ -60,8 +60,6 @@ def reference(tenant_batches):
             world.config,
             plan=world.plan,
             readers=world.readers,
-            num_shards=1,
-            mode="serial",
             use_cache=True,
             seed=spec.seed,
             filter_backend=spec.filter_backend,
@@ -237,6 +235,24 @@ class TestDegradation:
             # The barrier completes from the remaining partition alone.
             collected_tid, second, _ = coordinator.collect_tick()
             assert (collected_tid, second) == (tid, batch.second)
+
+
+class TestClose:
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_process_close_never_kills_the_receiver(self):
+        """Close joins each pipe's receiver before closing the pipe.
+
+        Closing the pipe first raced the receiver's next ``recv()`` and
+        killed the thread with a ``TypeError`` on a minority of closes,
+        so the test closes many coordinators to make the race show.
+        """
+        for _ in range(40):
+            coordinator = GatewayCoordinator(_specs(), 2, transport="process")
+            coordinator.close()
+            for handle in coordinator.handles:
+                assert not handle._receiver.is_alive()
 
 
 class TestValidation:

@@ -36,8 +36,11 @@ def _record(tick, *, ess=40.0, wall=0.01, phases=None, alerts_firing=False):
         "tick": tick,
         "second": tick,
         "wall_seconds": wall,
-        "phases": phases or {"filter.predict": 0.004, "filter.weight": 0.002},
-        "shards": {"0": 0.003, "1": 0.002},
+        "phases": phases or {
+            "filter.predict": 0.004,
+            "filter.weight": 0.002,
+            "service.filter_tick": 0.007,
+        },
         "queue": {"depth": 2, "backpressure_waits": 0},
         "cache": {"hits": 5, "misses": 1, "hit_ratio": 5 / 6},
         "accuracy": {"ess_mean": ess, "kalman_entropy_mean": None},
@@ -91,7 +94,7 @@ class TestRenderTop:
         assert "epoch wall" in text and "ticks/s" in text
         assert "phase seconds (last epoch)" in text
         assert "filter.predict" in text
-        assert "shard seconds" in text and "s0=" in text
+        assert "service.filter_tick" in text
         assert "cache  hits=5" in text
         assert "ESS" in text
         assert "alerts: none firing" in text

@@ -187,20 +187,20 @@ class TestEventRecorder:
         assert records[1]["accuracy"]["ess_mean"] == pytest.approx(50.0)
         assert records[1]["accuracy"]["kalman_pruned"] == 0
 
-    def test_shard_and_phase_timings(self, tmp_path):
+    def test_phase_timings(self, tmp_path):
         obs.enable()
         obs.set_clock(FakeClock(tick=1.0))
         writer = EpochEventWriter(str(tmp_path / "e.jsonl"))
         recorder = EpochEventRecorder(writer, obs.registry())
         with obs.timer("filter.predict"):
             pass
-        with obs.timer("service.shard_time", labels={"shard": 0}):
+        with obs.timer("service.filter_tick", labels={"backend": "particle"}):
             pass
         recorder.record_epoch(second=1, tick=1, wall_seconds=0.5)
         writer.close()
         _, records = read_events(str(writer.path))
         assert records[0]["phases"]["filter.predict"] == pytest.approx(1.0)
-        assert records[0]["shards"]["0"] == pytest.approx(1.0)
+        assert records[0]["phases"]["service.filter_tick"] == pytest.approx(1.0)
         assert records[0]["wall_seconds"] == 0.5
 
     def test_writerless_recorder_still_returns_records(self):
@@ -266,7 +266,7 @@ class TestSchedulerEventLog:
         )
         path = tmp_path / "epochs.jsonl"
         writer = EpochEventWriter(str(path))
-        service = TrackingService(config, num_shards=2, mode="serial", seed=11)
+        service = TrackingService(config, seed=11)
         sim = Simulation(config, build_symbolic=False)
         queue = BoundedQueue(maxsize=8)
         feeder = SourceFeeder(LiveSimSource(sim, 5), queue)
@@ -294,7 +294,6 @@ class TestSchedulerEventLog:
         health = scheduler.health()
         assert health["status"] == "ok"
         assert health["ticks"] == 5
-        assert health["shards"]["num_shards"] == 2
         assert health["filter_backend"] == "particle"
         assert scheduler.ready() is True
 
@@ -303,9 +302,6 @@ class TestSchedulerEventLog:
         from repro.service.scheduler import ManualClock
 
         class _StubExecutor:
-            def shard_health(self):
-                return {"num_shards": 1}
-
             class filter_backend:
                 name = "particle"
 

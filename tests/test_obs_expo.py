@@ -31,9 +31,9 @@ def _snapshot_with_series():
     obs.add("engine.queries", 3, labels={"query": "range"})
     obs.add("engine.queries", 2, labels={"query": "knn"})
     obs.add("cache.hits", 7)
-    obs.gauge_set("service.shards", 4)
+    obs.gauge_set("service.tracked_objects", 4)
     obs.observe("service.tick_latency", 0.25)
-    obs.observe("service.shard_time", 0.1, labels={"shard": 0})
+    obs.observe("service.filter_tick", 0.1, labels={"backend": "particle"})
     return obs.snapshot()
 
 
@@ -50,8 +50,8 @@ class TestRenderPrometheus:
 
     def test_gauges_and_summaries(self):
         text = render_prometheus(_snapshot_with_series())
-        assert "# TYPE repro_service_shards gauge" in text
-        assert "repro_service_shards 4.0" in text
+        assert "# TYPE repro_service_tracked_objects gauge" in text
+        assert "repro_service_tracked_objects 4.0" in text
         assert "# TYPE repro_service_tick_latency summary" in text
         assert 'repro_service_tick_latency{quantile="0.5"} 0.25' in text
         assert "repro_service_tick_latency_sum 0.25" in text
@@ -59,7 +59,10 @@ class TestRenderPrometheus:
 
     def test_labeled_summary_merges_quantile_label(self):
         text = render_prometheus(_snapshot_with_series())
-        assert 'repro_service_shard_time{quantile="0.5",shard="0"} 0.1' in text
+        assert (
+            'repro_service_filter_tick{backend="particle",quantile="0.5"} 0.1'
+            in text
+        )
 
     def test_type_line_emitted_once_per_family(self):
         text = render_prometheus(_snapshot_with_series())

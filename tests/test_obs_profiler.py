@@ -170,12 +170,10 @@ class TestBuildProfile:
         assert profile.dropped_spans == 17
         assert "17 spans past the retention cap" in render_attribution(profile)
 
-    def test_shard_backend_and_timer_rows(self):
+    def test_backend_and_timer_rows(self):
         histograms = [
-            {"name": "service.shard_time", "labels": {"shard": "1"},
+            {"name": "service.filter_tick", "labels": {"backend": "kalman"},
              "count": 4, "total": 2.0},
-            {"name": "service.shard_time", "labels": {"shard": "0"},
-             "count": 4, "total": 1.0},
             {"name": "service.filter_tick", "labels": {"backend": "particle"},
              "count": 8, "total": 3.0},
             {"name": "filter.predict", "count": 40, "total": 0.5},
@@ -187,15 +185,16 @@ class TestBuildProfile:
         profile = build_profile(
             _snapshot([], histograms=histograms, counters=counters)
         )
-        assert [r["shard"] for r in profile.shards] == ["0", "1"]
         assert profile.backends == [
+            {"backend": "kalman", "filter_runs": 0, "ticks": 4,
+             "seconds": 2.0},
             {"backend": "particle", "filter_runs": 120, "ticks": 8,
-             "seconds": 3.0}
+             "seconds": 3.0},
         ]
         series = {r["series"] for r in profile.timers}
         assert "filter.predict" in series
-        assert 'service.shard_time{shard="0"}' not in series  # plain k=v form
-        assert "service.shard_time{shard=0}" in series
+        assert 'service.filter_tick{backend="particle"}' not in series  # plain k=v form
+        assert "service.filter_tick{backend=particle}" in series
 
     def test_object_buckets_group_by_crc32(self):
         spans = [

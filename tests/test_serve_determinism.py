@@ -56,9 +56,7 @@ def _replay(config, readings, telemetry, tmp_path=None):
     if telemetry:
         obs.enable()
         writer = EpochEventWriter(str(tmp_path / "epochs.jsonl"))
-    service = TrackingService(
-        config, num_shards=2, mode="thread", seed=SEED
-    )
+    service = TrackingService(config, seed=SEED)
     queue = BoundedQueue(maxsize=4)
     feeder = SourceFeeder(ReplaySource(readings), queue)
     scheduler = EpochScheduler(
@@ -116,42 +114,3 @@ def test_event_log_and_metrics_server_leave_results_bit_identical(tmp_path):
     assert any(r["accuracy"]["ess_mean"] is not None for r in records)
     assert all(r["phases"] for r in records)
 
-
-def test_serial_and_thread_snapshots_are_identical(tmp_path):
-    """Labeled instruments aggregate identically under the thread pool.
-
-    Runs the same replay in serial and thread shard mode and compares the
-    metrics snapshots themselves — every labeled counter series (per
-    shard, per backend) must land on identical values, because shard
-    assignment is a stable hash and labels never depend on scheduling.
-    """
-    config, readings = _recorded_log()
-
-    def labeled_counters(mode):
-        obs.enable()
-        try:
-            service = TrackingService(
-                config, num_shards=2, mode=mode, seed=SEED
-            )
-            try:
-                for batch in ReplaySource(readings).batches():
-                    service.process_batch(batch)
-            finally:
-                service.close()
-            snap = obs.registry().snapshot()
-            return {
-                (c["name"], tuple(sorted((c.get("labels") or {}).items()))):
-                    c["value"]
-                for c in snap["counters"]
-            }
-        finally:
-            obs.disable()
-            obs.reset()
-
-    serial = labeled_counters("serial")
-    threaded = labeled_counters("thread")
-    assert serial == threaded
-    shard_series = [
-        key for key in serial if key[0] == "service.shard_objects_filtered"
-    ]
-    assert len(shard_series) == 2, "expected one labeled series per shard"

@@ -30,8 +30,8 @@ def replay_readings():
     return readings
 
 
-def _new_service(num_shards=2):
-    service = TrackingService(FAST, num_shards=num_shards, mode="thread")
+def _new_service():
+    service = TrackingService(FAST)
     service.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="r0")
     service.sessions.subscribe_knn(Point(30, 5), 3, session_id="k0")
     return service
@@ -133,9 +133,7 @@ class TestResumeEquivalence:
         finally:
             interrupted.close()
 
-        # Resume at a *different* shard count: per-object determinism
-        # makes even that invisible.
-        resumed = restore_from_file(path, num_shards=4)
+        resumed = restore_from_file(path)
         try:
             assert resumed.last_second == 12
             resumed_deltas = _run(

@@ -42,9 +42,7 @@ def _serve(world, *extra):
 
 class TestServeReplay:
     def test_replay_with_standing_queries(self, world, capsys):
-        code = _serve(
-            world, "--shards", "2", "--range", "4,0,30,12", "--knn", "30,5,3"
-        )
+        code = _serve(world, "--range", "4,0,30,12", "--knn", "30,5,3")
         assert code == 0
         out = capsys.readouterr().out
         assert "standing query range-0" in out
@@ -58,15 +56,6 @@ class TestServeReplay:
         out = capsys.readouterr().out
         assert "[t=" not in out
         assert "served 5 ticks" in out
-
-    def test_shard_counts_print_identical_deltas(self, world, capsys):
-        _serve(world, "--range", "4,0,30,12", "--knn", "30,5,3", "--shards", "1")
-        one = capsys.readouterr().out
-        _serve(world, "--range", "4,0,30,12", "--knn", "30,5,3", "--shards", "4")
-        four = capsys.readouterr().out
-        assert [l for l in one.splitlines() if l.startswith("[t=")] == [
-            l for l in four.splitlines() if l.startswith("[t=")
-        ]
 
     def test_bad_range_spec(self, world):
         with pytest.raises(SystemExit):
@@ -92,7 +81,7 @@ class TestServeCheckpoint:
     def test_checkpoint_restore_round_trip(self, world, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         # Uninterrupted run for reference.
-        _serve(world, "--range", "4,0,30,12", "--shards", "2")
+        _serve(world, "--range", "4,0,30,12")
         reference = [
             l for l in capsys.readouterr().out.splitlines() if l.startswith("[t=")
         ]
@@ -107,7 +96,7 @@ class TestServeCheckpoint:
         state = json.loads(ckpt.read_text())
         assert state["format"] == "repro-service-checkpoint"
         # Restore and resume over the same log.
-        code = _serve(world, "--restore", str(ckpt), "--shards", "4")
+        code = _serve(world, "--restore", str(ckpt))
         assert code == 0
         resumed = capsys.readouterr().out
         assert "restored from" in resumed

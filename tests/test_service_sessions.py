@@ -28,7 +28,7 @@ def replay_readings():
 
 @pytest.fixture()
 def service():
-    svc = TrackingService(FAST, num_shards=2, mode="thread")
+    svc = TrackingService(FAST)
     yield svc
     svc.close()
 
@@ -66,7 +66,7 @@ class TestSubscriptions:
             service.sessions.subscribe_range(Rect(0, 0, 1, 1), session_id="dup")
 
     def test_pruning_uses_standing_queries(self, replay_readings):
-        pruned = TrackingService(FAST, use_pruning=True, num_shards=2)
+        pruned = TrackingService(FAST, use_pruning=True)
         try:
             pruned.sessions.subscribe_range(Rect(4, 0, 10, 12), session_id="small")
             for batch in ReplaySource(replay_readings, max_seconds=8).batches():
