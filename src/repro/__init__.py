@@ -46,7 +46,6 @@ from repro.queries import (
 )
 from repro.rfid import DetectionModel, RFIDReader, RFIDTag, deploy_readers_uniform
 from repro.sim import Simulation, evaluate_accuracy
-from repro.symbolic import SymbolicQueryEngine
 
 __version__ = "1.0.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "RangeResult",
     "KNNResult",
     "IndoorQueryEngine",
-    "SymbolicQueryEngine",
     "RFIDReader",
     "RFIDTag",
     "DetectionModel",

@@ -97,7 +97,7 @@ class ParticleFilter:
         # reading — with no observations the cloud disperses into noise.
         t_end = int(min(td + self.config.silence_cap_seconds, current_second))
 
-        with obs.span("filter.run", object=history.object_id):
+        with obs.span("filter.run", object=history.object_id, backend="particle"):
             if resume is not None and resume[1] <= t_end:
                 particles = resume[0].copy()
                 t_state = resume[1]

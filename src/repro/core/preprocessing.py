@@ -10,6 +10,10 @@ backend name or instance and drives it purely through the
 :class:`~repro.filters.base.FilterBackend` contract, so the particle
 filter, the graph-Kalman filter, and the symbolic baseline all flow
 through this exact code path.
+
+The module owns the backend and its state cache: the query engine and
+the tracking service both build one and read ``.backend`` / ``.cache``
+from it.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ class PreprocessingModule:
         anchor_index: AnchorIndex,
         readers,
         config: SimulationConfig,
-        cache: "Optional[ParticleCacheManager]" = None,
+        use_cache: bool = True,
         resampler=systematic_resample,
         backend: "BackendSpec" = "particle",
     ):
-        # Deferred: core sits below filters in the layer map (ARCH); the
-        # backend registry is only needed at construction time.
+        # Deferred: core sits below filters and cache in the layer map
+        # (ARCH); both are only needed at construction time.
+        from repro.cache.particle_cache import ParticleCacheManager
         from repro.filters.registry import create_backend
 
         self.graph = graph
@@ -52,9 +57,17 @@ class PreprocessingModule:
         self.backend = create_backend(
             backend, graph, anchor_index, readers, config, resampler=resampler
         )
-        # Stateless backends have nothing worth resuming; drop the cache
-        # so lookups are not wasted (and stats stay meaningful).
-        self.cache = cache if self.backend.cacheable else None
+        # Stateless backends have nothing worth resuming; they get no
+        # cache, so lookups are not wasted (and stats stay meaningful).
+        self.cache: "Optional[ParticleCacheManager]" = (
+            ParticleCacheManager(
+                backend=self.backend.name,
+                state_version=self.backend.state_version,
+                decoder=self.backend.state_from_dict,
+            )
+            if use_cache and self.backend.cacheable
+            else None
+        )
         self.compiled_graph = self.backend.compiled_graph
         self.compiled_anchors = self.backend.compiled_anchors
         self.readers = self.backend.readers

@@ -2,8 +2,9 @@
 
 Wraps :class:`repro.symbolic.inference.SymbolicLocationModel` — the
 Yang-et-al. baseline the paper compares against — behind the
-:class:`~repro.filters.base.BayesFilter` contract, so the CLI's
-``--filter symbolic`` runs the baseline through the exact same engine,
+:class:`~repro.filters.base.BayesFilter` contract. This backend *is* the
+baseline system: the simulator's ``sm_engine`` and the CLI's
+``--filter symbolic`` both run it through the exact same engine,
 executor, and query-evaluation code paths as the particle and Kalman
 backends.
 
@@ -11,10 +12,10 @@ The model is closed-form in ``(history, now)``: there is nothing to
 propagate between seconds, so ``predict`` is a no-op, ``update`` merely
 advances the evaluation second, and the backend opts out of state
 caching (``cacheable = False`` — recomputing is cheaper than resuming).
-Unlike the replay driver, the legacy symbolic engine evaluates at the
-*actual* query second with no silence cap — the maximum-speed
-reachability constraint plays that role — so :meth:`SymbolicBackend.run`
-overrides the generic loop and evaluates directly at ``current_second``.
+Unlike the replay driver, the symbolic model evaluates at the *actual*
+query second with no silence cap — the maximum-speed reachability
+constraint plays that role — so :meth:`SymbolicBackend.run` overrides
+the generic loop and evaluates directly at ``current_second``.
 """
 
 from __future__ import annotations
@@ -169,9 +170,8 @@ class SymbolicBackend(FilterBackend):
         resampler: object = None,
     ) -> None:
         super().__init__(graph, anchor_index, readers, config, resampler=resampler)
-        # Imported here, not at module level: repro.symbolic pulls in the
-        # legacy symbolic query engine, which imports repro.queries —
-        # which itself imports repro.filters.
+        # Imported here, not at module level: repro.symbolic sits above
+        # repro.filters in the layer map (ARCH).
         from repro.symbolic.inference import SymbolicLocationModel
 
         self.model: "SymbolicLocationModel" = SymbolicLocationModel(
@@ -207,9 +207,9 @@ class SymbolicBackend(FilterBackend):
         """Evaluate directly at ``current_second`` (no silence cap).
 
         The symbolic model bounds the feasible region by maximum-speed
-        reachability instead of capping replay length, so the legacy
-        engine's semantics — evaluate at the true query second — are
-        preserved here rather than routed through the capped replay loop.
+        reachability instead of capping replay length, so the model is
+        evaluated at the true query second rather than routed through the
+        capped replay loop.
         """
         del rng, resume  # deterministic and closed-form
         if history.is_empty:

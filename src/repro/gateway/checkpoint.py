@@ -40,6 +40,7 @@ from repro.gateway.coordinator import GatewayCoordinator
 from repro.gateway.partitioning import DEFAULT_VNODES
 from repro.gateway.tenants import TenantSpec
 from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
+from repro.service.checkpoint import write_text_atomic
 
 GATEWAY_CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
 GATEWAY_CHECKPOINT_VERSION = 1
@@ -56,11 +57,10 @@ def partition_filename(index: int) -> str:
     return f"partition-{index:04d}.json"
 
 
-def _write_json_atomic(path: str, document: dict) -> None:
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    os.replace(tmp_path, path)
+def _write_json(path: str, document: dict) -> None:
+    # Serialized here, not in save_checkpoint: the SCHEMA lock covers
+    # the service checkpoint envelope only.
+    write_text_atomic(path, json.dumps(document))
 
 
 def save_checkpoint(coordinator: GatewayCoordinator, directory: str) -> None:
@@ -75,15 +75,13 @@ def save_checkpoint(coordinator: GatewayCoordinator, directory: str) -> None:
             "partitions": coordinator.num_partitions,
             "tenants": states[index],
         }
-        _write_json_atomic(
-            os.path.join(directory, partition_filename(index)), document
-        )
+        _write_json(os.path.join(directory, partition_filename(index)), document)
     manifest = {
         "format": GATEWAY_CHECKPOINT_FORMAT,
         "checkpoint_version": GATEWAY_CHECKPOINT_VERSION,
         "state": coordinator.state_dict(),
     }
-    _write_json_atomic(os.path.join(directory, MANIFEST_NAME), manifest)
+    _write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
 def load_checkpoint(directory: str) -> Tuple[dict, Dict[int, Dict[str, dict]]]:

@@ -207,19 +207,29 @@ def _labels_of(item: Mapping[str, object]) -> Dict[str, str]:
     return {}
 
 
-def _backend_rows(snapshot: Mapping[str, object]) -> List[Dict[str, object]]:
+def _backend_rows(
+    snapshot: Mapping[str, object], spans: List[Dict[str, object]]
+) -> List[Dict[str, object]]:
+    # Seconds come from ``filter.run`` spans, which every path emits
+    # (batch engine, service, gateway workers); ``service.filter_tick``
+    # exists on the service path only and just supplies the tick count.
     seconds: Dict[str, float] = {}
+    for span in spans:
+        attrs = span.get("attrs")
+        if span.get("name") != "filter.run" or not isinstance(attrs, dict):
+            continue
+        backend = str(attrs.get("backend", "?"))
+        seconds[backend] = seconds.get(backend, 0.0) + _duration(span)
     ticks: Dict[str, int] = {}
     for item in _metric_series(snapshot, "histograms", "service.filter_tick"):
         backend = _labels_of(item).get("backend", "?")
-        seconds[backend] = seconds.get(backend, 0.0) + float(str(item.get("total") or 0.0))
         ticks[backend] = ticks.get(backend, 0) + int(str(item.get("count") or 0))
     runs: Dict[str, int] = {}
     for item in _metric_series(snapshot, "counters", "filter.backend_runs"):
         backend = _labels_of(item).get("backend", "?")
         runs[backend] = runs.get(backend, 0) + int(str(item.get("value") or 0))
     rows = []
-    for backend in sorted(set(seconds) | set(runs)):
+    for backend in sorted(set(seconds) | set(ticks) | set(runs)):
         rows.append(
             {
                 "backend": backend,
@@ -390,7 +400,7 @@ def build_profile(
         phases=phases,
         timers=_timer_rows(snapshot),
         paths=paths,
-        backends=_backend_rows(snapshot),
+        backends=_backend_rows(snapshot, spans),
         object_buckets=_bucket_rows(spans),
         dropped_spans=dropped,
         meta=dict(meta) if meta else {},

@@ -2,7 +2,7 @@
 
 The paper evaluates snapshot queries and names continuous range and
 continuous kNN queries as future work. This module adds them on top of
-either engine: queries stay registered, the monitor re-evaluates them as
+the query engine: queries stay registered, the monitor re-evaluates them as
 simulation time advances, and subscribers receive *deltas* — which
 objects entered a result, which left, and whose probability changed
 materially — instead of full result sets.
@@ -42,9 +42,11 @@ class ResultDelta:
 class ContinuousQueryMonitor:
     """Re-evaluates registered queries over time and emits result deltas.
 
-    Works with both :class:`~repro.queries.engine.IndoorQueryEngine` and
-    :class:`~repro.symbolic.engine.SymbolicQueryEngine` (they share the
-    evaluate/register API).
+    Drives any :class:`~repro.queries.engine.TableQueryEngine`: an
+    :class:`~repro.queries.engine.IndoorQueryEngine` with any pluggable
+    estimator (the symbolic baseline is ``filter_backend="symbolic"``),
+    or a table engine answering from a published table (the service's
+    standing-query sessions).
 
     ``report_threshold`` is the probability below which an object is not
     considered part of a result at all; ``min_change`` is the minimum

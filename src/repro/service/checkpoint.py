@@ -49,6 +49,18 @@ class CheckpointCompatibilityError(ValueError):
     """A checkpoint cannot be restored onto this service configuration."""
 
 
+def write_text_atomic(path: PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file + rename.
+
+    Readers see either the old complete file or the new one, never a
+    torn write. Service and gateway checkpoints both go through here.
+    """
+    tmp_path = f"{path}.tmp"
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp_path, path)
+
+
 def save_checkpoint(service: TrackingService, path: PathLike) -> None:
     """Write the service's full state to ``path`` (atomic rename)."""
     document = {
@@ -56,10 +68,7 @@ def save_checkpoint(service: TrackingService, path: PathLike) -> None:
         "checkpoint_version": CHECKPOINT_VERSION,
         "state": service.state_dict(),
     }
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    os.replace(tmp_path, path)
+    write_text_atomic(path, json.dumps(document))
 
 
 def _migrate_v1(state: dict) -> dict:

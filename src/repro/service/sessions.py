@@ -24,82 +24,9 @@ from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.index.hashtable import AnchorObjectTable
 from repro.queries.continuous import ContinuousQueryMonitor, ResultDelta
-from repro.queries.engine import EngineSnapshot
-from repro.queries.knn_query import evaluate_knn_query
-from repro.queries.range_query import evaluate_range_query
-from repro.queries.types import KNNQuery, RangeQuery
+from repro.queries.engine import TableQueryEngine
 
 DeltaCallback = Callable[[ResultDelta], None]
-
-
-class SnapshotQueryEngine:
-    """Engine-API adapter that evaluates queries against a prebuilt table.
-
-    Exposes the same ``register``/``unregister``/``evaluate`` surface as
-    :class:`~repro.queries.engine.IndoorQueryEngine`, but runs **no**
-    filters: ``evaluate`` answers every registered query from whatever
-    table was last published. This is what lets the unmodified
-    :class:`ContinuousQueryMonitor` drive the service's read path.
-    """
-
-    def __init__(
-        self, plan: FloorPlan, graph: WalkingGraph, anchor_index: AnchorIndex
-    ) -> None:
-        self.plan = plan
-        self.graph = graph
-        self.anchor_index = anchor_index
-        self.table: AnchorObjectTable = AnchorObjectTable()
-        self._range_queries: List[RangeQuery] = []
-        self._knn_queries: List[KNNQuery] = []
-
-    # -- registration (engine API parity) -------------------------------
-    def register_range_query(self, query: RangeQuery) -> None:
-        self._range_queries.append(query)
-
-    def register_knn_query(self, query: KNNQuery) -> None:
-        self._knn_queries.append(query)
-
-    def unregister_query(self, query_id: str) -> bool:
-        for queries in (self._range_queries, self._knn_queries):
-            for index, query in enumerate(queries):
-                if query.query_id == query_id:
-                    del queries[index]
-                    return True
-        return False
-
-    def clear_queries(self) -> None:
-        self._range_queries.clear()
-        self._knn_queries.clear()
-
-    @property
-    def range_queries(self) -> List[RangeQuery]:
-        return list(self._range_queries)
-
-    @property
-    def knn_queries(self) -> List[KNNQuery]:
-        return list(self._knn_queries)
-
-    # -- evaluation ------------------------------------------------------
-    def evaluate(self, now: int, rng: object = None) -> EngineSnapshot:
-        """Answer every registered query from the published table.
-
-        ``rng`` is accepted (and ignored) for monitor compatibility —
-        snapshot evaluation is deterministic.
-        """
-        del rng
-        table = self.table
-        snapshot = EngineSnapshot(
-            second=now, candidates=set(table.objects()), table=table
-        )
-        for query in self._range_queries:
-            snapshot.range_results[query.query_id] = evaluate_range_query(
-                query, self.plan, self.anchor_index, table
-            )
-        for query in self._knn_queries:
-            snapshot.knn_results[query.query_id] = evaluate_knn_query(
-                query, self.graph, self.anchor_index, table
-            )
-        return snapshot
 
 
 @dataclass
@@ -139,7 +66,9 @@ class SessionManager:
         report_threshold: float = 0.05,
         min_change: float = 0.10,
     ) -> None:
-        self.engine = SnapshotQueryEngine(plan, graph, anchor_index)
+        # A table engine runs no filters: each publish swaps in the
+        # tick's table and the unmodified monitor answers from it.
+        self.engine = TableQueryEngine(plan, graph, anchor_index)
         self.monitor = ContinuousQueryMonitor(
             self.engine,
             report_threshold=report_threshold,

@@ -59,8 +59,8 @@ from repro.service.sessions import SessionManager
 class FilterExecutor:
     """The per-object filter step of one tick (paper Section 4.4).
 
-    Owns the tick's filter backend, its particle cache and the
-    :class:`PreprocessingModule` that runs them. Every object's run draws
+    Owns the :class:`PreprocessingModule` that holds the tick's filter
+    backend and its state cache. Every object's run draws
     from its own :func:`repro.rng.filter_run_rng` stream, so the table
     does not depend on which other objects share the tick — the property
     that makes a gateway partition's slice bit-identical to the same
@@ -77,26 +77,13 @@ class FilterExecutor:
         seed: Optional[int] = None,
         filter_backend: BackendSpec = "particle",
     ) -> None:
-        from repro.cache.particle_cache import ParticleCacheManager
-        from repro.filters.registry import create_backend
-
         self.seed = seed if seed is not None else config.seed
-        self.filter_backend = create_backend(
-            filter_backend, graph, anchor_index, readers, config
-        )
-        self.cache = (
-            ParticleCacheManager(
-                backend=self.filter_backend.name,
-                state_version=self.filter_backend.state_version,
-                decoder=self.filter_backend.state_from_dict,
-            )
-            if use_cache and self.filter_backend.cacheable
-            else None
-        )
         self.preprocessing = PreprocessingModule(
             graph, anchor_index, readers, config,
-            cache=self.cache, backend=self.filter_backend,
+            use_cache=use_cache, backend=filter_backend,
         )
+        self.filter_backend = self.preprocessing.backend
+        self.cache = self.preprocessing.cache
 
     def build_table(
         self, candidates: Sequence[str], collector: EventDrivenCollector, second: int

@@ -4,8 +4,9 @@ Seven components, exactly as the paper's simulator diagram:
 
 * true trace generator (:mod:`repro.sim.trace`),
 * raw reading generator (:mod:`repro.sim.readings_sim`),
-* particle filter module and symbolic model module (the two engines from
-  :mod:`repro.queries.engine` and :mod:`repro.symbolic.engine`),
+* particle filter module and symbolic model module (two
+  :mod:`repro.queries.engine` engines that differ only in their filter
+  backend),
 * ground truth query evaluation (:mod:`repro.sim.ground_truth`),
 * top-k success and KL divergence / hit rate metrics
   (:mod:`repro.sim.metrics`),

@@ -1,9 +1,13 @@
 """The complete simulator (paper Figure 8).
 
-Wires the true trace generator, the raw reading generator, the particle
-filter engine, the symbolic model engine, and ground truth together. The
-two query engines consume the *same* raw reading stream, and accuracy is
-judged against the same true traces.
+Wires the true trace generator, the raw reading generator, two query
+engines and ground truth together. Both engines are
+:class:`~repro.queries.engine.IndoorQueryEngine` instances that differ
+only in their pluggable location estimator: ``pf_engine`` runs the
+configured filter backend (the particle filter by default) and
+``sm_engine`` runs the symbolic baseline (``filter_backend="symbolic"``).
+They consume the *same* raw reading stream, and accuracy is judged
+against the same true traces.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from repro.rfid.reader import RFIDReader
 from repro.rng import child_rng
 from repro.sim.readings_sim import RawReadingGenerator
 from repro.sim.trace import TrueTraceGenerator
-from repro.symbolic.engine import SymbolicQueryEngine
 
 
 class Simulation:
@@ -82,7 +85,7 @@ class Simulation:
             filter_backend=filter_backend,
         )
         self.sm_engine = (
-            SymbolicQueryEngine(
+            IndoorQueryEngine(
                 self.plan,
                 self.readers,
                 tag_to_object,
@@ -90,6 +93,7 @@ class Simulation:
                 graph=self.graph,
                 anchor_index=self.anchor_index,
                 use_pruning=use_pruning,
+                filter_backend="symbolic",
             )
             if build_symbolic
             else None

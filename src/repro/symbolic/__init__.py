@@ -6,12 +6,15 @@ locations* constrained by its maximum speed, where reachability is
 expressed on a *deployment graph* whose vertices are cells — maximal
 regions of the indoor space traversable without being detected by any
 positioning device.
+
+The model answers queries through the one query engine: it is the
+``"symbolic"`` filter backend (:mod:`repro.filters.symbolic`), so the
+baseline system is ``IndoorQueryEngine(..., filter_backend="symbolic")``.
 """
 
 from repro.symbolic.cells import Cell, DeploymentGraph, build_deployment_graph
 from repro.symbolic.devices import DeviceType
 from repro.symbolic.inference import SymbolicLocationModel
-from repro.symbolic.engine import SymbolicQueryEngine
 
 __all__ = [
     "Cell",
@@ -19,5 +22,4 @@ __all__ = [
     "build_deployment_graph",
     "DeviceType",
     "SymbolicLocationModel",
-    "SymbolicQueryEngine",
 ]

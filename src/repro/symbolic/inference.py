@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.collector.collector import EventDrivenCollector, ReadingHistory
+from repro.collector.collector import ReadingHistory
 from repro.config import SimulationConfig
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
-from repro.index.hashtable import AnchorObjectTable
 from repro.rfid.reader import RFIDReader
 from repro.symbolic.cells import anchor_cells, build_deployment_graph
 from repro.symbolic.devices import DeviceType
@@ -165,18 +164,3 @@ class SymbolicLocationModel:
         return {
             ap_id: self._anchor_area[ap_id] / total for ap_id in anchors
         }
-
-    # ------------------------------------------------------------------
-    def build_table(
-        self,
-        candidates: Iterable[str],
-        collector: EventDrivenCollector,
-        now: int,
-    ) -> AnchorObjectTable:
-        """Infer every candidate and fill an ``APtoObjHT`` table."""
-        table = AnchorObjectTable()
-        for object_id in candidates:
-            distribution = self.infer(collector.history(object_id), now)
-            if distribution:
-                table.set_distribution(object_id, distribution)
-        return table

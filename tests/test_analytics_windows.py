@@ -1,6 +1,7 @@
 """Historical window queries, including reads across rotated generations."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,9 +84,9 @@ class TestGenerationReads:
 
     def test_bad_generation_header_fails_the_read(self, rotated_log):
         victim = generation_paths(rotated_log)[0]
-        lines = open(victim).read().splitlines()
+        lines = Path(victim).read_text().splitlines()
         lines[0] = json.dumps({"format": "not-epoch-events", "version": 1})
-        open(victim, "w").write("\n".join(lines) + "\n")
+        Path(victim).write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_all_events(rotated_log)
 

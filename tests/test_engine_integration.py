@@ -1,4 +1,4 @@
-"""Integration tests: the full Figure-3 pipeline on both engines."""
+"""Integration tests: the full Figure-3 pipeline on both estimators."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.queries import IndoorQueryEngine, KNNQuery, RangeQuery
 from repro.rfid import RFIDReader
 from repro.rfid.readings import RawReading
 from repro.sim import Simulation
-from repro.symbolic import SymbolicQueryEngine
+from repro.symbolic import SymbolicLocationModel
 
 CONFIG = DEFAULT_CONFIG.with_overrides(
     num_objects=15,
@@ -96,11 +96,29 @@ class TestSymbolicEngine:
         b = engine.range_query(Rect(10, 3, 25, 8), 60)
         assert a.probabilities == b.probabilities
 
+    def test_snapshot_equals_the_symbolic_model(self):
+        """The engine adds nothing to the model: same table, bit for bit."""
+        sim = Simulation(CONFIG.with_overrides(num_objects=8))
+        model = SymbolicLocationModel(
+            sim.graph, sim.anchor_index, sim.readers, sim.config
+        )
+        checked = 0
+        for second in (5, 12, 25, 40):
+            sim.run_until(second)
+            table = sim.sm_engine.locations_snapshot(second)
+            for object_id in sim.sm_engine.collector.observed_objects():
+                expected = model.infer(
+                    sim.sm_engine.collector.history(object_id), second
+                )
+                assert table.distribution_of(object_id) == (expected or {})
+                checked += 1
+        assert checked > 0
+
 
 class TestEngineStandalone:
     """Engine fed with a hand-built reading stream (no simulator)."""
 
-    def _setup(self):
+    def _setup(self, filter_backend="particle"):
         from repro.floorplan import small_test_plan
 
         plan = small_test_plan()
@@ -109,10 +127,13 @@ class TestEngineStandalone:
             RFIDReader("d2", Point(10.0, 5.0), 2.0, "H1"),
             RFIDReader("d3", Point(17.0, 5.0), 2.0, "H1"),
         ]
-        engine = IndoorQueryEngine(
-            plan, readers, {"tag1": "o1"}, config=DEFAULT_CONFIG
+        return IndoorQueryEngine(
+            plan,
+            readers,
+            {"tag1": "o1"},
+            config=DEFAULT_CONFIG,
+            filter_backend=filter_backend,
         )
-        return engine
 
     def test_tracked_object_found_near_last_reader(self):
         engine = self._setup()
@@ -130,19 +151,19 @@ class TestEngineStandalone:
         assert result.probabilities == {}
 
     def test_symbolic_engine_same_stream(self):
-        from repro.floorplan import small_test_plan
-
-        plan = small_test_plan()
-        readers = [
-            RFIDReader("d1", Point(3.0, 5.0), 2.0, "H1"),
-            RFIDReader("d2", Point(10.0, 5.0), 2.0, "H1"),
-            RFIDReader("d3", Point(17.0, 5.0), 2.0, "H1"),
-        ]
-        engine = SymbolicQueryEngine(plan, readers, {"tag1": "o1"})
+        engine = self._setup(filter_backend="symbolic")
         for second, reader in [(0, "d2"), (1, "d2"), (7, "d3"), (8, "d3")]:
             engine.ingest_second(second, [RawReading(second + 0.5, "tag1", reader)])
         result = engine.range_query(Rect(15, 4, 20, 6), 8)
         assert result.probabilities.get("o1", 0.0) > 0.3
+
+    def test_symbolic_table_skips_unseen_objects(self):
+        engine = self._setup(filter_backend="symbolic")
+        engine.ingest_second(0, [RawReading(0.5, "tag1", "d2")])
+        table = engine.preprocessing.process(["o1", "ghost"], engine.collector, 0)
+        assert table.has_object("o1")
+        assert not table.has_object("ghost")
+        assert table.total_probability("o1") == pytest.approx(1.0)
 
 
 class TestStepApi:

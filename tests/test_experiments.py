@@ -57,6 +57,16 @@ class TestEvaluateAccuracy:
         assert isinstance(row["range_kl_pf"], float)
         assert row["knn_hit_pf"] is None
 
+    def test_symbolic_backend_matches_the_baseline_range_kl(self):
+        # Both engines then run the symbolic model, so the range columns
+        # agree exactly. kNN is left out on purpose: its pf column takes
+        # ``.objects()`` and its sm column ``.top(k)``.
+        report = evaluate_accuracy(
+            FAST, measure_knn=False, measure_topk=False, filter_backend="symbolic"
+        )
+        assert report.range_kl_pf is not None
+        assert report.range_kl_pf == report.range_kl_sm
+
     def test_reusable_simulation(self):
         sim = Simulation(FAST)
         report = evaluate_accuracy(FAST, simulation=sim, measure_topk=False)

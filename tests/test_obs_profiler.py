@@ -6,6 +6,9 @@ import threading
 import pytest
 
 from repro import obs
+from repro.config import DEFAULT_CONFIG
+from repro.service import LiveSimSource, TrackingService
+from repro.sim import Simulation
 from repro.obs.profiler import (
     OBJECT_BUCKETS,
     PROFILE_FORMAT,
@@ -171,11 +174,16 @@ class TestBuildProfile:
         assert "17 spans past the retention cap" in render_attribution(profile)
 
     def test_backend_and_timer_rows(self):
+        spans = [
+            _span(0, "filter.run", 0.0, 2.0, attrs={"object": "o1", "backend": "kalman"}),
+            _span(1, "filter.run", 2.0, 3.0, attrs={"object": "o1", "backend": "particle"}),
+            _span(2, "filter.run", 3.0, 5.0, attrs={"object": "o2", "backend": "particle"}),
+        ]
         histograms = [
             {"name": "service.filter_tick", "labels": {"backend": "kalman"},
-             "count": 4, "total": 2.0},
+             "count": 4, "total": 9.0},
             {"name": "service.filter_tick", "labels": {"backend": "particle"},
-             "count": 8, "total": 3.0},
+             "count": 8, "total": 9.0},
             {"name": "filter.predict", "count": 40, "total": 0.5},
         ]
         counters = [
@@ -183,8 +191,9 @@ class TestBuildProfile:
              "value": 120},
         ]
         profile = build_profile(
-            _snapshot([], histograms=histograms, counters=counters)
+            _snapshot(spans, histograms=histograms, counters=counters)
         )
+        # Seconds come from the filter.run spans, ticks from the service timer.
         assert profile.backends == [
             {"backend": "kalman", "filter_runs": 0, "ticks": 4,
              "seconds": 2.0},
@@ -309,3 +318,47 @@ class TestRenderAndIntegration:
         first, second = run(), run()
         assert first.as_dict() == second.as_dict()
         assert to_collapsed(first) == to_collapsed(second)
+
+
+class TestPerBackendSeconds:
+    """Per-backend seconds are non-zero whenever filter runs were counted."""
+
+    CONFIG = DEFAULT_CONFIG.with_overrides(num_objects=8, seed=7)
+
+    @staticmethod
+    def _profile(drive):
+        obs.enable()
+        obs.set_clock(CountingClock())
+        drive()
+        snapshot = obs.snapshot()
+        obs.disable()
+        profile = build_profile(snapshot, clock="deterministic")
+        assert any(row["filter_runs"] for row in profile.backends)
+        for row in profile.backends:
+            if row["filter_runs"]:
+                assert row["seconds"] > 0.0, row
+        return profile
+
+    @pytest.mark.parametrize("backend", ["particle", "kalman", "symbolic"])
+    def test_batch_engine_path(self, backend):
+        def drive():
+            sim = Simulation(self.CONFIG, build_symbolic=False, filter_backend=backend)
+            sim.run_for(10)
+            sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+
+        profile = self._profile(drive)
+        assert [row["backend"] for row in profile.backends] == [backend]
+        assert profile.backends[0]["ticks"] == 0  # no service timer here
+
+    def test_service_path(self):
+        def drive():
+            service = TrackingService(self.CONFIG)
+            sim = Simulation(
+                self.CONFIG, plan=service.plan, readers=service.readers,
+                build_symbolic=False,
+            )
+            for batch in LiveSimSource(sim, 10).batches():
+                service.process_batch(batch)
+
+        profile = self._profile(drive)
+        assert profile.backends[0]["ticks"] == 10

@@ -135,14 +135,3 @@ class TestInference:
             if small_anchors.anchor(ap_id).room_id is not None
         )
         assert room_mass > 0.0
-
-    def test_build_table(self, small_model, small_graph, small_readers):
-        from repro.collector import EventDrivenCollector
-        from repro.rfid.readings import RawReading
-
-        collector = EventDrivenCollector({"tag1": "o1"})
-        collector.ingest_second(0, [RawReading(0.5, "tag1", "d2")])
-        table = small_model.build_table(["o1", "ghost"], collector, now=0)
-        assert table.has_object("o1")
-        assert not table.has_object("ghost")
-        assert table.total_probability("o1") == pytest.approx(1.0)
