@@ -592,16 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep serving HTTP this long after the stream ends",
     )
     gateway.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="rolling per-partition checkpoint directory",
+        "--checkpoint", metavar="JSON",
+        help="rolling checkpoint file (one coordinated cut of every tenant)",
     )
     gateway.add_argument(
         "--checkpoint-interval", type=int, default=0, metavar="TICKS",
         help="checkpoint every N seconds of stream (plus once at end)",
     )
     gateway.add_argument(
-        "--restore", action="store_true",
-        help="resume from --checkpoint-dir (partition count may differ)",
+        "--restore", metavar="JSON",
+        help="resume from a checkpoint file (partition count may differ)",
     )
     gateway.add_argument(
         "--analytics", action="store_true",
@@ -1531,6 +1531,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.gateway import (
+        GatewayCompatibilityError,
         GatewayCoordinator,
         GatewayServer,
         TenantWorld,
@@ -1539,7 +1540,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         restore_coordinator,
         save_checkpoint,
     )
-    from repro.gateway.checkpoint import GatewayCompatibilityError
     from repro.service import LiveSimSource
     from repro.sim import Simulation
 
@@ -1552,8 +1552,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             num_objects=args.objects,
             plan=args.plan,
         )
-    if args.restore and not args.checkpoint_dir:
-        raise SystemExit("repro: error: --restore needs --checkpoint-dir")
 
     obs_session = args.http_port is not None or bool(args.trace)
     if obs_session and not obs.enabled():
@@ -1562,7 +1560,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     if args.restore:
         try:
             coordinator = restore_coordinator(
-                args.checkpoint_dir,
+                args.restore,
                 tenants=specs if args.tenants else None,
                 num_partitions=args.partitions,
                 transport=args.transport,
@@ -1574,7 +1572,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro: error: {exc}") from None
         specs = list(coordinator.tenants.values())
         print(
-            f"restored {len(specs)} tenant(s) from {args.checkpoint_dir} "
+            f"restored {len(specs)} tenant(s) from {args.restore} "
             f"at {coordinator.num_partitions} partition(s)"
         )
     else:
@@ -1638,16 +1636,16 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                             print(f"{tenant_id} {_format_delta(delta)}")
             streamed += 1
             if (
-                args.checkpoint_dir
+                args.checkpoint
                 and args.checkpoint_interval
                 and streamed % args.checkpoint_interval == 0
             ):
-                save_checkpoint(coordinator, args.checkpoint_dir)
+                save_checkpoint(coordinator, args.checkpoint)
                 if not args.quiet:
-                    print(f"checkpoint -> {args.checkpoint_dir}")
-        if args.checkpoint_dir:
-            save_checkpoint(coordinator, args.checkpoint_dir)
-            print(f"checkpoint -> {args.checkpoint_dir}")
+                    print(f"checkpoint -> {args.checkpoint}")
+        if args.checkpoint:
+            save_checkpoint(coordinator, args.checkpoint)
+            print(f"checkpoint -> {args.checkpoint}")
 
         health = coordinator.health()
         print(

@@ -16,8 +16,8 @@ Layers:
 * :mod:`repro.gateway.transport` — inline and forked-process handles;
 * :mod:`repro.gateway.coordinator` — fan-out, fan-in, per-tenant
   sessions/analytics, health;
-* :mod:`repro.gateway.checkpoint` — rolling per-partition checkpoints
-  with coordinated (and re-partitioning) restore;
+* :mod:`repro.gateway.checkpoint` — rolling one-file checkpoints of
+  per-tenant service states, with re-partitioning restore;
 * :mod:`repro.gateway.server` — the stdlib HTTP/JSON query surface.
 """
 

@@ -1,32 +1,26 @@
-"""Rolling gateway checkpoints: per-partition files + one manifest.
+"""Rolling gateway checkpoints: one file of per-tenant service states.
 
-Layout of a checkpoint directory::
+A gateway checkpoint is one JSON document, written by one atomic
+rename (:func:`~repro.service.checkpoint.write_text_atomic`)::
 
-    partition-0000.json   one per partition: that worker's per-tenant
-    partition-0001.json   TrackingService.state_dict slices
-    ...
-    gateway.manifest.json the commit point: ring geometry, tenant
-                          specs, and the gateway-side serving state
-                          (sessions, analytics, tick counters)
+    {"format": "repro-gateway-checkpoint", "checkpoint_version": 2,
+     "state": GatewayCoordinator.state_dict()}
 
-Every file is written atomically (tmp + ``os.replace``) and the
-manifest is written *last*, so a crash mid-checkpoint leaves the
-previous complete checkpoint intact: a directory is only as current as
-its manifest.
+The state holds the ring (``partitions``, ``vnodes``), the tenant
+specs, the gateway's per-tenant counters (``serving``) and, per tenant,
+one :class:`~repro.service.tracking.TrackingService` state
+(``services``): the workers' slices merged by object id at save time
+(:func:`merge_tenant_states`, which refuses a cut that is not
+coordinated), with the gateway's sessions and analytics in their
+slots. That is the state a single-process service resumes from
+(:func:`~repro.service.checkpoint.restore_service`), so placement is
+not part of what persists. A crash mid-checkpoint leaves the previous
+complete file in place: readers see the old cut or the new one.
 
-Restore is **coordinated**: all partition files must exist, agree on
-the partition count, and carry every tenant at the same tick — a
-checkpoint is one consistent cut or it is refused
-(:class:`GatewayCompatibilityError`).
-
-Restoring at a *different* partition count works by construction:
-per-tenant worker state is mergeable by object id (collector runs,
-generations, events, cache entries are all per-object and disjoint
-across partitions), so restore merges the old slices into one logical
-state per tenant and re-splits it along the new ring
-(:func:`merge_tenant_states` / :func:`split_tenant_state`). Because
-filter randomness derives from ``(seed, second, object_id)``, the
-re-placed objects resume bit-identically.
+Restoring at a *different* partition count splits each tenant's state
+along the new ring (:func:`split_tenant_state`). Because filter
+randomness derives from ``(seed, second, object_id)``, the re-placed
+objects resume bit-identically.
 """
 
 from __future__ import annotations
@@ -34,127 +28,71 @@ from __future__ import annotations
 import copy
 import json
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.gateway.coordinator import GatewayCoordinator
-from repro.gateway.partitioning import DEFAULT_VNODES
 from repro.gateway.tenants import TenantSpec
 from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
 from repro.service.checkpoint import write_text_atomic
 
-GATEWAY_CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
-GATEWAY_CHECKPOINT_VERSION = 1
-PARTITION_CHECKPOINT_FORMAT = "repro-gateway-partition"
+if TYPE_CHECKING:
+    from repro.gateway.coordinator import GatewayCoordinator
 
-MANIFEST_NAME = "gateway.manifest.json"
+GATEWAY_CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
+GATEWAY_CHECKPOINT_VERSION = 2
 
 
 class GatewayCompatibilityError(ValueError):
     """A gateway checkpoint cannot be restored as asked."""
 
 
-def partition_filename(index: int) -> str:
-    return f"partition-{index:04d}.json"
-
-
-def _write_json(path: str, document: dict) -> None:
-    # Serialized here, not in save_checkpoint: the SCHEMA lock covers
-    # the service checkpoint envelope only.
-    write_text_atomic(path, json.dumps(document))
-
-
-def save_checkpoint(coordinator: GatewayCoordinator, directory: str) -> None:
-    """Write one coordinated checkpoint of the whole deployment."""
-    os.makedirs(directory, exist_ok=True)
-    states = coordinator.partition_states()
-    for index in sorted(states):
-        document = {
-            "format": PARTITION_CHECKPOINT_FORMAT,
-            "checkpoint_version": GATEWAY_CHECKPOINT_VERSION,
-            "partition": index,
-            "partitions": coordinator.num_partitions,
-            "tenants": states[index],
-        }
-        _write_json(os.path.join(directory, partition_filename(index)), document)
-    manifest = {
+def save_checkpoint(coordinator: GatewayCoordinator, path: str) -> None:
+    """Write one coordinated cut of the whole deployment (atomic rename)."""
+    document = {
         "format": GATEWAY_CHECKPOINT_FORMAT,
         "checkpoint_version": GATEWAY_CHECKPOINT_VERSION,
         "state": coordinator.state_dict(),
     }
-    _write_json(os.path.join(directory, MANIFEST_NAME), manifest)
+    write_text_atomic(path, json.dumps(document))
 
 
-def load_checkpoint(directory: str) -> Tuple[dict, Dict[int, Dict[str, dict]]]:
-    """Read a checkpoint directory → (manifest state, partition slices).
-
-    Validates the coordinated cut: manifest present, every partition
-    file present with matching geometry, every tenant present in every
-    partition file at one common tick.
-    """
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
+def load_checkpoint(path: str) -> dict:
+    """Read and validate a gateway checkpoint file; returns its state."""
+    if os.path.isdir(path):
         raise GatewayCompatibilityError(
-            f"{directory}: no {MANIFEST_NAME}; not a gateway checkpoint "
-            "(or an interrupted one — the manifest is written last)"
+            f"{path} is a directory: gateway checkpoints are one file since "
+            f"version {GATEWAY_CHECKPOINT_VERSION}; re-create the checkpoint "
+            "with --checkpoint FILE"
         )
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != GATEWAY_CHECKPOINT_FORMAT:
+    if not os.path.exists(path):
         raise GatewayCompatibilityError(
-            f"{manifest_path}: format {manifest.get('format')!r} is not "
-            f"{GATEWAY_CHECKPOINT_FORMAT!r}"
+            f"{path}: no such gateway checkpoint; re-create it with "
+            "--checkpoint FILE"
         )
-    if int(manifest.get("checkpoint_version", 0)) != GATEWAY_CHECKPOINT_VERSION:
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    if (
+        not isinstance(document, dict)
+        or document.get("format") != GATEWAY_CHECKPOINT_FORMAT
+    ):
         raise GatewayCompatibilityError(
-            f"{manifest_path}: checkpoint version "
-            f"{manifest.get('checkpoint_version')!r} is not supported "
-            f"(this build speaks {GATEWAY_CHECKPOINT_VERSION})"
+            f"{path}: not a {GATEWAY_CHECKPOINT_FORMAT} file; re-create "
+            "it with --checkpoint FILE"
         )
-    state = manifest["state"]
-    partitions = int(state["partitions"])
-    tenant_ids = sorted(
-        record["tenant_id"] for record in state["tenants"]
-    )
-    slices: Dict[int, Dict[str, dict]] = {}
-    for index in range(partitions):
-        path = os.path.join(directory, partition_filename(index))
-        if not os.path.exists(path):
-            raise GatewayCompatibilityError(
-                f"{directory}: missing {partition_filename(index)} "
-                f"(manifest says {partitions} partitions); the checkpoint "
-                "is incomplete — re-create it"
-            )
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if document.get("format") != PARTITION_CHECKPOINT_FORMAT:
-            raise GatewayCompatibilityError(
-                f"{path}: format {document.get('format')!r} is not "
-                f"{PARTITION_CHECKPOINT_FORMAT!r}"
-            )
-        if (
-            int(document.get("partition", -1)) != index
-            or int(document.get("partitions", -1)) != partitions
-        ):
-            raise GatewayCompatibilityError(
-                f"{path}: geometry mismatch with the manifest "
-                "(stale file from an older layout?); re-create the checkpoint"
-            )
-        if sorted(document["tenants"]) != tenant_ids:
-            raise GatewayCompatibilityError(
-                f"{path}: tenant set {sorted(document['tenants'])} does not "
-                f"match the manifest's {tenant_ids}; re-create the checkpoint"
-            )
-        slices[index] = document["tenants"]
-    # One consistent cut: every partition stopped after the same tick.
-    for tenant_id in tenant_ids:
-        ticks = {int(slices[i][tenant_id]["ticks"]) for i in slices}
-        if len(ticks) > 1:
-            raise GatewayCompatibilityError(
-                f"{directory}: tenant {tenant_id!r} is at ticks "
-                f"{sorted(ticks)} across partitions — not a coordinated "
-                "cut; re-create the checkpoint"
-            )
-    return state, slices
+    if document.get("checkpoint_version") != GATEWAY_CHECKPOINT_VERSION:
+        raise GatewayCompatibilityError(
+            f"{path}: checkpoint version "
+            f"{document.get('checkpoint_version')!r} is not supported "
+            f"(this build speaks {GATEWAY_CHECKPOINT_VERSION}); re-create "
+            "the checkpoint"
+        )
+    state = document["state"]
+    tenant_ids = sorted(record["tenant_id"] for record in state["tenants"])
+    if not sorted(state["services"]) == sorted(state["serving"]) == tenant_ids:
+        raise GatewayCompatibilityError(
+            f"{path}: service states for {sorted(state['services'])} do not "
+            f"match the tenant specs {tenant_ids}; re-create the checkpoint"
+        )
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -258,12 +196,13 @@ def split_tenant_state(merged: dict, keep: Callable[[str], bool]) -> dict:
             if keep(object_id)
         }
     # Sessions and analytics live at the gateway, not in workers.
+    out["sessions"] = None
     out["analytics"] = None
     return out
 
 
 def restore_coordinator(
-    directory: str,
+    path: str,
     tenants: Optional[Sequence[TenantSpec]] = None,
     num_partitions: Optional[int] = None,
     transport: str = "process",
@@ -277,24 +216,24 @@ def restore_coordinator(
 ) -> GatewayCoordinator:
     """Build a coordinator resuming exactly where a checkpoint stopped.
 
-    ``num_partitions`` may differ from the checkpoint's: the old slices
-    are merged per tenant and re-split along the new ring. Passing
-    ``tenants`` pins the expected tenant set; any mismatch with the
-    checkpoint is refused with an actionable error instead of silently
-    dropping or fabricating tenants.
+    ``num_partitions`` may differ from the checkpoint's: each tenant's
+    state is split along the new ring. Passing ``tenants`` pins the
+    expected tenant set; any mismatch with the checkpoint is refused
+    with an actionable error instead of silently dropping or
+    fabricating tenants.
     """
-    manifest_state, slices = load_checkpoint(directory)
-    manifest_specs = [
-        TenantSpec.from_dict(record) for record in manifest_state["tenants"]
-    ]
+    from repro.gateway.coordinator import GatewayCoordinator
+
+    state = load_checkpoint(path)
+    specs = [TenantSpec.from_dict(record) for record in state["tenants"]]
     if tenants is not None:
         want = {spec.tenant_id: spec for spec in tenants}
-        have = {spec.tenant_id: spec for spec in manifest_specs}
+        have = {spec.tenant_id: spec for spec in specs}
         if set(want) != set(have):
             missing = sorted(set(have) - set(want))
             extra = sorted(set(want) - set(have))
             raise GatewayCompatibilityError(
-                f"tenant set mismatch: the checkpoint in {directory!r} holds "
+                f"tenant set mismatch: the checkpoint in {path!r} holds "
                 f"{sorted(have)} but the restore asked for {sorted(want)} "
                 f"(missing from request: {missing}; not in checkpoint: "
                 f"{extra}). Restore with the checkpoint's tenant set, or "
@@ -308,23 +247,12 @@ def restore_coordinator(
                     "a changed seed/plan/backend cannot resume — re-create "
                     "the checkpoint"
                 )
-    specs = manifest_specs
     new_partitions = (
         int(num_partitions)
         if num_partitions is not None
-        else int(manifest_state["partitions"])
+        else int(state["partitions"])
     )
-    new_vnodes = (
-        int(vnodes)
-        if vnodes is not None
-        else int(manifest_state.get("vnodes", DEFAULT_VNODES))
-    )
-    merged = {
-        spec.tenant_id: merge_tenant_states(
-            [slices[index][spec.tenant_id] for index in sorted(slices)]
-        )
-        for spec in specs
-    }
+    new_vnodes = int(vnodes) if vnodes is not None else int(state["vnodes"])
     coordinator = GatewayCoordinator(
         specs,
         num_partitions=new_partitions,
@@ -338,21 +266,7 @@ def restore_coordinator(
         telemetry_interval=telemetry_interval,
     )
     try:
-        ring = coordinator.ring
-        payloads: Dict[int, Dict[str, dict]] = {}
-        for handle in coordinator.handles:
-            index = handle.index  # type: ignore[attr-defined]
-            payloads[index] = {
-                tenant_id: split_tenant_state(
-                    state,
-                    lambda object_id, _tid=tenant_id: (
-                        ring.partition_of(_tid, object_id) == index
-                    ),
-                )
-                for tenant_id, state in merged.items()
-            }
-        coordinator.restore_partitions(payloads)
-        coordinator.restore_serving(manifest_state["serving"])
+        coordinator.restore_state(state)
     except Exception:
         coordinator.close()
         raise

@@ -66,6 +66,7 @@ from repro.service.ingest import ReadingBatch
 from repro.service.sessions import SessionManager
 from repro.service.tracking import ServiceSnapshot
 
+from repro.gateway.checkpoint import merge_tenant_states, split_tenant_state
 from repro.gateway.partitioning import DEFAULT_VNODES, HashRing
 from repro.gateway.tenants import TenantSpec, TenantWorld, validate_tenants
 from repro.gateway.transport import (
@@ -821,8 +822,29 @@ class GatewayCoordinator:
         return states
 
     def state_dict(self) -> dict:
-        """The gateway-level manifest state (ring, tenants, serving)."""
+        """One coordinated cut of the deployment (the checkpoint state).
+
+        ``services`` holds one :class:`TrackingService` state per
+        tenant: the partition slices merged by object id, with the
+        gateway's sessions and analytics in their slots — what a
+        single-process service resumes from. ``serving`` holds the
+        gateway's own tick counters; ``partitions``/``vnodes`` only
+        default the ring of a restore.
+        """
+        slices = self.partition_states()
         with self._lock:
+            services: Dict[str, dict] = {}
+            for tenant_id, serving in self._serving.items():
+                service = merge_tenant_states(
+                    [slices[index][tenant_id] for index in sorted(slices)]
+                )
+                service["sessions"] = serving.sessions.state_dict()
+                service["analytics"] = (
+                    serving.analytics.state_dict()
+                    if serving.analytics is not None
+                    else None
+                )
+                services[tenant_id] = service
             return {
                 "partitions": self.num_partitions,
                 "vnodes": self.ring.vnodes,
@@ -833,48 +855,54 @@ class GatewayCoordinator:
                         "last_second": serving.last_second,
                         "partial_ticks": serving.partial_ticks,
                         "shed_subticks": serving.shed_subticks,
-                        "sessions": serving.sessions.state_dict(),
-                        "analytics": (
-                            serving.analytics.state_dict()
-                            if serving.analytics is not None
-                            else None
-                        ),
                     }
                     for tenant_id, serving in self._serving.items()
                 },
+                "services": services,
             }
 
-    def restore_serving(self, state: Dict[str, dict]) -> None:
-        """Restore gateway-side per-tenant state from a manifest."""
-        with self._lock:
-            for tenant_id, record in state.items():
-                serving = self._tenant(tenant_id)
-                serving.ticks = int(record["ticks"])
-                last = record["last_second"]
-                serving.last_second = None if last is None else int(last)
-                serving.partial_ticks = int(record.get("partial_ticks", 0))
-                serving.shed_subticks = int(record.get("shed_subticks", 0))
-                serving.sessions.restore_state(record["sessions"])
-                analytics_state = record.get("analytics")
-                if analytics_state is not None:
-                    self.enable_analytics(tenant_id)
-                    analytics = serving.analytics
-                    assert analytics is not None
-                    analytics.restore_state(analytics_state)
+    def restore_state(self, state: dict) -> None:
+        """Resume from :meth:`state_dict` output along *this* ring.
 
-    def restore_partitions(self, slices: Dict[int, Dict[str, dict]]) -> None:
-        """Push checkpoint slices into the workers (one call each)."""
+        Each tenant's service state is split by ring owner and pushed
+        to the workers (one call each), so the partition count may
+        differ from the one that wrote it; counters, sessions and
+        analytics are restored here, at the gateway.
+        """
+        services: Dict[str, dict] = state["services"]
         with self._control_lock:
             for handle in self.handles:
-                payload = slices.get(handle.index)  # type: ignore[attr-defined]
-                if payload is None:
-                    continue
+                index = handle.index  # type: ignore[attr-defined]
+                payload = {
+                    tenant_id: split_tenant_state(
+                        service,
+                        lambda object_id, _tid=tenant_id, _index=index: (
+                            self.ring.partition_of(_tid, object_id) == _index
+                        ),
+                    )
+                    for tenant_id, service in services.items()
+                }
                 try:
                     handle.call({"op": "restore", "tenants": payload}, timeout=60.0)  # type: ignore[attr-defined]
                 except GatewayWorkerError as exc:
                     raise GatewayError(
-                        f"restore failed on partition {handle.index}: {exc}"  # type: ignore[attr-defined]
+                        f"restore failed on partition {index}: {exc}"
                     ) from exc
+        with self._lock:
+            for tenant_id, record in state["serving"].items():
+                serving = self._tenant(tenant_id)
+                serving.ticks = int(record["ticks"])
+                last = record["last_second"]
+                serving.last_second = None if last is None else int(last)
+                serving.partial_ticks = int(record["partial_ticks"])
+                serving.shed_subticks = int(record["shed_subticks"])
+                service = services[tenant_id]
+                serving.sessions.restore_state(service["sessions"])
+                if service["analytics"] is not None:
+                    self.enable_analytics(tenant_id)
+                    analytics = serving.analytics
+                    assert analytics is not None
+                    analytics.restore_state(service["analytics"])
 
     # ------------------------------------------------------------------
     def close(self) -> None:

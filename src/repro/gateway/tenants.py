@@ -122,7 +122,7 @@ def load_tenants(path: str) -> List[TenantSpec]:
     """Load tenant specs from a JSON file.
 
     Accepts either a bare list of spec records or an object with a
-    ``"tenants"`` list (the manifest shape).
+    ``"tenants"`` list (the shape of a gateway checkpoint's state).
     """
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)

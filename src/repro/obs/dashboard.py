@@ -332,12 +332,13 @@ class HttpTopSource:
             with urllib.request.urlopen(url, timeout=self.timeout) as response:
                 data = json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                return None
-            try:
-                data = json.loads(exc.read().decode("utf-8"))
-            except Exception:
-                return None
+            with exc:  # an error reply holds its socket until closed
+                if exc.code == 404:
+                    return None
+                try:
+                    data = json.loads(exc.read().decode("utf-8"))
+                except Exception:
+                    return None
         except (urllib.error.URLError, OSError, ValueError):
             return None
         return data if isinstance(data, dict) else None

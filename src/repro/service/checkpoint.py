@@ -122,11 +122,6 @@ def load_checkpoint(path: PathLike) -> dict:
     return state
 
 
-def checkpoint_backend(state: dict) -> str:
-    """The filter backend name a (migrated) checkpoint state was made with."""
-    return str(state.get("filter", {}).get("backend", "particle"))
-
-
 def restore_service(
     state: dict,
     plan: Optional[FloorPlan] = None,
@@ -144,33 +139,15 @@ def restore_service(
 
     The filter backend is **not** free to change: cached beliefs only
     decode under the backend that produced them. ``filter_backend=None``
-    adopts the checkpoint's recorded backend; passing a different name
-    raises :class:`CheckpointCompatibilityError` up front with a message
-    naming both sides.
+    adopts the checkpoint's recorded backend; a different name (or an
+    incompatible state version) is refused by
+    :meth:`TrackingService.restore_state` with
+    :class:`CheckpointCompatibilityError`.
     """
-    from repro.filters.registry import FACTORY
     from repro.service.tracking import TrackingService
 
-    recorded = checkpoint_backend(state)
     if filter_backend is None:
-        filter_backend = recorded
-    elif filter_backend != recorded:
-        raise CheckpointCompatibilityError(
-            f"checkpoint was produced by filter backend {recorded!r} but "
-            f"--filter {filter_backend} was requested; restore with "
-            f"--filter {recorded} (or omit it) or re-create the checkpoint"
-        )
-    recorded_version = int(
-        state.get("filter", {}).get("state_version", 1)
-    )
-    current_version = FACTORY.state_version_of(filter_backend)
-    if recorded_version != current_version:
-        raise CheckpointCompatibilityError(
-            f"checkpoint carries {filter_backend!r} states at version "
-            f"{recorded_version}, but this build speaks version "
-            f"{current_version}; re-create the checkpoint"
-        )
-
+        filter_backend = str(state.get("filter", {}).get("backend", "particle"))
     config = SimulationConfig(**state["config"])
     if use_cache is None:
         use_cache = state["cache"] is not None

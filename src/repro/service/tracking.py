@@ -332,7 +332,9 @@ class TrackingService:
         self.collector.restore_state(state["collector"])
         if state["cache"] is not None and self.executor.cache is not None:
             self.executor.cache.restore_state(state["cache"])
-        self.sessions.restore_state(state["sessions"])
+        if state["sessions"] is not None:
+            # None marks a gateway worker slice: sessions live at the gateway.
+            self.sessions.restore_state(state["sessions"])
         analytics_state = state.get("analytics")
         if analytics_state is not None:
             # A checkpointed analytics session resumes even if the new

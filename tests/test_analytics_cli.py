@@ -158,6 +158,7 @@ class TestServeIntegration:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"http://127.0.0.1:{port}/analytics")
+            excinfo.value.close()
             assert excinfo.value.code == 404
         finally:
             server.stop()

@@ -4,13 +4,21 @@ The restore guarantee under test: checkpoint a deployment mid-stream,
 restore it — at the same *or a different* partition count — and the
 continued run is tick-for-tick identical to one that never stopped:
 same snapshots, same standing-query deltas, same analytics summaries.
+A checkpoint is one file of per-tenant service states, so a crash
+mid-save leaves a complete cut behind, and each tenant's state also
+resumes as a single-process :class:`TrackingService`.
 """
 
 import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.gateway.checkpoint as gateway_checkpoint
 from repro.gateway import (
     GatewayCompatibilityError,
     GatewayCoordinator,
@@ -22,9 +30,8 @@ from repro.gateway import (
     restore_coordinator,
     save_checkpoint,
 )
-from repro.gateway.checkpoint import MANIFEST_NAME, partition_filename
 from repro.geometry import Point, Rect
-from repro.service import LiveSimSource
+from repro.service import LiveSimSource, TrackingService, restore_service
 from repro.sim import Simulation
 
 TOTAL_SECONDS = 10
@@ -76,16 +83,16 @@ def _run(coordinator, tenant_batches, start, stop):
     return deltas
 
 
+def _table(table):
+    return {obj: table.distribution_of(obj) for obj in sorted(table.objects())}
+
+
 def _observables(coordinator, deltas):
     """Everything the resume guarantee covers, in comparable form."""
     out = {}
     for tid in sorted(coordinator.tenant_ids()):
-        table = coordinator.latest_snapshot(tid).table
         out[tid] = {
-            "table": {
-                obj: table.distribution_of(obj)
-                for obj in sorted(table.objects())
-            },
+            "table": _table(coordinator.latest_snapshot(tid).table),
             "deltas": deltas[tid],
             "analytics": coordinator.analytics_summary(tid),
             "sessions": {
@@ -96,34 +103,50 @@ def _observables(coordinator, deltas):
     return out
 
 
+def _tail(observables, cut):
+    """The cold run as seen by a run resumed after ``cut`` seconds."""
+    return {
+        tid: dict(record, deltas=[d for d in record["deltas"] if d[1] > cut])
+        for tid, record in observables.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def cold(tenant_batches):
-    """The uninterrupted reference run, and its tail deltas."""
+    """The uninterrupted reference run, with every delta it produced."""
     coordinator = _new_coordinator()
     with coordinator:
-        _run(coordinator, tenant_batches, 0, CUT_AT)
-        tail = _run(coordinator, tenant_batches, CUT_AT, TOTAL_SECONDS)
-        return _observables(coordinator, tail)
+        deltas = _run(coordinator, tenant_batches, 0, TOTAL_SECONDS)
+        return _observables(coordinator, deltas)
 
 
 @pytest.fixture(scope="module")
-def checkpoint_dir(tenant_batches, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("gateway-ck"))
+def checkpoint_path(tenant_batches, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("gateway-ck") / "gateway-ck.json")
     coordinator = _new_coordinator()
     with coordinator:
         _run(coordinator, tenant_batches, 0, CUT_AT)
-        save_checkpoint(coordinator, directory)
-    return directory
+        save_checkpoint(coordinator, path)
+    return path
+
+
+def _resume_tail(path, tenant_batches, start, num_partitions=None):
+    coordinator = restore_coordinator(
+        path, num_partitions=num_partitions, transport="inline"
+    )
+    with coordinator:
+        tail = _run(coordinator, tenant_batches, start, TOTAL_SECONDS)
+        return _observables(coordinator, tail)
 
 
 class TestResume:
     @pytest.mark.parametrize("num_partitions", [None, 3, 1])
     def test_resumed_run_is_tick_identical_to_cold(
-        self, tenant_batches, cold, checkpoint_dir, num_partitions
+        self, tenant_batches, cold, checkpoint_path, num_partitions
     ):
         """Resume at the same (None), more, or fewer partitions."""
         coordinator = restore_coordinator(
-            checkpoint_dir,
+            checkpoint_path,
             num_partitions=num_partitions,
             transport="inline",
         )
@@ -139,28 +162,99 @@ class TestResume:
                 assert record["open_sessions"] == 2
                 assert record["analytics"] is True
             tail = _run(coordinator, tenant_batches, CUT_AT, TOTAL_SECONDS)
-            assert _observables(coordinator, tail) == cold
+            assert _observables(coordinator, tail) == _tail(cold, CUT_AT)
 
-    def test_restore_pins_the_expected_tenant_set(self, checkpoint_dir):
+    def test_restore_pins_the_expected_tenant_set(self, checkpoint_path):
         same = restore_coordinator(
-            checkpoint_dir, tenants=_specs(), transport="inline"
+            checkpoint_path, tenants=_specs(), transport="inline"
         )
         same.close()
 
-    def test_manifest_is_the_commit_point(self, checkpoint_dir):
-        state, slices = load_checkpoint(checkpoint_dir)
+    def test_checkpoint_is_one_file_of_service_states(self, checkpoint_path):
+        assert os.listdir(os.path.dirname(checkpoint_path)) == [
+            os.path.basename(checkpoint_path)
+        ]
+        state = load_checkpoint(checkpoint_path)
         assert state["partitions"] == 2
-        assert sorted(slices) == [0, 1]
-        for index in slices:
-            assert sorted(slices[index]) == ["tenant-0", "tenant-1"]
+        assert sorted(state["services"]) == ["tenant-0", "tenant-1"]
+        for tid, service in state["services"].items():
+            # Sessions and analytics have one home: the service state.
+            assert sorted(state["serving"][tid]) == [
+                "last_second", "partial_ticks", "shed_subticks", "ticks",
+            ]
+            assert service["ticks"] == state["serving"][tid]["ticks"] == CUT_AT
+            assert [s["session_id"] for s in service["sessions"]["sessions"]] == [
+                "r0", "k0",
+            ]
+            assert service["analytics"] is not None
+
+    def test_tenant_state_resumes_as_a_single_process_service(
+        self, tenant_batches, cold, checkpoint_path
+    ):
+        """A ``services`` entry is a service checkpoint state."""
+        state = load_checkpoint(checkpoint_path)
+        for spec in _specs():
+            world = TenantWorld(spec)
+            service = restore_service(
+                state["services"][spec.tenant_id],
+                plan=world.plan,
+                readers=world.readers,
+            )
+            with service:
+                deltas = []
+                for batch in tenant_batches[spec.tenant_id][CUT_AT:]:
+                    deltas.extend(_delta_key(d) for d in service.process_batch(batch))
+                assert service.executor.filter_backend.name == spec.filter_backend
+                assert {
+                    "table": _table(service.snapshot().table),
+                    "deltas": deltas,
+                    "analytics": service.analytics.summary(),
+                    "sessions": {
+                        "r0": service.sessions.current_result("r0"),
+                        "k0": service.sessions.current_result("k0"),
+                    },
+                } == _tail(cold, CUT_AT)[spec.tenant_id]
+
+
+class TestCrashSafety:
+    @pytest.mark.parametrize("crash", ["before-write", "after-write"])
+    def test_a_crashed_save_leaves_a_complete_cut(
+        self, tenant_batches, cold, checkpoint_path, tmp_path, monkeypatch, crash
+    ):
+        """A save that dies leaves a checkpoint that still resumes exactly.
+
+        ``before-write`` dies on the first atomic write, ``after-write``
+        right after it: either way the file on disk is one whole cut.
+        """
+        path = str(tmp_path / "gateway-ck.json")
+        shutil.copyfile(checkpoint_path, path)
+        real_write = gateway_checkpoint.write_text_atomic
+
+        def crashing_write(target, payload):
+            if crash == "after-write":
+                real_write(target, payload)
+            raise OSError("simulated crash mid-checkpoint")
+
+        later = CUT_AT + 2
+        coordinator = restore_coordinator(path, transport="inline")
+        with coordinator:
+            _run(coordinator, tenant_batches, CUT_AT, later)
+            monkeypatch.setattr(gateway_checkpoint, "write_text_atomic", crashing_write)
+            with pytest.raises(OSError, match="simulated crash"):
+                save_checkpoint(coordinator, path)
+            monkeypatch.undo()
+        cut = CUT_AT if crash == "before-write" else later
+        state = load_checkpoint(path)
+        assert {record["ticks"] for record in state["serving"].values()} == {cut}
+        assert _resume_tail(path, tenant_batches, cut) == _tail(cold, cut)
 
 
 class TestRefusals:
-    def test_tenant_set_mismatch_is_actionable(self, checkpoint_dir):
+    def test_tenant_set_mismatch_is_actionable(self, checkpoint_path):
         stranger = TenantSpec(tenant_id="tenant-9", seed=1, plan="small")
         with pytest.raises(GatewayCompatibilityError) as excinfo:
             restore_coordinator(
-                checkpoint_dir,
+                checkpoint_path,
                 tenants=[_specs()[0], stranger],
                 transport="inline",
             )
@@ -169,7 +263,7 @@ class TestRefusals:
         assert "tenant-1" in message  # missing from the request
         assert "tenant-9" in message  # not in the checkpoint
 
-    def test_changed_spec_is_refused(self, checkpoint_dir):
+    def test_changed_spec_is_refused(self, checkpoint_path):
         drifted = [
             TenantSpec(
                 tenant_id=spec.tenant_id,
@@ -181,38 +275,53 @@ class TestRefusals:
         ]
         with pytest.raises(GatewayCompatibilityError, match="cannot resume"):
             restore_coordinator(
-                checkpoint_dir, tenants=drifted, transport="inline"
+                checkpoint_path, tenants=drifted, transport="inline"
             )
 
-    def test_missing_partition_file_is_refused(self, checkpoint_dir, tmp_path):
-        import shutil
+    def test_missing_file_is_refused(self, tmp_path):
+        with pytest.raises(GatewayCompatibilityError, match="re-create"):
+            load_checkpoint(str(tmp_path / "absent.json"))
 
-        broken = tmp_path / "broken"
-        shutil.copytree(checkpoint_dir, broken)
-        os.remove(broken / partition_filename(1))
-        with pytest.raises(GatewayCompatibilityError, match="missing"):
-            load_checkpoint(str(broken))
+    def test_version_1_directory_is_refused(self, tmp_path):
+        (tmp_path / "partition-0000.json").write_text("{}")
+        with pytest.raises(GatewayCompatibilityError, match="re-create"):
+            restore_coordinator(str(tmp_path), transport="inline")
 
-    def test_missing_manifest_is_refused(self, checkpoint_dir, tmp_path):
-        import shutil
-
-        broken = tmp_path / "no-manifest"
-        shutil.copytree(checkpoint_dir, broken)
-        os.remove(broken / MANIFEST_NAME)
-        with pytest.raises(GatewayCompatibilityError, match=MANIFEST_NAME):
-            load_checkpoint(str(broken))
-
-    def test_uncoordinated_cut_is_refused(self, checkpoint_dir, tmp_path):
-        import shutil
-
-        broken = tmp_path / "torn"
-        shutil.copytree(checkpoint_dir, broken)
-        path = broken / partition_filename(0)
-        document = json.loads(path.read_text())
-        document["tenants"]["tenant-0"]["ticks"] += 1
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("format", "repro-service-checkpoint", "not a repro-gateway-checkpoint"),
+            ("checkpoint_version", 1, "re-create"),
+        ],
+    )
+    def test_wrong_envelope_is_refused(
+        self, checkpoint_path, tmp_path, field, value, match
+    ):
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document[field] = value
+        path = tmp_path / "wrong.json"
         path.write_text(json.dumps(document))
-        with pytest.raises(GatewayCompatibilityError, match="coordinated"):
-            load_checkpoint(str(broken))
+        with pytest.raises(GatewayCompatibilityError, match=match):
+            load_checkpoint(str(path))
+
+    def test_services_must_match_the_specs(self, checkpoint_path, tmp_path):
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        del document["state"]["services"]["tenant-1"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(GatewayCompatibilityError, match="re-create"):
+            load_checkpoint(str(path))
+
+
+def _without_event_order(state):
+    """A service state with its ENTER/LEAVE log as a sorted multiset."""
+    state = json.loads(json.dumps(state))
+    state["collector"]["events"] = sorted(
+        state["collector"]["events"], key=lambda e: json.dumps(e, sort_keys=True)
+    )
+    return state
 
 
 class TestMerge:
@@ -246,3 +355,52 @@ class TestMerge:
         slice_b["ticks"] += 1
         with pytest.raises(GatewayCompatibilityError):
             merge_tenant_states([slice_a, slice_b])
+
+    def test_services_are_single_process_states(
+        self, tenant_batches, checkpoint_path
+    ):
+        """Each tenant's entry is what one in-process service would hold.
+
+        Only the event log's order differs: the merge sorts it by
+        ``(second, object, kind)`` instead of ingest order.
+        """
+        state = load_checkpoint(checkpoint_path)
+        for spec in _specs():
+            world = TenantWorld(spec)
+            service = TrackingService(
+                world.config,
+                plan=world.plan,
+                readers=world.readers,
+                use_cache=True,
+                seed=spec.seed,
+                filter_backend=spec.filter_backend,
+            )
+            with service:
+                service.enable_analytics()
+                service.sessions.subscribe_range(WINDOW, session_id="r0")
+                service.sessions.subscribe_knn(KNN_POINT, 2, session_id="k0")
+                for batch in tenant_batches[spec.tenant_id][:CUT_AT]:
+                    service.process_batch(batch)
+                single = service.state_dict()
+            assert _without_event_order(state["services"][spec.tenant_id]) == (
+                _without_event_order(single)
+            )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    cut=st.integers(min_value=1, max_value=TOTAL_SECONDS - 1),
+    save_partitions=st.integers(min_value=1, max_value=4),
+    restore_partitions=st.integers(min_value=1, max_value=4),
+)
+def test_resume_equals_cold_at_any_cut_and_partitioning(
+    tenant_batches, cold, cut, save_partitions, restore_partitions
+):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gateway-ck.json")
+        coordinator = _new_coordinator(save_partitions)
+        with coordinator:
+            _run(coordinator, tenant_batches, 0, cut)
+            save_checkpoint(coordinator, path)
+        resumed = _resume_tail(path, tenant_batches, cut, restore_partitions)
+    assert resumed == _tail(cold, cut)

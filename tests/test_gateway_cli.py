@@ -1,5 +1,7 @@
 """The ``repro gateway`` subcommand and the gateway bench workload."""
 
+import os
+
 import pytest
 
 from repro import obs
@@ -29,36 +31,35 @@ def _delta_lines(out):
 
 class TestGatewayCommand:
     def test_run_and_checkpoint(self, tmp_path, capsys):
-        directory = tmp_path / "ck"
+        path = tmp_path / "ck.json"
         code = main(
             FAST + [
                 "--partitions", "2",
                 "--seconds", "4",
                 "--quiet",
-                "--checkpoint-dir", str(directory),
+                "--checkpoint", str(path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4 second(s) x 2 tenant(s) over 2 partition(s) [ok]" in out
-        assert f"checkpoint -> {directory}" in out
-        assert (directory / "gateway.manifest.json").exists()
+        assert f"checkpoint -> {path}" in out
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_restore_at_a_different_partition_count(self, tmp_path, capsys):
-        directory = tmp_path / "ck"
+        path = tmp_path / "ck.json"
         assert main(
             FAST + [
                 "--partitions", "2",
                 "--seconds", "3",
                 "--quiet",
-                "--checkpoint-dir", str(directory),
+                "--checkpoint", str(path),
             ]
         ) == 0
         capsys.readouterr()
         code = main(
             FAST + [
-                "--restore",
-                "--checkpoint-dir", str(directory),
+                "--restore", str(path),
                 "--partitions", "3",
                 "--seconds", "2",
                 "--quiet",
@@ -73,29 +74,32 @@ class TestGatewayCommand:
     def test_restore_defaults_to_the_checkpointed_partitions(
         self, tmp_path, capsys
     ):
-        directory = tmp_path / "ck"
+        path = tmp_path / "ck.json"
         assert main(
             FAST + [
                 "--partitions", "2",
                 "--seconds", "2",
                 "--quiet",
-                "--checkpoint-dir", str(directory),
+                "--checkpoint", str(path),
             ]
         ) == 0
         capsys.readouterr()
         assert main(
             FAST + [
-                "--restore",
-                "--checkpoint-dir", str(directory),
+                "--restore", str(path),
                 "--seconds", "1",
                 "--quiet",
             ]
         ) == 0
         assert "at 2 partition(s)" in capsys.readouterr().out
 
-    def test_restore_needs_checkpoint_dir(self):
+    def test_restore_needs_a_checkpoint_path(self):
         with pytest.raises(SystemExit):
-            main(FAST + ["--restore", "--seconds", "1"])
+            main(FAST + ["--seconds", "1", "--restore"])
+
+    def test_restore_of_a_missing_checkpoint_is_actionable(self, tmp_path):
+        with pytest.raises(SystemExit, match="re-create"):
+            main(FAST + ["--restore", str(tmp_path / "absent.json")])
 
     def test_partition_counts_print_identical_deltas(self, capsys):
         runs = {}

@@ -35,7 +35,8 @@ def _request(url, method="GET", body=None):
         with urllib.request.urlopen(request, timeout=10) as response:
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
-        payload = error.read()
+        with error:
+            payload = error.read()
         try:
             return error.code, json.loads(payload)
         except json.JSONDecodeError:

@@ -387,6 +387,7 @@ class TestHttpSurface:
             with GatewayServer(coordinator) as server:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(server.url + "/snapshot", timeout=10)
+                excinfo.value.close()
                 assert excinfo.value.code == 404
         finally:
             coordinator.close()

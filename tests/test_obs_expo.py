@@ -133,7 +133,8 @@ class TestMetricsServer:
             try:
                 status, _, body = _get(server.url("/healthz"))
             except urllib.error.HTTPError as exc:
-                status, body = exc.code, exc.read()
+                with exc:
+                    status, body = exc.code, exc.read()
             assert status == 503
             assert json.loads(body)["status"] == "stalled"
 
@@ -147,7 +148,8 @@ class TestMetricsServer:
             try:
                 status, _, body = _get(server.url("/readyz"))
             except urllib.error.HTTPError as exc:
-                status, body = exc.code, exc.read()
+                with exc:
+                    status, body = exc.code, exc.read()
             assert status == 503
             assert json.loads(body) == {"ready": False}
             ready["value"] = True
@@ -159,6 +161,7 @@ class TestMetricsServer:
         with MetricsServer(snapshot_provider=obs.snapshot) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url("/nope"))
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_provider_error_returns_500(self):
@@ -168,6 +171,7 @@ class TestMetricsServer:
         with MetricsServer(snapshot_provider=boom) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url("/metrics"))
+            excinfo.value.close()
             assert excinfo.value.code == 500
 
     def test_port_zero_binds_ephemeral_port(self):

@@ -124,8 +124,9 @@ class TestLifecycle:
         with server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url("/healthz"))
-            assert excinfo.value.code == 503
-            assert json.loads(excinfo.value.read())["status"] == "starting"
+            with excinfo.value as reply:
+                assert reply.code == 503
+                assert json.loads(reply.read())["status"] == "starting"
             health["status"] = "ok"
             health["ticks"] = 3
             status, body = _get(server.url("/healthz"))
