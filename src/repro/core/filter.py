@@ -166,9 +166,10 @@ class ParticleFilter:
     def initialize(self, history: ReadingHistory, rng: np.random.Generator) -> ParticleSet:
         """Algorithm 2 line 5: seed within the older device's range."""
         reader = self.readers[history.initial_reader_id]
-        return self.motion.initialize_in_circle(
-            self.config.num_particles, reader.detection_circle, rng
-        )
+        with obs.timer("filter.init"):
+            return self.motion.initialize_in_circle(
+                self.config.num_particles, reader.detection_circle, rng
+            )
 
     def observe(
         self, particles: ParticleSet, reader_id: str, rng: np.random.Generator
@@ -189,10 +190,11 @@ class ParticleFilter:
             # actually collapses under reader outages instead of silently
             # omitting the worst-off objects from the mean.
             self._record_ess(1.0, len(particles))
-            reseeded = self.motion.initialize_in_circle(
-                len(particles), self.readers[reader_id].detection_circle, rng
-            )
-            self._replace(particles, reseeded)
+            with obs.timer("filter.init"):
+                reseeded = self.motion.initialize_in_circle(
+                    len(particles), self.readers[reader_id].detection_circle, rng
+                )
+                self._replace(particles, reseeded)
             return
         with obs.timer("filter.normalize"):
             particles.normalize_weights()

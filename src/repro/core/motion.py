@@ -8,7 +8,7 @@ out with probability 0.1 per second (Algorithm 2, lines 8-16).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class GraphMotionModel:
         self.room_exit_probability = room_exit_probability
         self.door_entry_probability = door_entry_probability
         self.min_speed = min_speed
+        #: Seed sets per circle, filled lazily by :meth:`positions_in_circle`.
+        self._seed_sets: Dict[Circle, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # initialization
@@ -61,20 +63,47 @@ class GraphMotionModel:
             self.min_speed,
         )
 
-    def positions_in_circle(self, circle: Circle) -> List[Tuple[int, float]]:
-        """Candidate ``(edge_id, offset)`` positions inside ``circle``.
+    def positions_in_circle(self, circle: Circle) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate ``(edge_ids, offsets)`` positions inside ``circle``.
 
-        Scans every edge at a fine resolution; used to seed particles
-        uniformly within a reader's activation range (Algorithm 2 line 5).
+        Used to seed particles uniformly within a reader's activation
+        range (Algorithm 2 line 5, and the depletion reseed of Section
+        3.2). The first call for a circle scans every edge in
+        ``_INIT_SCAN_STEP`` steps, in edge order, skipping edges whose
+        path lies wholly outside the circle. The result is memoized per
+        circle as two read-only arrays (``int64`` edge ids, ``float64``
+        offsets); readers never move, so every later call returns the
+        same arrays without rescanning.
         """
-        candidates: List[Tuple[int, float]] = []
+        cached = self._seed_sets.get(circle)
+        if cached is not None:
+            return cached
+        # Every scanned point lies on one of the edge's path legs, so an
+        # edge whose legs all stay farther than the radius cannot
+        # contribute. The margin dwarfs float rounding and is far below
+        # the scan step.
+        reach = circle.radius + 1e-6
+        edge_ids: List[int] = []
+        offsets: List[float] = []
         for edge in self.compiled.graph.edges:
-            steps = max(int(edge.length / _INIT_SCAN_STEP), 1)
+            if all(
+                seg.distance_to_point(circle.center) > reach
+                for seg in edge.path.segments
+            ):
+                continue
+            length = edge.length
+            steps = max(int(length / _INIT_SCAN_STEP), 1)
             for i in range(steps + 1):
-                offset = min(i * _INIT_SCAN_STEP, edge.length)
+                offset = min(i * _INIT_SCAN_STEP, length)
                 if circle.contains(edge.point_at(offset)):
-                    candidates.append((edge.edge_id, offset))
-        return candidates
+                    edge_ids.append(edge.edge_id)
+                    offsets.append(offset)
+        edge_array = np.array(edge_ids, dtype=np.int64)
+        offset_array = np.array(offsets, dtype=np.float64)
+        edge_array.flags.writeable = False
+        offset_array.flags.writeable = False
+        self._seed_sets[circle] = (edge_array, offset_array)
+        return edge_array, offset_array
 
     def initialize_in_circle(
         self, n: int, circle: Circle, rng: RngLike = None
@@ -87,16 +116,17 @@ class GraphMotionModel:
         failing, so the filter stays usable.
         """
         generator = make_rng(rng)
-        candidates = self.positions_in_circle(circle)
+        cand_edge, cand_offset = self.positions_in_circle(circle)
         particles = ParticleSet.empty(n)
-        if candidates:
-            picks = generator.integers(0, len(candidates), size=n)
+        if len(cand_edge):
+            picks = generator.integers(0, len(cand_edge), size=n)
             jitter = generator.uniform(-_INIT_SCAN_STEP / 2, _INIT_SCAN_STEP / 2, size=n)
-            for row, pick in enumerate(picks):
-                edge_id, offset = candidates[pick]
-                length = self.compiled.edge_length[edge_id]
-                particles.edge[row] = edge_id
-                particles.offset[row] = min(max(offset + jitter[row], 0.0), length)
+            edge = cand_edge[picks]
+            particles.edge[:] = edge
+            particles.offset[:] = np.minimum(
+                np.maximum(cand_offset[picks] + jitter, 0.0),
+                self.compiled.edge_length[edge],
+            )
         else:
             loc, _ = self.compiled.graph.locate(circle.center)
             particles.edge[:] = loc.edge_id

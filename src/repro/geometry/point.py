@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """A point in the plane, in meters.
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RawReading:
     """One raw detection sample: (detection time, tag id, reader id).
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledAnchors, CompiledGraph, GraphMotionModel, ParticleSet
 from repro.geometry import Circle, Point
@@ -225,3 +226,111 @@ class TestMotionModel:
             GraphMotionModel(small_compiled, room_exit_probability=1.5)
         with pytest.raises(ValueError):
             GraphMotionModel(small_compiled, door_entry_probability=-0.1)
+
+
+def _reference_scan(model, circle):
+    """The full seed scan: every edge, every 0.25 m step, no pruning."""
+    candidates = []
+    for edge in model.compiled.graph.edges:
+        steps = max(int(edge.length / 0.25), 1)
+        for i in range(steps + 1):
+            offset = min(i * 0.25, edge.length)
+            if circle.contains(edge.point_at(offset)):
+                candidates.append((edge.edge_id, offset))
+    return candidates
+
+
+def _reference_initialize(model, candidates, n, circle, rng):
+    """Particle seeding as a per-row loop over ``(edge, offset)`` tuples."""
+    particles = ParticleSet.empty(n)
+    if candidates:
+        picks = rng.integers(0, len(candidates), size=n)
+        jitter = rng.uniform(-0.125, 0.125, size=n)
+        for row, pick in enumerate(picks):
+            edge_id, offset = candidates[pick]
+            length = model.compiled.edge_length[edge_id]
+            particles.edge[row] = edge_id
+            particles.offset[row] = min(max(offset + jitter[row], 0.0), length)
+    else:
+        loc, _ = model.compiled.graph.locate(circle.center)
+        particles.edge[:] = loc.edge_id
+        particles.offset[:] = loc.offset
+    particles.direction[:] = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+    particles.speed[:] = model.draw_speeds(n, rng)
+    particles.dwelling[:] = False
+    particles.weight[:] = 1.0 / max(n, 1)
+    return particles
+
+
+def _assert_same_bytes(got, expected):
+    for field in ("edge", "offset", "direction", "speed", "dwelling", "weight"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestSeedSets:
+    """Memoized seed sets seed exactly what the full per-call scan did."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("n", [1, 64, 128])
+    def test_initialize_matches_reference_on_every_reader(
+        self, paper_compiled, paper_readers, seed, n
+    ):
+        model = GraphMotionModel(paper_compiled)
+        for reader in paper_readers:
+            circle = reader.detection_circle
+            candidates = _reference_scan(model, circle)
+            assert candidates, reader.reader_id
+            got = model.initialize_in_circle(n, circle, np.random.default_rng(seed))
+            expected = _reference_initialize(
+                model, candidates, n, circle, np.random.default_rng(seed)
+            )
+            _assert_same_bytes(got, expected)
+
+    def test_off_graph_fallback_matches_reference(self, paper_compiled):
+        model = GraphMotionModel(paper_compiled)
+        circle = Circle(Point(200.0, -50.0), 1.0)
+        assert _reference_scan(model, circle) == []
+        got = model.initialize_in_circle(32, circle, np.random.default_rng(5))
+        expected = _reference_initialize(
+            model, [], 32, circle, np.random.default_rng(5)
+        )
+        _assert_same_bytes(got, expected)
+
+    def test_second_call_reuses_read_only_arrays(self, paper_compiled):
+        model = GraphMotionModel(paper_compiled)
+        circle = Circle(Point(20.0, 5.0), 2.0)
+        edges, offsets = model.positions_in_circle(circle)
+        assert edges.dtype == np.int64 and offsets.dtype == np.float64
+        # A rescan would build new arrays; the memo hands back the same ones.
+        again = model.positions_in_circle(Circle(Point(20.0, 5.0), 2.0))
+        assert again[0] is edges and again[1] is offsets
+        model.initialize_in_circle(8, circle, np.random.default_rng(0))
+        for array in (edges, offsets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_memo_starts_empty(self, paper_compiled):
+        assert GraphMotionModel(paper_compiled)._seed_sets == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.floats(0.0, 64.0),
+        y=st.floats(-2.0, 34.0),
+        radius=st.floats(0.0, 3.0),
+        node=st.integers(0, 10_000),
+        on_node=st.booleans(),
+    )
+    def test_pruned_scan_equals_full_scan(
+        self, paper_compiled, x, y, radius, node, on_node
+    ):
+        model = GraphMotionModel(paper_compiled)
+        nodes = paper_compiled.graph.nodes
+        center = nodes[node % len(nodes)].point if on_node else Point(x, y)
+        circle = Circle(center, radius)
+        edges, offsets = model.positions_in_circle(circle)
+        assert list(zip(edges.tolist(), offsets.tolist())) == _reference_scan(
+            model, circle
+        )

@@ -1,10 +1,15 @@
 """Unit and property tests for points, segments, and polylines."""
 
+import copy
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import Point, Polyline, Segment
+from repro.graph import GraphLocation
+from repro.rfid import RawReading
 
 coords = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
@@ -183,3 +188,33 @@ class TestPolyline:
         target = line.point_at(t * line.length)
         _, dist = line.project(target)
         assert dist == pytest.approx(0.0, abs=1e-6)
+
+
+class TestSlottedValueTypes:
+    """The high-volume frozen value types carry slots and still round-trip."""
+
+    VALUES = [
+        Point(1.5, -2.25),
+        RawReading(3.5, "tag-7", "reader-2"),
+        GraphLocation(4, 0.75),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, 0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trip(self, value, protocol):
+        restored = pickle.loads(pickle.dumps(value, protocol=protocol))
+        assert restored == value
+        assert hash(restored) == hash(value)
+        assert type(restored) is type(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_deepcopy_round_trip(self, value):
+        clone = copy.deepcopy(value)
+        assert clone == value
+        assert hash(clone) == hash(value)

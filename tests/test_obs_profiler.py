@@ -362,3 +362,31 @@ class TestPerBackendSeconds:
 
         profile = self._profile(drive)
         assert profile.backends[0]["ticks"] == 10
+
+
+class TestInitAttribution:
+    """Particle seeding is its own ``filter.init`` timer series."""
+
+    def test_init_series_counts_every_seeding(self):
+        config = DEFAULT_CONFIG.with_overrides(num_objects=8, seed=7)
+        obs.enable()
+        obs.set_clock(CountingClock())
+        sim = Simulation(config, build_symbolic=False)
+        sim.run_for(20)
+        sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+        snapshot = obs.snapshot()
+        obs.disable()
+
+        timers = {row["series"]: row for row in build_profile(snapshot).timers}
+        assert "filter.init" in timers
+        assert timers["filter.init"]["total_seconds"] > 0.0
+
+        counters = {}
+        for item in snapshot["metrics"]["counters"]:
+            counters[item["name"]] = counters.get(item["name"], 0) + item["value"]
+        seedings = (
+            counters["filter.runs"]
+            - counters.get("filter.resumed_runs", 0)
+            + counters.get("filter.depletion_reseeds", 0)
+        )
+        assert timers["filter.init"]["count"] == seedings
