@@ -537,10 +537,22 @@ def run_suite(profile: str = "smoke", seed: int = 7) -> Dict[str, object]:
     }
 
 
-def default_result_name(when: _datetime.date | None = None) -> str:
-    """The versioned artifact name: ``BENCH_YYYY-MM-DD.json``."""
-    day = when if when is not None else _datetime.date.today()
-    return f"BENCH_{day.isoformat()}.json"
+def default_result_name(
+    when: _datetime.date | None = None, directory: str | None = None
+) -> str:
+    """The versioned artifact name: ``BENCH_YYYY-MM-DD.json``.
+
+    With ``directory``, the first name not yet taken there:
+    ``BENCH_YYYY-MM-DD.json``, then ``BENCH_YYYY-MM-DD-2.json``, and so
+    on, so a second run on the same day never overwrites an artifact.
+    """
+    day = (when if when is not None else _datetime.date.today()).isoformat()
+    name = f"BENCH_{day}.json"
+    suffix = 1
+    while directory is not None and os.path.exists(os.path.join(directory, name)):
+        suffix += 1
+        name = f"BENCH_{day}-{suffix}.json"
+    return name
 
 
 def write_result(result: Mapping[str, object], path: str) -> str:

@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument("--seed", type=int, default=7)
     bench_run.add_argument(
         "--out", metavar="JSON", default=None,
-        help="result path (default: benchmarks/BENCH_<date>.json)",
+        help="result path (default: the first free benchmarks/BENCH_<date>[-N].json)",
     )
     bench_compare = bench_sub.add_parser(
         "compare", help="gate a candidate result against a baseline"
@@ -912,7 +912,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.bench_command == "run":
         result = run_suite(profile=args.profile, seed=args.seed)
-        out = args.out or os.path.join("benchmarks", default_result_name())
+        out = args.out or os.path.join(
+            "benchmarks", default_result_name(directory="benchmarks")
+        )
         write_result(result, out)
         total = sum(
             w["wall_seconds"] for w in result["workloads"].values()

@@ -7,7 +7,8 @@ so inferred object locations live on this discrete set.
 
 ``AnchorIndex`` also provides the spatial lookups the query algorithms
 need: nearest anchor to a point, anchors inside a rectangle (range
-queries), anchors per room, and ordered anchors per edge (kNN expansion).
+queries), anchors per room, ordered anchors per edge (kNN expansion), and
+the network distance from one location to every anchor (kNN pruning).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.geometry import Circle, Point, Rect
 from repro.graph.location import GraphLocation
@@ -64,6 +67,10 @@ class AnchorIndex:
             if ap.room_id is not None:
                 self._by_room.setdefault(ap.room_id, []).append(ap.ap_id)
             self._grid.setdefault(self._cell_of(ap.point), []).append(ap.ap_id)
+        # Occupied grid extent: rectangle scans never leave it, so a huge
+        # query rectangle costs no more than the whole grid.
+        self._grid_lo = (min(ix for ix, _ in self._grid), min(iy for _, iy in self._grid))
+        self._grid_hi = (max(ix for ix, _ in self._grid), max(iy for _, iy in self._grid))
 
         # Per-edge ordered anchor lists include the endpoint (node) anchors,
         # so edge traversals see every anchor on the edge.
@@ -142,8 +149,8 @@ class AnchorIndex:
         lo = self._cell_of(Point(rect.min_x, rect.min_y))
         hi = self._cell_of(Point(rect.max_x, rect.max_y))
         result: List[AnchorPoint] = []
-        for ix in range(lo[0], hi[0] + 1):
-            for iy in range(lo[1], hi[1] + 1):
+        for ix in range(max(lo[0], self._grid_lo[0]), min(hi[0], self._grid_hi[0]) + 1):
+            for iy in range(max(lo[1], self._grid_lo[1]), min(hi[1], self._grid_hi[1]) + 1):
                 for ap_id in self._grid.get((ix, iy), ()):
                     ap = self._anchors[ap_id]
                     if rect.contains(ap.point):
@@ -179,6 +186,54 @@ class AnchorIndex:
                 del edge_id
             self._neighbors = adjacency
         return self._neighbors
+
+    def network_distances(self, loc: GraphLocation) -> np.ndarray:
+        """Shortest network distance from ``loc`` to every anchor.
+
+        A ``float64`` vector indexed by ``ap_id`` whose entries equal
+        ``graph.distance(loc, anchor.location)`` bit for bit: the kernel
+        forms the same four ``(off_q + D[n_q, n_ap]) + off_ap`` sums over
+        the all-pairs node distances, in the same order, takes their
+        minimum, and for anchors on ``loc``'s own edge also the direct
+        offset gap. The node matrix and per-anchor arrays are built lazily
+        on the first call and cached; this is the per-query distance
+        vector of the kNN pruning bounds (paper Eq. 6).
+        """
+        if getattr(self, "_distance_tables", None) is None:
+            self._distance_tables = self._build_distance_tables()
+        node_index, dist, ap_edge, ap_a, ap_b, ap_off, ap_rem = self._distance_tables
+        edge = self.graph.edge(loc.edge_id)
+        q_a = node_index[edge.node_a]
+        q_b = node_index[edge.node_b]
+        off_a = loc.offset
+        off_b = edge.length - loc.offset
+        result = np.minimum(
+            np.minimum((off_a + dist[q_a, ap_a]) + ap_off, (off_a + dist[q_a, ap_b]) + ap_rem),
+            np.minimum((off_b + dist[q_b, ap_a]) + ap_off, (off_b + dist[q_b, ap_b]) + ap_rem),
+        )
+        same_edge = ap_edge == loc.edge_id
+        result[same_edge] = np.minimum(
+            result[same_edge], np.abs(off_a - ap_off[same_edge])
+        )
+        return result
+
+    def _build_distance_tables(self) -> tuple:
+        node_ids = [node.node_id for node in self.graph.nodes]
+        node_index = {node_id: i for i, node_id in enumerate(node_ids)}
+        dist = np.array(
+            [[self.graph.node_distance(a, b) for b in node_ids] for a in node_ids],
+            dtype=np.float64,
+        )
+        edges = [self.graph.edge(ap.location.edge_id) for ap in self._anchors]
+        ap_edge = np.array([e.edge_id for e in edges], dtype=np.int64)
+        ap_a = np.array([node_index[e.node_a] for e in edges], dtype=np.int64)
+        ap_b = np.array([node_index[e.node_b] for e in edges], dtype=np.int64)
+        ap_off = np.array([ap.location.offset for ap in self._anchors], dtype=np.float64)
+        ap_rem = np.array(
+            [e.length - ap.location.offset for e, ap in zip(edges, self._anchors)],
+            dtype=np.float64,
+        )
+        return node_index, dist, ap_edge, ap_a, ap_b, ap_off, ap_rem
 
     # ------------------------------------------------------------------
     def _cell_of(self, p: Point) -> Tuple[int, int]:

@@ -16,12 +16,17 @@ filtering step.
 The network-distance bounds are evaluated over the anchor points inside
 the uncertain region (the uncertain region restricted to the walking
 graph), padded by one anchor spacing so the discretization can never
-prune a true candidate.
+prune a true candidate. Each kNN query computes one vector of network
+distances to every anchor (:meth:`AnchorIndex.network_distances`); an
+object's bounds are then a min/max over its region's anchor ids, which
+are memoized per region.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -60,6 +65,13 @@ class QueryAwareOptimizer:
         self.anchor_index = anchor_index
         self.readers = dict(readers)
         self.config = config
+        #: Anchor ids per uncertain region, filled lazily by
+        #: :meth:`region_anchor_ids`.
+        self._region_ids: Dict[Circle, np.ndarray] = {}
+        #: Per region centre, the smallest radius seen whose circle holds
+        #: every anchor; any larger circle there holds them all too.
+        self._saturation: Dict[Point, float] = {}
+        self._all_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def candidates(
@@ -120,9 +132,10 @@ class QueryAwareOptimizer:
         if not regions:
             return set()
         q_loc, _ = self.graph.locate(query.point)
+        distances = self.anchor_index.network_distances(q_loc)
         bounds: Dict[str, Tuple[float, float]] = {}
         for object_id, region in regions.items():
-            bound = self._distance_bounds(q_loc, query.point, region)
+            bound = self._distance_bounds(q_loc, query.point, region, distances)
             if bound is not None:
                 bounds[object_id] = bound
 
@@ -136,26 +149,58 @@ class QueryAwareOptimizer:
             if s_i <= f
         }
 
+    def region_anchor_ids(self, region: Circle) -> np.ndarray:
+        """Ids of the anchors inside ``region``, as a read-only array.
+
+        The ids are those of :meth:`AnchorIndex.in_circle`, memoized per
+        region. Regions are centred on readers with a radius that grows
+        with the time since the last detection, and ``in_circle`` only
+        gains anchors as the radius grows; so once a centre's circle holds
+        every anchor, every larger circle there shares one all-anchors
+        array instead of adding an entry, which bounds the memo.
+        """
+        cached = self._region_ids.get(region)
+        if cached is not None:
+            return cached
+        saturation = self._saturation.get(region.center)
+        if saturation is not None and region.radius >= saturation:
+            return self._all_ids
+        ids = np.array(
+            [ap.ap_id for ap in self.anchor_index.in_circle(region)], dtype=np.int64
+        )
+        ids.flags.writeable = False
+        if len(ids) == len(self.anchor_index):
+            self._saturation[region.center] = region.radius
+            if self._all_ids is None:
+                self._all_ids = ids
+            return self._all_ids
+        self._region_ids[region] = ids
+        return ids
+
     def _distance_bounds(
-        self, q_loc: GraphLocation, q_point: Point, region: Circle
+        self,
+        q_loc: GraphLocation,
+        q_point: Point,
+        region: Circle,
+        distances: np.ndarray,
     ) -> Optional[Tuple[float, float]]:
         """``(s_i, l_i)`` network-distance bounds to an uncertain region.
 
-        ``s_i`` is floored by the Euclidean lower bound so that the anchor
-        discretization can only loosen (never tighten) the pruning.
+        ``distances`` is the query location's network distance to every
+        anchor (:meth:`AnchorIndex.network_distances`). ``s_i`` is floored
+        by the Euclidean lower bound so that the anchor discretization can
+        only loosen (never tighten) the pruning.
         """
         pad = self.anchor_index.spacing
-        anchors = self.anchor_index.in_circle(region)
-        if not anchors:
+        ids = self.region_anchor_ids(region)
+        if not len(ids):
             # Degenerate region (tiny radius between anchors): fall back to
             # the nearest graph location of the region's center.
             loc, _ = self.graph.locate(region.center)
             dist = self.graph.distance(q_loc, loc)
             return dist, dist
-        distances = [
-            self.graph.distance(q_loc, ap.location) for ap in anchors
-        ]
+        in_region = distances[ids]
         euclid_floor = max(q_point.distance_to(region.center) - region.radius, 0.0)
-        s_i = max(min(distances) - pad, euclid_floor, 0.0)
-        l_i = max(distances) + pad
+        s_i = max(float(in_region.min()) - pad, euclid_floor, 0.0)
+        l_i = float(in_region.max()) + pad
         return s_i, l_i

@@ -62,6 +62,7 @@ class SymbolicLocationModel:
         # network distance from the reader to every anchor.
         self._covered_anchors: Dict[str, List[int]] = {}
         self._anchor_distance: Dict[str, Dict[int, float]] = {}
+        ap_ids = [ap.ap_id for ap in anchor_index]
         for reader in readers:
             covered = [
                 ap.ap_id
@@ -69,10 +70,9 @@ class SymbolicLocationModel:
             ]
             self._covered_anchors[reader.reader_id] = covered
             reader_loc, _ = graph.locate(reader.position)
-            self._anchor_distance[reader.reader_id] = {
-                ap.ap_id: graph.distance(reader_loc, ap.location)
-                for ap in anchor_index
-            }
+            self._anchor_distance[reader.reader_id] = dict(
+                zip(ap_ids, anchor_index.network_distances(reader_loc).tolist())
+            )
 
         self._cell_anchors: Dict[int, List[int]] = {}
         for ap_id, cell_id in self._anchor_cell.items():

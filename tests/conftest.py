@@ -13,7 +13,8 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.floorplan import paper_office_plan, small_test_plan
 from repro.graph import build_anchor_index, build_walking_graph
-from repro.rfid import deploy_readers_uniform, reader_by_id
+from repro.geometry import Point
+from repro.rfid import RFIDReader, deploy_readers_uniform, reader_by_id
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +57,15 @@ def paper_readers(paper_plan):
 @pytest.fixture(scope="session")
 def paper_readers_by_id(paper_readers):
     return reader_by_id(paper_readers)
+
+
+@pytest.fixture(scope="session")
+def small_readers():
+    return [
+        RFIDReader("d1", Point(3.0, 5.0), 2.0, "H1"),
+        RFIDReader("d2", Point(10.0, 5.0), 2.0, "H1"),
+        RFIDReader("d3", Point(17.0, 5.0), 2.0, "H1"),
+    ]
 
 
 @pytest.fixture

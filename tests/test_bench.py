@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -160,6 +161,16 @@ class TestResultFiles:
         name = default_result_name(datetime.date(2026, 8, 6))
         assert name == "BENCH_2026-08-06.json"
 
+    def test_default_result_name_takes_the_first_free_name(self, tmp_path):
+        import datetime
+
+        day = datetime.date(2026, 8, 6)
+        assert default_result_name(day, str(tmp_path)) == "BENCH_2026-08-06.json"
+        (tmp_path / "BENCH_2026-08-06.json").write_text("{}")
+        assert default_result_name(day, str(tmp_path)) == "BENCH_2026-08-06-2.json"
+        (tmp_path / "BENCH_2026-08-06-2.json").write_text("{}")
+        assert default_result_name(day, str(tmp_path)) == "BENCH_2026-08-06-3.json"
+
 
 # ----------------------------------------------------------------------
 # the suite itself (kept tiny: structure + determinism of work profiles)
@@ -217,6 +228,27 @@ class TestBenchCli:
             main(["bench", "compare", out, "--baseline", out]) == 0
         )
         assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_run_leaves_a_same_day_artifact_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.bench
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(repro.bench, "run_suite", lambda **_: _fake_result())
+        (tmp_path / "benchmarks").mkdir()
+        existing = tmp_path / "benchmarks" / default_result_name()
+        existing.write_text("committed artifact\n")
+        assert main(["bench", "run", "--smoke"]) == 0
+        assert existing.read_text() == "committed artifact\n"
+        second = tmp_path / "benchmarks" / default_result_name().replace(
+            ".json", "-2.json"
+        )
+        assert load_result(str(second))["workloads"] == _fake_result()["workloads"]
+        assert f"result -> {os.path.join('benchmarks', second.name)}" in (
+            capsys.readouterr().out
+        )
 
     def test_compare_fails_on_injected_slowdown(self, tmp_path, capsys):
         from repro.cli import main

@@ -2,6 +2,7 @@
 
 
 from repro.config import DEFAULT_CONFIG
+from repro.queries import KNNQuery
 from repro.sim import Simulation, evaluate_accuracy
 from repro.sim.experiments import (
     format_rows,
@@ -66,6 +67,24 @@ class TestEvaluateAccuracy:
         )
         assert report.range_kl_pf is not None
         assert report.range_kl_pf == report.range_kl_sm
+
+    def test_symbolic_backend_matches_the_baseline_knn_answers(self):
+        # The kNN answers themselves agree exactly, pruning included; only
+        # the hit-rate scoring differs (see the range KL test above).
+        sim = Simulation(FAST, filter_backend="symbolic")
+        points = sim.random_query_points(FAST.num_knn_queries)
+        for engine in (sim.pf_engine, sim.sm_engine):
+            for i, point in enumerate(points):
+                engine.register_knn_query(KNNQuery(f"k{i}", point, FAST.k))
+        for now in query_timestamps(FAST):
+            sim.run_until(now)
+            pf = sim.pf_engine.evaluate(now, rng=sim.pf_rng)
+            sm = sim.sm_engine.evaluate(now)
+            for i in range(len(points)):
+                assert (
+                    pf.knn_results[f"k{i}"].probabilities
+                    == sm.knn_results[f"k{i}"].probabilities
+                )
 
     def test_reusable_simulation(self):
         sim = Simulation(FAST)

@@ -97,6 +97,18 @@ class TestSpatialQueries:
         }
         assert fast == slow
 
+    def test_huge_regions_scan_only_the_occupied_grid(self, paper_anchors):
+        # A million-metre bounding box would be 4e12 grid cells; the scan
+        # is clamped to the cells that hold anchors, in the same order.
+        every = [a.ap_id for a in paper_anchors.in_rect(Rect(-1e6, -1e6, 1e6, 1e6))]
+        assert sorted(every) == list(range(len(paper_anchors)))
+        circle = Circle(Point(20, 5), 1e6)
+        assert [a.ap_id for a in paper_anchors.in_circle(circle)] == every
+        overhang = Rect(-5, -5, 12, 40)
+        assert {a.ap_id for a in paper_anchors.in_rect(overhang)} == {
+            a.ap_id for a in paper_anchors.anchors if overhang.contains(a.point)
+        }
+
     def test_empty_rect(self, paper_anchors):
         assert paper_anchors.in_rect(Rect(-10, -10, -5, -5)) == []
 

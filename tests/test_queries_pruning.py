@@ -1,12 +1,17 @@
 """Tests for the query-aware optimization module (paper Section 4.3)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.collector import EventDrivenCollector
 from repro.config import DEFAULT_CONFIG
-from repro.geometry import Point, Rect
+from repro.geometry import Circle, Point, Rect
+from repro.graph.location import GraphLocation
 from repro.queries import KNNQuery, QueryAwareOptimizer, RangeQuery, uncertain_region
 from repro.rfid.readings import RawReading
+from repro.sim import Simulation
+from repro.symbolic.inference import SymbolicLocationModel
 
 
 def raw(second, tag, reader):
@@ -132,3 +137,203 @@ class TestQueryTypes:
         )
         assert "o1" in both
         assert "o5" in both
+
+
+# ----------------------------------------------------------------------
+# one anchor-distance vector per query: bit identity with the loop it
+# replaced
+# ----------------------------------------------------------------------
+def reference_distance_bounds(optimizer, q_loc, q_point, region):
+    """The per-anchor ``graph.distance`` loop the distance vector replaced."""
+    pad = optimizer.anchor_index.spacing
+    anchors = optimizer.anchor_index.in_circle(region)
+    if not anchors:
+        loc, _ = optimizer.graph.locate(region.center)
+        dist = optimizer.graph.distance(q_loc, loc)
+        return dist, dist
+    distances = [optimizer.graph.distance(q_loc, ap.location) for ap in anchors]
+    euclid_floor = max(q_point.distance_to(region.center) - region.radius, 0.0)
+    s_i = max(min(distances) - pad, euclid_floor, 0.0)
+    l_i = max(distances) + pad
+    return s_i, l_i
+
+
+def reference_knn_candidates(optimizer, regions, query):
+    if not regions:
+        return set()
+    q_loc, _ = optimizer.graph.locate(query.point)
+    bounds = {
+        object_id: reference_distance_bounds(optimizer, q_loc, query.point, region)
+        for object_id, region in regions.items()
+    }
+    if len(bounds) <= query.k:
+        return set(bounds)
+    f = sorted(hi for _, hi in bounds.values())[query.k - 1]
+    return {object_id for object_id, (s_i, _) in bounds.items() if s_i <= f}
+
+
+def saturation_dt(optimizer, reader):
+    """The first whole-second gap at which ``UR`` holds every anchor."""
+    dt = 0
+    while len(optimizer.anchor_index.in_circle(
+        uncertain_region(reader, 0, dt, optimizer.config.max_speed)
+    )) < len(optimizer.anchor_index):
+        dt += 1
+    return dt
+
+
+def _plan_locations(graph):
+    """A random location on a random edge, ends included exactly."""
+    edges = graph.edges
+    return st.sampled_from(edges).flatmap(
+        lambda edge: st.one_of(
+            st.sampled_from([0.0, edge.length]),
+            st.floats(min_value=0.0, max_value=edge.length),
+        ).map(lambda offset: GraphLocation(edge.edge_id, offset))
+    )
+
+
+class TestNetworkDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_graph_distance_bit_for_bit(
+        self, data, paper_graph, paper_anchors, small_graph, small_anchors
+    ):
+        graph, anchors = data.draw(
+            st.sampled_from([(paper_graph, paper_anchors), (small_graph, small_anchors)])
+        )
+        loc = data.draw(_plan_locations(graph))
+        vector = anchors.network_distances(loc)
+        assert vector.dtype == np.float64
+        assert vector.shape == (len(anchors),)
+        as_floats = vector.tolist()
+        for ap in anchors:
+            expected = graph.distance(loc, ap.location)
+            assert as_floats[ap.ap_id] == expected, (loc, ap.ap_id)
+            assert type(as_floats[ap.ap_id]) is type(expected)
+
+    @pytest.mark.parametrize("plan", ["paper", "small"])
+    def test_symbolic_distances_equal_the_per_anchor_loop(
+        self, plan, request, small_readers, paper_readers
+    ):
+        graph = request.getfixturevalue(f"{plan}_graph")
+        anchors = request.getfixturevalue(f"{plan}_anchors")
+        readers = paper_readers if plan == "paper" else small_readers
+        model = SymbolicLocationModel(graph, anchors, readers, DEFAULT_CONFIG)
+        for reader in readers:
+            reader_loc, _ = graph.locate(reader.position)
+            expected = {
+                ap.ap_id: graph.distance(reader_loc, ap.location) for ap in anchors
+            }
+            got = model._anchor_distance[reader.reader_id]
+            assert list(got.items()) == list(expected.items()), reader.reader_id
+
+
+class TestVectorBounds:
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_bounds_equal_the_reference_loop(self, optimizer, paper_plan, seed):
+        rng = np.random.default_rng(seed)
+        bounds = paper_plan.bounds
+        q_point = Point(
+            float(rng.uniform(bounds.min_x, bounds.max_x)),
+            float(rng.uniform(bounds.min_y, bounds.max_y)),
+        )
+        q_loc, _ = optimizer.graph.locate(q_point)
+        distances = optimizer.anchor_index.network_distances(q_loc)
+        for reader in optimizer.readers.values():
+            for dt in range(saturation_dt(optimizer, reader) + 4):
+                region = uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
+                got = optimizer._distance_bounds(q_loc, q_point, region, distances)
+                want = reference_distance_bounds(optimizer, q_loc, q_point, region)
+                assert got == want, (reader.reader_id, dt)
+                assert all(type(v) is float for v in got)
+
+    def test_degenerate_region_falls_back_to_the_centre(self, optimizer):
+        # A zero-radius circle between anchors holds no anchor.
+        edge = optimizer.graph.edges[0]
+        centre = edge.point_at(0.5 * optimizer.anchor_index.spacing)
+        region = Circle(centre, 0.0)
+        assert len(optimizer.region_anchor_ids(region)) == 0
+        q_point = optimizer.readers["d1"].position
+        q_loc, _ = optimizer.graph.locate(q_point)
+        distances = optimizer.anchor_index.network_distances(q_loc)
+        assert optimizer._distance_bounds(
+            q_loc, q_point, region, distances
+        ) == reference_distance_bounds(optimizer, q_loc, q_point, region)
+
+    def test_knn_candidates_equal_the_reference_on_a_replay(self):
+        config = DEFAULT_CONFIG.with_overrides(num_objects=30, seed=11)
+        sim = Simulation(config, build_symbolic=False)
+        engine = sim.pf_engine
+        optimizer = engine.optimizer
+        checked = 0
+        for now in (20, 45, 70, 100):
+            sim.run_until(now)
+            regions = optimizer._uncertain_regions(
+                engine.collector, engine.collector.observed_objects(), now
+            )
+            for point in sim.random_query_points(3):
+                for k in (1, 3, 5):
+                    query = KNNQuery("q", point, k=k)
+                    got = optimizer.knn_candidates(regions, query)
+                    assert got == reference_knn_candidates(optimizer, regions, query)
+                    checked += len(regions) > k
+        assert checked > 0
+
+
+class TestRegionMemo:
+    def test_ids_equal_in_circle_and_are_read_only(self, optimizer):
+        reader = optimizer.readers["d4"]
+        # The saturating circle comes first: smaller ones must not share it.
+        for dt in (10_000, 0, 3, 9):
+            region = uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
+            ids = optimizer.region_anchor_ids(region)
+            assert ids.dtype == np.int64
+            assert not ids.flags.writeable
+            assert ids.tolist() == [
+                ap.ap_id for ap in optimizer.anchor_index.in_circle(region)
+            ]
+            with pytest.raises(ValueError):
+                ids[0] = 0
+
+    def test_repeated_region_skips_in_circle(self, optimizer, monkeypatch):
+        region = uncertain_region(
+            optimizer.readers["d8"], 0, 4, DEFAULT_CONFIG.max_speed
+        )
+        first = optimizer.region_anchor_ids(region)
+        calls = []
+        monkeypatch.setattr(
+            optimizer.anchor_index, "in_circle",
+            lambda circle: calls.append(circle) or [],
+        )
+        again = uncertain_region(
+            optimizer.readers["d8"], 10, 14, DEFAULT_CONFIG.max_speed
+        )
+        assert again == region and again is not region
+        assert optimizer.region_anchor_ids(again) is first
+        assert calls == []
+
+    def test_memo_stops_growing_past_saturation(self, optimizer):
+        total = 0
+        for reader in optimizer.readers.values():
+            saturation = saturation_dt(optimizer, reader)
+            for dt in range(saturation):
+                optimizer.region_anchor_ids(
+                    uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
+                )
+            total += saturation
+            assert len(optimizer._region_ids) == total
+            shared = {
+                id(optimizer.region_anchor_ids(
+                    uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
+                ))
+                for dt in range(saturation, saturation + 40)
+            }
+            assert len(shared) == 1
+            assert len(optimizer._region_ids) == total
+        every = optimizer.region_anchor_ids(
+            uncertain_region(optimizer.readers["d1"], 0, 10_000, DEFAULT_CONFIG.max_speed)
+        )
+        assert sorted(every.tolist()) == list(range(len(optimizer.anchor_index)))
+        assert not every.flags.writeable
+        assert len(optimizer._region_ids) == total

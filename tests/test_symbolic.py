@@ -15,15 +15,6 @@ from repro.symbolic.cells import anchor_cells
 
 
 @pytest.fixture(scope="module")
-def small_readers():
-    return [
-        RFIDReader("d1", Point(3.0, 5.0), 2.0, "H1"),
-        RFIDReader("d2", Point(10.0, 5.0), 2.0, "H1"),
-        RFIDReader("d3", Point(17.0, 5.0), 2.0, "H1"),
-    ]
-
-
-@pytest.fixture(scope="module")
 def small_deployment(small_graph, small_readers):
     return build_deployment_graph(small_graph, small_readers)
 
