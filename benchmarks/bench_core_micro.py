@@ -32,7 +32,7 @@ def world():
     anchors = build_anchor_index(graph, 1.0)
     readers = deploy_readers_uniform(plan, 19, 2.0)
     compiled = CompiledGraph(graph)
-    compiled_anchors = CompiledAnchors(anchors)
+    compiled_anchors = CompiledAnchors(anchors, compiled)
     return plan, graph, anchors, readers, compiled, compiled_anchors
 
 
@@ -69,11 +69,9 @@ def test_bench_systematic_resample(benchmark):
 
 
 def test_bench_anchor_snap(benchmark, world, cloud):
-    _, _, _, _, compiled, compiled_anchors = world
+    _, _, _, _, _, compiled_anchors = world
     _, particles = cloud
-    benchmark(
-        particles_to_anchor_distribution, particles, compiled, compiled_anchors
-    )
+    benchmark(particles_to_anchor_distribution, [particles], compiled_anchors)
 
 
 def test_bench_network_distance(benchmark, world):

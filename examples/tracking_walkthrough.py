@@ -54,7 +54,7 @@ def main() -> None:
         "d3": RFIDReader("d3", Point(17.0, 5.0), 2.0, "H1"),
     }
     compiled = CompiledGraph(graph)
-    compiled_anchors = CompiledAnchors(anchors)
+    compiled_anchors = CompiledAnchors(anchors, compiled)
     pf = ParticleFilter(compiled, readers, DEFAULT_CONFIG)
     collector = EventDrivenCollector({"tag1": "o1"})
 
@@ -74,8 +74,8 @@ def main() -> None:
         if history.is_empty:
             continue
         result = pf.run(history, current_second=second, rng=rng)
-        distribution = particles_to_anchor_distribution(
-            result.particles, compiled, compiled_anchors
+        (distribution,) = particles_to_anchor_distribution(
+            [result.particles], compiled_anchors
         )
         seen = history.reading_at(second) or "-- silent --"
         print(

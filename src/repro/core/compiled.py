@@ -7,7 +7,7 @@ per second, so it works on these precompiled arrays instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,21 +123,171 @@ class CompiledGraph:
 
 
 class CompiledAnchors:
-    """Anchor coordinates as arrays, for vectorized nearest-anchor snaps."""
+    """Anchor coordinates as arrays, for vectorized nearest-anchor snaps.
 
-    def __init__(self, anchor_index: AnchorIndex):
+    :meth:`nearest` snaps ``(edge, offset)`` positions through a candidate
+    table keyed by (edge, offset bin), one bin per ``anchor_index.spacing``
+    meters of edge. A row lists, in ascending anchor index, every anchor
+    that can be nearest to some point of its stretch of edge, so the
+    argmin over a row — ties included — equals the argmin over all
+    anchors. The table is built on the first snap, not here, so building
+    a backend stays as cheap as before.
+    """
+
+    #: Slack (meters) on the candidate bound; it absorbs the rounding of
+    #: computed positions and distances, which is many orders smaller.
+    CANDIDATE_SLACK = 1e-6
+
+    #: How many ``(n, w)`` prefix-sum tables :meth:`uniform_sums` keeps.
+    MAX_UNIFORM_SUMS = 32
+
+    def __init__(self, anchor_index: AnchorIndex, compiled_graph: CompiledGraph):
         self.anchor_index = anchor_index
+        self.compiled_graph = compiled_graph
         anchors = anchor_index.anchors
         self.ap_ids = np.array([a.ap_id for a in anchors], dtype=np.int64)
         self.x = np.array([a.point.x for a in anchors])
         self.y = np.array([a.point.y for a in anchors])
+        self._table: Optional[_CandidateTable] = None
+        self._uniform_sums: Dict[Tuple[int, float], List[float]] = {}
 
-    def nearest(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Ids of the anchor nearest to each input point.
+    def nearest(self, edge: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Ids of the anchor nearest to each ``(edge, offset)`` position.
 
-        Computes the full distance matrix; with a few hundred anchors and
-        at most a few hundred particles this is faster than any index.
+        Each position is compared only with its (edge, bin) row of
+        candidates, by the same squared-distance expression a full
+        distance matrix would use, so the result is identical to it.
         """
-        dx = px[:, None] - self.x[None, :]
-        dy = py[:, None] - self.y[None, :]
-        return self.ap_ids[np.argmin(dx * dx + dy * dy, axis=1)]
+        if self._table is None:
+            self._table = _CandidateTable(self)
+        table = self._table
+        px, py = self.compiled_graph.points(edge, offset)
+        bins = np.minimum(
+            np.maximum(np.floor(offset / table.spacing), 0.0), table.last_bin[edge]
+        )
+        rows = table.candidates[table.row_ptr[edge] + bins.astype(np.int64)]
+        # dx * dx + dy * dy, in place: the same roundings, fewer temporaries.
+        dx = table.x[rows]
+        np.subtract(px[:, None], dx, out=dx)
+        dx *= dx
+        dy = table.y[rows]
+        np.subtract(py[:, None], dy, out=dy)
+        dy *= dy
+        dx += dy
+        best = np.argmin(dx, axis=1)
+        return self.ap_ids[rows[np.arange(len(rows)), best]]
+
+    def uniform_sums(self, n: int, w: float) -> List[float]:
+        """``S[k] = np.full(k, w).sum()`` for ``k = 0 .. n``.
+
+        numpy sums pairwise, so ``S[k]`` is bit-identical to the sum of
+        any ``k`` particles that all weigh ``w`` — which a running sum
+        (``k * w`` or ``cumsum``) is not, for about half of all ``k``
+        when ``n`` is not a power of two.
+        """
+        key = (n, w)
+        sums = self._uniform_sums.get(key)
+        if sums is None:
+            if len(self._uniform_sums) >= self.MAX_UNIFORM_SUMS:
+                self._uniform_sums.clear()
+            sums = [float(np.full(k, w).sum()) for k in range(n + 1)]
+            self._uniform_sums[key] = sums
+        return sums
+
+
+class _CandidateTable:
+    """Per-(edge, offset bin) rows of the anchors that can be nearest.
+
+    Row ``row_ptr[e] + b`` covers offsets ``[b * s, (b + 1) * s]`` of edge
+    ``e`` (``s`` the anchor spacing; the first and last bins extend to the
+    edge's ends). Let ``U`` be the smallest, over all anchors, of the
+    largest distance from that anchor to the stretch; the nearest anchor of
+    any point on the stretch is then at most ``U`` away, so every anchor
+    whose minimum distance to the stretch is at most ``U`` (plus
+    :attr:`CompiledAnchors.CANDIDATE_SLACK`) is kept. Rows are padded with
+    a sentinel anchor at infinity; an edge with no legs gets every anchor.
+    """
+
+    #: Rows computed per vectorized block; bounds the temporaries' size.
+    BLOCK_ROWS = 32
+
+    def __init__(self, anchors: CompiledAnchors) -> None:
+        graph = anchors.compiled_graph
+        spacing = float(anchors.anchor_index.spacing)
+        n_bins = np.maximum(1, np.ceil(graph.edge_length / spacing).astype(np.int64))
+        row_edge = np.repeat(np.arange(graph.num_edges), n_bins)
+        row_bin = _ranks(n_bins)
+        # Each row's legs, padded (``real`` false) to the most legs of any edge.
+        first = graph.leg_ptr[row_edge]
+        n_legs = graph.leg_ptr[row_edge + 1] - first
+        slot = np.arange(max(int(n_legs.max()), 1))
+        real = slot < n_legs[:, None]
+        legs = np.minimum(first[:, None] + slot, len(graph.leg_len) - 1)
+        last = legs[np.arange(len(legs)), np.maximum(n_legs - 1, 0)]
+        # Bin stretches; the first and last extend to the edge's ends, and
+        # lo is clamped so a bin past the legs' rounded end keeps its end.
+        end = graph.leg_cum[last] + graph.leg_len[last]
+        lo = np.where(row_bin == 0, -np.inf, np.minimum(row_bin * spacing, end))
+        hi = np.where(row_bin == n_bins[row_edge] - 1, np.inf, (row_bin + 1) * spacing)
+        blocks = [
+            slice(r, r + self.BLOCK_ROWS) for r in range(0, len(row_edge), self.BLOCK_ROWS)
+        ]
+        keep = np.concatenate(
+            [_block_candidates(anchors, lo[b], hi[b], legs[b], real[b]) for b in blocks]
+        )
+        keep[n_legs == 0] = True
+
+        # Rows in ascending anchor index, padded with the sentinel.
+        counts = keep.sum(axis=1)
+        rows, cols = np.nonzero(keep)
+        self.candidates = np.full((len(keep), int(counts.max())), len(anchors.ap_ids))
+        self.candidates[rows, _ranks(counts)] = cols
+        self.spacing = spacing
+        self.row_ptr = np.cumsum(n_bins) - n_bins
+        self.last_bin = (n_bins - 1).astype(np.float64)
+        self.x = np.append(anchors.x, np.inf)
+        self.y = np.append(anchors.y, np.inf)
+
+
+def _block_candidates(
+    anchors: CompiledAnchors,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    legs: np.ndarray,
+    real: np.ndarray,
+) -> np.ndarray:
+    """``(rows, anchors)`` mask of the anchors each row keeps.
+
+    Row ``i`` is the stretch of offsets ``lo[i] .. hi[i]`` over legs
+    ``legs[i]`` (``real[i]`` marks the legs that are not padding).
+    """
+    graph = anchors.compiled_graph
+    lo, hi = lo[:, None], hi[:, None]
+    start, length = graph.leg_cum[legs], graph.leg_len[legs]
+    # The stretch's part of each leg, clamped as CompiledGraph.points clamps.
+    meets = (real & (lo <= start + length) & (hi >= start))[:, :, None]
+    a = np.clip(lo - start, 0.0, length)[:, :, None]
+    b = np.clip(hi - start, 0.0, length)[:, :, None]
+    sx, sy = graph.leg_sx[legs][:, :, None], graph.leg_sy[legs][:, :, None]
+    ux, uy = graph.leg_ux[legs][:, :, None], graph.leg_uy[legs][:, :, None]
+    ax, ay = sx + ux * a, sy + uy * a
+    t = np.minimum(np.maximum((anchors.x - ax) * ux + (anchors.y - ay) * uy, 0.0), b - a)
+    segment = _squared(anchors.x - (ax + ux * t), anchors.y - (ay + uy * t))
+    # Distance along a segment is convex, so its maximum is at a vertex.
+    vertex = np.maximum(
+        _squared(anchors.x - ax, anchors.y - ay),
+        _squared(anchors.x - (sx + ux * b), anchors.y - (sy + uy * b)),
+    )
+    min_sq = np.where(meets, segment, np.inf).min(axis=1)
+    max_sq = np.where(meets, vertex, 0.0).max(axis=1)
+    bound = np.sqrt(max_sq.min(axis=1, keepdims=True)) + CompiledAnchors.CANDIDATE_SLACK
+    return min_sq <= bound * bound
+
+
+def _squared(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return dx * dx + dy * dy
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c - 1`` for each group size ``c`` in ``counts``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -18,7 +18,7 @@ from it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -30,6 +30,7 @@ from repro.rng import RngLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.particle_cache import ParticleCacheManager
+    from repro.filters.base import FilterRun
     from repro.filters.registry import BackendSpec
 
 
@@ -96,7 +97,8 @@ class PreprocessingModule:
         from repro.index.hashtable import AnchorObjectTable
 
         generator = make_rng(rng) if rng_factory is None else None
-        table = AnchorObjectTable()
+        filtered: List[str] = []
+        runs: List["FilterRun"] = []
         for object_id in candidates:
             history = collector.history(object_id)
             if history.is_empty:
@@ -116,8 +118,15 @@ class PreprocessingModule:
                 self.cache.store(
                     object_id, run.state(), run.end_second, generation
                 )
-            with obs.timer("preprocess.anchor_snap"):
-                distribution = run.posterior()
+            filtered.append(object_id)
+            runs.append(run)
+        table = AnchorObjectTable()
+        if not runs:
+            return table
+        # Every run is snapped in one pass (Algorithm 2, lines 32-36).
+        with obs.span("preprocess.anchor_snap", objects=len(runs)):
+            distributions = self.backend.posteriors(runs)
+        for object_id, distribution in zip(filtered, distributions):
             table.set_distribution(object_id, distribution)
-            obs.add("preprocess.objects_filtered")
+        obs.add("preprocess.objects_filtered", len(runs))
         return table

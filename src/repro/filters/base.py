@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, Mapping, Optional, Protocol, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class FilterBackend(ABC):
             self.readers = {r.reader_id: r for r in readers}
         self.resampler = resampler
         self.compiled_graph = CompiledGraph(graph)
-        self.compiled_anchors = CompiledAnchors(anchor_index)
+        self.compiled_anchors = CompiledAnchors(anchor_index, self.compiled_graph)
 
     # ------------------------------------------------------------------
     # per-object filter construction
@@ -233,6 +233,14 @@ class FilterBackend(ABC):
                     negative,
                 )
         return FilterRun(filter=filt, end_second=t_end)
+
+    def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:
+        """Each run's final per-anchor distribution, in ``runs`` order.
+
+        Backends that can snap many beliefs at once override this; the
+        preprocessing module calls it once per tick.
+        """
+        return [run.posterior() for run in runs]
 
     def check_state_version(self, version: int) -> None:
         """Raise :class:`FilterStateError` unless ``version`` matches."""

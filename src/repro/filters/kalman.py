@@ -702,11 +702,11 @@ class KalmanBackend(FilterBackend):
 
     def nearest_anchor(self, edge: int, offset: float) -> int:
         """Anchor id nearest to an ``(edge, offset)`` position (fallback)."""
-        compiled = self.compiled_graph
-        x, y = compiled.points(
-            np.array([edge], dtype=np.int64), np.array([offset], dtype=np.float64)
+        return int(
+            self.compiled_anchors.nearest(
+                np.array([edge], dtype=np.int64), np.array([offset], dtype=np.float64)
+            )[0]
         )
-        return int(self.compiled_anchors.nearest(x, y)[0])
 
     def _pinned_node(self, edge: int, pinned_offset: float) -> int:
         """The node index a dwelling hypothesis is pinned at."""

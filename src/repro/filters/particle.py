@@ -11,7 +11,7 @@ the same order, which the contract test suite asserts is equivalent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -64,10 +64,8 @@ class ParticleBayesFilter(BayesFilter):
 
     def posterior(self) -> Dict[int, float]:
         return particles_to_anchor_distribution(
-            self.particles,
-            self._backend.compiled_graph,
-            self._backend.compiled_anchors,
-        )
+            [self.particles], self._backend.compiled_anchors
+        )[0]
 
     def state(self) -> FilterState:
         return self.particles
@@ -116,6 +114,12 @@ class ParticleBackend(FilterBackend):
             raise FilterStateError(
                 f"particle state document is missing field {exc.args[0]!r}"
             ) from exc
+
+    def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:
+        """Every run's distribution from one stacked anchor snap."""
+        return particles_to_anchor_distribution(
+            [cast(ParticleSet, run.state()) for run in runs], self.compiled_anchors
+        )
 
     # ------------------------------------------------------------------
     def run(

@@ -89,6 +89,11 @@ class DetectionModel:
         matching the 1 Hz resolution of the true trace generator).
         """
         generator = make_rng(rng)
+        # One shared float per sample instant, not a numpy scalar per reading.
+        times = [
+            second + (index + 0.5) / self.samples_per_second
+            for index in range(self.samples_per_second)
+        ]
         readings: List[RawReading] = []
         for reader in self.readers:
             if self._is_dark(reader.reader_id, second):
@@ -98,10 +103,10 @@ class DetectionModel:
                 if not circle.contains(position):
                     continue
                 hits = generator.random(self.samples_per_second) < self.detection_probability
-                for sample_index in np.nonzero(hits)[0]:
+                for sample_index in np.nonzero(hits)[0].tolist():
                     readings.append(
                         RawReading(
-                            time=second + (sample_index + 0.5) / self.samples_per_second,
+                            time=times[sample_index],
                             tag_id=tag_id,
                             reader_id=reader.reader_id,
                         )

@@ -22,8 +22,8 @@ def small_compiled(small_graph):
 
 
 @pytest.fixture(scope="module")
-def small_compiled_anchors(small_anchors):
-    return CompiledAnchors(small_anchors)
+def small_compiled_anchors(small_anchors, small_compiled):
+    return CompiledAnchors(small_anchors, small_compiled)
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +78,14 @@ class TestDiscretization:
         ps = small_filter.motion.initialize_in_circle(
             64, small_readers["d2"].detection_circle, rng
         )
-        dist = particles_to_anchor_distribution(ps, small_compiled, small_compiled_anchors)
+        (dist,) = particles_to_anchor_distribution([ps], small_compiled_anchors)
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_anchors_near_particles(self, small_filter, small_compiled, small_compiled_anchors, small_readers, small_anchors, rng):
         ps = small_filter.motion.initialize_in_circle(
             64, small_readers["d2"].detection_circle, rng
         )
-        dist = particles_to_anchor_distribution(ps, small_compiled, small_compiled_anchors)
+        (dist,) = particles_to_anchor_distribution([ps], small_compiled_anchors)
         for ap_id in dist:
             anchor = small_anchors.anchor(ap_id)
             assert anchor.point.distance_to(Point(10, 5)) <= 3.0
@@ -93,10 +93,10 @@ class TestDiscretization:
     def test_empty_particles(self, small_compiled, small_compiled_anchors):
         from repro.core import ParticleSet
 
-        dist = particles_to_anchor_distribution(
-            ParticleSet.empty(0), small_compiled, small_compiled_anchors
+        dists = particles_to_anchor_distribution(
+            [ParticleSet.empty(0)], small_compiled_anchors
         )
-        assert dist == {}
+        assert dists == [{}]
 
     def test_weighted_mass(self, small_compiled, small_compiled_anchors, small_graph):
         from repro.core import ParticleSet
@@ -109,7 +109,7 @@ class TestDiscretization:
         ps.edge[2:] = loc_b.edge_id
         ps.offset[2:] = loc_b.offset
         ps.weight[:] = [0.4, 0.4, 0.1, 0.1]
-        dist = particles_to_anchor_distribution(ps, small_compiled, small_compiled_anchors)
+        (dist,) = particles_to_anchor_distribution([ps], small_compiled_anchors)
         near_a = sum(
             p for ap, p in dist.items()
             if small_compiled_anchors.anchor_index.anchor(ap).point.x < 10

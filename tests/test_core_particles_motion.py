@@ -96,11 +96,12 @@ class TestCompiledGraph:
 
 class TestCompiledAnchors:
     def test_nearest_matches_index(self, paper_compiled, paper_anchors):
-        compiled = CompiledAnchors(paper_anchors)
+        compiled = CompiledAnchors(paper_anchors, paper_compiled)
         rng = np.random.default_rng(1)
-        xs = rng.uniform(0, 60, 50)
-        ys = rng.uniform(0, 30, 50)
-        fast = compiled.nearest(xs, ys)
+        edges = rng.integers(0, paper_compiled.num_edges, 50)
+        offsets = rng.uniform(0.0, 1.0, 50) * paper_compiled.edge_length[edges]
+        xs, ys = paper_compiled.points(edges, offsets)
+        fast = compiled.nearest(edges, offsets)
         for x, y, ap_id in zip(xs, ys, fast):
             expected = paper_anchors.nearest(Point(x, y))
             got = paper_anchors.anchor(int(ap_id))

@@ -17,7 +17,7 @@ from repro.rfid import RFIDReader
 @pytest.fixture(scope="module")
 def world(small_graph, small_anchors):
     compiled = CompiledGraph(small_graph)
-    compiled_anchors = CompiledAnchors(small_anchors)
+    compiled_anchors = CompiledAnchors(small_anchors, compiled)
     readers = {
         "d1": RFIDReader("d1", Point(3.0, 5.0), 2.0, "H1"),
         "d2": RFIDReader("d2", Point(10.0, 5.0), 2.0, "H1"),
@@ -57,9 +57,7 @@ class TestFilterInvariants:
         assert (particles.offset <= lengths + 1e-9).all()
         assert particles.weight.sum() == pytest.approx(1.0)
 
-        distribution = particles_to_anchor_distribution(
-            particles, compiled, compiled_anchors
-        )
+        (distribution,) = particles_to_anchor_distribution([particles], compiled_anchors)
         assert sum(distribution.values()) == pytest.approx(1.0)
 
     @settings(max_examples=15, deadline=None)
