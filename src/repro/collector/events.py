@@ -19,7 +19,7 @@ class EventKind(Enum):
     LEAVE = "leave"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationEvent:
     """One ENTER or LEAVE event of an object at a reader."""
 

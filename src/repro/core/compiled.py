@@ -7,12 +7,17 @@ per second, so it works on these precompiled arrays instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
+
+
+#: A :attr:`CompiledGraph.junctions` entry: the one edge a particle must
+#: take, or the ``(doors, hallways)`` pools it draws from.
+Junction = Union[int, Tuple[List[int], List[int]]]
 
 
 class CompiledGraph:
@@ -21,7 +26,9 @@ class CompiledGraph:
     Edges are indexed by their ``edge_id`` (which the builder assigns
     densely from 0). Polyline edges are flattened into a global leg table
     so that 2-D points for ``(edge, offset)`` pairs can be computed fully
-    vectorized.
+    vectorized. The edge-crossing walk of the motion model runs in plain
+    Python, so the arrays it reads also have Python-list mirrors, and the
+    choices at every junction are tabulated once in :attr:`junctions`.
     """
 
     def __init__(self, graph: WalkingGraph):
@@ -59,6 +66,13 @@ class CompiledGraph:
             np.array(eids, dtype=np.int64) for eids in adjacency
         ]
 
+        # Python-list mirrors for the motion model's crossing walk.
+        self.edge_length_list: List[float] = self.edge_length.tolist()
+        self.edge_node_a_list: List[int] = self.edge_node_a.tolist()
+        self.edge_node_b_list: List[int] = self.edge_node_b.tolist()
+        self.node_is_room_list: List[bool] = self.node_is_room.tolist()
+        self.junctions = self._junction_table(adjacency)
+
         # Flatten polyline legs. leg_ptr[e] .. leg_ptr[e+1] are edge e's legs.
         leg_ptr = [0]
         sx: List[float] = []
@@ -88,6 +102,31 @@ class CompiledGraph:
         self.leg_uy = np.array(uy)
         self.leg_cum = np.array(cum)
         self.leg_len = np.array(leg_len)
+
+    def _junction_table(self, adjacency: List[List[int]]) -> Dict[Tuple[int, int], Junction]:
+        """The next-edge choices for each (node, arrival edge).
+
+        This is the motion model's junction law, shared by the particle
+        walk and the Kalman backend's split. The arrival edge is excluded
+        (no immediate U-turns) unless the node is a dead end. One
+        remaining edge is stored as an ``int``; otherwise the entry holds
+        the door and hallway edges in adjacency order.
+        """
+        table: Dict[Tuple[int, int], Junction] = {}
+        is_door = self.edge_is_door.tolist()
+        for node, incident in enumerate(adjacency):
+            for arrival in incident:
+                candidates = incident
+                if len(candidates) > 1:
+                    candidates = [e for e in candidates if e != arrival]
+                if len(candidates) == 1:
+                    table[node, arrival] = candidates[0]
+                else:
+                    table[node, arrival] = (
+                        [e for e in candidates if is_door[e]],
+                        [e for e in candidates if not is_door[e]],
+                    )
+        return table
 
     @property
     def num_edges(self) -> int:

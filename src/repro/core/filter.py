@@ -158,9 +158,7 @@ class ParticleFilter:
         self._record_ess(ess, len(particles))
         if ess < len(particles) / 2.0:
             with obs.timer("filter.resample"):
-                indices = self.resampler(particles.weight, len(particles), rng)
-                resampled = particles.select(indices)
-                self._replace(particles, resampled)
+                particles.take(self.resampler(particles.weight, len(particles), rng))
 
     # ------------------------------------------------------------------
     def initialize(self, history: ReadingHistory, rng: np.random.Generator) -> ParticleSet:
@@ -206,8 +204,7 @@ class ParticleFilter:
                 1.0 / float(np.sum(particles.weight ** 2)), len(particles)
             )
         with obs.timer("filter.resample"):
-            indices = self.resampler(particles.weight, len(particles), rng)
-            self._replace(particles, particles.select(indices))
+            particles.take(self.resampler(particles.weight, len(particles), rng))
 
     @staticmethod
     def _record_ess(ess: float, num_particles: int) -> None:

@@ -164,10 +164,10 @@ class GraphMotionModel:
         stays = moving & (tentative >= 0.0) & (tentative <= lengths)
         particles.offset[stays] = tentative[stays]
 
-        # 3. Per-particle walk for the edge crossers.
+        # 3. Walk the edge crossers across node transitions.
         crossers = np.nonzero(moving & ~stays)[0]
-        for row in crossers:
-            self._walk(particles, int(row), float(distance[row]), generator)
+        if len(crossers):
+            self._cross(particles, crossers, distance[crossers], generator)
 
     def _exit_room(self, particles: ParticleSet, row: int, rng: np.random.Generator) -> None:
         """Move a dwelling particle onto its door edge, heading out."""
@@ -188,68 +188,72 @@ class GraphMotionModel:
         particles.speed[row] = self.draw_speeds(1, rng)[0]
         particles.dwelling[row] = False
 
-    def _walk(self, particles: ParticleSet, row: int, distance: float, rng: np.random.Generator) -> None:
-        """Walk one particle across node transitions until ``distance`` is spent."""
-        compiled = self.compiled
-        edge = int(particles.edge[row])
-        offset = float(particles.offset[row])
-        direction = int(particles.direction[row])
-        remaining = distance
+    def _cross(
+        self,
+        particles: ParticleSet,
+        rows: np.ndarray,
+        distance: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Walk each crosser until its ``distance`` is spent, in row order.
 
-        for _ in range(_MAX_HOPS):
-            length = compiled.edge_length[edge]
-            space = (length - offset) if direction > 0 else offset
-            if remaining <= space + 1e-12:
-                offset += direction * remaining
-                offset = min(max(offset, 0.0), length)
-                break
-            remaining -= space
-            node = int(
-                compiled.edge_node_b[edge] if direction > 0
-                else compiled.edge_node_a[edge]
-            )
-            offset = length if direction > 0 else 0.0
-            if compiled.node_is_room[node]:
-                particles.dwelling[row] = True
-                break
-            edge = self._choose_next_edge(node, edge, rng)
-            if compiled.edge_node_a[edge] == node:
-                offset = 0.0
-                direction = 1
-            else:
-                offset = compiled.edge_length[edge]
-                direction = -1
-        particles.edge[row] = edge
-        particles.offset[row] = offset
-        particles.direction[row] = direction
-
-    def _choose_next_edge(
-        self, node: int, arrival_edge: int, rng: np.random.Generator
-    ) -> int:
-        """Pick the edge a particle continues on after reaching ``node``.
-
+        A particle that reaches a room node dwells there. At a hallway
+        node it continues on an edge from :attr:`CompiledGraph.junctions`.
         The paper's model is "particles pick a random direction at
         intersections"; a uniform choice over incident edges would send a
         particle through every door with probability ~1/2, far more often
         than people actually enter rooms. We therefore bias the choice:
         with probability ``door_entry_probability`` the particle turns
         into a (random) door spur when one is available, otherwise it
-        continues on a random hallway edge. The arrival edge is excluded
-        (no immediate U-turns) unless the node is a dead end.
+        continues on a random hallway edge. A pool of one edge is taken
+        without a draw: ``rng.integers(1)`` would not advance the
+        generator anyway.
         """
         compiled = self.compiled
-        candidates = compiled.adjacency[node]
-        if len(candidates) > 1:
-            candidates = candidates[candidates != arrival_edge]
-        if len(candidates) == 1:
-            return int(candidates[0])
-        door_mask = compiled.edge_is_door[candidates]
-        doors = candidates[door_mask]
-        hallways = candidates[~door_mask]
-        if len(doors) and len(hallways):
-            pool = doors if rng.random() < self.door_entry_probability else hallways
-        elif len(doors):
-            pool = doors
-        else:
-            pool = hallways
-        return int(pool[rng.integers(len(pool))])
+        lengths = compiled.edge_length_list
+        node_a = compiled.edge_node_a_list
+        node_b = compiled.edge_node_b_list
+        is_room = compiled.node_is_room_list
+        junctions = compiled.junctions
+        door_probability = self.door_entry_probability
+        edges = particles.edge[rows].tolist()
+        offsets = particles.offset[rows].tolist()
+        directions = particles.direction[rows].tolist()
+        dwelling = [False] * len(rows)
+
+        for i, remaining in enumerate(distance.tolist()):
+            edge, offset, direction = edges[i], offsets[i], directions[i]
+            for _ in range(_MAX_HOPS):
+                length = lengths[edge]
+                space = (length - offset) if direction > 0 else offset
+                if remaining <= space + 1e-12:
+                    offset = min(max(offset + direction * remaining, 0.0), length)
+                    break
+                remaining -= space
+                if direction > 0:
+                    node, offset = node_b[edge], length
+                else:
+                    node, offset = node_a[edge], 0.0
+                if is_room[node]:
+                    dwelling[i] = True
+                    break
+                choice = junctions[node, edge]
+                if isinstance(choice, int):
+                    edge = choice
+                else:
+                    doors, hallways = choice
+                    if doors and hallways:
+                        pool = doors if rng.random() < door_probability else hallways
+                    else:
+                        pool = doors or hallways
+                    edge = pool[0] if len(pool) == 1 else pool[rng.integers(len(pool))]
+                if node_a[edge] == node:
+                    offset, direction = 0.0, 1
+                else:
+                    offset, direction = lengths[edge], -1
+            edges[i], offsets[i], directions[i] = edge, offset, direction
+
+        particles.edge[rows] = edges
+        particles.offset[rows] = offsets
+        particles.direction[rows] = directions
+        particles.dwelling[rows] = dwelling

@@ -61,21 +61,21 @@ class ParticleSet:
             weight=self.weight.copy(),
         )
 
-    def select(self, indices: np.ndarray) -> "ParticleSet":
-        """A new set formed by rows ``indices`` with uniform weights.
+    def take(self, indices: np.ndarray) -> None:
+        """Replace the rows by rows ``indices``, in place, with uniform weights.
 
         This is the "assign sample / assign weight" step of the paper's
-        resampling Algorithm 1 (lines 13-14).
+        resampling Algorithm 1 (lines 13-14). ``indices`` holds one row
+        index per particle.
         """
-        n = len(indices)
-        return ParticleSet(
-            edge=self.edge[indices].copy(),
-            offset=self.offset[indices].copy(),
-            direction=self.direction[indices].copy(),
-            speed=self.speed[indices].copy(),
-            dwelling=self.dwelling[indices].copy(),
-            weight=np.full(n, 1.0 / max(n, 1)),
-        )
+        if len(indices) != len(self):
+            raise ValueError("take needs one index per particle")
+        self.edge[:] = self.edge[indices]
+        self.offset[:] = self.offset[indices]
+        self.direction[:] = self.direction[indices]
+        self.speed[:] = self.speed[indices]
+        self.dwelling[:] = self.dwelling[indices]
+        self.weight[:] = 1.0 / max(len(indices), 1)
 
     def to_state(self) -> dict:
         """Serialize to a JSON-safe dict of plain lists.

@@ -310,9 +310,9 @@ class GraphKalmanFilter(BayesFilter):
     ) -> None:
         """Deposit a propagated Gaussian, splitting across junctions.
 
-        Mirrors the particle motion model's ``_walk``: the mean walks
-        across node transitions, the mixture branches where a particle
-        would make a random turn.
+        Mirrors the edge-crossing walk of ``GraphMotionModel.step``: the
+        mean walks across node transitions, the mixture branches where a
+        particle would make a random turn.
         """
         backend = self._backend
         compiled = backend.compiled_graph
@@ -627,20 +627,16 @@ class KalmanBackend(FilterBackend):
     ) -> List[Tuple[int, float]]:
         """Outgoing edges and their probabilities at a junction.
 
-        The closed-form counterpart of the particle motion model's
-        ``_choose_next_edge``: the arrival edge is excluded unless the
-        node is a dead end, and door spurs collectively receive
-        ``door_entry_probability`` when hallways are also available.
+        The closed-form counterpart of the particle motion model's turn,
+        read from the same ``CompiledGraph.junctions`` entry: the arrival
+        edge is excluded unless the node is a dead end, and door spurs
+        collectively receive ``door_entry_probability`` when hallways are
+        also available.
         """
-        compiled = self.compiled_graph
-        candidates = compiled.adjacency[node]
-        if len(candidates) > 1:
-            candidates = candidates[candidates != arrival_edge]
-        if len(candidates) == 1:
-            return [(int(candidates[0]), 1.0)]
-        door_mask = compiled.edge_is_door[candidates]
-        doors = [int(e) for e in candidates[door_mask]]
-        hallways = [int(e) for e in candidates[~door_mask]]
+        choice = self.compiled_graph.junctions[node, arrival_edge]
+        if isinstance(choice, int):
+            return [(choice, 1.0)]
+        doors, hallways = choice
         if doors and hallways:
             p_door = self.config.door_entry_probability
             return (

@@ -18,8 +18,13 @@ Layers:
   sessions/analytics, health;
 * :mod:`repro.gateway.checkpoint` — rolling one-file checkpoints of
   per-tenant service states, with re-partitioning restore;
-* :mod:`repro.gateway.server` — the stdlib HTTP/JSON query surface.
+* :mod:`repro.gateway.server` — the stdlib HTTP/JSON query surface,
+  imported on first use of ``GatewayServer``: ``http.server`` pulls in
+  ``http.client``, ``ssl`` and ``email``, which a gateway that serves no
+  HTTP never needs.
 """
+
+from typing import Any
 
 from repro.gateway.checkpoint import (
     GATEWAY_CHECKPOINT_FORMAT,
@@ -37,7 +42,6 @@ from repro.gateway.coordinator import (
     GatewayProtocolError,
 )
 from repro.gateway.partitioning import DEFAULT_VNODES, HashRing
-from repro.gateway.server import GatewayServer
 from repro.gateway.tenants import (
     PLAN_PRESETS,
     TenantSpec,
@@ -81,3 +85,11 @@ __all__ = [
     "split_tenant_state",
     "validate_tenants",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name == "GatewayServer":
+        from repro.gateway.server import GatewayServer
+
+        return GatewayServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,15 +11,21 @@
 
 The graph also owns the *shortest network distance* metric used by the
 paper's kNN queries: node-to-node distances are precomputed with Dijkstra
-(via networkx) and arbitrary location-to-location distances are composed
-from edge offsets plus node distances.
+and arbitrary location-to-location distances are composed from edge
+offsets plus node distances.
+
+The Dijkstra searches follow networkx 3.x's heap order, ``(distance,
+counter, node)`` with neighbours in edge-insertion order, so distances,
+dict order and tie-broken paths match what networkx computes on the same
+graph bit for bit. Simulated routes, and through them every generated
+world, depend on those tie-breaks.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.geometry import Point, Polyline, Segment
 from repro.floorplan.plan import FloorPlan
@@ -53,22 +59,22 @@ class WalkingGraph:
             if edge.kind is EdgeKind.DOOR
         }
 
-        self._nx = nx.Graph()
-        for node_id in self._nodes:
-            self._nx.add_node(node_id)
+        #: ``{node: {neighbour: (length, edge_id)}}``; when two nodes are
+        #: doubly connected the shortest edge wins, in its first slot.
+        self._neighbours: Dict[str, Dict[str, Tuple[float, int]]] = {
+            nid: {} for nid in self._nodes
+        }
         for edge in self._edges.values():
-            # Keep the shortest edge when two nodes are doubly connected.
-            existing = self._nx.get_edge_data(edge.node_a, edge.node_b)
-            if existing is None or edge.length < existing["weight"]:
-                self._nx.add_edge(
-                    edge.node_a, edge.node_b,
-                    weight=edge.length, edge_id=edge.edge_id,
-                )
+            existing = self._neighbours[edge.node_a].get(edge.node_b)
+            if existing is None or edge.length < existing[0]:
+                link = (edge.length, edge.edge_id)
+                self._neighbours[edge.node_a][edge.node_b] = link
+                self._neighbours[edge.node_b][edge.node_a] = link
 
         self._validate()
-        self._node_dist: Dict[str, Dict[str, float]] = dict(
-            nx.all_pairs_dijkstra_path_length(self._nx, weight="weight")
-        )
+        self._node_dist: Dict[str, Dict[str, float]] = {
+            node_id: self._dijkstra(node_id) for node_id in self._nodes
+        }
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -190,24 +196,104 @@ class WalkingGraph:
         )
 
     def shortest_node_path(self, node_a: str, node_b: str) -> List[str]:
-        """Node sequence of a shortest path (Dijkstra on edge lengths)."""
-        return nx.shortest_path(self._nx, node_a, node_b, weight="weight")
+        """Node sequence of a shortest path (Dijkstra on edge lengths).
+
+        A bidirectional search that alternates forward and backward
+        expansions, as networkx's ``bidirectional_dijkstra`` does, so
+        that equal-length paths break ties the same way.
+        """
+        for node_id in (node_a, node_b):
+            if node_id not in self._neighbours:
+                raise KeyError(f"node {node_id!r} is not in the walking graph")
+        if node_a == node_b:
+            return [node_a]
+        dists: List[Dict[str, float]] = [{}, {}]
+        preds: List[Dict[str, Optional[str]]] = [{node_a: None}, {node_b: None}]
+        seen: List[Dict[str, float]] = [{node_a: 0}, {node_b: 0}]
+        counter = count()
+        fringe: List[List[Tuple[float, int, str]]] = [
+            [(0, next(counter), node_a)], [(0, next(counter), node_b)]
+        ]
+        best: Optional[float] = None
+        meet = node_a
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                forward = _trace(preds[0], meet)
+                forward.reverse()
+                return forward + _trace(preds[1], preds[1][meet])
+            for w, (length, _) in self._neighbours[v].items():
+                through = dist + length
+                if w in dists[direction]:
+                    continue
+                if w not in seen[direction] or through < seen[direction][w]:
+                    seen[direction][w] = through
+                    heappush(fringe[direction], (through, next(counter), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = through + seen[1 - direction][w]
+                        if best is None or best > total:
+                            best, meet = total, w
+        raise ValueError(f"no path between {node_a!r} and {node_b!r}")  # pragma: no cover
 
     def connecting_edge(self, node_a: str, node_b: str) -> Edge:
         """The (shortest) edge directly joining two adjacent nodes."""
-        data = self._nx.get_edge_data(node_a, node_b)
-        if data is None:
+        link = self._neighbours.get(node_a, {}).get(node_b)
+        if link is None:
             raise ValueError(f"nodes {node_a!r} and {node_b!r} are not adjacent")
-        return self._edges[data["edge_id"]]
+        return self._edges[link[1]]
 
     # ------------------------------------------------------------------
+    def _dijkstra(self, source: str) -> Dict[str, float]:
+        """Distances from ``source`` to every node, in settling order.
+
+        The source's own distance is the int ``0``, as in networkx.
+        """
+        dist: Dict[str, float] = {}
+        seen: Dict[str, float] = {source: 0}
+        counter = count()
+        fringe: List[Tuple[float, int, str]] = [(0, next(counter), source)]
+        while fringe:
+            d, _, v = heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, (length, _) in self._neighbours[v].items():
+                through = d + length
+                if u not in dist and (u not in seen or through < seen[u]):
+                    seen[u] = through
+                    heappush(fringe, (through, next(counter), u))
+        return dist
+
+    def _component_count(self) -> int:
+        """Number of connected components (stack search)."""
+        unvisited = set(self._neighbours)
+        components = 0
+        for start in self._neighbours:
+            if start not in unvisited:
+                continue
+            components += 1
+            unvisited.discard(start)
+            stack = [start]
+            while stack:
+                for u in self._neighbours[stack.pop()]:
+                    if u in unvisited:
+                        unvisited.discard(u)
+                        stack.append(u)
+        return components
+
     def _validate(self) -> None:
         if not self._edges:
             raise ValueError("walking graph has no edges")
-        if not nx.is_connected(self._nx):
-            components = list(nx.connected_components(self._nx))
+        components = self._component_count()
+        if components != 1:
             raise ValueError(
-                f"walking graph must be connected; found {len(components)} components"
+                f"walking graph must be connected; found {components} components"
             )
         for edge in self._edges.values():
             if edge.length <= 0:
@@ -334,6 +420,15 @@ class _NodeRegistry:
             int(round(point.x / _COORD_QUANTUM)),
             int(round(point.y / _COORD_QUANTUM)),
         )
+
+
+def _trace(preds: Dict[str, Optional[str]], node: Optional[str]) -> List[str]:
+    """Nodes from ``node`` back along ``preds`` to the search's root."""
+    path: List[str] = []
+    while node is not None:
+        path.append(node)
+        node = preds[node]
+    return path
 
 
 def _centerline_intersection(s1: Segment, s2: Segment) -> Optional[Point]:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
@@ -62,15 +60,6 @@ class DeploymentGraph:
         self._reader_cells = reader_cells
         self._covered = covered_intervals
         self._directed_pairs = dict(directed_pairs)
-
-        self.nx_graph = nx.MultiGraph()
-        for cell in cells:
-            self.nx_graph.add_node(cell.cell_id)
-        for reader_id, adjacent in reader_cells.items():
-            ordered = sorted(adjacent)
-            for i, cell_a in enumerate(ordered):
-                for cell_b in ordered[i + 1:]:
-                    self.nx_graph.add_edge(cell_a, cell_b, device=reader_id)
 
     # ------------------------------------------------------------------
     def cell_of(self, edge_id: int, offset: float) -> Optional[Cell]:

@@ -42,12 +42,19 @@ class TestParticleSet:
         clone.offset[0] = 99.0
         assert ps.offset[0] == 0.0
 
-    def test_select_uniform_weights(self):
+    def test_take_in_place_uniform_weights(self):
         ps = ParticleSet.empty(4)
         ps.offset[:] = [0.0, 1.0, 2.0, 3.0]
-        picked = ps.select(np.array([3, 3, 1, 0]))
-        assert list(picked.offset) == [3.0, 3.0, 1.0, 0.0]
-        assert np.allclose(picked.weight, 0.25)
+        ps.weight[:] = [0.1, 0.2, 0.3, 0.4]
+        offset = ps.offset
+        ps.take(np.array([3, 3, 1, 0]))
+        assert ps.offset is offset
+        assert list(ps.offset) == [3.0, 3.0, 1.0, 0.0]
+        assert np.allclose(ps.weight, 0.25)
+
+    def test_take_needs_one_index_per_particle(self):
+        with pytest.raises(ValueError, match="one index per particle"):
+            ParticleSet.empty(4).take(np.array([0]))
 
     def test_normalize_weights(self):
         ps = ParticleSet.empty(4)
