@@ -45,7 +45,7 @@ def cloud(world):
         256, readers[0].detection_circle, rng
     )
     for _ in range(10):
-        motion.step(particles, rng)
+        motion.step(particles, [rng])
     return motion, particles
 
 
@@ -59,7 +59,7 @@ def test_bench_sensing_reweight(benchmark, world, cloud):
     _, _, _, readers, compiled, _ = world
     _, particles = cloud
     sensing = DeviceSensingModel(compiled, reader_by_id(readers))
-    benchmark(sensing.reweight, particles, "d5")
+    benchmark(sensing.reweight, particles, ["d5"])
 
 
 def test_bench_systematic_resample(benchmark):

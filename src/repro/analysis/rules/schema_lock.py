@@ -148,13 +148,17 @@ def _returned_dict_keys(node: ast.AST) -> Optional[List[str]]:
     return sorted(collected) if saw_dict else None
 
 
+#: Calls that persist a document, by name, with the document's position.
+_DUMP_SINKS = {"dump": 0, "dumps": 0, "write_json_atomic": 1}
+
+
 def _dumped_dict_keys(node: ast.AST) -> Optional[List[str]]:
     """Keys of dicts handed to ``json.dump(...)`` — envelope writers.
 
-    ``save_checkpoint`` builds its envelope locally and writes it to a
-    file handle instead of returning it; the first argument of each
-    ``dump`` call (a dict literal, or a local name assigned one) is the
-    schema being persisted.
+    ``save_checkpoint`` builds its envelope locally and writes it out
+    instead of returning it; the document argument of each
+    ``json.dump``/``json.dumps``/``write_json_atomic`` call (a dict
+    literal, or a local name assigned one) is the schema being persisted.
     """
     env: Dict[str, set] = {}
     collected: set = set()
@@ -164,13 +168,13 @@ def _dumped_dict_keys(node: ast.AST) -> Optional[List[str]]:
             target = stmt.targets[0]
             if isinstance(target, ast.Name) and isinstance(stmt.value, ast.Dict):
                 env[target.id] = set(_const_keys(stmt.value))
-        elif (
-            isinstance(stmt, ast.Call)
-            and isinstance(stmt.func, ast.Attribute)
-            and stmt.func.attr in ("dump", "dumps")
-            and stmt.args
-        ):
-            payload = stmt.args[0]
+        elif isinstance(stmt, ast.Call):
+            func = stmt.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            position = _DUMP_SINKS.get(name)
+            if position is None or len(stmt.args) <= position:
+                continue
+            payload = stmt.args[position]
             if isinstance(payload, ast.Dict):
                 collected.update(_const_keys(payload))
                 saw_dict = True

@@ -95,8 +95,11 @@ class ParticleCacheManager:
     ) -> "Optional[Tuple[FilterState, int]]":
         """Fetch a resumable state, or None on miss/stale entry.
 
-        Returns ``(state_copy, state_second)``. Stale entries (device
-        generation changed) are evicted on sight.
+        Returns ``(state, state_second)``. The state is the cache's own,
+        not a copy: callers must not mutate it. Every filter backend
+        copies a resume state before it runs (the particle kernel by
+        stacking it). Stale entries (device generation changed) are
+        evicted on sight.
         """
         with self._lock:
             entry = self._entries.get(object_id)
@@ -113,7 +116,7 @@ class ParticleCacheManager:
                 return None
             self.stats.hits += 1
             obs.add("cache.hits")
-            return entry.state.copy(), entry.state_second
+            return entry.state, entry.state_second
 
     def store(
         self,

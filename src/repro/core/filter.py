@@ -12,13 +12,14 @@ detecting devices), the filter:
    anchor points.
 
 Resuming from a cached state (paper Section 4.5) replays only the seconds
-after the cached timestamp.
+after the cached timestamp. :meth:`ParticleFilter.run_many` advances many
+objects' clouds in lockstep, each bit-identical to a run of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +43,29 @@ class FilterResult:
 
     particles: ParticleSet
     end_second: int
+
+
+@dataclass
+class FilterRequest:
+    """One object's share of a :meth:`ParticleFilter.run_many` call.
+
+    ``rng`` supplies every draw of the object's run. ``resume`` is
+    ``(state, state_second)`` from the cache module, or ``None``; the
+    state is read, never mutated.
+    """
+
+    history: ReadingHistory
+    rng: np.random.Generator
+    resume: Optional[Tuple[Any, int]] = None
+
+
+class _Plan(NamedTuple):
+    """Where one request starts and how many seconds it replays."""
+
+    state: Optional[ParticleSet]  # None: seed from the history
+    t_state: int
+    t_end: int
+    steps: int
 
 
 class ParticleFilter:
@@ -79,86 +103,205 @@ class ParticleFilter:
         rng: RngLike = None,
         resume: Optional[Tuple[ParticleSet, int]] = None,
     ) -> FilterResult:
-        """Run (or resume) the filter for one object.
+        """Run (or resume) the filter for one object: a batch of one."""
+        request = FilterRequest(history, make_rng(rng), resume)
+        return self.run_many([request], current_second)[0]
 
-        ``resume`` is ``(particles, state_second)`` from the cache module;
-        when provided and not in the future, only seconds after
-        ``state_second`` are replayed. The caller is responsible for cache
-        validity (same device generation — Section 4.5).
+    def run_many(
+        self, requests: Sequence[FilterRequest], current_second: int
+    ) -> List[FilterResult]:
+        """Run (or resume) the filter for every request, in request order.
+
+        A resume state not in the future replays only the seconds after
+        its timestamp; the caller is responsible for cache validity (same
+        device generation — Section 4.5). Each request replays up to
+        ``min(t_d + silence_cap, current_second)``.
+
+        Requests are advanced in lockstep batches (:meth:`_lockstep`).
+        When every request has its own generator, one batch holds all
+        requests of a particle count. When generators are shared, each
+        batch holds one request, in request order: the only order that
+        keeps a shared stream's draws where a serial loop puts them.
         """
+        plans = [self._plan(request, current_second) for request in requests]
+        if len({id(request.rng) for request in requests}) == len(requests):
+            groups: Dict[int, List[int]] = {}
+            for index, plan in enumerate(plans):
+                size = self.config.num_particles if plan.state is None else len(plan.state)
+                groups.setdefault(size, []).append(index)
+            batches = list(groups.values())
+        else:
+            batches = [[index] for index in range(len(requests))]
+        if len(batches) == 1:
+            return self._lockstep(requests, plans)
+        results: Dict[int, FilterResult] = {}
+        for batch in batches:
+            results.update(zip(batch, self._lockstep(
+                [requests[index] for index in batch], [plans[index] for index in batch]
+            )))
+        return [results[index] for index in range(len(requests))]
+
+    def _plan(self, request: FilterRequest, current_second: int) -> _Plan:
+        history = request.history
         if history.is_empty:
             raise ValueError(
                 f"object {history.object_id!r} has no readings; it cannot be filtered"
             )
-        generator = make_rng(rng)
-        t0 = history.first_second
-        td = history.last_second
         # Line 6 of Algorithm 2: never run more than 60 s past the last
         # reading — with no observations the cloud disperses into noise.
-        t_end = int(min(td + self.config.silence_cap_seconds, current_second))
+        t_end = int(min(history.last_second + self.config.silence_cap_seconds, current_second))
+        resume = request.resume
+        if resume is not None and resume[1] <= t_end:
+            return _Plan(resume[0], resume[1], t_end, t_end - resume[1])
+        t_state = history.first_second
+        return _Plan(None, t_state, t_end, max(t_end - t_state, 0))
 
-        with obs.span("filter.run", object=history.object_id, backend="particle"):
-            if resume is not None and resume[1] <= t_end:
-                particles = resume[0].copy()
-                t_state = resume[1]
-                obs.add("filter.resumed_runs")
-            else:
-                particles = self.initialize(history, generator)
-                t_state = t0
-            obs.add("filter.runs")
-            obs.add("filter.seconds_replayed", max(t_end - t_state, 0))
+    def _lockstep(
+        self, requests: Sequence[FilterRequest], plans: Sequence[_Plan]
+    ) -> List[FilterResult]:
+        """Advance one batch of equal-size clouds together, second by second.
 
-            for second in range(t_state + 1, t_end + 1):
-                self.predict(particles, generator, dt=1.0)
-                reader_id = history.reading_at(second)
-                if reader_id is None:
-                    if self.config.use_negative_information:
-                        self.observe_silence(particles, generator)
+        The clouds are stacked as consecutive blocks, longest replay
+        first, so the clouds still replaying at step ``k`` are a prefix
+        of the stack and each step works on a view of it (or, when only
+        some blocks read something, on a gathered copy of those). Block
+        ``b`` draws only from its own request's generator, in the order
+        a lone run would, so every cloud ends bit-identical to a run of
+        its own. Inputs are never mutated: the stack is a concatenated
+        copy.
+        """
+        order = sorted(range(len(requests)), key=lambda index: -plans[index].steps)
+        attrs: Dict[str, object] = {"objects": len(requests), "backend": "particle"}
+        if len(requests) == 1:
+            attrs["object"] = requests[0].history.object_id
+        with obs.span("filter.run", **attrs):
+            clouds = []
+            for index in order:
+                state = plans[index].state
+                if state is None:
+                    state = self.initialize(requests[index].history, requests[index].rng)
+                clouds.append(state)
+            resumed = sum(plan.state is not None for plan in plans)
+            obs.add("filter.runs", len(requests))
+            if resumed:
+                obs.add("filter.resumed_runs", resumed)
+            obs.add("filter.seconds_replayed", sum(plan.steps for plan in plans))
+
+            stack = ParticleSet.concatenate(clouds)
+            size = len(clouds[0])
+            rngs = [requests[index].rng for index in order]
+            # The second a block replays at step k is its first second + k.
+            reads = [
+                (requests[index].history.reading_at, plans[index].t_state + 1)
+                for index in order
+            ]
+            steps = [plans[index].steps for index in order]
+            negative = self.config.use_negative_information
+            active = len(order)
+            view = stack
+            for step in range(steps[0]):
+                if steps[active - 1] <= step:
+                    while steps[active - 1] <= step:
+                        active -= 1
+                    view, rngs, reads = stack[: active * size], rngs[:active], reads[:active]
+                self.predict(view, rngs, dt=1.0)
+                readings = [reading_at(first + step) for reading_at, first in reads]
+                silent = readings.count(None)
+                if not silent:
+                    self.observe(view, readings, rngs)
                     continue
-                self.observe(particles, reader_id, generator)
-        return FilterResult(particles=particles, end_second=t_end)
+                if silent < active:
+                    seen = [block for block in range(active) if readings[block] is not None]
+                    self._on_blocks(
+                        stack, seen, size, self.observe,
+                        [readings[block] for block in seen],
+                        [rngs[block] for block in seen],
+                    )
+                if not negative:
+                    continue
+                if silent == active:
+                    self.observe_silence(view, rngs)
+                else:
+                    quiet = [block for block in range(active) if readings[block] is None]
+                    self._on_blocks(
+                        stack, quiet, size, self.observe_silence,
+                        [rngs[block] for block in quiet],
+                    )
+        if len(order) == 1:
+            return [FilterResult(particles=stack, end_second=plans[0].t_end)]
+        position = {index: block for block, index in enumerate(order)}
+        return [
+            FilterResult(
+                particles=stack[position[index] * size:(position[index] + 1) * size],
+                end_second=plan.t_end,
+            )
+            for index, plan in enumerate(plans)
+        ]
+
+    @staticmethod
+    def _on_blocks(
+        stack: ParticleSet,
+        blocks: List[int],
+        size: int,
+        phase: Callable[..., None],
+        *args: object,
+    ) -> None:
+        """Run ``phase`` on a gathered copy of ``blocks``, then scatter it back."""
+        rows = (np.array(blocks)[:, None] * size + np.arange(size)).reshape(-1)
+        part = stack[rows]
+        phase(part, *args)
+        stack[rows] = part
 
     def predict(
-        self, particles: ParticleSet, rng: np.random.Generator, dt: float = 1.0
+        self,
+        particles: ParticleSet,
+        rngs: Sequence[np.random.Generator],
+        dt: float = 1.0,
     ) -> None:
         """Advance every particle by ``dt`` seconds (the motion model step).
 
-        Exposed as a public primitive (together with :meth:`observe` and
-        :meth:`observe_silence`) so the :mod:`repro.filters` particle
-        backend can drive the same predict/update sequence :meth:`run`
-        executes, with the identical RNG draw order.
+        ``particles`` is a stack of ``len(rngs)`` equal blocks, one per
+        object, block ``b`` drawing from ``rngs[b]``; a single cloud
+        passes ``[rng]``. Exposed as a public primitive (together with
+        :meth:`observe` and :meth:`observe_silence`) so the
+        :mod:`repro.filters` particle backend can drive the same
+        predict/update sequence :meth:`run` executes, with the identical
+        RNG draw order.
         """
         with obs.timer("filter.predict"):
-            self.motion.step(particles, rng, dt=dt)
+            self.motion.step(particles, rngs, dt=dt)
 
     def observe_silence(
-        self, particles: ParticleSet, rng: np.random.Generator
+        self, particles: ParticleSet, rngs: Sequence[np.random.Generator]
     ) -> None:
         """Negative-information extension: no reading is also evidence.
 
         Particles standing inside some reader's range during a silent
         second are penalized (the object would almost surely have been
         read there). Resampling is deferred until the weights degenerate,
-        so repeated silent seconds do not add resampling noise.
+        so repeated silent seconds do not add resampling noise. Blocks
+        and generators are as in :meth:`predict`.
         """
+        blocks = len(rngs)
+        size = len(particles) // blocks
         with obs.timer("filter.weight"):
             mask = self.sensing.reweight_negative(
                 particles, self.config.negative_likelihood
             )
-        obs.add("filter.silent_observations")
+        obs.add("filter.silent_observations", blocks)
         with obs.timer("filter.normalize"):
-            if mask.all():
-                # Everything is in covered space (e.g. dense deployments
-                # right after initialization): silence carries no
-                # contrast, undo.
-                particles.normalize_weights()
-                return
-            particles.normalize_weights()
-        ess = 1.0 / float(np.sum(particles.weight ** 2))
-        self._record_ess(ess, len(particles))
-        if ess < len(particles) / 2.0:
+            particles.normalize_weights(blocks)
+        # A block wholly in covered space (e.g. dense deployments right
+        # after initialization) gets no contrast from silence: the
+        # normalization above undid its reweighting, and it stops here.
+        contrast = np.flatnonzero(~mask.reshape(blocks, size).all(axis=1)).tolist()
+        ess = (1.0 / (particles.weight.reshape(blocks, size)[contrast] ** 2).sum(axis=1)).tolist()
+        for value in ess:
+            self._record_ess(value, size)
+        degenerate = [block for block, value in zip(contrast, ess) if value < size / 2.0]
+        if degenerate:
             with obs.timer("filter.resample"):
-                particles.take(self.resampler(particles.weight, len(particles), rng))
+                self._resample(particles, degenerate, size, rngs)
 
     # ------------------------------------------------------------------
     def initialize(self, history: ReadingHistory, rng: np.random.Generator) -> ParticleSet:
@@ -170,41 +313,78 @@ class ParticleFilter:
             )
 
     def observe(
-        self, particles: ParticleSet, reader_id: str, rng: np.random.Generator
+        self,
+        particles: ParticleSet,
+        reader_ids: Sequence[str],
+        rngs: Sequence[np.random.Generator],
     ) -> None:
-        """Reweight, normalize, and resample on one observation."""
+        """Reweight, normalize, and resample on one observation per block.
+
+        Block ``b`` was read by ``reader_ids[b]`` and draws from
+        ``rngs[b]``; blocks are as in :meth:`predict`.
+        """
+        blocks = len(rngs)
+        size = len(particles) // blocks
         with obs.timer("filter.weight"):
-            mask = self.sensing.reweight(particles, reader_id)
-        obs.add("filter.observations")
-        if not mask.any():
+            mask = self.sensing.reweight(particles, reader_ids)
+        obs.add("filter.observations", blocks)
+        with obs.timer("filter.normalize"):
+            particles.normalize_weights(blocks)
+        # A lone cloud (every batch of the shared-generator engines) keeps
+        # the 1-D calls here and in _resample: same bits, fewer numpy calls.
+        hits = [mask.any()] if blocks == 1 else mask.reshape(blocks, size).any(axis=1).tolist()
+        for block, hit in enumerate(hits):
+            if hit:
+                continue
             # Particle depletion: no hypothesis is consistent with the
             # observation (e.g. the cloud dispersed during a long silent
             # stretch, or the object backtracked against all particles).
             # Recover by re-seeding within the observed reader's range —
             # the object is certainly there (paper Section 3.2, Case 1).
+            # The reseed overwrites the block, normalized weights included.
             obs.add("filter.depletion_reseeds")
             # A depleted cloud is the extreme of weight degeneracy: record
             # it as ESS 1.0 so the epoch-level `accuracy.ess_mean` proxy
             # actually collapses under reader outages instead of silently
             # omitting the worst-off objects from the mean.
-            self._record_ess(1.0, len(particles))
+            self._record_ess(1.0, size)
             with obs.timer("filter.init"):
-                reseeded = self.motion.initialize_in_circle(
-                    len(particles), self.readers[reader_id].detection_circle, rng
+                particles[block * size:(block + 1) * size] = self.motion.initialize_in_circle(
+                    size, self.readers[reader_ids[block]].detection_circle, rngs[block]
                 )
-                self._replace(particles, reseeded)
+        live = [block for block, hit in enumerate(hits) if hit]
+        if not live:
             return
-        with obs.timer("filter.normalize"):
-            particles.normalize_weights()
         if obs.enabled():
             # Effective sample size before resampling: the paper's proxy
             # for weight degeneracy, exported per observation so the
             # epoch event log can trend accuracy drift.
-            self._record_ess(
-                1.0 / float(np.sum(particles.weight ** 2)), len(particles)
-            )
+            weight = particles.weight.reshape(blocks, size)
+            for value in (1.0 / (weight[live] ** 2).sum(axis=1)).tolist():
+                self._record_ess(value, size)
         with obs.timer("filter.resample"):
-            particles.take(self.resampler(particles.weight, len(particles), rng))
+            self._resample(particles, live, size, rngs)
+
+    def _resample(
+        self,
+        particles: ParticleSet,
+        blocks: List[int],
+        size: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> None:
+        """Resample each of ``blocks`` within itself, one resampler call each."""
+        if len(particles) == size:
+            particles.take(self.resampler(particles.weight, size, rngs[0]))
+            return
+        weight = particles.weight.reshape(-1, size)
+        picks = [
+            self.resampler(weight[block], size, rngs[block]) + block * size
+            for block in blocks
+        ]
+        rows: Union[slice, np.ndarray] = slice(None)
+        if len(blocks) * size < len(particles):
+            rows = (np.array(blocks)[:, None] * size + np.arange(size)).reshape(-1)
+        particles.take(picks[0] if len(picks) == 1 else np.concatenate(picks), rows, size)
 
     @staticmethod
     def _record_ess(ess: float, num_particles: int) -> None:
@@ -220,12 +400,3 @@ class ParticleFilter:
         if ess < num_particles / 4.0:
             obs.add("filter.ess_collapses")
 
-    @staticmethod
-    def _replace(particles: ParticleSet, source: ParticleSet) -> None:
-        """Overwrite ``particles`` in place with ``source``'s state."""
-        particles.edge[:] = source.edge
-        particles.offset[:] = source.offset
-        particles.direction[:] = source.direction
-        particles.speed[:] = source.speed
-        particles.dwelling[:] = source.dwelling
-        particles.weight[:] = source.weight

@@ -8,7 +8,7 @@ out with probability 0.1 per second (Algorithm 2, lines 8-16).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -142,19 +142,39 @@ class GraphMotionModel:
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def step(self, particles: ParticleSet, rng: RngLike = None, dt: float = 1.0) -> None:
-        """Advance every particle by ``dt`` seconds, in place."""
-        generator = make_rng(rng)
+    def step(
+        self,
+        particles: ParticleSet,
+        rngs: Sequence[np.random.Generator],
+        dt: float = 1.0,
+    ) -> None:
+        """Advance every particle by ``dt`` seconds, in place.
+
+        ``particles`` is a stack of ``len(rngs)`` equal blocks of rows, one
+        per object; a single cloud passes ``[rng]``. Block ``b`` draws
+        only from ``rngs[b]``, in row order, so each block draws exactly
+        what it would draw stepped alone.
+        """
         compiled = self.compiled
+        size = len(particles) // len(rngs)
 
         # 1. Dwelling particles decide whether to leave their room.
         dwelling_rows = np.nonzero(particles.dwelling)[0]
         if len(dwelling_rows):
-            exits = dwelling_rows[
-                generator.random(len(dwelling_rows)) < self.room_exit_probability
-            ]
-            for row in exits:
-                self._exit_room(particles, int(row), generator)
+            # One draw call per block that has dwellers, in block order.
+            if len(rngs) == 1:
+                groups = [(dwelling_rows, rngs[0])]
+            else:
+                owners = dwelling_rows // size
+                cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
+                groups = [
+                    (dwelling_rows[start:stop], rngs[int(owners[start])])
+                    for start, stop in zip(cuts, cuts[1:])
+                ]
+            for rows, generator in groups:
+                exits = rows[generator.random(len(rows)) < self.room_exit_probability]
+                for row in exits.tolist():
+                    self._exit_room(particles, row, generator)
 
         # 2. Vectorized move for particles that stay on their edge.
         moving = ~particles.dwelling
@@ -167,7 +187,7 @@ class GraphMotionModel:
         # 3. Walk the edge crossers across node transitions.
         crossers = np.nonzero(moving & ~stays)[0]
         if len(crossers):
-            self._cross(particles, crossers, distance[crossers], generator)
+            self._cross(particles, crossers, distance[crossers], rngs, size)
 
     def _exit_room(self, particles: ParticleSet, row: int, rng: np.random.Generator) -> None:
         """Move a dwelling particle onto its door edge, heading out."""
@@ -193,7 +213,8 @@ class GraphMotionModel:
         particles: ParticleSet,
         rows: np.ndarray,
         distance: np.ndarray,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        size: int,
     ) -> None:
         """Walk each crosser until its ``distance`` is spent, in row order.
 
@@ -207,7 +228,7 @@ class GraphMotionModel:
         into a (random) door spur when one is available, otherwise it
         continues on a random hallway edge. A pool of one edge is taken
         without a draw: ``rng.integers(1)`` would not advance the
-        generator anyway.
+        generator anyway. Row ``r`` draws from ``rngs[r // size]``.
         """
         compiled = self.compiled
         lengths = compiled.edge_length_list
@@ -219,6 +240,10 @@ class GraphMotionModel:
         edges = particles.edge[rows].tolist()
         offsets = particles.offset[rows].tolist()
         directions = particles.direction[rows].tolist()
+        generators = (
+            [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
+            else rngs * len(rows)
+        )
         dwelling = [False] * len(rows)
 
         for i, remaining in enumerate(distance.tolist()):
@@ -243,10 +268,14 @@ class GraphMotionModel:
                 else:
                     doors, hallways = choice
                     if doors and hallways:
-                        pool = doors if rng.random() < door_probability else hallways
+                        draw = generators[i].random()
+                        pool = doors if draw < door_probability else hallways
                     else:
                         pool = doors or hallways
-                    edge = pool[0] if len(pool) == 1 else pool[rng.integers(len(pool))]
+                    edge = (
+                        pool[0] if len(pool) == 1
+                        else pool[generators[i].integers(len(pool))]
+                    )
                 if node_a[edge] == node:
                     offset, direction = 0.0, 1
                 else:

@@ -8,9 +8,14 @@ importance weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
+
+#: Field names in constructor order.
+_FIELDS = ("edge", "offset", "direction", "speed", "dwelling", "weight")
 
 
 @dataclass
@@ -31,9 +36,13 @@ class ParticleSet:
 
     def __post_init__(self) -> None:
         n = len(self.edge)
-        for name in ("offset", "direction", "speed", "dwelling", "weight"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"field {name!r} has mismatched length")
+        if not (
+            len(self.offset) == len(self.direction) == len(self.speed)
+            == len(self.dwelling) == len(self.weight) == n
+        ):
+            for name in _FIELDS[1:]:
+                if len(getattr(self, name)) != n:
+                    raise ValueError(f"field {name!r} has mismatched length")
 
     def __len__(self) -> int:
         return len(self.edge)
@@ -53,29 +62,52 @@ class ParticleSet:
     def copy(self) -> "ParticleSet":
         """Deep copy (used by the cache module)."""
         return ParticleSet(
-            edge=self.edge.copy(),
-            offset=self.offset.copy(),
-            direction=self.direction.copy(),
-            speed=self.speed.copy(),
-            dwelling=self.dwelling.copy(),
-            weight=self.weight.copy(),
+            self.edge.copy(), self.offset.copy(), self.direction.copy(),
+            self.speed.copy(), self.dwelling.copy(), self.weight.copy(),
         )
 
-    def take(self, indices: np.ndarray) -> None:
-        """Replace the rows by rows ``indices``, in place, with uniform weights.
+    @classmethod
+    def concatenate(cls, sets: Sequence["ParticleSet"]) -> "ParticleSet":
+        """One set holding ``sets`` as consecutive blocks (always a copy)."""
+        if len(sets) == 1:
+            return sets[0].copy()
+        return cls(*[np.concatenate([getattr(s, name) for s in sets]) for name in _FIELDS])
+
+    def __getitem__(self, rows: Union[slice, np.ndarray]) -> "ParticleSet":
+        """The particles at ``rows``: a view for a slice, a copy for an index array."""
+        return ParticleSet(
+            self.edge[rows], self.offset[rows], self.direction[rows],
+            self.speed[rows], self.dwelling[rows], self.weight[rows],
+        )
+
+    def __setitem__(self, rows: Union[slice, np.ndarray], source: "ParticleSet") -> None:
+        """Overwrite the particles at ``rows`` with ``source``, in place."""
+        for name in _FIELDS:
+            getattr(self, name)[rows] = getattr(source, name)
+
+    def take(
+        self,
+        indices: np.ndarray,
+        rows: Union[slice, np.ndarray] = slice(None),
+        block_size: Optional[int] = None,
+    ) -> None:
+        """Replace the particles at ``rows`` by those ``indices`` picks, in place.
 
         This is the "assign sample / assign weight" step of the paper's
         resampling Algorithm 1 (lines 13-14). ``indices`` holds one row
-        index per particle.
+        index per replaced particle, and the replaced weights become
+        ``1 / block_size`` (default: one block of ``len(indices)``). In
+        a stack of equal blocks each block resamples within itself, so
+        its picks stay inside it.
         """
-        if len(indices) != len(self):
+        if isinstance(rows, slice) and rows == slice(None) and len(indices) != len(self):
             raise ValueError("take needs one index per particle")
-        self.edge[:] = self.edge[indices]
-        self.offset[:] = self.offset[indices]
-        self.direction[:] = self.direction[indices]
-        self.speed[:] = self.speed[indices]
-        self.dwelling[:] = self.dwelling[indices]
-        self.weight[:] = 1.0 / max(len(indices), 1)
+        self.edge[rows] = self.edge[indices]
+        self.offset[rows] = self.offset[indices]
+        self.direction[rows] = self.direction[indices]
+        self.speed[rows] = self.speed[indices]
+        self.dwelling[rows] = self.dwelling[indices]
+        self.weight[rows] = 1.0 / max(block_size or len(indices), 1)
 
     def to_state(self) -> dict:
         """Serialize to a JSON-safe dict of plain lists.
@@ -105,14 +137,30 @@ class ParticleSet:
             weight=np.asarray(state["weight"], dtype=np.float64),
         )
 
-    def normalize_weights(self) -> None:
-        """Scale weights to sum to 1 (Algorithm 2 line 28).
+    def normalize_weights(self, blocks: int = 1) -> None:
+        """Scale each block's weights to sum to 1 (Algorithm 2 line 28).
 
-        When the total mass collapses to zero (numerically), falls back to
-        uniform weights.
+        The set is a stack of ``blocks`` equal blocks, each normalized on
+        its own; a block whose total mass collapses to zero (numerically)
+        falls back to uniform weights. Row sums of the C-contiguous
+        ``(blocks, N)`` weight view equal each block's own ``sum()`` bit
+        for bit, so one stacked call matches one call per block.
         """
-        total = self.weight.sum()
-        if total <= 0.0 or not np.isfinite(total):
-            self.weight[:] = 1.0 / max(len(self), 1)
-        else:
-            self.weight /= total
+        if blocks == 1:  # a lone cloud: the same bits with fewer numpy calls
+            total = self.weight.sum()
+            if 0.0 < total < math.inf:
+                self.weight /= total
+            else:
+                self.weight[:] = 1.0 / max(len(self), 1)
+            return
+        weight = self.weight.reshape(blocks, -1)
+        totals = weight.sum(axis=1)
+        values = totals.tolist()
+        if all(0.0 < total < math.inf for total in values):  # False on NaN
+            weight /= totals[:, None]
+            return
+        for block, total in enumerate(values):
+            if 0.0 < total < math.inf:
+                weight[block] /= total
+            else:
+                weight[block] = 1.0 / max(weight.shape[1], 1)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
 from repro.config import SimulationConfig
+from repro.core.filter import FilterRequest
 from repro.core.resampling import systematic_resample
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
@@ -30,7 +31,6 @@ from repro.rng import RngLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.particle_cache import ParticleCacheManager
-    from repro.filters.base import FilterRun
     from repro.filters.registry import BackendSpec
 
 
@@ -93,12 +93,17 @@ class PreprocessingModule:
         tracking service and the gateway's partitions
         (:mod:`repro.gateway`) produce bit-identical tables at any
         partition count.
+
+        The module looks every candidate up in the cache, makes one
+        :meth:`~repro.filters.base.FilterBackend.run_many` call for all
+        of them, then stores every result; candidates are distinct.
         """
         from repro.index.hashtable import AnchorObjectTable
 
         generator = make_rng(rng) if rng_factory is None else None
         filtered: List[str] = []
-        runs: List["FilterRun"] = []
+        generations: List[int] = []
+        requests: List[FilterRequest] = []
         for object_id in candidates:
             history = collector.history(object_id)
             if history.is_empty:
@@ -111,15 +116,13 @@ class PreprocessingModule:
             object_rng = (
                 generator if rng_factory is None else make_rng(rng_factory(object_id))
             )
-            run = self.backend.run(
-                history, current_second, rng=object_rng, resume=resume
-            )
-            if self.cache is not None:
-                self.cache.store(
-                    object_id, run.state(), run.end_second, generation
-                )
             filtered.append(object_id)
-            runs.append(run)
+            generations.append(generation)
+            requests.append(FilterRequest(history, object_rng, resume))
+        runs = self.backend.run_many(requests, current_second) if requests else []
+        if self.cache is not None:
+            for object_id, generation, run in zip(filtered, generations, runs):
+                self.cache.store(object_id, run.state(), run.end_second, generation)
         table = AnchorObjectTable()
         if not runs:
             return table

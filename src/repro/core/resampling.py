@@ -12,7 +12,7 @@ paper's reference [1]).
 
 All functions map ``(weights, n, rng)`` to an index array into the
 original particle set; callers then use
-:meth:`~repro.core.particles.ParticleSet.select`.
+:meth:`~repro.core.particles.ParticleSet.take`.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ populates the registry as a side effect.
 from repro.filters.base import (
     BayesFilter,
     FilterBackend,
+    FilterRequest,
     FilterRun,
     FilterState,
     FilterStateError,
@@ -45,6 +46,7 @@ DEFAULT_BACKEND = ParticleBackend.name
 __all__ = [
     "BayesFilter",
     "FilterBackend",
+    "FilterRequest",
     "FilterRun",
     "FilterState",
     "FilterStateError",

@@ -31,6 +31,9 @@ restarts. Deterministic backends simply ignore the generator.
 shell): seed from the reading history's first device, then replay every
 retained second through predict/update. Backends may override
 :meth:`FilterBackend.run` when they have a cheaper equivalent path.
+:meth:`FilterBackend.run_many` runs a whole tick's objects in one call;
+by default it loops over :meth:`FilterBackend.run`, and the particle
+backend overrides it with its lockstep kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import repro.obs as obs
 from repro.collector.collector import ReadingHistory
 from repro.config import SimulationConfig
 from repro.core.compiled import CompiledAnchors, CompiledGraph
+from repro.core.filter import FilterRequest as FilterRequest
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
@@ -185,6 +189,19 @@ class FilterBackend(ABC):
     ) -> FilterRun:
         """Run (or resume) the filter for one object up to ``current_second``."""
         return self.replay(history, current_second, rng=rng, resume=resume)
+
+    def run_many(
+        self, requests: Sequence[FilterRequest], current_second: int
+    ) -> List[FilterRun]:
+        """Run (or resume) every request up to ``current_second``, in order.
+
+        The preprocessing module makes one such call per tick. This
+        default runs the requests one by one through :meth:`run`.
+        """
+        return [
+            self.run(request.history, current_second, rng=request.rng, resume=request.resume)
+            for request in requests
+        ]
 
     def replay(
         self,

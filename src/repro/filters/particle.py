@@ -1,17 +1,18 @@
 """The SIR particle filter as a pluggable backend.
 
-This wraps the proven :class:`repro.core.filter.ParticleFilter` without
-changing its behavior: :meth:`ParticleBackend.run` delegates to the
-legacy ``ParticleFilter.run`` loop, so every result — and every RNG draw
-— is bit-identical to the pre-``repro.filters`` code. The
-:class:`ParticleBayesFilter` contract implementation drives the same
-public primitives (``predict`` / ``observe`` / ``observe_silence``) in
-the same order, which the contract test suite asserts is equivalent.
+This wraps :class:`repro.core.filter.ParticleFilter` without changing
+its behavior: :meth:`ParticleBackend.run_many` hands a tick's requests
+to the filter's lockstep kernel, and :meth:`ParticleBackend.run` is a
+batch of one, so every result — and every RNG draw — is bit-identical
+to running each object alone. The :class:`ParticleBayesFilter` contract
+implementation drives the same public primitives (``predict`` /
+``observe`` / ``observe_silence``) in the same order on one cloud, which
+the contract test suite asserts is equivalent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union, cast
 
 import numpy as np
 
@@ -19,7 +20,7 @@ import repro.obs as obs
 from repro.collector.collector import ReadingHistory
 from repro.config import SimulationConfig
 from repro.core.discretize import particles_to_anchor_distribution
-from repro.core.filter import ParticleFilter
+from repro.core.filter import FilterRequest, ParticleFilter
 from repro.core.particles import ParticleSet
 from repro.core.resampling import systematic_resample
 from repro.filters.base import (
@@ -51,16 +52,16 @@ class ParticleBayesFilter(BayesFilter):
         self._rng = rng
 
     def predict(self, dt: float) -> None:
-        self._backend.filter.predict(self.particles, self._rng, dt=dt)
+        self._backend.filter.predict(self.particles, [self._rng], dt=dt)
 
     def update(
         self, second: int, readings: Sequence[str], negative_info: bool
     ) -> None:
         del second  # the particle filter conditions on the reading alone
         if readings:
-            self._backend.filter.observe(self.particles, readings[0], self._rng)
+            self._backend.filter.observe(self.particles, readings[:1], [self._rng])
         elif negative_info:
-            self._backend.filter.observe_silence(self.particles, self._rng)
+            self._backend.filter.observe_silence(self.particles, [self._rng])
 
     def posterior(self) -> Dict[int, float]:
         return particles_to_anchor_distribution(
@@ -129,24 +130,25 @@ class ParticleBackend(FilterBackend):
         rng: RngLike = None,
         resume: Optional[ResumeState] = None,
     ) -> FilterRun:
-        """Delegate to the legacy ``ParticleFilter.run`` loop.
+        """Run (or resume) one object: :meth:`run_many` with one request."""
+        request = FilterRequest(history, make_rng(rng), resume)
+        return self.run_many([request], current_second)[0]
 
-        Kept as the production path (instead of the generic
-        :meth:`~repro.filters.base.FilterBackend.replay`) so the particle
-        backend is *literally* the pre-refactor code: bit-for-bit
-        reproduction of all recorded experiment results is structural,
-        not incidental. ``tests/test_filters_contract.py`` asserts the
-        contract-driven replay produces the identical particle set.
+    def run_many(
+        self, requests: Sequence[FilterRequest], current_second: int
+    ) -> List[FilterRun]:
+        """Run every request through the filter's lockstep kernel.
+
+        ``tests/test_filters_contract.py`` asserts the contract-driven
+        :meth:`~repro.filters.base.FilterBackend.replay` produces the
+        identical particle sets.
         """
-        generator = make_rng(rng)
-        obs.add("filter.backend_runs", labels={"backend": self.name})
-        result = self.filter.run(
-            history,
-            current_second,
-            rng=generator,
-            resume=cast("Optional[tuple]", resume),
-        )
-        return FilterRun(
-            filter=ParticleBayesFilter(self, result.particles, generator),
-            end_second=result.end_second,
-        )
+        obs.add("filter.backend_runs", len(requests), labels={"backend": self.name})
+        results = self.filter.run_many(requests, current_second)
+        return [
+            FilterRun(
+                filter=ParticleBayesFilter(self, result.particles, request.rng),
+                end_second=result.end_second,
+            )
+            for request, result in zip(requests, results)
+        ]

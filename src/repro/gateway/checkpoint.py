@@ -1,7 +1,7 @@
 """Rolling gateway checkpoints: one file of per-tenant service states.
 
 A gateway checkpoint is one JSON document, written by one atomic
-rename (:func:`~repro.service.checkpoint.write_text_atomic`)::
+rename (:func:`~repro.service.checkpoint.write_json_atomic`)::
 
     {"format": "repro-gateway-checkpoint", "checkpoint_version": 2,
      "state": GatewayCoordinator.state_dict()}
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.gateway.tenants import TenantSpec
 from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
-from repro.service.checkpoint import write_text_atomic
+from repro.service.checkpoint import write_json_atomic
 
 if TYPE_CHECKING:
     from repro.gateway.coordinator import GatewayCoordinator
@@ -52,7 +52,7 @@ def save_checkpoint(coordinator: GatewayCoordinator, path: str) -> None:
         "checkpoint_version": GATEWAY_CHECKPOINT_VERSION,
         "state": coordinator.state_dict(),
     }
-    write_text_atomic(path, json.dumps(document))
+    write_json_atomic(path, document)
 
 
 def load_checkpoint(path: str) -> dict:

@@ -16,7 +16,9 @@ time actually went, as
   ``repro stats --flamegraph``);
 * **per-backend / per-object-bucket rollups** — read from
   the labeled metric series and ``filter.run`` span attributes, the
-  decision record for where vectorization effort should go.
+  decision record for where vectorization effort should go. Object
+  buckets see only spans that name one object: the particle filter's
+  batches of one and the other backends' per-object runs.
 
 Determinism: attribution is pure arithmetic over the snapshot, and
 ``repro profile`` (without ``--wall``) drives the pipeline under a

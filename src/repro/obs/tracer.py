@@ -3,7 +3,10 @@
 A span is one named, timed section of work; spans nest, forming a tree
 per top-level operation (one ``engine.evaluate`` span contains one
 ``engine.filter`` span, which contains one ``filter.run`` span per
-candidate object, ...).
+filter batch, ...). The particle filter advances a batch of objects in
+lockstep, so its ``filter.run`` span carries ``objects`` (the batch
+size) and ``backend``, plus ``object`` when the batch holds one object;
+the other backends emit one span per object.
 
 The tracer keeps finished spans in a bounded list (dropping the newest
 past ``max_spans``, with an exact drop count) and *always* folds every

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.config import SimulationConfig
 
@@ -49,15 +49,66 @@ class CheckpointCompatibilityError(ValueError):
     """A checkpoint cannot be restored onto this service configuration."""
 
 
-def write_text_atomic(path: PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename.
+#: Dicts and lists with more items than this are encoded this many at a time.
+_JSON_SLICE = 32
+
+#: Encoded characters buffered before each write to the file.
+_JSON_FLUSH_CHARS = 1 << 16
+
+
+def _json_pieces(value: object, encode: Callable[[object], str]) -> Iterator[str]:
+    """``json.dumps(value)`` as consecutive pieces.
+
+    A dict or list with more than :data:`_JSON_SLICE` items is encoded
+    that many items per ``encode`` call; a smaller dict is walked key by
+    key, so a large container nested in it is sliced too. Anything else
+    is one ``encode`` call. Joined, the pieces equal ``json.dumps(value)``.
+    """
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        if len(value) > _JSON_SLICE:
+            items = list(value.items())
+            for start in range(0, len(items), _JSON_SLICE):
+                text = encode(dict(items[start:start + _JSON_SLICE]))
+                yield ("{" if start == 0 else ", ") + text[1:-1]
+            yield "}"
+            return
+        separator = "{"
+        for key, item in value.items():
+            yield separator + encode(key) + ": "
+            separator = ", "
+            yield from _json_pieces(item, encode)
+        yield "}"
+    elif isinstance(value, list) and len(value) > _JSON_SLICE:
+        for start in range(0, len(value), _JSON_SLICE):
+            text = encode(value[start:start + _JSON_SLICE])
+            yield ("[" if start == 0 else ", ") + text[1:-1]
+        yield "]"
+    else:
+        yield encode(value)
+
+
+def write_json_atomic(path: PathLike, document: object) -> None:
+    """Write ``json.dumps(document)`` to ``path`` via a temp file + rename.
 
     Readers see either the old complete file or the new one, never a
-    torn write. Service and gateway checkpoints both go through here.
+    torn write. The text is streamed (:func:`_json_pieces`) in batches,
+    so the whole document never exists as one string; the file's bytes
+    equal ``json.dumps(document)``. Service and gateway checkpoints both
+    go through here.
     """
+    encode = json.JSONEncoder().encode
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        batch: List[str] = []
+        buffered = 0
+        for piece in _json_pieces(document, encode):
+            batch.append(piece)
+            buffered += len(piece)
+            if buffered >= _JSON_FLUSH_CHARS:
+                handle.write("".join(batch))
+                batch.clear()
+                buffered = 0
+        handle.write("".join(batch))
     os.replace(tmp_path, path)
 
 
@@ -68,7 +119,7 @@ def save_checkpoint(service: TrackingService, path: PathLike) -> None:
         "checkpoint_version": CHECKPOINT_VERSION,
         "state": service.state_dict(),
     }
-    write_text_atomic(path, json.dumps(document))
+    write_json_atomic(path, document)
 
 
 def _migrate_v1(state: dict) -> dict:

@@ -135,6 +135,19 @@ def test_schema_extraction_covers_all_three_producer_shapes():
     assert tags == {"repro.core.state.STATE_VERSION": 2}
 
 
+def test_schema_extraction_sees_the_streamed_checkpoint_writer(tmp_path):
+    module = tmp_path / "src" / "repro" / "service" / "writer.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "def save_checkpoint(state, path):\n"
+        "    document = {'format': 'fixture', 'state': state}\n"
+        "    write_json_atomic(path, document)\n",
+        encoding="utf-8",
+    )
+    schemas, _ = extract_schemas(build_project([str(tmp_path)]))
+    assert schemas == {"repro.service.writer.save_checkpoint": ["format", "state"]}
+
+
 def test_schema_lock_round_trip_is_clean(tmp_path):
     lock = str(tmp_path / "lock.json")
     write_lock(build_project([_schema_tree()]), lock)

@@ -211,8 +211,8 @@ class TestDistribution:
         for _ in range(12):
             ps = pf.initialize(history, rng)
             for _ in range(3):
-                pf.predict(ps, rng)
-                pf.observe_silence(ps, rng)
+                pf.predict(ps, [rng])
+                pf.observe_silence(ps, [rng])
             sets.append(ps)
         assert any(len(set(ps.weight.tolist())) > 1 for ps in sets)
         got = particles_to_anchor_distribution(sets, anchors)

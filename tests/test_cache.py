@@ -29,13 +29,15 @@ class TestCacheBasics:
         assert np.allclose(ps.offset, 2.0)
         assert cache.stats.hits == 1
 
-    def test_lookup_returns_copy(self):
+    def test_lookup_shares_stored_state(self):
+        # Lookups hand out the cache's own state: the filter kernel
+        # stacks it by concatenation and never writes to it.
         cache = ParticleCacheManager()
         cache.store("o1", particles(2.0), 5, 3)
-        ps, _ = cache.lookup("o1", 3)
-        ps.offset[:] = 99.0
-        ps2, _ = cache.lookup("o1", 3)
-        assert np.allclose(ps2.offset, 2.0)
+        first, _ = cache.lookup("o1", 3)
+        second, _ = cache.lookup("o1", 3)
+        assert first is second
+        assert np.allclose(first.offset, 2.0)
 
     def test_store_copies_input(self):
         cache = ParticleCacheManager()

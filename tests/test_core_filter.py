@@ -66,7 +66,7 @@ class TestSensingModel:
         near_loc, _ = small_compiled.graph.locate(small_readers["d2"].position)
         ps.edge[32:] = near_loc.edge_id
         ps.offset[32:] = near_loc.offset
-        mask = sensing.reweight(ps, "d2")
+        mask = sensing.reweight(ps, ["d2"])
         assert not mask[:32].any()
         assert mask[32:].all()
         assert np.allclose(ps.weight[:32], 0.01 / 64)

@@ -149,7 +149,7 @@ class TestMotionModel:
         circle = Circle(Point(20, 5), 2.0)
         ps = model.initialize_in_circle(128, circle, rng)
         for _ in range(30):
-            model.step(ps, rng)
+            model.step(ps, [rng])
             lengths = paper_compiled.edge_length[ps.edge]
             assert (ps.offset >= -1e-9).all()
             assert (ps.offset <= lengths + 1e-9).all()
@@ -160,7 +160,7 @@ class TestMotionModel:
         circle = Circle(Point(10, 5), 2.0)
         ps = model.initialize_in_circle(64, circle, rng)
         x0, y0 = small_compiled.points(ps.edge, ps.offset)
-        model.step(ps, rng, dt=1.0)
+        model.step(ps, [rng], dt=1.0)
         x1, y1 = small_compiled.points(ps.edge, ps.offset)
         moved = np.hypot(x1 - x0, y1 - y0)
         # Straight-line displacement can never exceed the walked distance.
@@ -171,7 +171,7 @@ class TestMotionModel:
         circle = Circle(Point(10, 5), 2.0)
         ps = model.initialize_in_circle(64, circle, rng)
         for _ in range(40):
-            model.step(ps, rng)
+            model.step(ps, [rng])
         assert ps.dwelling.any()
 
     def test_no_door_entry_means_no_dwelling(self, small_compiled, rng):
@@ -179,7 +179,7 @@ class TestMotionModel:
         circle = Circle(Point(10, 5), 2.0)
         ps = model.initialize_in_circle(64, circle, rng)
         for _ in range(40):
-            model.step(ps, rng)
+            model.step(ps, [rng])
         assert not ps.dwelling.any()
 
     def test_room_exit_zero_traps_dwellers(self, small_compiled, rng):
@@ -189,7 +189,7 @@ class TestMotionModel:
         circle = Circle(Point(10, 5), 2.0)
         ps = model.initialize_in_circle(64, circle, rng)
         for _ in range(60):
-            model.step(ps, rng)
+            model.step(ps, [rng])
         assert ps.dwelling.all()
 
     def test_room_exit_one_releases_quickly(self, small_compiled, rng):
@@ -203,7 +203,7 @@ class TestMotionModel:
         door = small_compiled.graph.door_edge("R1")
         ps.edge[:] = door.edge_id
         ps.offset[:] = door.length
-        model.step(ps, rng)
+        model.step(ps, [rng])
         assert not ps.dwelling.any()
 
     def test_dead_end_reverses(self, small_compiled, rng):
@@ -219,11 +219,11 @@ class TestMotionModel:
         left_is_a = edge.path.start.x < edge.path.end.x
         ps.direction[:] = -1 if left_is_a else 1
         ps.speed[:] = 1.0
-        model.step(ps, rng)
+        model.step(ps, [rng])
         x, _ = small_compiled.points(ps.edge, ps.offset)
         assert x[0] >= 0.0
         # After bouncing, the particle heads back into the hallway.
-        model.step(ps, rng)
+        model.step(ps, [rng])
         x2, _ = small_compiled.points(ps.edge, ps.offset)
         assert x2[0] > x[0] - 1e-9
 

@@ -228,7 +228,7 @@ class TestCrashSafety:
         """
         path = str(tmp_path / "gateway-ck.json")
         shutil.copyfile(checkpoint_path, path)
-        real_write = gateway_checkpoint.write_text_atomic
+        real_write = gateway_checkpoint.write_json_atomic
 
         def crashing_write(target, payload):
             if crash == "after-write":
@@ -239,7 +239,7 @@ class TestCrashSafety:
         coordinator = restore_coordinator(path, transport="inline")
         with coordinator:
             _run(coordinator, tenant_batches, CUT_AT, later)
-            monkeypatch.setattr(gateway_checkpoint, "write_text_atomic", crashing_write)
+            monkeypatch.setattr(gateway_checkpoint, "write_json_atomic", crashing_write)
             with pytest.raises(OSError, match="simulated crash"):
                 save_checkpoint(coordinator, path)
             monkeypatch.undo()

@@ -187,7 +187,7 @@ class TestWalkBitIdentity:
         rng_new = np.random.default_rng(seed + 1)
         rng_ref = np.random.default_rng(seed + 1)
         for _ in range(steps):
-            model.step(particles, rng_new, dt=dt)
+            model.step(particles, [rng_new], dt=dt)
             reference_step(model, expected, rng_ref, dt)
             assert_same(particles, expected)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -204,7 +204,7 @@ class TestWalkBitIdentity:
         particles.offset[:] = compiled.edge_length[particles.edge] / 2
         particles.speed[:] = 1e6
         expected = particles.copy()
-        model.step(particles, np.random.default_rng(5))
+        model.step(particles, [np.random.default_rng(5)])
         reference_step(model, expected, np.random.default_rng(5), 1.0)
         assert_same(particles, expected)
         assert not particles.dwelling.any()

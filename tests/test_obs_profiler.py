@@ -364,6 +364,39 @@ class TestPerBackendSeconds:
         assert profile.backends[0]["ticks"] == 10
 
 
+class TestLockstepSpans:
+    """The particle filter emits one ``filter.run`` span per batch."""
+
+    def test_one_span_per_tick_batch_and_seconds_add_up(self):
+        config = DEFAULT_CONFIG.with_overrides(num_objects=8, seed=7)
+        service = TrackingService(config)
+        sim = Simulation(
+            config, plan=service.plan, readers=service.readers, build_symbolic=False
+        )
+        obs.enable()
+        obs.set_clock(CountingClock())
+        for batch in LiveSimSource(sim, 10).batches():
+            service.process_batch(batch)
+        snapshot = obs.snapshot()
+        obs.disable()
+
+        spans = [s for s in snapshot["trace"]["spans"] if s["name"] == "filter.run"]
+        assert spans
+        # Every object of a tick has its own stream and one particle
+        # count: a tick is one batch.
+        assert len(spans) <= 10
+        assert all(s["attrs"]["backend"] == "particle" for s in spans)
+        runs = sum(
+            item["value"] for item in snapshot["metrics"]["counters"]
+            if item["name"] == "filter.runs"
+        )
+        assert sum(s["attrs"]["objects"] for s in spans) == runs
+        profile = build_profile(snapshot, clock="deterministic")
+        (row,) = profile.backends
+        assert row["filter_runs"] == runs
+        assert row["seconds"] == pytest.approx(sum(s["end"] - s["start"] for s in spans))
+
+
 class TestInitAttribution:
     """Particle seeding is its own ``filter.init`` timer series."""
 
