@@ -52,7 +52,7 @@ def cloud(world):
 def test_bench_particle_step(benchmark, world, cloud):
     motion, particles = cloud
     rng = np.random.default_rng(1)
-    benchmark(motion.step, particles, rng)
+    benchmark(motion.step, particles, [rng])
 
 
 def test_bench_sensing_reweight(benchmark, world, cloud):

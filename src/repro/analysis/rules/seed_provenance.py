@@ -6,7 +6,7 @@ call chain. The per-object determinism guarantee needs the stronger,
 whole-program statement: **every RNG object reaching
 ``repro.core`` / ``repro.filters`` / ``repro.service`` derives from the
 seeded ``repro.rng`` factories** (``make_rng`` / ``child_rng`` /
-``filter_run_rng``).
+``filter_run_rng`` / ``filter_run_rngs``).
 
 The analysis assigns every project function a *return provenance* in a
 three-point lattice — ``RAW`` (constructs or forwards a generator from
@@ -53,6 +53,7 @@ SANCTIONED = frozenset(
         "repro.rng.child_rng",
         "repro.rng.child_seed",
         "repro.rng.filter_run_rng",
+        "repro.rng.filter_run_rngs",
     }
 )
 
@@ -95,8 +96,8 @@ class SeedProvenanceRule:
         invariant=(
             "every RNG object reaching repro.core / repro.filters / "
             "repro.service derives from the seeded repro.rng factories "
-            "(make_rng / child_rng / filter_run_rng), across call and "
-            "module boundaries"
+            "(make_rng / child_rng / filter_run_rng / filter_run_rngs), "
+            "across call and module boundaries"
         ),
         severity=Severity.ERROR,
     )

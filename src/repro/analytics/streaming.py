@@ -99,8 +99,11 @@ class LazyTopK:
 
     ``update`` pushes a new heap entry and bumps the key's version; stale
     entries (older versions) are discarded lazily when :meth:`top` pops
-    them. Updates are O(log n); reads pop at most the stale backlog once.
-    Scores tie-break by key so the ranking is deterministic.
+    them. Once stale entries outnumber live keys, ``update`` rebuilds the
+    heap from the live scores, so the heap never holds more than about
+    twice as many entries as keys. Updates are amortized O(log n); reads
+    pop at most the stale backlog once. Scores tie-break by key so the
+    ranking is deterministic.
     """
 
     def __init__(self) -> None:
@@ -114,6 +117,11 @@ class LazyTopK:
         self._version[key] = version
         self._score[key] = score
         heapq.heappush(self._heap, (-score, key, version))
+        if len(self._heap) > 2 * len(self._score):
+            self._heap = [
+                (-live, name, self._version[name]) for name, live in self._score.items()
+            ]
+            heapq.heapify(self._heap)
 
     def top(self, k: int) -> List[Tuple[str, float]]:
         """The ``k`` highest-scoring keys, compacting stale entries."""

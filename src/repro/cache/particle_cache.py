@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.core.particles import ParticleSet
@@ -87,6 +87,8 @@ class ParticleCacheManager:
             decoder if decoder is not None else ParticleSet.from_state
         )
         self._entries: Dict[str, CachedFilterState] = {}
+        #: Ids stored since the last :meth:`settle`; their states may share memory.
+        self._latest: Set[str] = set()
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -125,14 +127,37 @@ class ParticleCacheManager:
         state_second: int,
         device_generation: int,
     ) -> None:
-        """Insert or replace an object's cached state (copies the state)."""
+        """Insert or replace an object's cached state (not copied).
+
+        ``state`` is a :meth:`~repro.filters.base.FilterRun.state`, which
+        nothing mutates once its run has returned, so the cache keeps the
+        object itself. A particle state is a view of its tick's stack;
+        :meth:`settle` keeps such views from outliving their tick.
+        """
         with self._lock:
             self._entries[object_id] = CachedFilterState(
                 object_id=object_id,
-                state=state.copy(),
+                state=state,
                 state_second=state_second,
                 device_generation=device_generation,
             )
+            self._latest.add(object_id)
+
+    def settle(self, stored: Collection[str]) -> None:
+        """Close one round of stores; ``stored`` holds this round's ids.
+
+        An entry from the previous round that this round did not replace
+        is detached (:meth:`~repro.filters.base.FilterState.detached`), so
+        a tick's stack stays alive only through the entries of the tick
+        after it. An entry is detached at most once, and a round that
+        replaces every entry detaches nothing.
+        """
+        with self._lock:
+            for object_id in self._latest.difference(stored):
+                entry = self._entries.get(object_id)
+                if entry is not None:
+                    entry.state = entry.state.detached()
+            self._latest = set(stored)
 
     def evict(self, object_id: str) -> None:
         """Drop an object's entry (no-op when absent)."""

@@ -19,6 +19,10 @@ from repro.graph.walking_graph import WalkingGraph
 #: take, or the ``(doors, hallways)`` pools it draws from.
 Junction = Union[int, Tuple[List[int], List[int]]]
 
+#: Where a crosser continues: its heading key (see :class:`Crossings`)
+#: and its entry offset on the new edge.
+Entry = Tuple[int, float]
+
 
 class CompiledGraph:
     """Array-of-structs encoding of a walking graph.
@@ -27,8 +31,9 @@ class CompiledGraph:
     densely from 0). Polyline edges are flattened into a global leg table
     so that 2-D points for ``(edge, offset)`` pairs can be computed fully
     vectorized. The edge-crossing walk of the motion model runs in plain
-    Python, so the arrays it reads also have Python-list mirrors, and the
-    choices at every junction are tabulated once in :attr:`junctions`.
+    Python, so the choices at every junction are tabulated once in
+    :attr:`junctions`, and :attr:`crossings` lays them out as Python
+    lists per edge and direction.
     """
 
     def __init__(self, graph: WalkingGraph):
@@ -66,12 +71,8 @@ class CompiledGraph:
             np.array(eids, dtype=np.int64) for eids in adjacency
         ]
 
-        # Python-list mirrors for the motion model's crossing walk.
-        self.edge_length_list: List[float] = self.edge_length.tolist()
-        self.edge_node_a_list: List[int] = self.edge_node_a.tolist()
-        self.edge_node_b_list: List[int] = self.edge_node_b.tolist()
-        self.node_is_room_list: List[bool] = self.node_is_room.tolist()
         self.junctions = self._junction_table(adjacency)
+        self.crossings = Crossings(self)
 
         # Flatten polyline legs. leg_ptr[e] .. leg_ptr[e+1] are edge e's legs.
         leg_ptr = [0]
@@ -159,6 +160,65 @@ class CompiledGraph:
         x = self.leg_sx[leg] + self.leg_ux[leg] * local
         y = self.leg_sy[leg] + self.leg_uy[leg] * local
         return x, y
+
+
+class Crossings:
+    """What a particle meets at the far end of its edge, per heading.
+
+    A heading is an edge and a direction, encoded as the key ``2 * edge +
+    (direction > 0)``. The lists below are indexed by key, so the motion
+    model's crossing walk reads each with one list lookup:
+
+    * :attr:`far` — the offset of the node the heading runs into (the
+      edge's length, or 0.0), and :attr:`sign` — the direction;
+    * :attr:`length` — the edge's length;
+    * :attr:`forced` — the one :data:`Entry` a crosser continues on, or
+      ``None`` when the node is a room (it dwells there, :attr:`room`)
+      or offers a choice;
+    * :attr:`doors` and :attr:`hallways` — the pools of entries a
+      crosser draws from, in :attr:`CompiledGraph.junctions` order.
+
+    Everything is derived from :attr:`CompiledGraph.junctions`, so the
+    walk keeps the junction law: no U-turns except at dead ends, and the
+    door/hallway pools as they are.
+    """
+
+    def __init__(self, compiled: "CompiledGraph") -> None:
+        lengths: List[float] = compiled.edge_length.tolist()
+        node_a: List[int] = compiled.edge_node_a.tolist()
+        node_b: List[int] = compiled.edge_node_b.tolist()
+        is_room: List[bool] = compiled.node_is_room.tolist()
+
+        def entry(edge: int, node: int) -> Entry:
+            if node_a[edge] == node:
+                return 2 * edge + 1, 0.0
+            return 2 * edge, lengths[edge]
+
+        self.far: List[float] = []
+        self.sign: List[int] = []
+        self.length: List[float] = []
+        self.room: List[bool] = []
+        self.forced: List[Optional[Entry]] = []
+        self.doors: List[List[Entry]] = []
+        self.hallways: List[List[Entry]] = []
+        for edge, length in enumerate(lengths):
+            for forward in (False, True):
+                node = node_b[edge] if forward else node_a[edge]
+                self.far.append(length if forward else 0.0)
+                self.sign.append(1 if forward else -1)
+                self.length.append(length)
+                self.room.append(is_room[node])
+                choice = None if is_room[node] else compiled.junctions[node, edge]
+                doors: List[int] = []
+                hallways: List[int] = []
+                if isinstance(choice, int):
+                    self.forced.append(entry(choice, node))
+                else:
+                    self.forced.append(None)
+                    if choice is not None:
+                        doors, hallways = choice
+                self.doors.append([entry(e, node) for e in doors])
+                self.hallways.append([entry(e, node) for e in hallways])
 
 
 class CompiledAnchors:

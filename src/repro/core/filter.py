@@ -331,7 +331,7 @@ class ParticleFilter:
         with obs.timer("filter.normalize"):
             particles.normalize_weights(blocks)
         # A lone cloud (every batch of the shared-generator engines) keeps
-        # the 1-D calls here and in _resample: same bits, fewer numpy calls.
+        # a 1-D call here: same bits, fewer numpy calls.
         hits = [mask.any()] if blocks == 1 else mask.reshape(blocks, size).any(axis=1).tolist()
         for block, hit in enumerate(hits):
             if hit:
@@ -372,19 +372,21 @@ class ParticleFilter:
         size: int,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """Resample each of ``blocks`` within itself, one resampler call each."""
-        if len(particles) == size:
-            particles.take(self.resampler(particles.weight, size, rngs[0]))
-            return
+        """Resample each of ``blocks`` within itself, in one resampler call.
+
+        The resampler gets the blocks' weight rows and their generators
+        and returns one row of picks per block, each drawn from that
+        block's own generator.
+        """
         weight = particles.weight.reshape(-1, size)
-        picks = [
-            self.resampler(weight[block], size, rngs[block]) + block * size
-            for block in blocks
-        ]
         rows: Union[slice, np.ndarray] = slice(None)
-        if len(blocks) * size < len(particles):
+        if len(blocks) < len(weight):
+            weight = weight[blocks]
             rows = (np.array(blocks)[:, None] * size + np.arange(size)).reshape(-1)
-        particles.take(picks[0] if len(picks) == 1 else np.concatenate(picks), rows, size)
+        picks = self.resampler(weight, size, [rngs[block] for block in blocks])
+        if len(particles) > size:
+            picks += np.array(blocks)[:, None] * size
+        particles.take(picks.reshape(-1), rows, size)
 
     @staticmethod
     def _record_ess(ess: float, num_particles: int) -> None:

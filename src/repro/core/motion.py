@@ -161,20 +161,7 @@ class GraphMotionModel:
         # 1. Dwelling particles decide whether to leave their room.
         dwelling_rows = np.nonzero(particles.dwelling)[0]
         if len(dwelling_rows):
-            # One draw call per block that has dwellers, in block order.
-            if len(rngs) == 1:
-                groups = [(dwelling_rows, rngs[0])]
-            else:
-                owners = dwelling_rows // size
-                cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
-                groups = [
-                    (dwelling_rows[start:stop], rngs[int(owners[start])])
-                    for start, stop in zip(cuts, cuts[1:])
-                ]
-            for rows, generator in groups:
-                exits = rows[generator.random(len(rows)) < self.room_exit_probability]
-                for row in exits.tolist():
-                    self._exit_room(particles, row, generator)
+            self._exit_rooms(particles, dwelling_rows, rngs, size)
 
         # 2. Vectorized move for particles that stay on their edge.
         moving = ~particles.dwelling
@@ -189,24 +176,47 @@ class GraphMotionModel:
         if len(crossers):
             self._cross(particles, crossers, distance[crossers], rngs, size)
 
-    def _exit_room(self, particles: ParticleSet, row: int, rng: np.random.Generator) -> None:
-        """Move a dwelling particle onto its door edge, heading out."""
+    def _exit_rooms(
+        self,
+        particles: ParticleSet,
+        dwelling_rows: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        size: int,
+    ) -> None:
+        """Move the dwellers that leave their room onto their door edge.
+
+        Each block with dwellers draws, from its own generator, one
+        uniform per dweller and then one speed per leaver (one
+        ``normal(size=k)`` call yields exactly the values of ``k``
+        size-1 calls). A leaver heads out of the room: a dweller sits at
+        the room end of a door edge.
+        """
+        if len(rngs) == 1:
+            groups = [(dwelling_rows, rngs[0])]
+        else:
+            owners = dwelling_rows // size
+            cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
+            groups = [
+                (dwelling_rows[start:stop], rngs[int(owners[start])])
+                for start, stop in zip(cuts, cuts[1:])
+            ]
+        leavers = []
+        speeds = []
+        for rows, generator in groups:
+            exits = rows[generator.random(len(rows)) < self.room_exit_probability]
+            if len(exits):
+                leavers.append(exits)
+                speeds.append(self.draw_speeds(len(exits), generator))
+        if not leavers:
+            return
+        rows = leavers[0] if len(leavers) == 1 else np.concatenate(leavers)
         compiled = self.compiled
-        edge_id = int(particles.edge[row])
-        node_a = compiled.edge_node_a[edge_id]
-        node_b = compiled.edge_node_b[edge_id]
-        if compiled.node_is_room[node_b]:
-            particles.offset[row] = compiled.edge_length[edge_id]
-            particles.direction[row] = -1
-        elif compiled.node_is_room[node_a]:
-            particles.offset[row] = 0.0
-            particles.direction[row] = 1
-        else:  # pragma: no cover - dwelling particles always sit on door edges
-            raise RuntimeError(
-                f"dwelling particle on edge {edge_id} which has no room node"
-            )
-        particles.speed[row] = self.draw_speeds(1, rng)[0]
-        particles.dwelling[row] = False
+        edge = particles.edge[rows]
+        into_b = compiled.node_is_room[compiled.edge_node_b[edge]]
+        particles.offset[rows] = np.where(into_b, compiled.edge_length[edge], 0.0)
+        particles.direction[rows] = np.where(into_b, -1, 1)
+        particles.speed[rows] = speeds[0] if len(speeds) == 1 else np.concatenate(speeds)
+        particles.dwelling[rows] = False
 
     def _cross(
         self,
@@ -219,7 +229,8 @@ class GraphMotionModel:
         """Walk each crosser until its ``distance`` is spent, in row order.
 
         A particle that reaches a room node dwells there. At a hallway
-        node it continues on an edge from :attr:`CompiledGraph.junctions`.
+        node it continues on an edge from :attr:`CompiledGraph.junctions`,
+        read through the per-heading :attr:`CompiledGraph.crossings`.
         The paper's model is "particles pick a random direction at
         intersections"; a uniform choice over incident edges would send a
         particle through every door with probability ~1/2, far more often
@@ -230,16 +241,17 @@ class GraphMotionModel:
         without a draw: ``rng.integers(1)`` would not advance the
         generator anyway. Row ``r`` draws from ``rngs[r // size]``.
         """
-        compiled = self.compiled
-        lengths = compiled.edge_length_list
-        node_a = compiled.edge_node_a_list
-        node_b = compiled.edge_node_b_list
-        is_room = compiled.node_is_room_list
-        junctions = compiled.junctions
+        crossings = self.compiled.crossings
+        far = crossings.far
+        sign = crossings.sign
+        length = crossings.length
+        room = crossings.room
+        forced = crossings.forced
+        door_pools = crossings.doors
+        hallway_pools = crossings.hallways
         door_probability = self.door_entry_probability
-        edges = particles.edge[rows].tolist()
+        keys = (particles.edge[rows] * 2 + (particles.direction[rows] > 0)).tolist()
         offsets = particles.offset[rows].tolist()
-        directions = particles.direction[rows].tolist()
         generators = (
             [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
             else rngs * len(rows)
@@ -247,42 +259,40 @@ class GraphMotionModel:
         dwelling = [False] * len(rows)
 
         for i, remaining in enumerate(distance.tolist()):
-            edge, offset, direction = edges[i], offsets[i], directions[i]
+            key, offset = keys[i], offsets[i]
             for _ in range(_MAX_HOPS):
-                length = lengths[edge]
-                space = (length - offset) if direction > 0 else offset
+                # Distance to the far node: length - offset heading
+                # forward, offset heading back ((0.0 - offset) * -1, exact).
+                space = (far[key] - offset) * sign[key]
                 if remaining <= space + 1e-12:
-                    offset = min(max(offset + direction * remaining, 0.0), length)
+                    offset += sign[key] * remaining
+                    if offset < 0.0:
+                        offset = 0.0
+                    elif offset > length[key]:
+                        offset = length[key]
                     break
                 remaining -= space
-                if direction > 0:
-                    node, offset = node_b[edge], length
-                else:
-                    node, offset = node_a[edge], 0.0
-                if is_room[node]:
-                    dwelling[i] = True
-                    break
-                choice = junctions[node, edge]
-                if isinstance(choice, int):
-                    edge = choice
-                else:
-                    doors, hallways = choice
+                entry = forced[key]
+                if entry is None:
+                    if room[key]:
+                        offset = far[key]
+                        dwelling[i] = True
+                        break
+                    doors, hallways = door_pools[key], hallway_pools[key]
                     if doors and hallways:
                         draw = generators[i].random()
                         pool = doors if draw < door_probability else hallways
                     else:
                         pool = doors or hallways
-                    edge = (
+                    entry = (
                         pool[0] if len(pool) == 1
                         else pool[generators[i].integers(len(pool))]
                     )
-                if node_a[edge] == node:
-                    offset, direction = 0.0, 1
-                else:
-                    offset, direction = lengths[edge], -1
-            edges[i], offsets[i], directions[i] = edge, offset, direction
+                key, offset = entry
+            keys[i], offsets[i] = key, offset
 
-        particles.edge[rows] = edges
+        heading = np.array(keys)
+        particles.edge[rows] = heading >> 1
         particles.offset[rows] = offsets
-        particles.direction[rows] = directions
+        particles.direction[rows] = (heading & 1) * 2 - 1
         particles.dwelling[rows] = dwelling

@@ -60,11 +60,21 @@ class ParticleSet:
         )
 
     def copy(self) -> "ParticleSet":
-        """Deep copy (used by the cache module)."""
+        """Deep copy."""
         return ParticleSet(
             self.edge.copy(), self.offset.copy(), self.direction.copy(),
             self.speed.copy(), self.dwelling.copy(), self.weight.copy(),
         )
+
+    def detached(self) -> "ParticleSet":
+        """This set if it owns its arrays, else a copy that does.
+
+        A row view of a larger stack keeps the whole stack alive; its
+        detached copy holds only its own rows.
+        """
+        if all(getattr(self, name).base is None for name in _FIELDS):
+            return self
+        return self.copy()
 
     @classmethod
     def concatenate(cls, sets: Sequence["ParticleSet"]) -> "ParticleSet":

@@ -18,7 +18,7 @@ from it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -79,16 +79,17 @@ class PreprocessingModule:
         collector: EventDrivenCollector,
         current_second: int,
         rng: RngLike = None,
-        rng_factory: Optional[Callable[[str], RngLike]] = None,
+        rng_streams: Optional[Callable[[Sequence[str]], Sequence[RngLike]]] = None,
     ):
         """Filter every candidate and return a fresh ``APtoObjHT`` table.
 
         Objects with no reading history are skipped — the system has no
         evidence about them (they have not yet entered any reader's range).
 
-        ``rng_factory`` (when given) supplies an independent generator per
-        object id instead of threading one shared ``rng`` stream through
-        every filter run. Per-object streams make the result independent
+        ``rng_streams`` (when given) is called once, with the ids to be
+        filtered in order, and returns one independent generator per id
+        instead of one shared ``rng`` stream threaded through every
+        filter run. Per-object streams make the result independent
         of candidate *ordering and partitioning*, which is what lets the
         tracking service and the gateway's partitions
         (:mod:`repro.gateway`) produce bit-identical tables at any
@@ -100,10 +101,9 @@ class PreprocessingModule:
         """
         from repro.index.hashtable import AnchorObjectTable
 
-        generator = make_rng(rng) if rng_factory is None else None
         filtered: List[str] = []
         generations: List[int] = []
-        requests: List[FilterRequest] = []
+        pending = []
         for object_id in candidates:
             history = collector.history(object_id)
             if history.is_empty:
@@ -113,16 +113,22 @@ class PreprocessingModule:
             generation = collector.device_generation(object_id)
             if self.cache is not None:
                 resume = self.cache.lookup(object_id, generation)
-            object_rng = (
-                generator if rng_factory is None else make_rng(rng_factory(object_id))
-            )
             filtered.append(object_id)
             generations.append(generation)
-            requests.append(FilterRequest(history, object_rng, resume))
+            pending.append((history, resume))
+        if rng_streams is None:
+            generators = [make_rng(rng)] * len(filtered)
+        else:
+            generators = [make_rng(stream) for stream in rng_streams(filtered)]
+        requests = [
+            FilterRequest(history, generator, resume)
+            for (history, resume), generator in zip(pending, generators)
+        ]
         runs = self.backend.run_many(requests, current_second) if requests else []
         if self.cache is not None:
             for object_id, generation, run in zip(filtered, generations, runs):
                 self.cache.store(object_id, run.state(), run.end_second, generation)
+            self.cache.settle(filtered)
         table = AnchorObjectTable()
         if not runs:
             return table

@@ -12,90 +12,158 @@ paper's reference [1]).
 
 All functions map ``(weights, n, rng)`` to an index array into the
 original particle set; callers then use
-:meth:`~repro.core.particles.ParticleSet.take`.
+:meth:`~repro.core.particles.ParticleSet.take`. ``weights`` is one 1-D
+weight vector with one generator ``rng``, or a ``(rows, N)`` matrix with
+a sequence of one generator per row; the result then has one row of
+``n`` indices per weight row. A row draws only from its own generator,
+exactly what a 1-D call on that row would draw, so the rows of one call
+equal one 1-D call each, bit for bit: validation, normalization and the
+cumulative sums run over all rows at once (row sums and cumulative sums
+of a C-contiguous matrix equal each row's own), and ``np.searchsorted``
+runs once per row.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
 from repro.rng import RngLike, make_rng
 
+#: One generator for 1-D weights, one per row for a weight matrix.
+RowRngs = Union[RngLike, Sequence[np.random.Generator]]
 
-def _validated(weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) == 0:
-        raise ValueError("weights must be a non-empty 1-D array")
-    if (weights < 0).any():
+_Kernel = Callable[[np.ndarray, int, List[np.random.Generator]], np.ndarray]
+
+
+def _normalized_rows(weights: np.ndarray) -> np.ndarray:
+    """Each row of a ``(rows, N)`` matrix divided by its sum.
+
+    Raises the ``ValueError`` that the first invalid row would raise on
+    its own: a negative weight first, then a sum that is not positive and
+    finite.
+    """
+    totals = weights.sum(axis=1)
+    # False on any negative or NaN weight, or any row sum out of range.
+    if weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist()):
+        return weights / totals[:, None]
+    negative = (weights < 0).any(axis=1)
+    invalid = negative | ~np.isfinite(totals) | (totals <= 0)
+    if negative[np.argmax(invalid)]:
         raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError("weights must have positive finite sum")
-    return weights / total
+    raise ValueError("weights must have positive finite sum")
 
 
-def systematic_resample(weights: np.ndarray, n: int = None, rng: RngLike = None) -> np.ndarray:
+def _per_row(kernel: _Kernel, weights: np.ndarray, n: int, rng: RowRngs) -> np.ndarray:
+    """Run a row kernel on 1-D weights (one row) or on a weight matrix."""
+    weights = np.asarray(weights, dtype=float)
+    one_row = weights.ndim == 1
+    if one_row:
+        weights = weights[None, :]
+    if weights.ndim != 2 or weights.size == 0:
+        raise ValueError("weights must be a non-empty 1-D array or (rows, N) matrix")
+    rows = _normalized_rows(weights)
+    if n is None:
+        n = rows.shape[1]
+    if one_row:
+        generators = [make_rng(rng)]
+    else:
+        generators = list(rng)  # type: ignore[arg-type]
+        if len(generators) != len(rows):
+            raise ValueError("a weight matrix needs one generator per row")
+    picks = kernel(rows, n, generators)
+    return picks[0] if one_row else picks
+
+
+def _cdf(rows: np.ndarray) -> np.ndarray:
+    cdf = np.add.accumulate(rows, axis=1)  # np.cumsum, without its wrapper
+    cdf[:, -1] = 1.0  # guard against float drift
+    return cdf
+
+
+def _search(cdf: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row ``r``'s ``points`` located in row ``r`` of ``cdf``.
+
+    One ``np.searchsorted`` per row: the drift guard can leave a CDF
+    unsorted (it may pass 1.0 before its last entry), and only
+    ``searchsorted`` itself defines the answer then.
+    """
+    picks = np.empty(points.shape, dtype=np.int64)
+    for row in range(len(cdf)):
+        picks[row] = cdf[row].searchsorted(points[row], side="left")
+    return picks
+
+
+@lru_cache(maxsize=8)
+def _strides(n: int) -> np.ndarray:
+    """``arange(n) / n``, the systematic offsets (read-only, shared)."""
+    strides = np.arange(n) / n
+    strides.flags.writeable = False
+    return strides
+
+
+def _systematic(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
+    starts = [generator.uniform(0.0, 1.0 / n) for generator in generators]
+    return _search(_cdf(rows), np.add.outer(starts, _strides(n)))
+
+
+def _multinomial(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
+    draws = np.array([generator.random(n) for generator in generators])
+    return _search(_cdf(rows), draws.reshape(len(rows), n))
+
+
+def _stratified(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
+    draws = np.array([generator.random(n) for generator in generators])
+    return _search(_cdf(rows), (np.arange(n) + draws.reshape(len(rows), n)) / n)
+
+
+def _residual(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
+    scaled = n * rows
+    copies = np.floor(scaled).astype(np.int64)
+    residual = scaled - copies
+    picks = np.empty((len(rows), n), dtype=np.int64)
+    columns = np.arange(rows.shape[1])
+    for row, generator in enumerate(generators):
+        indices = np.repeat(columns, copies[row])
+        remainder = n - len(indices)
+        if remainder > 0:
+            total = residual[row].sum()
+            if total <= 0:
+                extra = generator.integers(0, rows.shape[1], size=remainder)
+            else:
+                cdf = np.cumsum(residual[row] / total)
+                cdf[-1] = 1.0
+                extra = np.searchsorted(cdf, generator.random(remainder), side="left")
+            indices = np.concatenate([indices, extra.astype(np.int64)])
+        picks[row] = indices[:n]
+    return picks
+
+
+def systematic_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
     """Paper Algorithm 1: systematic resampling.
 
     Returns indices ``j`` such that index ``i`` appears approximately
-    ``n * w_i`` times.
+    ``n * w_i`` times. Each row draws one ``uniform(0, 1/n)`` start.
     """
-    weights = _validated(weights)
-    if n is None:
-        n = len(weights)
-    generator = make_rng(rng)
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0  # guard against float drift
-    u1 = generator.uniform(0.0, 1.0 / n)
-    points = u1 + np.arange(n) / n
-    return np.searchsorted(cdf, points, side="left").astype(np.int64)
+    return _per_row(_systematic, weights, n, rng)
 
 
-def multinomial_resample(weights: np.ndarray, n: int = None, rng: RngLike = None) -> np.ndarray:
+def multinomial_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
     """Multinomial resampling: n i.i.d. draws from the weight distribution."""
-    weights = _validated(weights)
-    if n is None:
-        n = len(weights)
-    generator = make_rng(rng)
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    draws = generator.random(n)
-    return np.searchsorted(cdf, draws, side="left").astype(np.int64)
+    return _per_row(_multinomial, weights, n, rng)
 
 
-def stratified_resample(weights: np.ndarray, n: int = None, rng: RngLike = None) -> np.ndarray:
+def stratified_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
     """Stratified resampling: one uniform draw inside each of n strata."""
-    weights = _validated(weights)
-    if n is None:
-        n = len(weights)
-    generator = make_rng(rng)
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    points = (np.arange(n) + generator.random(n)) / n
-    return np.searchsorted(cdf, points, side="left").astype(np.int64)
+    return _per_row(_stratified, weights, n, rng)
 
 
-def residual_resample(weights: np.ndarray, n: int = None, rng: RngLike = None) -> np.ndarray:
+def residual_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
     """Residual resampling: deterministic copies plus multinomial residue."""
-    weights = _validated(weights)
-    if n is None:
-        n = len(weights)
-    generator = make_rng(rng)
-    scaled = n * weights
-    copies = np.floor(scaled).astype(np.int64)
-    indices = np.repeat(np.arange(len(weights)), copies)
-    remainder = n - len(indices)
-    if remainder > 0:
-        residual = scaled - copies
-        total = residual.sum()
-        if total <= 0:
-            extra = generator.integers(0, len(weights), size=remainder)
-        else:
-            cdf = np.cumsum(residual / total)
-            cdf[-1] = 1.0
-            extra = np.searchsorted(cdf, generator.random(remainder), side="left")
-        indices = np.concatenate([indices, extra.astype(np.int64)])
-    return indices[:n]
+    return _per_row(_residual, weights, n, rng)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -104,7 +172,10 @@ def effective_sample_size(weights: np.ndarray) -> float:
     The standard degeneracy diagnostic: close to ``Ns`` when weights are
     uniform, close to 1 when one particle dominates.
     """
-    weights = _validated(weights)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or len(weights) == 0:
+        raise ValueError("weights must be a non-empty 1-D array")
+    weights = _normalized_rows(weights[None, :])[0]
     return float(1.0 / np.sum(weights * weights))
 
 

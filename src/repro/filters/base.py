@@ -18,8 +18,8 @@ Bayesian cycle:
 * ``posterior()`` — the belief as per-anchor probability mass, the
   ``{ap_id: probability}`` form all query evaluation code consumes;
 * ``state()`` / ``to_state()`` — checkpointing: ``state()`` exposes the
-  live mutable belief (for the in-memory cache), ``to_state()`` a
-  JSON-safe document that round-trips bit-exactly.
+  belief itself (for the in-memory cache), ``to_state()`` a JSON-safe
+  document that round-trips bit-exactly.
 
 Randomness is injected: the caller passes a generator derived from the
 ``(seed, second, object_id)`` child stream
@@ -66,6 +66,10 @@ class FilterState(Protocol):
         """An independent deep copy of the belief."""
         ...  # pragma: no cover - protocol
 
+    def detached(self) -> "FilterState":
+        """This belief if it shares no memory with others, else a copy."""
+        ...  # pragma: no cover - protocol
+
     def to_state(self) -> Dict[str, object]:
         """A JSON-safe document that round-trips bit-exactly."""
         ...  # pragma: no cover - protocol
@@ -100,7 +104,12 @@ class BayesFilter(ABC):
 
     @abstractmethod
     def state(self) -> FilterState:
-        """The live mutable belief (callers must copy before mutating)."""
+        """The belief itself, not a copy.
+
+        Once a backend's run has returned it, the belief is never
+        mutated again (see :meth:`FilterRun.state`); callers must not
+        mutate it either, and a resumed run copies it first.
+        """
 
     def to_state(self) -> Dict[str, object]:
         """JSON-safe snapshot of the belief (bit-exact round trip)."""
@@ -119,7 +128,15 @@ class FilterRun:
         return self.filter.posterior()
 
     def state(self) -> FilterState:
-        """The run's final belief, for the cache (live, not copied)."""
+        """The run's final belief, for the cache (not copied).
+
+        The contract every backend keeps: once ``run``/``run_many`` has
+        returned, nothing mutates this state, so the cache may hold it
+        as is. The particle kernel returns views of a stack it built for
+        the call and never touches again; the Kalman and symbolic
+        backends build a fresh state per run and copy a resume state
+        before stepping it.
+        """
         return self.filter.state()
 
 

@@ -177,6 +177,10 @@ class KalmanState:
             dwelling=self.dwelling.copy(),
         )
 
+    def detached(self) -> "KalmanState":
+        """This state: every predict and update builds fresh arrays."""
+        return self
+
     def to_state(self) -> Dict[str, object]:
         """JSON-safe snapshot; ``tolist`` round-trips float64 bit-exactly."""
         return {

@@ -96,6 +96,10 @@ class SymbolicState:
         """An independent deep copy."""
         return SymbolicState(self.object_id, self.runs, self.now)
 
+    def detached(self) -> "SymbolicState":
+        """This state: it shares nothing with other states."""
+        return self
+
     def to_state(self) -> Dict[str, object]:
         """JSON-safe snapshot (plain ints and strings round-trip exactly)."""
         return {

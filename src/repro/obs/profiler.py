@@ -168,6 +168,7 @@ class AttributionProfile:
     total_seconds: float
     phases: List[PhaseRow]
     timers: List[Dict[str, object]]
+    values: List[Dict[str, object]]
     paths: List[PathRow]
     backends: List[Dict[str, object]]
     object_buckets: List[Dict[str, object]]
@@ -183,6 +184,7 @@ class AttributionProfile:
             "total_seconds": _round(self.total_seconds),
             "phases": [row.as_dict() for row in self.phases],
             "timers": list(self.timers),
+            "values": list(self.values),
             "paths": [row.as_dict() for row in self.paths],
             "backends": list(self.backends),
             "object_buckets": list(self.object_buckets),
@@ -243,20 +245,28 @@ def _backend_rows(
     return rows
 
 
-def _timer_rows(snapshot: Mapping[str, object]) -> List[Dict[str, object]]:
-    """Every timer/histogram family as ``(series, count, total)`` rows.
+def _histogram_rows(
+    snapshot: Mapping[str, object],
+) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
+    """``(timers, values)``: every histogram series as one summary row.
 
-    This is where the filter's inner phases live — ``filter.predict`` /
-    ``weight`` / ``normalize`` / ``resample``, sensing likelihood,
-    cache, snapshotting — as timer histograms rather than spans.
+    Timer rows are ``(series, count, total_seconds)``. This is where the
+    filter's inner phases live — ``filter.predict`` / ``weight`` /
+    ``normalize`` / ``resample``, sensing likelihood, cache,
+    snapshotting — as timer histograms rather than spans. Only series
+    the snapshot marks ``timer`` hold seconds; every other histogram (an
+    ESS, a reading rate) is a value row ``(series, count, mean, min,
+    max)`` in its own unit. A snapshot written before series carried the
+    mark lists every histogram as a timer, as it was then read.
     """
     metrics = snapshot.get("metrics")
     if not isinstance(metrics, Mapping):
-        return []
+        return [], []
     entries = metrics.get("histograms")
     if not isinstance(entries, list):
-        return []
-    rows = []
+        return [], []
+    timers = []
+    values = []
     for item in entries:
         if not isinstance(item, dict):
             continue
@@ -265,17 +275,31 @@ def _timer_rows(snapshot: Mapping[str, object]) -> List[Dict[str, object]]:
         if labels:
             rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
             series = f"{series}{{{rendered}}}"
-        rows.append(
+        count = int(str(item.get("count") or 0))
+        if item.get("timer", True):
+            timers.append(
+                {
+                    "series": series,
+                    "count": count,
+                    "total_seconds": _round(float(str(item.get("total") or 0.0))),
+                }
+            )
+            continue
+        values.append(
             {
                 "series": series,
-                "count": int(str(item.get("count") or 0)),
-                "total_seconds": _round(float(str(item.get("total") or 0.0))),
+                "count": count,
+                **{
+                    key: None if item.get(key) is None else _round(float(str(item[key])))
+                    for key in ("mean", "min", "max")
+                },
             }
         )
-    rows.sort(
+    timers.sort(
         key=lambda r: (-float(str(r["total_seconds"])), str(r["series"]))
     )
-    return rows
+    values.sort(key=lambda r: str(r["series"]))
+    return timers, values
 
 
 def _bucket_rows(spans: List[Dict[str, object]]) -> List[Dict[str, object]]:
@@ -396,11 +420,13 @@ def build_profile(
     if isinstance(trace, Mapping):
         dropped = int(str(trace.get("dropped") or 0))
 
+    timers, values = _histogram_rows(snapshot)
     return AttributionProfile(
         clock=clock,
         total_seconds=total_self,
         phases=phases,
-        timers=_timer_rows(snapshot),
+        timers=timers,
+        values=values,
         paths=paths,
         backends=_backend_rows(snapshot, spans),
         object_buckets=_bucket_rows(spans),
@@ -527,6 +553,10 @@ def _fmt_seconds(value: float, deterministic: bool) -> str:
     return f"{value:.6f}"
 
 
+def _fmt_value(value: object) -> str:
+    return "-" if value is None else f"{float(str(value)):.6g}"
+
+
 def render_attribution(profile: AttributionProfile, top: int = 12) -> str:
     """Human-readable attribution report (what ``repro profile`` prints)."""
     deterministic = profile.clock == "deterministic"
@@ -561,6 +591,18 @@ def render_attribution(profile: AttributionProfile, top: int = 12) -> str:
             )
         if len(profile.timers) > top:
             lines.append(f"  ... {len(profile.timers) - top} more series")
+
+    if profile.values:
+        lines.append("")
+        lines.append("value histograms (plain values, not time)")
+        for row in profile.values[:top]:
+            lines.append(
+                f"  {str(row['series']):<32} "
+                f"{row['count']:>8} x  mean {_fmt_value(row['mean'])} "
+                f"(min {_fmt_value(row['min'])}, max {_fmt_value(row['max'])})"
+            )
+        if len(profile.values) > top:
+            lines.append(f"  ... {len(profile.values) - top} more series")
 
     if profile.backends:
         lines.append("")

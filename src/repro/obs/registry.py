@@ -137,10 +137,14 @@ class Histogram:
     histogram's quantiles are honestly labeled as estimates instead of
     silently passing for exact. Retention is deterministic (first-come)
     so two identical runs summarize identically.
+
+    ``timer`` marks a series that backs a :class:`Timer`, whose samples
+    are elapsed seconds; any other histogram holds plain values (an ESS,
+    a reading rate), and consumers must not render it as time.
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max", "dropped",
-                 "max_samples", "_samples", "_lock")
+                 "max_samples", "timer", "_samples", "_lock")
 
     def __init__(
         self,
@@ -156,6 +160,7 @@ class Histogram:
         self.max: Optional[float] = None
         self.dropped = 0
         self.max_samples = max_samples
+        self.timer = False
         self._samples: List[float] = []
         self._lock = threading.Lock()
 
@@ -204,6 +209,7 @@ class Histogram:
             "p99": self.quantile(0.99),
             "dropped_samples": self.dropped,
             "quantiles_estimated": self.dropped > 0,
+            "timer": self.timer,
         }
         if self.labels:
             data["labels"] = dict(self.labels)
@@ -364,11 +370,15 @@ class MetricsRegistry:
     def timer(
         self, name: str, labels: Optional[Mapping[str, object]] = None
     ) -> Timer:
-        """Get or create a timer (backed by the same-named histogram series)."""
+        """Get or create a timer (backed by the same-named histogram series).
+
+        The histogram is marked as a timer's (:attr:`Histogram.timer`).
+        """
         key = (name, freeze_labels(labels))
         instrument = self._timers.get(key)
         if instrument is None:
             histogram = self.histogram(name, labels)
+            histogram.timer = True
             with self._lock:
                 instrument = self._timers.get(key)
                 if instrument is None:

@@ -51,7 +51,7 @@ from repro.queries.range_query import evaluate_range_query
 from repro.rfid.deployment import deploy_readers_uniform
 from repro.rfid.reader import RFIDReader
 from repro.filters.registry import BackendSpec
-from repro.rng import filter_run_rng
+from repro.rng import filter_run_rngs
 from repro.service.ingest import ReadingBatch
 from repro.service.sessions import SessionManager
 
@@ -61,7 +61,8 @@ class FilterExecutor:
 
     Owns the :class:`PreprocessingModule` that holds the tick's filter
     backend and its state cache. Every object's run draws
-    from its own :func:`repro.rng.filter_run_rng` stream, so the table
+    from its own :func:`repro.rng.filter_run_rng` stream (built for the
+    whole tick by :func:`repro.rng.filter_run_rngs`), so the table
     does not depend on which other objects share the tick — the property
     that makes a gateway partition's slice bit-identical to the same
     objects tracked in one process.
@@ -96,8 +97,8 @@ class FilterExecutor:
                 candidates,
                 collector,
                 second,
-                rng_factory=lambda object_id: filter_run_rng(
-                    self.seed, second, object_id
+                rng_streams=lambda object_ids: filter_run_rngs(
+                    self.seed, second, object_ids
                 ),
             )
         return table

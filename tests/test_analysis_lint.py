@@ -287,11 +287,11 @@ def test_injected_unseeded_rng_in_tracking_is_caught():
     sabotaged = source.replace(
         "from dataclasses import", "import random\nfrom dataclasses import", 1
     ).replace(
-        "rng_factory=lambda object_id: filter_run_rng(",
-        "rng_factory=lambda object_id: random.Random() or filter_run_rng(",
+        "rng_streams=lambda object_ids: filter_run_rngs(",
+        "rng_streams=lambda object_ids: random.Random() or filter_run_rngs(",
         1,
     )
-    assert "random.Random() or filter_run_rng(" in sabotaged
+    assert "random.Random() or filter_run_rngs(" in sabotaged
     result = lint_source(sabotaged, path=str(tracking_path))
     assert any(
         f.rule == "DET" and "unseeded `random.Random()`" in f.message

@@ -7,8 +7,10 @@ that now serves room densities from maintained mass.
 """
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analytics import (
     HALLWAYS,
@@ -147,6 +149,46 @@ class TestLazyTopK:
             json.loads(json.dumps(topk.state_dict()))
         )
         assert restored.top(5) == topk.top(5)
+
+    def test_heap_stays_bounded(self):
+        # 30 live keys updated every tick with top(5) read every tick: the
+        # stale backlog is rebuilt away instead of growing with the ticks.
+        topk = LazyTopK()
+        rng = random.Random(3)
+        keys = [f"room-{i}" for i in range(30)]
+        for _ in range(3000):
+            for key in keys:
+                topk.update(key, rng.random())
+            topk.top(5)
+            assert len(topk._heap) <= 2 * len(keys)
+        assert len(topk) == 30
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("update"),
+                    st.sampled_from("abcdefgh"),
+                    st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, -1.0]),
+                ),
+                st.tuples(st.just("top"), st.integers(-1, 10), st.just(0.0)),
+            ),
+            max_size=300,
+        )
+    )
+    def test_top_matches_a_sorted_reference(self, ops):
+        topk = LazyTopK()
+        scores = {}
+        for op, arg, score in ops:
+            if op == "update":
+                topk.update(arg, score)
+                scores[arg] = score
+                assert len(topk._heap) <= 2 * len(scores)
+            else:
+                ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+                assert topk.top(arg) == (ranked[:arg] if arg > 0 else [])
+        assert topk.state_dict() == {"scores": dict(sorted(scores.items()))}
 
 
 # ----------------------------------------------------------------------

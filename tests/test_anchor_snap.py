@@ -263,8 +263,8 @@ class TestDistribution:
 # ----------------------------------------------------------------------
 # the preprocessing module snaps once per call
 # ----------------------------------------------------------------------
-def _object_seed(object_id: str) -> int:
-    return 7 + int(object_id[1:])
+def _object_seeds(object_ids):
+    return [7 + int(object_id[1:]) for object_id in object_ids]
 
 
 class TestOneSnapPerProcess:
@@ -287,7 +287,7 @@ class TestOneSnapPerProcess:
         objects = [f"o{i}" for i in range(6)]
         obs.enable(fresh=True)
         try:
-            table = module.process(objects, collector, 3, rng_factory=_object_seed)
+            table = module.process(objects, collector, 3, rng_streams=_object_seeds)
             spans = [s for s in obs.tracer().spans() if s.name == "preprocess.anchor_snap"]
         finally:
             obs.disable()
@@ -295,7 +295,7 @@ class TestOneSnapPerProcess:
         assert sorted(table.objects()) == objects
 
         module.cache.clear()
-        alone = module.process(["o4"], collector, 3, rng_factory=_object_seed)
+        alone = module.process(["o4"], collector, 3, rng_streams=_object_seeds)
         assert _items(alone.distribution_of("o4")) == _items(table.distribution_of("o4"))
 
     def test_backend_posteriors_equal_per_run_posteriors(self, module_and_collector):

@@ -1,10 +1,16 @@
 """Tests for the cache management module."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.cache import CacheStats, ParticleCacheManager
+from repro.config import DEFAULT_CONFIG
 from repro.core import ParticleSet
+from repro.geometry import Rect
+from repro.service import ReplaySource, TrackingService
+from repro.sim import Simulation
 
 
 def particles(offset=1.0):
@@ -39,13 +45,76 @@ class TestCacheBasics:
         assert first is second
         assert np.allclose(first.offset, 2.0)
 
-    def test_store_copies_input(self):
+    @pytest.mark.parametrize("backend", ["particle", "kalman"])
+    @pytest.mark.parametrize("objects", [1, 8])
+    def test_stored_states_survive_later_ticks(self, backend, objects):
+        # Entries are stored without a copy (the FilterRun.state contract):
+        # every entry must still equal a deep copy taken when it was
+        # stored after the later ticks, which resume from it.
+        config = DEFAULT_CONFIG.with_overrides(num_objects=objects, seed=11)
+        sim = Simulation(config, build_symbolic=False)
+        readings = [reading for _ in range(16) for reading in sim.step()]
+        service = TrackingService(config, filter_backend=backend)
+        try:
+            cache = service.executor.cache
+            stored = {}
+            for batch in ReplaySource(readings).batches():
+                service.process_batch(batch)
+                for entry in cache._entries.values():
+                    if id(entry.state) not in stored:
+                        stored[id(entry.state)] = (entry.state, copy.deepcopy(entry.state))
+            assert cache.stats.hits >= 3
+            for state, snapshot in stored.values():
+                assert state.to_state() == snapshot.to_state()
+        finally:
+            service.close()
+
+    def test_settle_detaches_entries_a_round_passes_by(self):
+        stack = particles(3.0)
+        first, second = stack[:4], stack[4:]
         cache = ParticleCacheManager()
-        source = particles(2.0)
-        cache.store("o1", source, 5, 3)
-        source.offset[:] = 99.0
-        ps, _ = cache.lookup("o1", 3)
-        assert np.allclose(ps.offset, 2.0)
+        cache.store("a", first, 5, 0)
+        cache.store("b", second, 5, 0)
+        cache.settle(["a", "b"])
+        assert cache.lookup("b", 0)[0] is second  # nothing passed by yet
+        replacement = particles(4.0)[:4]
+        cache.store("a", replacement, 6, 0)
+        cache.settle(["a"])
+        kept, _ = cache.lookup("b", 0)
+        assert kept is not second
+        assert kept.edge.base is None and kept.offset.base is None
+        assert kept.to_state() == second.to_state()
+        assert cache.lookup("a", 0)[0] is replacement
+        cache.settle([])
+        detached, _ = cache.lookup("a", 0)
+        assert detached.offset.base is None
+        assert cache.lookup("b", 0)[0] is kept  # detached once only
+
+    def test_pruned_service_holds_no_stale_stacks(self):
+        # With pruning, objects drop out of the candidate set; their
+        # entries must not keep their old tick's whole stack alive.
+        config = DEFAULT_CONFIG.with_overrides(num_objects=30, seed=7)
+        sim = Simulation(config, build_symbolic=False)
+        readings = [reading for _ in range(40) for reading in sim.step()]
+        service = TrackingService(config, use_pruning=True)
+        service.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="r0")
+        try:
+            batches = list(ReplaySource(readings).batches())
+            for batch in batches:
+                service.process_batch(batch)
+            cache = service.executor.cache
+            states = [entry.state for entry in cache._entries.values()]
+            assert len(states) > len(service.snapshot().candidates)
+            for name in ("edge", "offset", "direction", "speed", "dwelling", "weight"):
+                arrays = [getattr(state, name) for state in states]
+                buffers = {
+                    id(array if array.base is None else array.base):
+                        (array if array.base is None else array.base).nbytes
+                    for array in arrays
+                }
+                assert sum(buffers.values()) == sum(array.nbytes for array in arrays), name
+        finally:
+            service.close()
 
     def test_generation_mismatch_invalidates(self):
         cache = ParticleCacheManager()

@@ -1,10 +1,13 @@
-"""Bit identity of the motion model's edge-crossing walk.
+"""Bit identity of the motion model's edge-crossing walk and dwell exits.
 
 ``GraphMotionModel.step`` walks its edge crossers in plain Python over
-``CompiledGraph.junctions``. The reference below is the earlier per-particle
-walk, kept verbatim in spirit: one ``_walk`` per crosser reading numpy
-scalars, and one ``_choose_next_edge`` per junction masking the node's
-adjacency array. Every array and the final generator state must match it.
+``CompiledGraph.crossings``, a per-heading layout of
+``CompiledGraph.junctions``, and moves a block's room leavers with one
+speed draw per block. The reference below is the earlier per-particle
+step, kept verbatim in spirit: one ``_exit_room`` per leaver drawing a
+size-1 speed, one ``_walk`` per crosser reading numpy scalars, and one
+``_choose_next_edge`` per junction masking the node's adjacency array.
+Every array and the final generator state must match it.
 """
 
 from __future__ import annotations
@@ -209,6 +212,58 @@ class TestWalkBitIdentity:
         assert_same(particles, expected)
         assert not particles.dwelling.any()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLANS)),
+        blocks=st.integers(1, 6),
+        size=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        exit_probability=st.sampled_from([0.5, 0.9, 1.0]),
+    )
+    def test_dwell_exits_in_stacked_blocks(self, name, blocks, size, seed, exit_probability):
+        # Most rows dwell and most dwellers leave, so blocks have several
+        # leavers each; every block must match a reference step of its own.
+        compiled = compiled_plan(name)
+        model = GraphMotionModel(compiled, room_exit_probability=exit_probability)
+        rng = np.random.default_rng(seed)
+        door_edges = np.nonzero(compiled.edge_is_door)[0]
+        stack = ParticleSet.empty(blocks * size)
+        stack.edge[:] = rng.choice(door_edges, size=len(stack))
+        room_at_b = compiled.node_is_room[compiled.edge_node_b[stack.edge]]
+        stack.offset[:] = np.where(room_at_b, compiled.edge_length[stack.edge], 0.0)
+        stack.direction[:] = np.where(rng.random(len(stack)) < 0.5, 1, -1).astype(np.int8)
+        stack.speed[:] = rng.uniform(0.5, 1.5, size=len(stack))
+        stack.dwelling[:] = rng.random(len(stack)) < 0.8
+        expected = [stack[block * size:(block + 1) * size].copy() for block in range(blocks)]
+        rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
+        ref_rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
+        model.step(stack, rngs)
+        for block, (want, ref_rng) in enumerate(zip(expected, ref_rngs)):
+            reference_step(model, want, ref_rng, 1.0)
+            assert_same(stack[block * size:(block + 1) * size], want)
+        assert [r.bit_generator.state for r in rngs] == [
+            r.bit_generator.state for r in ref_rngs
+        ]
+
+    def test_every_dweller_leaves_with_one_speed_draw(self):
+        # All 40 rows leave at once: one normal(size=40) call must give the
+        # speeds that 40 size-1 calls give, in row order.
+        compiled = compiled_plan("paper")
+        model = GraphMotionModel(compiled, room_exit_probability=1.0)
+        door_edges = np.nonzero(compiled.edge_is_door)[0]
+        particles = ParticleSet.empty(40)
+        particles.edge[:] = door_edges[np.arange(40) % len(door_edges)]
+        room_at_b = compiled.node_is_room[compiled.edge_node_b[particles.edge]]
+        particles.offset[:] = np.where(room_at_b, compiled.edge_length[particles.edge], 0.0)
+        particles.dwelling[:] = True
+        expected = particles.copy()
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        model.step(particles, [rng], dt=1e-9)
+        reference_step(model, expected, ref_rng, 1e-9)
+        assert_same(particles, expected)
+        assert not particles.dwelling.any()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_multi_way_pools_still_draw(self):
         # The paper plan has junctions offering two hallways: their pool
         # of two must keep drawing from the generator.
@@ -240,16 +295,42 @@ class TestJunctionTable:
                 assert doors == [e for e in rest if compiled.edge_is_door[e]]
                 assert hallways == [e for e in rest if not compiled.edge_is_door[e]]
 
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_crossings_lay_out_the_junctions(self, name):
+        compiled = compiled_plan(name)
+        crossings = compiled.crossings
+
+        def entry(edge, node):
+            if compiled.edge_node_a[edge] == node:
+                return 2 * edge + 1, 0.0
+            return 2 * edge, float(compiled.edge_length[edge])
+
+        assert len(crossings.far) == 2 * compiled.num_edges
+        for edge in range(compiled.num_edges):
+            length = float(compiled.edge_length[edge])
+            for forward in (False, True):
+                key = 2 * edge + forward
+                node = int(compiled.edge_node_b[edge] if forward else compiled.edge_node_a[edge])
+                assert crossings.far[key] == (length if forward else 0.0)
+                assert crossings.sign[key] == (1 if forward else -1)
+                assert crossings.length[key] == length
+                assert crossings.room[key] == bool(compiled.node_is_room[node])
+                if compiled.node_is_room[node]:
+                    assert crossings.forced[key] is None
+                    assert crossings.doors[key] == crossings.hallways[key] == []
+                    continue
+                choice = compiled.junctions[node, edge]
+                if isinstance(choice, int):
+                    assert crossings.forced[key] == entry(choice, node)
+                    assert crossings.doors[key] == crossings.hallways[key] == []
+                else:
+                    assert crossings.forced[key] is None
+                    assert crossings.doors[key] == [entry(e, node) for e in choice[0]]
+                    assert crossings.hallways[key] == [entry(e, node) for e in choice[1]]
+
     def test_paper_plan_size(self):
         # One entry per edge end: 68 edges.
         assert len(compiled_plan("paper").junctions) == 136
-
-    def test_list_mirrors_match_arrays(self):
-        compiled = compiled_plan("paper")
-        assert compiled.edge_length_list == compiled.edge_length.tolist()
-        assert compiled.edge_node_a_list == compiled.edge_node_a.tolist()
-        assert compiled.edge_node_b_list == compiled.edge_node_b.tolist()
-        assert compiled.node_is_room_list == compiled.node_is_room.tolist()
 
 
 class TestSingleChoiceDraw:

@@ -423,3 +423,52 @@ class TestInitAttribution:
             + counters.get("filter.depletion_reseeds", 0)
         )
         assert timers["filter.init"]["count"] == seedings
+
+
+class TestTimerMark:
+    """Only timer-backed histograms are time; the rest are plain values."""
+
+    def test_registry_marks_timer_series_in_the_snapshot(self):
+        obs.enable()
+        obs.set_clock(CountingClock())
+        with obs.timer("filter.predict"):
+            pass
+        obs.observe("filter.ess", 37.5)
+        obs.observe("collector.raw_readings_per_second", 320.0)
+        snapshot = obs.snapshot()
+        obs.disable()
+
+        marks = {item["name"]: item["timer"] for item in snapshot["metrics"]["histograms"]}
+        assert marks == {
+            "collector.raw_readings_per_second": False,
+            "filter.ess": False,
+            "filter.predict": True,
+        }
+        profile = build_profile(snapshot)
+        assert [row["series"] for row in profile.timers] == ["filter.predict"]
+        assert [row["series"] for row in profile.values] == [
+            "collector.raw_readings_per_second",
+            "filter.ess",
+        ]
+        assert profile.values[1] == {
+            "series": "filter.ess", "count": 1, "mean": 37.5, "min": 37.5, "max": 37.5,
+        }
+        assert json.loads(json.dumps(profile.as_dict()))["values"] == profile.values
+
+        for deterministic in (True, False):
+            profile.clock = "deterministic" if deterministic else "wall"
+            text = render_attribution(profile)
+            value_lines = [line for line in text.splitlines() if "filter.ess" in line]
+            assert value_lines == ["  filter.ess                              1 x  mean 37.5 (min 37.5, max 37.5)"]
+            assert not any(
+                "seconds" in line or "units" in line
+                for line in text.splitlines()
+                if "filter.ess" in line or "raw_readings" in line
+            )
+
+    def test_unmarked_snapshots_read_as_timers(self):
+        # A snapshot written before the mark existed keeps its old reading.
+        histograms = [{"name": "filter.predict", "count": 2, "total": 0.5}]
+        profile = build_profile(_snapshot([], histograms=histograms))
+        assert [row["series"] for row in profile.timers] == ["filter.predict"]
+        assert profile.values == []
