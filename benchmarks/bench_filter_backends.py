@@ -1,7 +1,7 @@
 """Head-to-head comparison of the pluggable filter backends.
 
 Runs the identical simulated workload under every registered backend
-(``particle``, ``kalman``, ``symbolic``) and reports, per backend:
+(``particle``, ``symbolic``) and reports, per backend:
 
 * **throughput** — filter runs per second over repeated all-object
   snapshot evaluations (the online service's hot path), and

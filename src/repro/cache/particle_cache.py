@@ -3,8 +3,8 @@
 Stores each object's filter state after a filter run so that a later
 query over the same object resumes filtering from the cached timestamp
 instead of replaying from scratch. The cache is backend-agnostic: it
-holds any :class:`repro.filters.base.FilterState` (particle sets, Kalman
-mixtures, ...) and tags its serialized form with the owning backend's
+holds any :class:`repro.filters.base.FilterState` (particle sets,
+symbolic states) and tags its serialized form with the owning backend's
 name and state version so checkpoints refuse incompatible restores.
 
 Invalidation policy (exactly as the paper argues): a cached state is only

@@ -1546,7 +1546,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro.sim import Simulation
 
     if args.tenants:
-        specs = load_tenants(args.tenants)
+        try:
+            specs = load_tenants(args.tenants)
+        except ValueError as exc:
+            raise SystemExit(f"repro: error: {exc}") from None
     else:
         specs = demo_tenants(
             args.demo_tenants,

@@ -62,14 +62,6 @@ class SimulationConfig:
     silence_cap_seconds: float = 60.0
     num_readers: int = 19
 
-    # --- graph-Kalman filter backend (repro.filters.kalman) ------------------
-    # Mixture size cap, random-acceleration noise density (m/s^2), and the
-    # offset gap below which same-edge hypotheses are moment-matched into
-    # one Gaussian. See DESIGN.md section 10 for the derivation.
-    kalman_max_hypotheses: int = 12
-    kalman_accel_std: float = 0.3
-    kalman_merge_distance: float = 0.5
-
     # --- extensions (beyond the paper; see DESIGN.md) -----------------------
     # When enabled, silent seconds also reweight: a particle inside any
     # reader's range while no reading arrived is penalized by
@@ -123,12 +115,6 @@ class SimulationConfig:
             raise ValueError("weight_hit must exceed weight_miss")
         if not 0.0 < self.negative_likelihood <= 1.0:
             raise ValueError("negative_likelihood must be in (0, 1]")
-        if self.kalman_max_hypotheses < 1:
-            raise ValueError("kalman_max_hypotheses must be >= 1")
-        if self.kalman_accel_std < 0:
-            raise ValueError("kalman_accel_std must be non-negative")
-        if self.kalman_merge_distance < 0:
-            raise ValueError("kalman_merge_distance must be non-negative")
 
     def with_overrides(self, **overrides: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced (sweep helper)."""

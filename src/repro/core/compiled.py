@@ -7,17 +7,13 @@ per second, so it works on these precompiled arrays instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 
-
-#: A :attr:`CompiledGraph.junctions` entry: the one edge a particle must
-#: take, or the ``(doors, hallways)`` pools it draws from.
-Junction = Union[int, Tuple[List[int], List[int]]]
 
 #: Where a crosser continues: its heading key (see :class:`Crossings`)
 #: and its entry offset on the new edge.
@@ -31,9 +27,8 @@ class CompiledGraph:
     densely from 0). Polyline edges are flattened into a global leg table
     so that 2-D points for ``(edge, offset)`` pairs can be computed fully
     vectorized. The edge-crossing walk of the motion model runs in plain
-    Python, so the choices at every junction are tabulated once in
-    :attr:`junctions`, and :attr:`crossings` lays them out as Python
-    lists per edge and direction.
+    Python, so :attr:`crossings` tabulates the choices at every junction
+    once, as Python lists per edge and direction.
     """
 
     def __init__(self, graph: WalkingGraph):
@@ -71,8 +66,7 @@ class CompiledGraph:
             np.array(eids, dtype=np.int64) for eids in adjacency
         ]
 
-        self.junctions = self._junction_table(adjacency)
-        self.crossings = Crossings(self)
+        self.crossings = Crossings(self, adjacency)
 
         # Flatten polyline legs. leg_ptr[e] .. leg_ptr[e+1] are edge e's legs.
         leg_ptr = [0]
@@ -103,31 +97,6 @@ class CompiledGraph:
         self.leg_uy = np.array(uy)
         self.leg_cum = np.array(cum)
         self.leg_len = np.array(leg_len)
-
-    def _junction_table(self, adjacency: List[List[int]]) -> Dict[Tuple[int, int], Junction]:
-        """The next-edge choices for each (node, arrival edge).
-
-        This is the motion model's junction law, shared by the particle
-        walk and the Kalman backend's split. The arrival edge is excluded
-        (no immediate U-turns) unless the node is a dead end. One
-        remaining edge is stored as an ``int``; otherwise the entry holds
-        the door and hallway edges in adjacency order.
-        """
-        table: Dict[Tuple[int, int], Junction] = {}
-        is_door = self.edge_is_door.tolist()
-        for node, incident in enumerate(adjacency):
-            for arrival in incident:
-                candidates = incident
-                if len(candidates) > 1:
-                    candidates = [e for e in candidates if e != arrival]
-                if len(candidates) == 1:
-                    table[node, arrival] = candidates[0]
-                else:
-                    table[node, arrival] = (
-                        [e for e in candidates if is_door[e]],
-                        [e for e in candidates if not is_door[e]],
-                    )
-        return table
 
     @property
     def num_edges(self) -> int:
@@ -176,18 +145,20 @@ class Crossings:
       ``None`` when the node is a room (it dwells there, :attr:`room`)
       or offers a choice;
     * :attr:`doors` and :attr:`hallways` — the pools of entries a
-      crosser draws from, in :attr:`CompiledGraph.junctions` order.
+      crosser draws from, each in adjacency order.
 
-    Everything is derived from :attr:`CompiledGraph.junctions`, so the
-    walk keeps the junction law: no U-turns except at dead ends, and the
-    door/hallway pools as they are.
+    This is the motion model's junction law, derived from the node's
+    incident edges (``adjacency``): the arrival edge is excluded (no
+    U-turns) unless the node is a dead end, and one remaining edge is
+    forced; otherwise the door and hallway edges form the pools.
     """
 
-    def __init__(self, compiled: "CompiledGraph") -> None:
+    def __init__(self, compiled: "CompiledGraph", adjacency: List[List[int]]) -> None:
         lengths: List[float] = compiled.edge_length.tolist()
         node_a: List[int] = compiled.edge_node_a.tolist()
         node_b: List[int] = compiled.edge_node_b.tolist()
         is_room: List[bool] = compiled.node_is_room.tolist()
+        is_door: List[bool] = compiled.edge_is_door.tolist()
 
         def entry(edge: int, node: int) -> Entry:
             if node_a[edge] == node:
@@ -208,17 +179,16 @@ class Crossings:
                 self.sign.append(1 if forward else -1)
                 self.length.append(length)
                 self.room.append(is_room[node])
-                choice = None if is_room[node] else compiled.junctions[node, edge]
-                doors: List[int] = []
-                hallways: List[int] = []
-                if isinstance(choice, int):
-                    self.forced.append(entry(choice, node))
+                onward = [] if is_room[node] else adjacency[node]
+                if len(onward) > 1:
+                    onward = [e for e in onward if e != edge]
+                if len(onward) == 1:
+                    self.forced.append(entry(onward[0], node))
+                    onward = []
                 else:
                     self.forced.append(None)
-                    if choice is not None:
-                        doors, hallways = choice
-                self.doors.append([entry(e, node) for e in doors])
-                self.hallways.append([entry(e, node) for e in hallways])
+                self.doors.append([entry(e, node) for e in onward if is_door[e]])
+                self.hallways.append([entry(e, node) for e in onward if not is_door[e]])
 
 
 class CompiledAnchors:

@@ -229,8 +229,8 @@ class GraphMotionModel:
         """Walk each crosser until its ``distance`` is spent, in row order.
 
         A particle that reaches a room node dwells there. At a hallway
-        node it continues on an edge from :attr:`CompiledGraph.junctions`,
-        read through the per-heading :attr:`CompiledGraph.crossings`.
+        node it continues on an edge read from the per-heading
+        :attr:`CompiledGraph.crossings`.
         The paper's model is "particles pick a random direction at
         intersections"; a uniform choice over incident edges would send a
         particle through every door with probability ~1/2, far more often

@@ -8,8 +8,8 @@ hash table that the query evaluation module reads.
 The estimator is pluggable (:mod:`repro.filters`): the module accepts a
 backend name or instance and drives it purely through the
 :class:`~repro.filters.base.FilterBackend` contract, so the particle
-filter, the graph-Kalman filter, and the symbolic baseline all flow
-through this exact code path.
+filter and the symbolic baseline both flow through this exact code
+path.
 
 The module owns the backend and its state cache: the query engine and
 the tracking service both build one and read ``.backend`` / ``.cache``

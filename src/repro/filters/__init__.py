@@ -1,13 +1,12 @@
 """Pluggable Bayesian filter backends behind one interface.
 
 Every location estimator in the system — the paper's SIR particle
-filter, the symbolic uniform-over-reachable baseline, and the
-graph-constrained Kalman filter — implements the
+filter and the symbolic uniform-over-reachable baseline — implements the
 :class:`~repro.filters.base.BayesFilter` /
 :class:`~repro.filters.base.FilterBackend` contract and registers itself
 with the :data:`~repro.filters.registry.FACTORY`. Engines, executors,
-and the CLI resolve backends by name (``--filter {particle, kalman,
-symbolic}``) and otherwise never special-case an estimator.
+and the CLI resolve backends by name (``--filter {particle, symbolic}``)
+and otherwise never special-case an estimator.
 
 Importing this package imports all built-in backend modules, which
 populates the registry as a side effect.
@@ -32,7 +31,6 @@ from repro.filters.registry import (
 )
 
 # Import the built-in backends for their registration side effect.
-from repro.filters.kalman import GraphKalmanFilter, KalmanBackend, KalmanState
 from repro.filters.particle import ParticleBackend, ParticleBayesFilter
 from repro.filters.symbolic import (
     SymbolicBackend,
@@ -57,9 +55,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "register_backend",
-    "GraphKalmanFilter",
-    "KalmanBackend",
-    "KalmanState",
     "ParticleBackend",
     "ParticleBayesFilter",
     "SymbolicBackend",

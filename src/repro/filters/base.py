@@ -8,13 +8,10 @@ behind one model/processing interface — this module is that interface.
 
 A **backend** (:class:`FilterBackend`) owns the immutable per-deployment
 model: the walking graph, the reader layout, and whatever it precompiled
-from them. A **filter** (:class:`BayesFilter`) is one object's mutable
-belief, created by its backend and driven through the classic recursive
-Bayesian cycle:
+from them. Its :meth:`FilterBackend.run` turns one object's reading
+history into a :class:`FilterRun` whose **filter** (:class:`BayesFilter`)
+is that object's final belief:
 
-* ``predict(dt)`` — propagate the belief through the motion model;
-* ``update(second, readings, negative_info)`` — condition on that
-  second's detections (or on silence, when negative information is on);
 * ``posterior()`` — the belief as per-anchor probability mass, the
   ``{ap_id: probability}`` form all query evaluation code consumes;
 * ``state()`` / ``to_state()`` — checkpointing: ``state()`` exposes the
@@ -27,10 +24,6 @@ Randomness is injected: the caller passes a generator derived from the
 this is what makes every backend's results independent of partitioning and
 restarts. Deterministic backends simply ignore the generator.
 
-:meth:`FilterBackend.replay` is the shared run loop (paper Algorithm 2's
-shell): seed from the reading history's first device, then replay every
-retained second through predict/update. Backends may override
-:meth:`FilterBackend.run` when they have a cheaper equivalent path.
 :meth:`FilterBackend.run_many` runs a whole tick's objects in one call;
 by default it loops over :meth:`FilterBackend.run`, and the particle
 backend overrides it with its lockstep kernel.
@@ -42,9 +35,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
-import numpy as np
-
-import repro.obs as obs
 from repro.collector.collector import ReadingHistory
 from repro.config import SimulationConfig
 from repro.core.compiled import CompiledAnchors, CompiledGraph
@@ -52,7 +42,7 @@ from repro.core.filter import FilterRequest as FilterRequest
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
-from repro.rng import RngLike, make_rng
+from repro.rng import RngLike
 
 
 class FilterStateError(ValueError):
@@ -61,10 +51,6 @@ class FilterStateError(ValueError):
 
 class FilterState(Protocol):
     """What a backend's mutable belief must support to be cached/checkpointed."""
-
-    def copy(self) -> "FilterState":
-        """An independent deep copy of the belief."""
-        ...  # pragma: no cover - protocol
 
     def detached(self) -> "FilterState":
         """This belief if it shares no memory with others, else a copy."""
@@ -80,23 +66,7 @@ ResumeState = Tuple[FilterState, int]
 
 
 class BayesFilter(ABC):
-    """One object's belief, driven through predict/update cycles."""
-
-    @abstractmethod
-    def predict(self, dt: float) -> None:
-        """Propagate the belief ``dt`` seconds through the motion model."""
-
-    @abstractmethod
-    def update(
-        self, second: int, readings: Sequence[str], negative_info: bool
-    ) -> None:
-        """Condition on one second's detections.
-
-        ``readings`` holds the ids of the readers that detected the
-        object during ``second`` (empty on silent seconds). When
-        ``negative_info`` is true, a silent second is itself evidence
-        and the belief is conditioned on the absence of detections.
-        """
+    """One object's belief, as a backend run left it."""
 
     @abstractmethod
     def posterior(self) -> Dict[int, float]:
@@ -133,9 +103,8 @@ class FilterRun:
         The contract every backend keeps: once ``run``/``run_many`` has
         returned, nothing mutates this state, so the cache may hold it
         as is. The particle kernel returns views of a stack it built for
-        the call and never touches again; the Kalman and symbolic
-        backends build a fresh state per run and copy a resume state
-        before stepping it.
+        the call and never touches again; the symbolic backend builds a
+        fresh state per run.
         """
         return self.filter.state()
 
@@ -175,28 +144,11 @@ class FilterBackend(ABC):
         self.compiled_graph = CompiledGraph(graph)
         self.compiled_anchors = CompiledAnchors(anchor_index, self.compiled_graph)
 
-    # ------------------------------------------------------------------
-    # per-object filter construction
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def new_filter(
-        self, history: ReadingHistory, rng: np.random.Generator
-    ) -> BayesFilter:
-        """A fresh belief seeded from the history's first detecting device."""
-
-    @abstractmethod
-    def filter_from_state(
-        self, state: FilterState, rng: np.random.Generator
-    ) -> BayesFilter:
-        """Rebuild a belief from a cached live state (copies the state)."""
-
     @abstractmethod
     def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
         """Decode a :meth:`BayesFilter.to_state` document (checkpoints)."""
 
-    # ------------------------------------------------------------------
-    # the shared run loop
-    # ------------------------------------------------------------------
+    @abstractmethod
     def run(
         self,
         history: ReadingHistory,
@@ -204,8 +156,10 @@ class FilterBackend(ABC):
         rng: RngLike = None,
         resume: Optional[ResumeState] = None,
     ) -> FilterRun:
-        """Run (or resume) the filter for one object up to ``current_second``."""
-        return self.replay(history, current_second, rng=rng, resume=resume)
+        """Run (or resume) the filter for one object up to ``current_second``.
+
+        Raises :class:`ValueError` when ``history`` holds no readings.
+        """
 
     def run_many(
         self, requests: Sequence[FilterRequest], current_second: int
@@ -219,54 +173,6 @@ class FilterBackend(ABC):
             self.run(request.history, current_second, rng=request.rng, resume=request.resume)
             for request in requests
         ]
-
-    def replay(
-        self,
-        history: ReadingHistory,
-        current_second: int,
-        rng: RngLike = None,
-        resume: Optional[ResumeState] = None,
-    ) -> FilterRun:
-        """The generic replay driver (paper Algorithm 2's outer loop).
-
-        Seeds from the history's first device (or resumes from a cached
-        belief), then replays every second up to
-        ``min(t_d + silence_cap, current_second)`` through
-        predict/update. Mirrors
-        :meth:`repro.core.filter.ParticleFilter.run` step for step, so a
-        backend whose primitives match the legacy filter's draws the
-        identical RNG sequence.
-        """
-        if history.is_empty:
-            raise ValueError(
-                f"object {history.object_id!r} has no readings; it cannot be filtered"
-            )
-        generator = make_rng(rng)
-        td = history.last_second
-        t_end = int(min(td + self.config.silence_cap_seconds, current_second))
-
-        with obs.span("filter.run", object=history.object_id, backend=self.name):
-            if resume is not None and resume[1] <= t_end:
-                filt = self.filter_from_state(resume[0], generator)
-                t_state = resume[1]
-                obs.add("filter.resumed_runs")
-            else:
-                filt = self.new_filter(history, generator)
-                t_state = history.first_second
-            obs.add("filter.runs")
-            obs.add("filter.backend_runs", labels={"backend": self.name})
-            obs.add("filter.seconds_replayed", max(t_end - t_state, 0))
-
-            negative = self.config.use_negative_information
-            for second in range(t_state + 1, t_end + 1):
-                filt.predict(1.0)
-                reader_id = history.reading_at(second)
-                filt.update(
-                    second,
-                    () if reader_id is None else (reader_id,),
-                    negative,
-                )
-        return FilterRun(filter=filt, end_second=t_end)
 
     def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:
         """Each run's final per-anchor distribution, in ``runs`` order.

@@ -4,17 +4,13 @@ This wraps :class:`repro.core.filter.ParticleFilter` without changing
 its behavior: :meth:`ParticleBackend.run_many` hands a tick's requests
 to the filter's lockstep kernel, and :meth:`ParticleBackend.run` is a
 batch of one, so every result — and every RNG draw — is bit-identical
-to running each object alone. The :class:`ParticleBayesFilter` contract
-implementation drives the same public primitives (``predict`` /
-``observe`` / ``observe_silence``) in the same order on one cloud, which
-the contract test suite asserts is equivalent.
+to running each object alone. A :class:`ParticleBayesFilter` is one
+run's final cloud.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union, cast
-
-import numpy as np
 
 import repro.obs as obs
 from repro.collector.collector import ReadingHistory
@@ -39,29 +35,11 @@ from repro.rng import RngLike, make_rng
 
 
 class ParticleBayesFilter(BayesFilter):
-    """One object's particle cloud, driven through the contract."""
+    """One object's particle cloud, as a run left it."""
 
-    def __init__(
-        self,
-        backend: "ParticleBackend",
-        particles: ParticleSet,
-        rng: np.random.Generator,
-    ) -> None:
+    def __init__(self, backend: "ParticleBackend", particles: ParticleSet) -> None:
         self._backend = backend
         self.particles = particles
-        self._rng = rng
-
-    def predict(self, dt: float) -> None:
-        self._backend.filter.predict(self.particles, [self._rng], dt=dt)
-
-    def update(
-        self, second: int, readings: Sequence[str], negative_info: bool
-    ) -> None:
-        del second  # the particle filter conditions on the reading alone
-        if readings:
-            self._backend.filter.observe(self.particles, readings[:1], [self._rng])
-        elif negative_info:
-            self._backend.filter.observe_silence(self.particles, [self._rng])
 
     def posterior(self) -> Dict[int, float]:
         return particles_to_anchor_distribution(
@@ -96,18 +74,6 @@ class ParticleBackend(FilterBackend):
             resampler=resampler if resampler is not None else systematic_resample,
         )
 
-    # ------------------------------------------------------------------
-    def new_filter(
-        self, history: ReadingHistory, rng: np.random.Generator
-    ) -> BayesFilter:
-        particles = self.filter.initialize(history, rng)
-        return ParticleBayesFilter(self, particles, rng)
-
-    def filter_from_state(
-        self, state: FilterState, rng: np.random.Generator
-    ) -> BayesFilter:
-        return ParticleBayesFilter(self, cast(ParticleSet, state).copy(), rng)
-
     def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
         try:
             return ParticleSet.from_state(payload)
@@ -137,18 +103,13 @@ class ParticleBackend(FilterBackend):
     def run_many(
         self, requests: Sequence[FilterRequest], current_second: int
     ) -> List[FilterRun]:
-        """Run every request through the filter's lockstep kernel.
-
-        ``tests/test_filters_contract.py`` asserts the contract-driven
-        :meth:`~repro.filters.base.FilterBackend.replay` produces the
-        identical particle sets.
-        """
+        """Run every request through the filter's lockstep kernel."""
         obs.add("filter.backend_runs", len(requests), labels={"backend": self.name})
         results = self.filter.run_many(requests, current_second)
         return [
             FilterRun(
-                filter=ParticleBayesFilter(self, result.particles, request.rng),
+                filter=ParticleBayesFilter(self, result.particles),
                 end_second=result.end_second,
             )
-            for request, result in zip(requests, results)
+            for result in results
         ]

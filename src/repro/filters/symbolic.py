@@ -5,17 +5,15 @@ Yang-et-al. baseline the paper compares against — behind the
 :class:`~repro.filters.base.BayesFilter` contract. This backend *is* the
 baseline system: the simulator's ``sm_engine`` and the CLI's
 ``--filter symbolic`` both run it through the exact same engine,
-executor, and query-evaluation code paths as the particle and Kalman
-backends.
+executor, and query-evaluation code paths as the particle backend.
 
 The model is closed-form in ``(history, now)``: there is nothing to
-propagate between seconds, so ``predict`` is a no-op, ``update`` merely
-advances the evaluation second, and the backend opts out of state
-caching (``cacheable = False`` — recomputing is cheaper than resuming).
-Unlike the replay driver, the symbolic model evaluates at the *actual*
-query second with no silence cap — the maximum-speed reachability
-constraint plays that role — so :meth:`SymbolicBackend.run` overrides
-the generic loop and evaluates directly at ``current_second``.
+propagate between seconds, so the backend opts out of state caching
+(``cacheable = False`` — recomputing is cheaper than resuming). Unlike
+the particle filter, the symbolic model evaluates at the *actual* query
+second with no silence cap — the maximum-speed reachability constraint
+plays that role — so :meth:`SymbolicBackend.run` evaluates directly at
+``current_second``.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from typing import (
     Union,
     cast,
 )
-
-import numpy as np
 
 import repro.obs as obs
 from repro.collector.collector import DeviceRun, ReadingHistory
@@ -92,10 +88,6 @@ class SymbolicState:
             ),
         )
 
-    def copy(self) -> "SymbolicState":
-        """An independent deep copy."""
-        return SymbolicState(self.object_id, self.runs, self.now)
-
     def detached(self) -> "SymbolicState":
         """This state: it shares nothing with other states."""
         return self
@@ -129,21 +121,6 @@ class SymbolicBayesFilter(BayesFilter):
     def __init__(self, backend: "SymbolicBackend", state: SymbolicState) -> None:
         self._backend = backend
         self._state = state
-
-    def predict(self, dt: float) -> None:
-        # Closed-form model: time only enters through the evaluation
-        # second, advanced here so the generic replay driver still lands
-        # on the correct ``now``.
-        self._state.now += int(dt)
-
-    def update(
-        self, second: int, readings: Sequence[str], negative_info: bool
-    ) -> None:
-        del negative_info  # reachability already encodes absence
-        self._state.now = second
-        # The retained runs grow only through the collector; a detection
-        # during replay is already part of the captured history.
-        del readings
 
     def posterior(self) -> Dict[int, float]:
         distribution = self._backend.model.infer(
@@ -183,24 +160,9 @@ class SymbolicBackend(FilterBackend):
         )
 
     # ------------------------------------------------------------------
-    def new_filter(
-        self, history: ReadingHistory, rng: np.random.Generator
-    ) -> BayesFilter:
-        del rng  # the symbolic model is deterministic
-        return SymbolicBayesFilter(
-            self, SymbolicState.from_history(history, history.first_second)
-        )
-
-    def filter_from_state(
-        self, state: FilterState, rng: np.random.Generator
-    ) -> BayesFilter:
-        del rng
-        return SymbolicBayesFilter(self, cast(SymbolicState, state).copy())
-
     def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
         return SymbolicState.from_state(payload)
 
-    # ------------------------------------------------------------------
     def run(
         self,
         history: ReadingHistory,
@@ -212,8 +174,7 @@ class SymbolicBackend(FilterBackend):
 
         The symbolic model bounds the feasible region by maximum-speed
         reachability instead of capping replay length, so the model is
-        evaluated at the true query second rather than routed through the
-        capped replay loop.
+        evaluated at the true query second.
         """
         del rng, resume  # deterministic and closed-form
         if history.is_empty:

@@ -225,7 +225,12 @@ def restore_coordinator(
     from repro.gateway.coordinator import GatewayCoordinator
 
     state = load_checkpoint(path)
-    specs = [TenantSpec.from_dict(record) for record in state["tenants"]]
+    try:
+        specs = [TenantSpec.from_dict(record) for record in state["tenants"]]
+    except ValueError as exc:
+        raise GatewayCompatibilityError(
+            f"{path}: {exc}; re-create the checkpoint"
+        ) from None
     if tenants is not None:
         want = {spec.tenant_id: spec for spec in tenants}
         have = {spec.tenant_id: spec for spec in specs}

@@ -350,7 +350,7 @@ class GatewayCoordinator:
                 "gateway.tracked_objects", len(merged.objects()), labels=labels
             )
             for index, wait in waits.items():
-                obs.observe(
+                obs.observe_seconds(
                     "gateway.barrier_wait_seconds",
                     wait,
                     labels={"partition": index},

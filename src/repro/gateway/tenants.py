@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence
 
 from repro.config import DEFAULT_CONFIG, SimulationConfig
+from repro.filters import available_backends
 from repro.floorplan.plan import FloorPlan
 from repro.floorplan.presets import (
     cross_office_plan,
@@ -61,6 +62,11 @@ class TenantSpec:
             raise ValueError(
                 f"unknown plan preset {self.plan!r}; "
                 f"choose one of {sorted(PLAN_PRESETS)}"
+            )
+        if self.filter_backend not in available_backends():
+            raise ValueError(
+                f"unknown filter backend {self.filter_backend!r}; "
+                f"choose one of {list(available_backends())}"
             )
         if self.num_objects < 1:
             raise ValueError("num_objects must be >= 1")

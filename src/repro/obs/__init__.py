@@ -67,6 +67,7 @@ __all__ = [
     "export_json",
     "gauge_set",
     "observe",
+    "observe_seconds",
     "registry",
     "render_prometheus",
     "render_summary",
@@ -175,6 +176,12 @@ def observe(name: str, value: float, labels: Labels = None) -> None:
     """Record one histogram sample."""
     if _enabled:
         _registry.histogram(name, labels).observe(value)
+
+
+def observe_seconds(name: str, seconds: float, labels: Labels = None) -> None:
+    """Record one elapsed time measured elsewhere on a timer series."""
+    if _enabled:
+        _registry.timer(name, labels).histogram.observe(seconds)
 
 
 def timer(name: str, labels: Labels = None) -> Union[Timer, _NoopContext]:

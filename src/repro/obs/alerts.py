@@ -2,7 +2,7 @@
 
 The epoch event recorder (:mod:`repro.obs.events`) already distills each
 service tick into a record of cost and accuracy proxies — pre-resample
-effective sample size, Kalman mixture entropy, depletion reseeds,
+effective sample size, depletion reseeds,
 backpressure, and (when a ``LiveSimSource`` ground truth is wired in)
 per-room occupancy error. This module watches those records *online*
 and raises alerts when they drift:
@@ -102,19 +102,6 @@ def builtin_rules() -> List[AlertRule]:
                 "pre-resample effective sample size fell below half its "
                 "recent baseline: the particle cloud no longer matches "
                 "the observations (reader outage, kidnapped object)"
-            ),
-        ),
-        AlertRule(
-            name="entropy_spike",
-            field="accuracy.kalman_entropy_mean",
-            kind="ewma_rise",
-            factor=2.0,
-            alpha=0.2,
-            min_samples=3,
-            severity="warning",
-            description=(
-                "Kalman mixture entropy doubled against baseline: "
-                "hypothesis mass is spreading instead of localizing"
             ),
         ),
         AlertRule(

@@ -257,13 +257,6 @@ def render_top(state: TopState, width: int = 80) -> str:
         lines.append(
             f"ESS         {sparkline(ess)}  last={_fmt(tail_ess[-1], 2)}"
         )
-    entropy = state.accuracy_series("kalman_entropy_mean")
-    if any(v is not None for v in entropy):
-        tail_entropy = [v for v in entropy if v is not None]
-        lines.append(
-            f"entropy     {sparkline(entropy)}  "
-            f"last={_fmt(tail_entropy[-1], 3)}"
-        )
     occupancy = state.accuracy_series("occupancy_error_mean")
     if any(v is not None for v in occupancy):
         tail_occ = [v for v in occupancy if v is not None]

@@ -10,8 +10,7 @@ N cost and how healthy was the belief state" directly:
   weight / normalize / resample / the whole filter step);
 * queue depth and backpressure stalls, cache hits/misses and hit ratio;
 * accuracy-drift proxies: mean particle effective sample size (plus the
-  fraction of runs whose ESS collapsed), mean Kalman mixture entropy,
-  Kalman hypotheses pruned, depletion reseeds.
+  fraction of runs whose ESS collapsed), depletion reseeds.
 
 The file starts with a header line (``format``/``version``) followed by
 one record per epoch. Everything is derived from already-recorded
@@ -369,12 +368,6 @@ class EpochEventRecorder:
                     round(ess_collapses / ess_samples, 9)
                     if ess_samples
                     else None
-                ),
-                "kalman_entropy_mean": self._family_mean(
-                    histogram_deltas, "filter.kalman.entropy"
-                ),
-                "kalman_pruned": self._family_counter(
-                    counter_deltas, "filter.kalman.pruned_hypotheses"
                 ),
                 "depletion_reseeds": self._family_counter(
                     counter_deltas, "filter.depletion_reseeds"

@@ -13,7 +13,7 @@ paper's Section 5 reports:
 
 Every instrument may carry a small **frozen label set** — a mapping of
 dimension names to values fixed at creation (``partition="3"``,
-``backend="kalman"``, ``query="knn"``). Each distinct ``(name, labels)``
+``backend="symbolic"``, ``query="knn"``). Each distinct ``(name, labels)``
 pair is its own series, aggregated independently in the registry and
 exported side by side in snapshots; the Prometheus exposition
 (:mod:`repro.obs.expo`) renders the labels natively.
@@ -297,7 +297,7 @@ class MetricsRegistry:
     Instruments are created on first use and shared thereafter; names are
     dot-separated (``"filter.predict"``, ``"cache.hits"``), and an
     optional label mapping selects one series of a metric family
-    (``counter("filter.runs", {"backend": "kalman"})``). One registry
+    (``counter("filter.runs", {"backend": "symbolic"})``). One registry
     instance is process-local state — the :mod:`repro.obs` facade owns a
     default instance, but tests may build private ones. Series creation
     is lock-guarded so any thread may create labeled series

@@ -33,6 +33,7 @@ import os
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.config import SimulationConfig
+from repro.filters import available_backends
 
 if TYPE_CHECKING:
     from repro.floorplan.plan import FloorPlan
@@ -47,6 +48,16 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointCompatibilityError(ValueError):
     """A checkpoint cannot be restored onto this service configuration."""
+
+
+#: Config fields of a removed filter backend. Checkpoints written before
+#: its removal still carry them; they are dropped on read, and any other
+#: unknown config key is still refused.
+RETIRED_CONFIG_KEYS = (
+    "kalman_max_hypotheses",
+    "kalman_accel_std",
+    "kalman_merge_distance",
+)
 
 
 #: Dicts and lists with more items than this are encoded this many at a time.
@@ -190,16 +201,29 @@ def restore_service(
 
     The filter backend is **not** free to change: cached beliefs only
     decode under the backend that produced them. ``filter_backend=None``
-    adopts the checkpoint's recorded backend; a different name (or an
-    incompatible state version) is refused by
-    :meth:`TrackingService.restore_state` with
-    :class:`CheckpointCompatibilityError`.
+    adopts the checkpoint's recorded backend; a recorded backend this
+    build does not have, a different name, or an incompatible state
+    version is refused with :class:`CheckpointCompatibilityError`.
+    Config fields in :data:`RETIRED_CONFIG_KEYS` are dropped.
     """
     from repro.service.tracking import TrackingService
 
+    recorded = str(state.get("filter", {}).get("backend", "particle"))
+    if recorded not in available_backends():
+        raise CheckpointCompatibilityError(
+            f"checkpoint was produced by filter backend {recorded!r}, "
+            f"which this build does not have (it has "
+            f"{', '.join(available_backends())}); re-create the checkpoint"
+        )
     if filter_backend is None:
-        filter_backend = str(state.get("filter", {}).get("backend", "particle"))
-    config = SimulationConfig(**state["config"])
+        filter_backend = recorded
+    config = SimulationConfig(
+        **{
+            key: value
+            for key, value in state["config"].items()
+            if key not in RETIRED_CONFIG_KEYS
+        }
+    )
     if use_cache is None:
         use_cache = state["cache"] is not None
     service = TrackingService(

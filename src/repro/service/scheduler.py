@@ -123,7 +123,7 @@ class EpochScheduler:
             self.service.process_batch(batch)
             finished = self.clock.now()
             elapsed = finished - started
-            obs.observe("service.tick_latency", elapsed)
+            obs.observe_seconds("service.tick_latency", elapsed)
             obs.add("service.ticks")
             processed += 1
             self.ticks_run += 1

@@ -301,7 +301,7 @@ def run_figure13(
     return rows
 
 
-DEFAULT_COMPARISON_BACKENDS = ("particle", "kalman", "symbolic")
+DEFAULT_COMPARISON_BACKENDS = ("particle", "symbolic")
 
 
 def run_backend_comparison(

@@ -45,7 +45,7 @@ class TestCacheBasics:
         assert first is second
         assert np.allclose(first.offset, 2.0)
 
-    @pytest.mark.parametrize("backend", ["particle", "kalman"])
+    @pytest.mark.parametrize("backend", ["particle"])
     @pytest.mark.parametrize("objects", [1, 8])
     def test_stored_states_survive_later_ticks(self, backend, objects):
         # Entries are stored without a copy (the FilterRun.state contract):

@@ -23,8 +23,10 @@ class TestParser:
     def test_filter_backend_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--filter", "bogus"])
-        args = build_parser().parse_args(["simulate", "--filter", "kalman"])
-        assert args.filter_backend == "kalman"
+        args = build_parser().parse_args(["simulate", "--filter", "symbolic"])
+        assert args.filter_backend == "symbolic"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--filter", "kalman"])
 
     def test_serve_filter_defaults_to_none(self):
         args = build_parser().parse_args(["serve", "--live"])
@@ -120,9 +122,7 @@ class TestExperiment:
         printed = capsys.readouterr().out
         assert "backend" in printed
         rows = json.loads(out_json.read_text())
-        assert [row["backend"] for row in rows] == [
-            "particle", "kalman", "symbolic"
-        ]
+        assert [row["backend"] for row in rows] == ["particle", "symbolic"]
         assert all(row["elapsed_s"] >= 0 for row in rows)
 
 

@@ -29,7 +29,7 @@ from repro.service import (
 )
 from repro.sim import Simulation
 
-ALL_BACKENDS = ("particle", "kalman", "symbolic")
+ALL_BACKENDS = ("particle", "symbolic")
 
 FAST = DEFAULT_CONFIG.with_overrides(num_objects=6, seed=19)
 
@@ -73,7 +73,7 @@ def _rng_for(object_id, second):
 
 class TestFactory:
     def test_all_backends_registered(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
+        assert available_backends() == ALL_BACKENDS
 
     def test_default_backend_is_particle(self):
         assert DEFAULT_BACKEND == "particle"
@@ -87,7 +87,7 @@ class TestFactory:
 
     def test_instance_passes_through(self, world, backends):
         sim, _ = world
-        backend = backends["kalman"]
+        backend = backends["symbolic"]
         assert (
             create_backend(backend, sim.graph, sim.anchor_index, sim.readers, FAST)
             is backend
@@ -124,10 +124,11 @@ class TestBackendContract:
         backend = backends[name]
         object_id, history = next(iter(histories.items()))
         run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-        restored = backend.filter_from_state(
-            backend.state_from_dict(run.state().to_state()),
-            _rng_for(object_id, 30),
+        decoded = backend.state_from_dict(run.state().to_state())
+        restored = backend.run(
+            history, 30, rng=_rng_for(object_id, 30), resume=(decoded, run.end_second)
         )
+        assert restored.end_second == run.end_second
         assert restored.posterior() == run.posterior()
 
     def test_missing_state_field_raises_filter_state_error(
@@ -175,25 +176,6 @@ class TestParticleEquivalence:
                     getattr(state, fieldname),
                 ), (object_id, fieldname)
 
-    def test_generic_replay_matches_legacy_filter(self, world, backends):
-        """The base-class replay driver mirrors the legacy loop exactly."""
-        from repro.filters.base import FilterBackend
-
-        _, histories = world
-        backend = backends["particle"]
-        for object_id, history in histories.items():
-            legacy = backend.filter.run(history, 30, rng=_rng_for(object_id, 30))
-            run = FilterBackend.run(
-                backend, history, 30, rng=_rng_for(object_id, 30)
-            )
-            state = run.state()
-            assert run.end_second == legacy.end_second
-            for fieldname in ("edge", "offset", "direction", "speed", "dwelling"):
-                assert np.array_equal(
-                    getattr(legacy.particles, fieldname),
-                    getattr(state, fieldname),
-                ), (object_id, fieldname)
-
 
 class TestCheckpointCompatibility:
     def _served(self, readings, name, seconds=10):
@@ -202,7 +184,7 @@ class TestCheckpointCompatibility:
             service.process_batch(batch)
         return service
 
-    @pytest.mark.parametrize("name", ["particle", "kalman"])
+    @pytest.mark.parametrize("name", ["particle"])
     def test_round_trip_any_cacheable_backend(
         self, name, replay_readings, tmp_path
     ):
@@ -227,7 +209,7 @@ class TestCheckpointCompatibility:
         finally:
             service.close()
         with pytest.raises(CheckpointCompatibilityError, match="particle"):
-            restore_from_file(path, filter_backend="kalman")
+            restore_from_file(path, filter_backend="symbolic")
 
     def test_restore_state_refuses_foreign_backend(self, replay_readings):
         service = self._served(replay_readings, "particle")
@@ -235,12 +217,24 @@ class TestCheckpointCompatibility:
             state = service.state_dict()
         finally:
             service.close()
-        other = TrackingService(FAST, filter_backend="kalman")
+        other = TrackingService(FAST, filter_backend="symbolic")
         try:
-            with pytest.raises(CheckpointCompatibilityError, match="kalman"):
+            with pytest.raises(CheckpointCompatibilityError, match="symbolic"):
                 other.restore_state(state)
         finally:
             other.close()
+
+    @pytest.mark.parametrize("recorded", ["kalman", "bogus"])
+    def test_removed_or_unknown_backend_is_refused(self, replay_readings, recorded):
+        service = self._served(replay_readings, "particle")
+        try:
+            state = service.state_dict()
+        finally:
+            service.close()
+        state["filter"]["backend"] = recorded
+        for asked in (None, "particle"):
+            with pytest.raises(CheckpointCompatibilityError, match="does not have"):
+                restore_service(state, filter_backend=asked)
 
     def test_mismatched_state_version_is_refused(self, replay_readings):
         service = self._served(replay_readings, "particle")
@@ -307,23 +301,3 @@ class TestCheckpointCompatibility:
             json.dump(document, handle)
         with pytest.raises(CheckpointCompatibilityError, match="symbolic"):
             restore_from_file(path, filter_backend="symbolic")
-
-
-class TestResumeEquivalence:
-    """Resuming from a cached state must equal a cold replay (kalman).
-
-    The Kalman backend draws no randomness, so a resumed run and a fresh
-    run must agree bit-for-bit — the property the cache layer relies on.
-    """
-
-    def test_kalman_resume_equals_fresh(self, world, backends):
-        _, histories = world
-        backend = backends["kalman"]
-        object_id, history = next(iter(histories.items()))
-        mid = backend.run(history, 20)
-        resumed = backend.run(
-            history, 30, resume=(mid.state(), mid.end_second)
-        )
-        fresh = backend.run(history, 30)
-        assert resumed.state().to_state() == fresh.state().to_state()
-        assert resumed.posterior() == fresh.posterior()

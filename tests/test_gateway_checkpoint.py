@@ -216,6 +216,57 @@ class TestResume:
                 } == _tail(cold, CUT_AT)[spec.tenant_id]
 
 
+class TestRetiredConfigKeys:
+    """A checkpoint written before the graph-filter backend was removed."""
+
+    @pytest.fixture
+    def parent_checkpoint(self, checkpoint_path, tmp_path):
+        from tests.test_service_checkpoint import with_parent_config_fields
+
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        for service in document["state"]["services"].values():
+            service["config"] = with_parent_config_fields(service["config"])
+        path = tmp_path / "parent-ck.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_resumes_at_another_partition_count(
+        self, tenant_batches, cold, parent_checkpoint
+    ):
+        assert _resume_tail(
+            parent_checkpoint, tenant_batches, CUT_AT, num_partitions=3
+        ) == _tail(cold, CUT_AT)
+
+    def test_tenant_state_resumes_as_a_single_process_service(
+        self, tenant_batches, cold, parent_checkpoint
+    ):
+        state = load_checkpoint(parent_checkpoint)
+        for spec in _specs():
+            world = TenantWorld(spec)
+            service = restore_service(
+                state["services"][spec.tenant_id],
+                plan=world.plan,
+                readers=world.readers,
+            )
+            with service:
+                deltas = []
+                for batch in tenant_batches[spec.tenant_id][CUT_AT:]:
+                    deltas.extend(_delta_key(d) for d in service.process_batch(batch))
+                expected = _tail(cold, CUT_AT)[spec.tenant_id]
+                assert deltas == expected["deltas"]
+                assert _table(service.snapshot().table) == expected["table"]
+
+    def test_removed_tenant_backend_is_refused(self, checkpoint_path, tmp_path):
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["state"]["tenants"][0]["filter_backend"] = "kalman"
+        path = tmp_path / "removed-backend.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(GatewayCompatibilityError, match="re-create the checkpoint"):
+            restore_coordinator(str(path), transport="inline")
+
+
 class TestCrashSafety:
     @pytest.mark.parametrize("crash", ["before-write", "after-write"])
     def test_a_crashed_save_leaves_a_complete_cut(

@@ -1,5 +1,6 @@
 """The ``repro gateway`` subcommand and the gateway bench workload."""
 
+import json
 import os
 
 import pytest
@@ -130,6 +131,26 @@ class TestGatewayCommand:
     def test_bad_shed_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(FAST + ["--seconds", "1", "--shed-policy", "panic"])
+
+    def test_unknown_tenant_backend_is_refused_before_forking(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.gateway
+
+        def no_coordinator(*args, **kwargs):
+            raise AssertionError("a coordinator was built for an invalid tenant")
+
+        monkeypatch.setattr(repro.gateway, "GatewayCoordinator", no_coordinator)
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text(json.dumps([
+            {"tenant_id": "t0", "seed": 1, "plan": "small"},
+            {"tenant_id": "t1", "seed": 2, "plan": "small", "filter_backend": "bogus"},
+        ]))
+        with pytest.raises(SystemExit, match="unknown filter backend 'bogus'"):
+            main([
+                "gateway", "--tenants", str(tenants), "--transport", "process",
+                "--partitions", "2", "--seconds", "2", "--quiet",
+            ])
 
 
 class TestGatewayBenchWorkload:

@@ -274,3 +274,11 @@ class TestValidation:
             TenantSpec(tenant_id="t", seed=1, plan="atlantis")
         with pytest.raises(ValueError):
             TenantSpec(tenant_id="t", seed=1, num_objects=0)
+
+    @pytest.mark.parametrize("backend", ["kalman", "bogus"])
+    def test_tenant_spec_refuses_unknown_backend(self, backend):
+        with pytest.raises(ValueError, match=f"unknown filter backend {backend!r}"):
+            TenantSpec(tenant_id="t", seed=1, filter_backend=backend)
+        with pytest.raises(ValueError, match="unknown filter backend"):
+            TenantSpec.from_dict({"tenant_id": "t", "seed": 1, "filter_backend": backend})
+        assert TenantSpec(tenant_id="t", seed=1, filter_backend="symbolic")

@@ -258,6 +258,24 @@ class TestFederation:
             coordinator.close()
 
 
+class TestUnits:
+    def test_barrier_wait_is_a_timer_series(self, tenant_batches):
+        """Barrier waits are elapsed seconds, so the series carries the timer mark."""
+        _t, _d, coordinator = _serve(tenant_batches, 2, "process", True)
+        try:
+            coordinator.poll_telemetry()
+            metrics = coordinator.fleet_snapshot()["metrics"]
+        finally:
+            coordinator.close()
+            obs.disable()
+        waits = [
+            series for series in metrics["histograms"]
+            if series["name"] == "gateway.barrier_wait_seconds"
+        ]
+        assert sorted(series["labels"]["partition"] for series in waits) == ["0", "1"]
+        assert all(series["timer"] is True for series in waits)
+
+
 class TestSlo:
     def test_health_partition_detail(self, tenant_batches):
         _t, _d, coordinator = _serve(tenant_batches, 2, "process", True)

@@ -1,11 +1,11 @@
 """Bit identity of the motion model's edge-crossing walk and dwell exits.
 
 ``GraphMotionModel.step`` walks its edge crossers in plain Python over
-``CompiledGraph.crossings``, a per-heading layout of
-``CompiledGraph.junctions``, and moves a block's room leavers with one
-speed draw per block. The reference below is the earlier per-particle
-step, kept verbatim in spirit: one ``_exit_room`` per leaver drawing a
-size-1 speed, one ``_walk`` per crosser reading numpy scalars, and one
+``CompiledGraph.crossings``, a per-heading table of the junction law,
+and moves a block's room leavers with one speed draw per block. The
+reference below is the earlier per-particle step, kept verbatim in
+spirit: one ``_exit_room`` per leaver drawing a size-1 speed, one
+``_walk`` per crosser reading numpy scalars, and one
 ``_choose_next_edge`` per junction masking the node's adjacency array.
 Every array and the final generator state must match it.
 """
@@ -267,44 +267,51 @@ class TestWalkBitIdentity:
     def test_multi_way_pools_still_draw(self):
         # The paper plan has junctions offering two hallways: their pool
         # of two must keep drawing from the generator.
+        crossings = compiled_plan("paper").crossings
         pools = [
-            entry for entry in compiled_plan("paper").junctions.values()
-            if not isinstance(entry, int) and max(len(entry[0]), len(entry[1])) >= 2
+            key for key in range(len(crossings.far))
+            if max(len(crossings.doors[key]), len(crossings.hallways[key])) >= 2
         ]
         assert pools
 
 
 class TestJunctionTable:
+    """``CompiledGraph.crossings`` against the junction law, from adjacency."""
+
+    @staticmethod
+    def _entry(compiled, edge, node):
+        if compiled.edge_node_a[edge] == node:
+            return 2 * edge + 1, 0.0
+        return 2 * edge, float(compiled.edge_length[edge])
+
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_entries_match_adjacency(self, name):
         compiled = compiled_plan(name)
-        expected_keys = {
-            (node, int(edge))
-            for node in range(compiled.num_nodes)
-            for edge in compiled.adjacency[node]
-        }
-        assert set(compiled.junctions) == expected_keys
-        for (node, arrival), entry in compiled.junctions.items():
-            rest = [int(e) for e in compiled.adjacency[node] if e != arrival]
+        crossings = compiled.crossings
+        for key in range(2 * compiled.num_edges):
+            edge, forward = divmod(key, 2)
+            node = int(compiled.edge_node_b[edge] if forward else compiled.edge_node_a[edge])
+            if compiled.node_is_room[node]:
+                assert crossings.forced[key] is None
+                assert crossings.doors[key] == crossings.hallways[key] == []
+                continue
+            rest = [int(e) for e in compiled.adjacency[node] if e != edge]
             if not rest:  # dead end: turn back
-                rest = [arrival]
-            if isinstance(entry, int):
-                assert rest == [entry]
+                rest = [edge]
+            entries = [self._entry(compiled, e, node) for e in rest]
+            if len(rest) == 1:
+                assert crossings.forced[key] == entries[0]
+                assert crossings.doors[key] == crossings.hallways[key] == []
             else:
-                doors, hallways = entry
-                assert doors == [e for e in rest if compiled.edge_is_door[e]]
-                assert hallways == [e for e in rest if not compiled.edge_is_door[e]]
+                door = [bool(compiled.edge_is_door[e]) for e in rest]
+                assert crossings.forced[key] is None
+                assert crossings.doors[key] == [x for x, d in zip(entries, door) if d]
+                assert crossings.hallways[key] == [x for x, d in zip(entries, door) if not d]
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_crossings_lay_out_the_junctions(self, name):
         compiled = compiled_plan(name)
         crossings = compiled.crossings
-
-        def entry(edge, node):
-            if compiled.edge_node_a[edge] == node:
-                return 2 * edge + 1, 0.0
-            return 2 * edge, float(compiled.edge_length[edge])
-
         assert len(crossings.far) == 2 * compiled.num_edges
         for edge in range(compiled.num_edges):
             length = float(compiled.edge_length[edge])
@@ -315,22 +322,15 @@ class TestJunctionTable:
                 assert crossings.sign[key] == (1 if forward else -1)
                 assert crossings.length[key] == length
                 assert crossings.room[key] == bool(compiled.node_is_room[node])
-                if compiled.node_is_room[node]:
-                    assert crossings.forced[key] is None
-                    assert crossings.doors[key] == crossings.hallways[key] == []
-                    continue
-                choice = compiled.junctions[node, edge]
-                if isinstance(choice, int):
-                    assert crossings.forced[key] == entry(choice, node)
-                    assert crossings.doors[key] == crossings.hallways[key] == []
-                else:
-                    assert crossings.forced[key] is None
-                    assert crossings.doors[key] == [entry(e, node) for e in choice[0]]
-                    assert crossings.hallways[key] == [entry(e, node) for e in choice[1]]
 
     def test_paper_plan_size(self):
-        # One entry per edge end: 68 edges.
-        assert len(compiled_plan("paper").junctions) == 136
+        # One heading per edge end: 68 edges.
+        crossings = compiled_plan("paper").crossings
+        for table in (
+            crossings.far, crossings.sign, crossings.length, crossings.room,
+            crossings.forced, crossings.doors, crossings.hallways,
+        ):
+            assert len(table) == 136
 
 
 class TestSingleChoiceDraw:

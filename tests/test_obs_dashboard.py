@@ -43,7 +43,7 @@ def _record(tick, *, ess=40.0, wall=0.01, phases=None, alerts_firing=False):
         },
         "queue": {"depth": 2, "backpressure_waits": 0},
         "cache": {"hits": 5, "misses": 1, "hit_ratio": 5 / 6},
-        "accuracy": {"ess_mean": ess, "kalman_entropy_mean": None},
+        "accuracy": {"ess_mean": ess},
     }
 
 

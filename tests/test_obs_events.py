@@ -174,18 +174,19 @@ class TestEventRecorder:
         recorder = EpochEventRecorder(writer, obs.registry())
         obs.observe("filter.ess", 10.0)
         obs.observe("filter.ess", 30.0)
-        obs.add("filter.kalman.pruned_hypotheses", 4)
-        obs.observe("filter.kalman.entropy", 0.7)
+        obs.add("filter.depletion_reseeds", 4)
         recorder.record_epoch(second=1, tick=1, wall_seconds=0.1)
         obs.observe("filter.ess", 50.0)
         recorder.record_epoch(second=2, tick=2, wall_seconds=0.1)
         writer.close()
         _, records = read_events(str(writer.path))
         assert records[0]["accuracy"]["ess_mean"] == pytest.approx(20.0)
-        assert records[0]["accuracy"]["kalman_pruned"] == 4
-        assert records[0]["accuracy"]["kalman_entropy_mean"] == pytest.approx(0.7)
+        assert records[0]["accuracy"]["depletion_reseeds"] == 4
         assert records[1]["accuracy"]["ess_mean"] == pytest.approx(50.0)
-        assert records[1]["accuracy"]["kalman_pruned"] == 0
+        assert records[1]["accuracy"]["depletion_reseeds"] == 0
+        assert sorted(records[0]["accuracy"]) == [
+            "depletion_reseeds", "ess_collapse_frac", "ess_mean",
+        ]
 
     def test_phase_timings(self, tmp_path):
         obs.enable()

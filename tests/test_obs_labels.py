@@ -27,8 +27,8 @@ class TestFreezeLabels:
         assert freeze_labels({}) == ()
 
     def test_sorted_and_stringified(self):
-        frozen = freeze_labels({"shard": 3, "backend": "kalman"})
-        assert frozen == (("backend", "kalman"), ("shard", "3"))
+        frozen = freeze_labels({"shard": 3, "backend": "symbolic"})
+        assert frozen == (("backend", "symbolic"), ("shard", "3"))
 
     def test_insertion_order_is_irrelevant(self):
         a = freeze_labels({"a": 1, "b": 2})
@@ -86,11 +86,11 @@ class TestLabeledInstruments:
 
     def test_snapshot_carries_labels(self):
         registry = MetricsRegistry()
-        registry.counter("c", {"backend": "kalman"}).inc()
+        registry.counter("c", {"backend": "symbolic"}).inc()
         registry.histogram("h", {"shard": 2}).observe(1.0)
         snap = registry.snapshot()
         counter = snap["counters"][0]
-        assert counter["labels"] == {"backend": "kalman"}
+        assert counter["labels"] == {"backend": "symbolic"}
         histogram = snap["histograms"][0]
         assert histogram["labels"] == {"shard": "2"}
 

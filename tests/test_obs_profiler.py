@@ -175,12 +175,12 @@ class TestBuildProfile:
 
     def test_backend_and_timer_rows(self):
         spans = [
-            _span(0, "filter.run", 0.0, 2.0, attrs={"object": "o1", "backend": "kalman"}),
+            _span(0, "filter.run", 0.0, 2.0, attrs={"object": "o1", "backend": "symbolic"}),
             _span(1, "filter.run", 2.0, 3.0, attrs={"object": "o1", "backend": "particle"}),
             _span(2, "filter.run", 3.0, 5.0, attrs={"object": "o2", "backend": "particle"}),
         ]
         histograms = [
-            {"name": "service.filter_tick", "labels": {"backend": "kalman"},
+            {"name": "service.filter_tick", "labels": {"backend": "symbolic"},
              "count": 4, "total": 9.0},
             {"name": "service.filter_tick", "labels": {"backend": "particle"},
              "count": 8, "total": 9.0},
@@ -195,10 +195,10 @@ class TestBuildProfile:
         )
         # Seconds come from the filter.run spans, ticks from the service timer.
         assert profile.backends == [
-            {"backend": "kalman", "filter_runs": 0, "ticks": 4,
-             "seconds": 2.0},
             {"backend": "particle", "filter_runs": 120, "ticks": 8,
              "seconds": 3.0},
+            {"backend": "symbolic", "filter_runs": 0, "ticks": 4,
+             "seconds": 2.0},
         ]
         series = {r["series"] for r in profile.timers}
         assert "filter.predict" in series
@@ -339,7 +339,7 @@ class TestPerBackendSeconds:
                 assert row["seconds"] > 0.0, row
         return profile
 
-    @pytest.mark.parametrize("backend", ["particle", "kalman", "symbolic"])
+    @pytest.mark.parametrize("backend", ["particle", "symbolic"])
     def test_batch_engine_path(self, backend):
         def drive():
             sim = Simulation(self.CONFIG, build_symbolic=False, filter_backend=backend)

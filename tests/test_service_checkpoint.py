@@ -20,6 +20,25 @@ from repro.sim import Simulation
 
 FAST = DEFAULT_CONFIG.with_overrides(num_objects=8, seed=11)
 
+#: The config fields (and values) of the removed graph-filter backend, as
+#: every checkpoint written before its removal carries them.
+PARENT_CONFIG_FIELDS = {
+    "kalman_max_hypotheses": 12,
+    "kalman_accel_std": 0.3,
+    "kalman_merge_distance": 0.5,
+}
+
+
+def with_parent_config_fields(config):
+    """``config`` laid out as the parent wrote it: the fields after ``num_readers``."""
+    out = {}
+    for key, value in config.items():
+        out[key] = value
+        if key == "num_readers":
+            out.update(PARENT_CONFIG_FIELDS)
+    assert len(out) == len(config) + len(PARENT_CONFIG_FIELDS)
+    return out
+
 
 @pytest.fixture(scope="module")
 def replay_readings():
@@ -176,3 +195,55 @@ class TestResumeEquivalence:
                 assert restored.sessions.current_result(sid) == baseline[sid]
         finally:
             restored.close()
+
+
+class TestRetiredConfigKeys:
+    """Checkpoints written before the graph-filter backend was removed."""
+
+    def _checkpoint_at(self, tmp_path, replay_readings, cut):
+        service = _new_service()
+        try:
+            _run(service, replay_readings, max_seconds=cut)
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(service, path)
+        finally:
+            service.close()
+        return path
+
+    def test_parent_checkpoint_resumes_like_an_uninterrupted_run(
+        self, tmp_path, replay_readings
+    ):
+        path = self._checkpoint_at(tmp_path, replay_readings, 12)
+        document = json.loads(path.read_text())
+        document["state"]["config"] = with_parent_config_fields(
+            document["state"]["config"]
+        )
+        path.write_text(json.dumps(document))
+
+        uninterrupted = _new_service()
+        resumed = restore_from_file(path)
+        try:
+            full = _run(uninterrupted, replay_readings)
+            tail = [_delta_key(d) for d in full if d.second > 12]
+            deltas = _run(resumed, replay_readings, start_after=12)
+            assert [_delta_key(d) for d in deltas] == tail
+            assert (
+                uninterrupted.executor.cache.state_dict()
+                == resumed.executor.cache.state_dict()
+            )
+            # A checkpoint written after the restore drops the fields.
+            assert resumed.state_dict()["config"] == uninterrupted.state_dict()["config"]
+            assert not set(PARENT_CONFIG_FIELDS) & set(resumed.state_dict()["config"])
+        finally:
+            uninterrupted.close()
+            resumed.close()
+
+    def test_other_unknown_config_key_still_raises(self, tmp_path, replay_readings):
+        path = self._checkpoint_at(tmp_path, replay_readings, 4)
+        document = json.loads(path.read_text())
+        config = with_parent_config_fields(document["state"]["config"])
+        config["particle_budget"] = 64
+        document["state"]["config"] = config
+        path.write_text(json.dumps(document))
+        with pytest.raises(TypeError, match="particle_budget"):
+            restore_from_file(path)

@@ -70,8 +70,10 @@ class TestServeReplay:
         assert code == 0
         data = json.loads(trace.read_text())
         assert data["meta"]["command"] == "serve"
-        histograms = {h["name"] for h in data["metrics"]["histograms"]}
+        histograms = {h["name"]: h for h in data["metrics"]["histograms"]}
         assert "service.tick_latency" in histograms
+        # Elapsed seconds: a timer series, which `repro profile` lists as time.
+        assert histograms["service.tick_latency"]["timer"] is True
         assert "service.filter_tick" in histograms
         counters = {c["name"] for c in data["metrics"]["counters"]}
         assert "service.ticks" in counters
@@ -121,9 +123,9 @@ class TestServeCheckpoint:
 
 
 class TestServeFilterBackends:
-    def test_kalman_backend_serves(self, world, capsys):
+    def test_symbolic_backend_serves(self, world, capsys):
         code = _serve(
-            world, "--filter", "kalman", "--range", "4,0,30,12",
+            world, "--filter", "symbolic", "--range", "4,0,30,12",
             "--quiet", "--seconds", "6",
         )
         assert code == 0
@@ -137,7 +139,7 @@ class TestServeFilterBackends:
         assert code == 0
         capsys.readouterr()
         code = _serve(
-            world, "--restore", str(ckpt), "--filter", "kalman", "--quiet"
+            world, "--restore", str(ckpt), "--filter", "symbolic", "--quiet"
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -147,7 +149,7 @@ class TestServeFilterBackends:
     def test_restore_adopts_checkpoint_backend(self, world, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         code = _serve(
-            world, "--filter", "kalman", "--seconds", "5", "--quiet",
+            world, "--filter", "symbolic", "--seconds", "5", "--quiet",
             "--checkpoint", str(ckpt),
         )
         assert code == 0
@@ -155,4 +157,20 @@ class TestServeFilterBackends:
         code = _serve(world, "--restore", str(ckpt), "--quiet")
         assert code == 0
         out = capsys.readouterr().out
-        assert "filter kalman" in out
+        assert "filter symbolic" in out
+
+    def test_restore_refuses_removed_backend(self, world, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        code = _serve(
+            world, "--seconds", "5", "--quiet", "--checkpoint", str(ckpt)
+        )
+        assert code == 0
+        capsys.readouterr()
+        document = json.loads(ckpt.read_text())
+        document["state"]["filter"]["backend"] = "kalman"
+        ckpt.write_text(json.dumps(document))
+        code = _serve(world, "--restore", str(ckpt), "--quiet")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "produced by filter backend 'kalman'" in captured.err
+        assert "re-create the checkpoint" in captured.err
