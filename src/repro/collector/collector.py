@@ -8,6 +8,7 @@ device, the oldest device's readings are dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -107,9 +108,15 @@ class ReadingHistory:
         ]
 
     def reading_at(self, second: int) -> Optional[str]:
-        """The detecting device at ``second``, or None."""
+        """The detecting device at ``second``, or None.
+
+        Each run's seconds ascend (:meth:`DeviceRun.add` enforces it), so
+        a bisection finds the second without scanning the run.
+        """
         for run in self.runs:
-            if second in run.seconds:
+            seconds = run.seconds
+            index = bisect_left(seconds, second)
+            if index < len(seconds) and seconds[index] == second:
                 return run.reader_id
         return None
 

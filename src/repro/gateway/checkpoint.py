@@ -32,7 +32,11 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.gateway.tenants import TenantSpec
 from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
-from repro.service.checkpoint import write_json_atomic
+from repro.service.checkpoint import (
+    CheckpointCompatibilityError,
+    checkpoint_config,
+    write_json_atomic,
+)
 
 if TYPE_CHECKING:
     from repro.gateway.coordinator import GatewayCoordinator
@@ -231,6 +235,11 @@ def restore_coordinator(
         raise GatewayCompatibilityError(
             f"{path}: {exc}; re-create the checkpoint"
         ) from None
+    try:
+        for service in state["services"].values():
+            checkpoint_config(service["config"])
+    except CheckpointCompatibilityError as exc:
+        raise GatewayCompatibilityError(f"{path}: {exc}") from None
     if tenants is not None:
         want = {spec.tenant_id: spec for spec in tenants}
         have = {spec.tenant_id: spec for spec in specs}

@@ -23,7 +23,7 @@ directly over the service's published table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -37,9 +37,9 @@ from repro.geometry import Point, Rect
 from repro.graph.anchors import AnchorIndex, build_anchor_index
 from repro.graph.walking_graph import WalkingGraph, build_walking_graph
 from repro.index.hashtable import AnchorObjectTable
-from repro.queries.knn_query import evaluate_knn_query
+from repro.queries.knn_query import KNNPlan, evaluate_knn_query
 from repro.queries.pruning import QueryAwareOptimizer
-from repro.queries.range_query import evaluate_range_query
+from repro.queries.range_query import RangePlan, evaluate_range_query
 from repro.queries.types import KNNQuery, KNNResult, RangeQuery, RangeResult
 from repro.rfid.reader import RFIDReader
 from repro.rfid.readings import RawReading
@@ -65,6 +65,11 @@ class TableQueryEngine:
     Standing-query sessions publish the tracking service's tick table;
     :class:`IndoorQueryEngine` builds on this class and fills its tables
     by filtering instead.
+
+    Each registered query's geometry is compiled once, at its first
+    evaluation, into a :class:`~repro.queries.range_query.RangePlan` or
+    :class:`~repro.queries.knn_query.KNNPlan`; later rounds run only the
+    table pass. Plans live exactly as long as their query is registered.
     """
 
     def __init__(
@@ -76,6 +81,7 @@ class TableQueryEngine:
         self.table = AnchorObjectTable()
         self._range_queries: List[RangeQuery] = []
         self._knn_queries: List[KNNQuery] = []
+        self._plans: Dict[str, Union[RangePlan, KNNPlan]] = {}
 
     # ------------------------------------------------------------------
     # query registration
@@ -92,6 +98,7 @@ class TableQueryEngine:
         """Drop all registered queries."""
         self._range_queries.clear()
         self._knn_queries.clear()
+        self._plans.clear()
 
     def unregister_query(self, query_id: str) -> bool:
         """Drop one registered query (range or kNN) by id.
@@ -104,6 +111,7 @@ class TableQueryEngine:
             for index, query in enumerate(queries):
                 if query.query_id == query_id:
                     del queries[index]
+                    self._plans.pop(query_id, None)
                     return True
         return False
 
@@ -134,13 +142,22 @@ class TableQueryEngine:
     ) -> EngineSnapshot:
         """Evaluate every registered query over ``table`` (Algorithms 3, 4)."""
         snapshot = EngineSnapshot(second=second, candidates=candidates, table=table)
+        plans = self._plans
         for query in self._range_queries:
+            range_plan = plans.get(query.query_id)
+            if not isinstance(range_plan, RangePlan) or range_plan.query is not query:
+                range_plan = RangePlan.build(query, self.plan, self.anchor_index)
+                plans[query.query_id] = range_plan
             snapshot.range_results[query.query_id] = evaluate_range_query(
-                query, self.plan, self.anchor_index, table
+                query, self.plan, self.anchor_index, table, compiled=range_plan
             )
         for query in self._knn_queries:
+            knn_plan = plans.get(query.query_id)
+            if not isinstance(knn_plan, KNNPlan) or knn_plan.query is not query:
+                knn_plan = KNNPlan.build(query, self.graph, self.anchor_index)
+                plans[query.query_id] = knn_plan
             snapshot.knn_results[query.query_id] = evaluate_knn_query(
-                query, self.graph, self.anchor_index, table
+                query, self.graph, self.anchor_index, table, compiled=knn_plan
             )
         return snapshot
 
@@ -152,13 +169,18 @@ class TableQueryEngine:
         range_queries: List[RangeQuery],
         knn_queries: List[KNNQuery],
     ) -> EngineSnapshot:
-        """Run ``evaluate`` with only the given queries registered."""
-        saved = self._range_queries, self._knn_queries
+        """Run ``evaluate`` with only the given queries registered.
+
+        The one-off queries' plans are dropped afterwards; the registered
+        queries keep theirs.
+        """
+        saved = self._range_queries, self._knn_queries, self._plans
         self._range_queries, self._knn_queries = range_queries, knn_queries
+        self._plans = {}
         try:
             return evaluate(second, rng)
         finally:
-            self._range_queries, self._knn_queries = saved
+            self._range_queries, self._knn_queries, self._plans = saved
 
 
 class IndoorQueryEngine(TableQueryEngine):

@@ -40,24 +40,6 @@ class RangeResult:
     query_id: str
     probabilities: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, object_id: str, probability: float) -> None:
-        """Accumulate probability mass for an object (Algorithm 3 line 16)."""
-        self.probabilities[object_id] = (
-            self.probabilities.get(object_id, 0.0) + probability
-        )
-
-    def scaled(self, ratio: float) -> "RangeResult":
-        """A copy with all probabilities multiplied by ``ratio`` (line 15)."""
-        return RangeResult(
-            self.query_id,
-            {obj: p * ratio for obj, p in self.probabilities.items()},
-        )
-
-    def merge(self, other: "RangeResult") -> None:
-        """Add another partial result into this one."""
-        for object_id, probability in other.probabilities.items():
-            self.add(object_id, probability)
-
     def top(self, n: int) -> List[Tuple[str, float]]:
         """The ``n`` most probable objects."""
         ranked = sorted(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.config import SimulationConfig
@@ -52,12 +53,33 @@ class CheckpointCompatibilityError(ValueError):
 
 #: Config fields of a removed filter backend. Checkpoints written before
 #: its removal still carry them; they are dropped on read, and any other
-#: unknown config key is still refused.
+#: unknown config key is refused by :func:`checkpoint_config`.
 RETIRED_CONFIG_KEYS = (
     "kalman_max_hypotheses",
     "kalman_accel_std",
     "kalman_merge_distance",
 )
+
+
+def checkpoint_config(recorded: dict) -> SimulationConfig:
+    """The :class:`SimulationConfig` a checkpoint's ``config`` record holds.
+
+    Keys in :data:`RETIRED_CONFIG_KEYS` are dropped; any other key this
+    build's config does not have raises
+    :class:`CheckpointCompatibilityError` naming it.
+    """
+    known = {field.name for field in fields(SimulationConfig)}
+    unknown = sorted(
+        key for key in recorded if key not in known and key not in RETIRED_CONFIG_KEYS
+    )
+    if unknown:
+        raise CheckpointCompatibilityError(
+            f"checkpoint config has key(s) {', '.join(map(repr, unknown))}, "
+            "which this build does not know; re-create the checkpoint"
+        )
+    return SimulationConfig(
+        **{key: value for key, value in recorded.items() if key in known}
+    )
 
 
 #: Dicts and lists with more items than this are encoded this many at a time.
@@ -204,7 +226,8 @@ def restore_service(
     adopts the checkpoint's recorded backend; a recorded backend this
     build does not have, a different name, or an incompatible state
     version is refused with :class:`CheckpointCompatibilityError`.
-    Config fields in :data:`RETIRED_CONFIG_KEYS` are dropped.
+    Config fields in :data:`RETIRED_CONFIG_KEYS` are dropped; any other
+    unknown config field is refused the same way.
     """
     from repro.service.tracking import TrackingService
 
@@ -217,13 +240,7 @@ def restore_service(
         )
     if filter_backend is None:
         filter_backend = recorded
-    config = SimulationConfig(
-        **{
-            key: value
-            for key, value in state["config"].items()
-            if key not in RETIRED_CONFIG_KEYS
-        }
-    )
+    config = checkpoint_config(state["config"])
     if use_cache is None:
         use_cache = state["cache"] is not None
     service = TrackingService(

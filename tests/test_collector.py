@@ -1,10 +1,13 @@
 """Tests for aggregation, the collector retention policy, and events."""
 
+import numpy as np
 import pytest
 
 from repro.collector import (
+    DeviceRun,
     EventDrivenCollector,
     EventKind,
+    ReadingHistory,
     aggregate_second,
 )
 from repro.rfid.readings import RawReading
@@ -148,6 +151,26 @@ class TestHistoryEntries:
         assert history.reading_at(2) is None
         assert history.reading_at(4) == "d2"
         assert history.reading_at(99) is None
+
+    def test_reading_at_matches_a_scan_over_long_runs_with_gaps(self):
+        rng = np.random.default_rng(8)
+        older = [s for s in range(10_000) if rng.random() > 0.3]
+        newer = [s for s in range(10_000, 20_000) if rng.random() > 0.6]
+        history = ReadingHistory(
+            "o1", (DeviceRun("d1", older), DeviceRun("d2", newer))
+        )
+
+        def scan(second):
+            for run in history.runs:
+                if second in run.seconds:
+                    return run.reader_id
+            return None
+
+        probes = list(range(-3, 20_003, 7)) + older[::97] + newer[::89]
+        for second in probes:
+            assert history.reading_at(second) == scan(second)
+        assert history.reading_at(older[0]) == "d1"
+        assert history.reading_at(newer[-1]) == "d2"
 
 
 class TestEvents:

@@ -266,6 +266,19 @@ class TestRetiredConfigKeys:
         with pytest.raises(GatewayCompatibilityError, match="re-create the checkpoint"):
             restore_coordinator(str(path), transport="inline")
 
+    def test_unknown_config_key_is_refused(self, parent_checkpoint, tmp_path):
+        with open(parent_checkpoint, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        service = next(iter(document["state"]["services"].values()))
+        service["config"]["particle_budget"] = 64
+        path = tmp_path / "unknown-key.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(
+            GatewayCompatibilityError,
+            match="'particle_budget'.*re-create the checkpoint",
+        ):
+            restore_coordinator(str(path), transport="inline")
+
 
 class TestCrashSafety:
     @pytest.mark.parametrize("crash", ["before-write", "after-write"])

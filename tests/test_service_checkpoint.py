@@ -9,6 +9,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.core.particles import ParticleSet
 from repro.geometry import Point, Rect
 from repro.service import (
+    CheckpointCompatibilityError,
     ReplaySource,
     TrackingService,
     load_checkpoint,
@@ -243,7 +244,12 @@ class TestRetiredConfigKeys:
         document = json.loads(path.read_text())
         config = with_parent_config_fields(document["state"]["config"])
         config["particle_budget"] = 64
+        config["another_knob"] = 1
         document["state"]["config"] = config
         path.write_text(json.dumps(document))
-        with pytest.raises(TypeError, match="particle_budget"):
+        with pytest.raises(CheckpointCompatibilityError) as refusal:
             restore_from_file(path)
+        message = str(refusal.value)
+        assert "'another_knob', 'particle_budget'" in message
+        assert "re-create the checkpoint" in message
+        assert "kalman" not in message
