@@ -44,7 +44,7 @@ CachedParticleState = CachedFilterState
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters (used by the cache ablation benchmark)."""
+    """Hit/miss counters (reported by the cache ablation)."""
 
     hits: int = 0
     misses: int = 0

@@ -5,7 +5,9 @@ Ten subcommands::
     repro simulate    run the simulator; export the floor plan, reader
                       deployment, and raw reading log
     repro render      draw a floor plan (and optional deployment) as ASCII
-    repro experiment  regenerate one of the paper's figures (9-13)
+    repro experiment  regenerate a figure of the paper (9-13), the filter
+                      backend comparison, or an ablation, at a chosen
+                      ``--scale`` (quick, standard, paper)
     repro serve       run the online tracking service over a replayed log
                       (or live simulation): per-object filtering, standing
                       queries, checkpoint/restore; ``--metrics-port``
@@ -54,23 +56,7 @@ from repro.analysis.rules.schema_lock import DEFAULT_SCHEMA_LOCK
 from repro.config import DEFAULT_CONFIG
 from repro.geometry import Point, Rect
 from repro.filters import DEFAULT_BACKEND, available_backends
-from repro.sim.experiments import (
-    format_rows,
-    run_backend_comparison,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12,
-    run_figure13,
-)
-
-_FIGURES = {
-    "fig9": run_figure9,
-    "fig10": run_figure10,
-    "fig11": run_figure11,
-    "fig12": run_figure12,
-    "fig13": run_figure13,
-}
+from repro.sim.experiments import SCALES, SUBJECTS, format_rows, run_subject
 
 
 def _add_filter_option(
@@ -92,6 +78,17 @@ def _add_filter_option(
         default=default,
         help=f"Bayesian filter backend ({note})",
     )
+
+
+def _count(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,11 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--columns", type=int, default=96)
 
     experiment = subparsers.add_parser(
-        "experiment", help="regenerate a figure of the paper's evaluation"
+        "experiment",
+        help="regenerate a figure of the paper's evaluation, or an ablation",
     )
-    experiment.add_argument("figure", choices=sorted(_FIGURES) + ["backends"])
-    experiment.add_argument("--objects", type=int, default=None)
-    experiment.add_argument("--seconds", type=int, default=None)
+    experiment.add_argument(
+        "figure", choices=list(SUBJECTS), metavar="SUBJECT",
+        help="one of: " + ", ".join(SUBJECTS) + " (only the figures take --filter)",
+    )
+    experiment.add_argument(
+        "--scale", choices=list(SCALES), default="paper",
+        help="sampling effort and sweeps (default: paper)",
+    )
+    experiment.add_argument("--objects", type=_count, default=None)
+    experiment.add_argument("--seconds", type=_count, default=None)
     experiment.add_argument("--seed", type=int, default=None)
     experiment.add_argument("--out-csv", metavar="CSV", help="save rows as CSV")
     experiment.add_argument("--out-json", metavar="JSON", help="save rows as JSON")
@@ -641,16 +646,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     return handler(args)
 
 
+def _require_parent_dir(flag: str, path: Optional[str]) -> None:
+    """Fail before the run, not after it: a bad output path should not
+    cost minutes of simulation first."""
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise SystemExit(
+                f"repro: error: {flag} directory does not exist: {parent}"
+            )
+
+
 def _start_trace(args: argparse.Namespace) -> bool:
     """Enable observability when ``--trace`` was requested."""
     if getattr(args, "trace", None):
-        # Fail before the run, not after it: a bad output path should not
-        # cost minutes of simulation first.
-        parent = os.path.dirname(os.path.abspath(args.trace))
-        if not os.path.isdir(parent):
-            raise SystemExit(
-                f"repro: error: --trace directory does not exist: {parent}"
-            )
+        _require_parent_dir("--trace", args.trace)
         obs.enable()
         return True
     return False
@@ -733,8 +743,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    _require_parent_dir("--out-csv", args.out_csv)
+    _require_parent_dir("--out-json", args.out_json)
     tracing = _start_trace(args)
-    config = DEFAULT_CONFIG
+    scale = SCALES[args.scale]
+    config = scale.config
     if args.objects is not None:
         config = config.with_overrides(num_objects=args.objects)
     if args.seconds is not None:
@@ -742,12 +755,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = config.with_overrides(seed=args.seed)
 
-    if args.figure == "backends":
-        rows = run_backend_comparison(config)
-        title = "backends (filter backend comparison)"
-    else:
-        rows = _FIGURES[args.figure](config, filter_backend=args.filter_backend)
-        title = f"{args.figure} (paper Figure {args.figure[3:]})"
+    rows = run_subject(
+        args.figure, scale, config, filter_backend=args.filter_backend
+    )
+    title = f"{args.figure} ({SUBJECTS[args.figure].title})"
     print(format_rows(rows, title=title))
 
     if args.out_csv:
@@ -766,6 +777,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             meta={
                 "command": "experiment",
                 "figure": args.figure,
+                "scale": args.scale,
                 "filter": args.filter_backend,
             },
         )

@@ -47,7 +47,7 @@ class SimulationConfig:
     door_entry_probability: float = 0.5
     # The paper's trace generator has no dwell: objects pick a new
     # destination immediately on arrival. Dwelling is available as an
-    # extension (see the dwell ablation benchmark).
+    # extension (see `repro experiment dwell`).
     min_dwell_seconds: float = 0.0
     max_dwell_seconds: float = 0.0
 
@@ -115,6 +115,10 @@ class SimulationConfig:
             raise ValueError("weight_hit must exceed weight_miss")
         if not 0.0 < self.negative_likelihood <= 1.0:
             raise ValueError("negative_likelihood must be in (0, 1]")
+        if self.warmup_seconds < 0:
+            raise ValueError("warmup_seconds must be non-negative")
+        if self.duration_seconds < 0:
+            raise ValueError("duration_seconds must be non-negative")
 
     def with_overrides(self, **overrides: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced (sweep helper)."""

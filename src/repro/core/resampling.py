@@ -6,7 +6,7 @@ filter): it builds the CDF of the weights, draws one uniform starting
 point ``u1 ~ U[0, 1/Ns]``, and walks the CDF with stride ``1/Ns``.
 
 Multinomial, stratified, and residual resampling are provided as
-alternatives for the ablation benchmark (they are the standard choices in
+alternatives for the resampling ablation (they are the standard choices in
 the particle-filtering literature; see Arulampalam et al. 2002, the
 paper's reference [1]).
 
@@ -185,4 +185,4 @@ RESAMPLERS = {
     "stratified": stratified_resample,
     "residual": residual_resample,
 }
-"""Registry used by the ablation benchmark and the filter constructor."""
+"""Registry used by the resampling ablation and the filter constructor."""

@@ -124,6 +124,36 @@ class TestExperiment:
         rows = json.loads(out_json.read_text())
         assert [row["backend"] for row in rows] == ["particle", "symbolic"]
         assert all(row["elapsed_s"] >= 0 for row in rows)
+        assert all(row["filter_runs_per_s"] > 0 for row in rows)
+        assert all(row["snapshot_seconds"] >= 0 for row in rows)
+
+    def test_scale_choices(self):
+        parser = build_parser()
+        assert parser.parse_args(["experiment", "fig9"]).scale == "paper"
+        assert parser.parse_args(["experiment", "dwell", "--scale", "quick"]).scale == "quick"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["experiment", "fig9", "--scale", "huge"])
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--objects", "0"), ("--seconds", "-5"), ("--seconds", "0")]
+    )
+    def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["experiment", "fig9", flag, value])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    def test_missing_output_directory_fails_before_the_sweep(
+        self, flag, tmp_path, monkeypatch
+    ):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr("repro.cli.run_subject", sweep)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig9", flag, str(tmp_path / "missing" / "rows")])
+        assert f"{flag} directory does not exist" in str(excinfo.value)
 
 
 class TestDemo:

@@ -49,6 +49,8 @@ class TestConfig:
             ("room_exit_probability", -0.2),
             ("door_entry_probability", 2.0),
             ("anchor_spacing", 0.0),
+            ("warmup_seconds", -1),
+            ("duration_seconds", -5),
         ],
     )
     def test_validation(self, field, value):
