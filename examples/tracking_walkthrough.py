@@ -83,14 +83,11 @@ def main() -> None:
             f"{describe(distribution, anchors, graph, x)}"
         )
 
-    events = ", ".join(
-        f"{e.kind.value}@{e.reader_id}:t={e.second}" for e in collector.events()
-    )
-    print(f"\ncollector events: {events}")
     history = collector.history("o1")
     print(
-        f"retained runs: {[(run.reader_id, run.seconds) for run in history.runs]}"
+        f"\nretained runs: {[(run.reader_id, run.seconds) for run in history.runs]}"
     )
+    print(f"device generation: {collector.device_generation('o1')}")
     print(
         "\nNote how after t=8 (leaving d3) the posterior keeps moving right\n"
         "instead of spreading symmetrically — the filter inferred the walking\n"

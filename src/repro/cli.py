@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser(
         "simulate", help="run the simulator and export world + reading log"
     )
-    simulate.add_argument("--objects", type=int, default=50)
-    simulate.add_argument("--seconds", type=int, default=120)
+    simulate.add_argument("--objects", type=_count, default=50)
+    simulate.add_argument("--seconds", type=_count, default=120)
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--readings", metavar="CSV", help="raw reading log output")
     simulate.add_argument("--plan", metavar="JSON", help="floor plan output")
@@ -550,13 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gateway.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
-        help="per-partition ingest queue bound (default: 64)",
-    )
-    gateway.add_argument(
-        "--shed-policy", choices=("block", "shed"), default="block",
         help=(
-            "full-queue policy: block (lossless backpressure, default) "
-            "or shed the oldest queued sub-tick"
+            "per-partition ingest queue bound; a full queue blocks the "
+            "producer (lossless backpressure; default: 64)"
         ),
     )
     gateway.add_argument(
@@ -678,6 +674,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.io import save_deployment, save_floorplan, write_readings_csv
     from repro.sim import Simulation
 
+    _require_parent_dir("--readings", args.readings)
+    _require_parent_dir("--plan", args.plan)
+    _require_parent_dir("--deployment", args.deployment)
     tracing = _start_trace(args)
     config = DEFAULT_CONFIG.with_overrides(
         num_objects=args.objects, seed=args.seed
@@ -1582,7 +1581,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 num_partitions=args.partitions,
                 transport=args.transport,
                 queue_depth=args.queue_depth,
-                shed_policy=args.shed_policy,
                 telemetry_interval=args.telemetry_interval,
             )
         except GatewayCompatibilityError as exc:
@@ -1598,7 +1596,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             num_partitions=args.partitions if args.partitions is not None else 2,
             transport=args.transport,
             queue_depth=args.queue_depth,
-            shed_policy=args.shed_policy,
             telemetry_interval=args.telemetry_interval,
         )
     server = None

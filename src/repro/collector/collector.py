@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import repro.obs as obs
 from repro.collector.aggregator import aggregate_second
-from repro.collector.events import EventKind, ObservationEvent
 from repro.rfid.readings import AggregatedReading, RawReading, ReadingEntry
 
 
@@ -125,8 +124,11 @@ class EventDrivenCollector:
     """Stores and serves per-object reading histories.
 
     Feed it raw readings second by second with :meth:`ingest_second`; it
-    aggregates them, maintains the two-device retention policy, and
-    derives ENTER/LEAVE events.
+    aggregates them and maintains the two-device retention policy. A new
+    device run is an ENTER (and ends the previous run with a LEAVE): it
+    bumps the object's device generation and the
+    ``collector.enter_events``/``collector.leave_events`` counters, and
+    nothing else is kept of it.
     """
 
     def __init__(self, tag_to_object: Mapping[str, str], max_runs: int = 2):
@@ -135,7 +137,6 @@ class EventDrivenCollector:
         self._tag_to_object = dict(tag_to_object)
         self._max_runs = max_runs
         self._runs: Dict[str, List[DeviceRun]] = {}
-        self._events: List[ObservationEvent] = []
         self._last_ingested_second: Optional[int] = None
         self._generation: Dict[str, int] = {}
 
@@ -175,22 +176,10 @@ class EventDrivenCollector:
         if runs and runs[-1].reader_id == entry.reader_id:
             runs[-1].add(entry.second)
             return
-        # A new device run begins: emit LEAVE for the previous run and
+        # A new device run begins: count LEAVE for the previous run and
         # ENTER for the new one, then enforce the retention policy.
         if runs:
-            previous = runs[-1]
-            self._events.append(
-                ObservationEvent(
-                    EventKind.LEAVE, entry.object_id, previous.reader_id,
-                    previous.last_second,
-                )
-            )
             obs.add("collector.leave_events")
-        self._events.append(
-            ObservationEvent(
-                EventKind.ENTER, entry.object_id, entry.reader_id, entry.second
-            )
-        )
         obs.add("collector.enter_events")
         runs.append(DeviceRun(reader_id=entry.reader_id, seconds=[entry.second]))
         if len(runs) > self._max_runs:
@@ -227,14 +216,6 @@ class EventDrivenCollector:
         """All objects with at least one retained reading."""
         return list(self._runs.keys())
 
-    def events(self) -> List[ObservationEvent]:
-        """All ENTER/LEAVE events emitted so far, in order."""
-        return list(self._events)
-
-    def events_for(self, object_id: str) -> List[ObservationEvent]:
-        """Events of one object, in order."""
-        return [e for e in self._events if e.object_id == object_id]
-
     # ------------------------------------------------------------------
     # checkpoint support (repro.service.checkpoint)
     # ------------------------------------------------------------------
@@ -243,8 +224,8 @@ class EventDrivenCollector:
 
         Captures everything :meth:`restore_state` needs to resume
         ingestion mid-stream with identical behavior: retained device
-        runs, device generations, the event log, the tag registry, and
-        the last ingested second.
+        runs, device generations, the tag registry, and the last ingested
+        second.
         """
         return {
             "max_runs": self._max_runs,
@@ -258,15 +239,6 @@ class EventDrivenCollector:
                 ]
                 for object_id, runs in self._runs.items()
             },
-            "events": [
-                {
-                    "kind": event.kind.value,
-                    "object_id": event.object_id,
-                    "reader_id": event.reader_id,
-                    "second": event.second,
-                }
-                for event in self._events
-            ],
         }
 
     def restore_state(self, state: dict) -> None:
@@ -288,12 +260,3 @@ class EventDrivenCollector:
             ]
             for object_id, runs in state["runs"].items()
         }
-        self._events = [
-            ObservationEvent(
-                EventKind(event["kind"]),
-                event["object_id"],
-                event["reader_id"],
-                int(event["second"]),
-            )
-            for event in state["events"]
-        ]

@@ -3,7 +3,7 @@
 A gateway checkpoint is one JSON document, written by one atomic
 rename (:func:`~repro.service.checkpoint.write_json_atomic`)::
 
-    {"format": "repro-gateway-checkpoint", "checkpoint_version": 2,
+    {"format": "repro-gateway-checkpoint", "checkpoint_version": 3,
      "state": GatewayCoordinator.state_dict()}
 
 The state holds the ring (``partitions``, ``vnodes``), the tenant
@@ -21,6 +21,11 @@ Restoring at a *different* partition count splits each tenant's state
 along the new ring (:func:`split_tenant_state`). Because filter
 randomness derives from ``(seed, second, object_id)``, the re-placed
 objects resume bit-identically.
+
+Version 3 dropped two fields nothing read: each service state's
+collector event log and the per-tenant ``serving.shed_subticks``
+counter of the retired ``shed`` queue policy. Version-2 files are
+migrated on load by dropping both.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
 from repro.service.checkpoint import (
     CheckpointCompatibilityError,
     checkpoint_config,
+    migrate_v2,
     write_json_atomic,
 )
 
@@ -42,7 +48,7 @@ if TYPE_CHECKING:
     from repro.gateway.coordinator import GatewayCoordinator
 
 GATEWAY_CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
-GATEWAY_CHECKPOINT_VERSION = 2
+GATEWAY_CHECKPOINT_VERSION = 3
 
 
 class GatewayCompatibilityError(ValueError):
@@ -64,8 +70,7 @@ def load_checkpoint(path: str) -> dict:
     if os.path.isdir(path):
         raise GatewayCompatibilityError(
             f"{path} is a directory: gateway checkpoints are one file since "
-            f"version {GATEWAY_CHECKPOINT_VERSION}; re-create the checkpoint "
-            "with --checkpoint FILE"
+            "version 2; re-create the checkpoint with --checkpoint FILE"
         )
     if not os.path.exists(path):
         raise GatewayCompatibilityError(
@@ -82,10 +87,10 @@ def load_checkpoint(path: str) -> dict:
             f"{path}: not a {GATEWAY_CHECKPOINT_FORMAT} file; re-create "
             "it with --checkpoint FILE"
         )
-    if document.get("checkpoint_version") != GATEWAY_CHECKPOINT_VERSION:
+    version = document.get("checkpoint_version")
+    if version not in (2, GATEWAY_CHECKPOINT_VERSION):
         raise GatewayCompatibilityError(
-            f"{path}: checkpoint version "
-            f"{document.get('checkpoint_version')!r} is not supported "
+            f"{path}: checkpoint version {version!r} is not supported "
             f"(this build speaks {GATEWAY_CHECKPOINT_VERSION}); re-create "
             "the checkpoint"
         )
@@ -96,6 +101,11 @@ def load_checkpoint(path: str) -> dict:
             f"{path}: service states for {sorted(state['services'])} do not "
             f"match the tenant specs {tenant_ids}; re-create the checkpoint"
         )
+    if version == 2:
+        for record in state["serving"].values():
+            record.pop("shed_subticks", None)
+        for service in state["services"].values():
+            migrate_v2(service)
     return state
 
 
@@ -117,12 +127,11 @@ _MERGE_INVARIANT_KEYS = (
 def merge_tenant_states(states: Sequence[dict]) -> dict:
     """Merge one tenant's per-partition service states into one.
 
-    All per-object parts (collector runs/generations/tags/events, cache
+    All per-object parts (collector runs/generations/tags, cache
     entries) are disjoint across partitions, so the merge is a keyed
     union; scalar parts must agree or the cut was not coordinated.
-    Mappings are rebuilt in sorted-key order and events sorted by
-    ``(second, object_id)``, so the merged state is canonical —
-    independent of how many partitions produced it.
+    Mappings are rebuilt in sorted-key order, so the merged state is
+    canonical — independent of how many partitions produced it.
     """
     if not states:
         raise ValueError("need at least one partition state")
@@ -148,7 +157,6 @@ def merge_tenant_states(states: Sequence[dict]) -> dict:
         collector["runs"].update(other_collector["runs"])
         collector["generations"].update(other_collector["generations"])
         collector["tag_to_object"].update(other_collector["tag_to_object"])
-        collector["events"].extend(other_collector["events"])
         if base.get("cache") is not None and other.get("cache") is not None:
             base["cache"]["entries"].update(other["cache"]["entries"])
     collector = base["collector"]
@@ -160,9 +168,6 @@ def merge_tenant_states(states: Sequence[dict]) -> dict:
         key: collector["tag_to_object"][key]
         for key in sorted(collector["tag_to_object"])
     }
-    collector["events"] = sorted(
-        collector["events"], key=lambda e: (e["second"], e["object_id"], e["kind"])
-    )
     if base.get("cache") is not None:
         base["cache"]["entries"] = {
             key: base["cache"]["entries"][key]
@@ -190,9 +195,6 @@ def split_tenant_state(merged: dict, keep: Callable[[str], bool]) -> dict:
         for tag, object_id in collector["tag_to_object"].items()
         if keep(object_id)
     }
-    collector["events"] = [
-        event for event in collector["events"] if keep(event["object_id"])
-    ]
     if out.get("cache") is not None:
         out["cache"]["entries"] = {
             object_id: entry
@@ -211,7 +213,6 @@ def restore_coordinator(
     num_partitions: Optional[int] = None,
     transport: str = "process",
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    shed_policy: str = "block",
     vnodes: Optional[int] = None,
     report_threshold: float = 0.05,
     min_change: float = 0.10,
@@ -272,7 +273,6 @@ def restore_coordinator(
         num_partitions=new_partitions,
         transport=transport,
         queue_depth=queue_depth,
-        shed_policy=shed_policy,
         vnodes=new_vnodes,
         report_threshold=report_threshold,
         min_change=min_change,

@@ -27,16 +27,16 @@ partition count. The tests assert this for 1, 2, and 4 partitions.
 Failure: a dead worker degrades the deployment instead of failing it —
 its sub-snapshots stop arriving, ticks complete as *partial* over the
 surviving partitions, :meth:`health` reports ``degraded``, and queries
-keep answering from what survives. Shed sub-ticks (opt-in ``"shed"``
-queue policy) are handled the same way: the barrier is told not to wait
-for them.
+keep answering from what survives. A worker that dies after the
+fan-out checked it is handled the same way: its sub-snapshot never
+arrives, and the barrier counts it missing.
 
 Fleet telemetry (all off unless observability is on): the coordinator
 stamps every fan-out with a ``tenant/second`` trace context that the
 workers echo into their tick spans, measures each partition's barrier
 wait, feeds a per-tick SLO record into an optional
-:class:`~repro.obs.alerts.AlertEngine` (straggler / shed-surge /
-barrier-stall / ESS-collapse rules), and — on the process transport —
+:class:`~repro.obs.alerts.AlertEngine` (straggler / barrier-stall /
+dead-partition / ESS-collapse rules), and — on the process transport —
 periodically pulls each worker's metric registry over the pipe
 (``telemetry`` op). :meth:`fleet_snapshot` merges those per-worker
 registries into one document with a ``partition`` label on every
@@ -74,7 +74,6 @@ from repro.gateway.transport import (
     GatewayWorkerError,
     make_worker_handles,
 )
-from repro.gateway.worker import encode_readings
 
 
 #: Cap on worker spans retained for the merged trace (the tracer's own
@@ -114,7 +113,6 @@ class _TenantServing:
     ticks: int = 0
     last_second: Optional[int] = None
     partial_ticks: int = 0
-    shed_subticks: int = 0
 
 
 @dataclass
@@ -133,7 +131,6 @@ class GatewayCoordinator:
         num_partitions: int = 2,
         transport: str = "process",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        shed_policy: str = "block",
         vnodes: int = DEFAULT_VNODES,
         report_threshold: float = 0.05,
         min_change: float = 0.10,
@@ -177,7 +174,6 @@ class GatewayCoordinator:
             num_partitions,
             transport,
             queue_depth,
-            shed_policy,
             observability=self.observability,
         )
         # One reentrant lock guards serving state and the pending queue;
@@ -197,8 +193,6 @@ class GatewayCoordinator:
         #: age from the sequence gap, which stays meaningful even when
         #: tenants tick at different rates.
         self._partition_last: Dict[int, Tuple[int, int]] = {}
-        self._partition_sheds: Dict[int, int] = {}
-        self._sheds_since_record = 0
         self._last_tick_wall: Optional[float] = None
         self._worker_metrics: Dict[int, dict] = {}
         self._worker_spans: List[dict] = []
@@ -243,15 +237,9 @@ class GatewayCoordinator:
                 }
                 if self.observability:
                     message["trace"] = trace
-                shed = handle.submit_tick(message)  # type: ignore[attr-defined]
-                own_shed = False
-                for shed_tenant, shed_second in shed:
-                    if shed_tenant == tenant_id and shed_second == batch.second:
-                        own_shed = True
-                    self._record_shed(shed_tenant, shed_second, handle.index)  # type: ignore[attr-defined]
-                if not own_shed:
-                    with self._lock:
-                        entry.parts.append(handle.index)  # type: ignore[attr-defined]
+                handle.submit_tick(message)  # type: ignore[attr-defined]
+                with self._lock:
+                    entry.parts.append(handle.index)  # type: ignore[attr-defined]
         if obs.enabled():
             obs.add(
                 "gateway.readings",
@@ -259,30 +247,6 @@ class GatewayCoordinator:
                 labels={"tenant": tenant_id},
             )
             obs.add("gateway.subticks", len(entry.parts), labels={"tenant": tenant_id})
-
-    def _record_shed(self, tenant_id: str, second: int, partition: int) -> None:
-        """Un-expect a shed sub-tick so fan-in never waits for it."""
-        with self._lock:
-            for entry in self._pending:
-                if (
-                    entry.tenant_id == tenant_id
-                    and entry.second == second
-                    and partition in entry.parts
-                ):
-                    entry.parts.remove(partition)
-                    break
-            serving = self._serving.get(tenant_id)
-            if serving is not None:
-                serving.shed_subticks += 1
-            self._partition_sheds[partition] = (
-                self._partition_sheds.get(partition, 0) + 1
-            )
-            self._sheds_since_record += 1
-        obs.add(
-            "gateway.shed_subticks",
-            labels={"tenant": tenant_id, "partition": partition},
-        )
-        obs.add("gateway.sheds", labels={"partition": partition})
 
     def collect_tick(
         self, timeout: Optional[float] = 30.0
@@ -362,9 +326,7 @@ class GatewayCoordinator:
             for index in replies:
                 self._partition_last[index] = (sequence, entry.second)
             self._last_tick_wall = wall
-            sheds = self._sheds_since_record
-            self._sheds_since_record = 0
-        self._observe_slo(entry, replies, waits, missing, sheds, wall, sequence)
+        self._observe_slo(entry, replies, waits, missing, wall, sequence)
         if (
             self.observability
             and self.transport == "process"
@@ -503,15 +465,17 @@ class GatewayCoordinator:
         replies: Dict[int, dict],
         waits: Dict[int, float],
         missing: List[int],
-        sheds: int,
         wall: float,
         sequence: int,
     ) -> None:
         """Distill one collected tick into an SLO record; feed alerts.
 
-        Counts (sheds, missing partitions, ESS collapses) are
-        deterministic; the barrier-wait fields are wall-clock-valued and
-        only ever feed alerting, never query evaluation.
+        Counts (missing partitions, ESS collapses) are deterministic;
+        the barrier-wait fields are wall-clock-valued and only ever feed
+        alerting, never query evaluation. ``sheds`` is retired: it
+        counted sub-ticks dropped by the removed ``shed`` queue policy
+        and is always 0, kept so that existing readers of the record
+        still find it.
         """
         worker_obs = [
             reply["obs"]
@@ -547,7 +511,7 @@ class GatewayCoordinator:
             "tenant": entry.tenant_id,
             "partitions": len(replies),
             "missing_partitions": max(len(missing), dead),
-            "sheds": sheds,
+            "sheds": 0,
             "barrier_wait_max": max(waits.values()) if waits else 0.0,
             "barrier_wait_total": sum(waits.values()) if waits else 0.0,
         }
@@ -733,7 +697,7 @@ class GatewayCoordinator:
         """The deployment health document (the ``/healthz`` body).
 
         Per-partition detail: ``queue_depth`` (messages queued toward
-        the worker right now), cumulative ``sheds``, the ``last_second``
+        the worker right now), the ``last_second``
         it contributed a sub-snapshot for, and ``last_tick_age`` — how
         many collected ticks ago that was (0 = contributed to the most
         recent tick; ``null`` = never heard from).
@@ -743,7 +707,6 @@ class GatewayCoordinator:
         with self._lock:
             collected = self._collected_ticks
             partition_last = dict(self._partition_last)
-            partition_sheds = dict(self._partition_sheds)
             last_tick_wall = self._last_tick_wall
         for handle in self.handles:
             alive = handle.alive()  # type: ignore[attr-defined]
@@ -757,7 +720,6 @@ class GatewayCoordinator:
                     "alive": alive,
                     "transport": handle.transport,  # type: ignore[attr-defined]
                     "queue_depth": handle.pending_depth(),  # type: ignore[attr-defined]
-                    "sheds": partition_sheds.get(index, 0),
                     "last_second": None if last is None else last[1],
                     "last_tick_age": (
                         None if last is None else collected - last[0]
@@ -770,7 +732,6 @@ class GatewayCoordinator:
                     "ticks": serving.ticks,
                     "last_second": serving.last_second,
                     "partial_ticks": serving.partial_ticks,
-                    "shed_subticks": serving.shed_subticks,
                     "open_sessions": len(serving.sessions),
                     "analytics": serving.analytics is not None,
                 }
@@ -854,7 +815,6 @@ class GatewayCoordinator:
                         "ticks": serving.ticks,
                         "last_second": serving.last_second,
                         "partial_ticks": serving.partial_ticks,
-                        "shed_subticks": serving.shed_subticks,
                     }
                     for tenant_id, serving in self._serving.items()
                 },
@@ -895,7 +855,6 @@ class GatewayCoordinator:
                 last = record["last_second"]
                 serving.last_second = None if last is None else int(last)
                 serving.partial_ticks = int(record["partial_ticks"])
-                serving.shed_subticks = int(record["shed_subticks"])
                 service = services[tenant_id]
                 serving.sessions.restore_state(service["sessions"])
                 if service["analytics"] is not None:

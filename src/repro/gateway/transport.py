@@ -4,14 +4,13 @@ Both transports speak the :mod:`repro.gateway.worker` protocol and
 present the same handle surface to the coordinator:
 
 * :meth:`submit_tick` — enqueue one tenant-second for this partition.
-  Bounded: with the default ``"block"`` policy the caller waits for
-  queue space (lossless backpressure, fully deterministic); with
-  ``"shed"`` the *oldest queued* tick is dropped instead and returned
-  to the caller so the fan-in barrier can stop waiting for it.
+  Bounded: the caller waits for queue space (lossless backpressure,
+  fully deterministic). A tick sent to a dead worker is dropped; the
+  fan-in barrier then finds that partition missing.
 * :meth:`next_snapshot` — the next ``op: snapshot`` reply, in submit
   order (FIFO), or ``None`` once the worker is dead.
 * :meth:`call` — a control round-trip (``state``/``restore``/``ping``/
-  ``stop``); control messages are never shed.
+  ``stop``), queued in FIFO order behind any ticks.
 * :meth:`alive` / :meth:`kill` — liveness probe and hard kill (the
   degraded-mode test hook).
 
@@ -29,15 +28,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from repro.gateway.tenants import TenantSpec
 from repro.gateway.worker import PartitionWorkerCore, worker_main
 
-#: (tenant_id, second) of a tick that was load-shed before processing.
-ShedTick = Tuple[str, int]
-
-SHED_POLICIES = ("block", "shed")
 DEFAULT_QUEUE_DEPTH = 64
 
 
@@ -55,7 +50,6 @@ class InlineWorkerHandle:
         index: int,
         specs: Sequence[TenantSpec],
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        shed_policy: str = "block",
         observability: bool = False,
     ) -> None:
         self.index = index
@@ -74,11 +68,9 @@ class InlineWorkerHandle:
         """Inline ticks run synchronously; nothing ever queues."""
         return 0
 
-    def submit_tick(self, message: dict) -> List[ShedTick]:
-        if self._dead:
-            return [(str(message["tenant"]), int(message["second"]))]
-        self._replies.append(self._core.handle(message))
-        return []
+    def submit_tick(self, message: dict) -> None:
+        if not self._dead:
+            self._replies.append(self._core.handle(message))
 
     def next_snapshot(self, timeout: Optional[float] = None) -> Optional[dict]:
         while self._replies:
@@ -124,15 +116,10 @@ class ProcessWorkerHandle:
         index: int,
         specs: Sequence[TenantSpec],
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        shed_policy: str = "block",
         observability: bool = False,
     ) -> None:
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}"
-            )
         import multiprocessing
 
         try:
@@ -144,7 +131,6 @@ class ProcessWorkerHandle:
             ) from None
         self.index = index
         self.queue_depth = queue_depth
-        self.shed_policy = shed_policy
         parent_conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=worker_main,
@@ -227,23 +213,14 @@ class ProcessWorkerHandle:
         with self._send_cv:
             return len(self._pending)
 
-    def submit_tick(self, message: dict) -> List[ShedTick]:
-        shed: List[ShedTick] = []
+    def submit_tick(self, message: dict) -> None:
         with self._send_cv:
+            while len(self._pending) >= self.queue_depth and not self._dead:
+                self._send_cv.wait(0.05)
             if self._dead:
-                return [(str(message["tenant"]), int(message["second"]))]
-            if self.shed_policy == "block":
-                while len(self._pending) >= self.queue_depth and not self._dead:
-                    self._send_cv.wait(0.05)
-                if self._dead:
-                    return [(str(message["tenant"]), int(message["second"]))]
-            else:
-                while len(self._pending) >= self.queue_depth:
-                    dropped = self._pending.popleft()
-                    shed.append((str(dropped["tenant"]), int(dropped["second"])))
+                return
             self._pending.append(message)
             self._send_cv.notify_all()
-        return shed
 
     def next_snapshot(self, timeout: Optional[float] = None) -> Optional[dict]:
         deadline = None if timeout is None else _monotonic() + timeout
@@ -269,8 +246,7 @@ class ProcessWorkerHandle:
                 self._recv_cv.wait(0.1 if remaining is None else min(remaining, 0.1))
 
     def call(self, message: dict, timeout: Optional[float] = None) -> dict:
-        # Control messages bypass the shed policy (a dropped restore or
-        # state op would silently corrupt a checkpoint) but keep FIFO
+        # Control messages do not wait for queue room, but keep FIFO
         # order behind any queued ticks.
         with self._send_cv:
             if self._dead:
@@ -349,15 +325,12 @@ def make_worker_handles(
     num_partitions: int,
     transport: str = "process",
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    shed_policy: str = "block",
     observability: bool = False,
 ) -> List[object]:
     """Build all partitions' handles (fork first, start IO threads after)."""
     if transport == "inline":
         return [
-            InlineWorkerHandle(
-                index, specs, queue_depth, shed_policy, observability
-            )
+            InlineWorkerHandle(index, specs, queue_depth, observability)
             for index in range(num_partitions)
         ]
     if transport != "process":
@@ -365,9 +338,7 @@ def make_worker_handles(
             f"transport must be 'inline' or 'process', got {transport!r}"
         )
     handles = [
-        ProcessWorkerHandle(
-            index, specs, queue_depth, shed_policy, observability
-        )
+        ProcessWorkerHandle(index, specs, queue_depth, observability)
         for index in range(num_partitions)
     ]
     for handle in handles:

@@ -155,7 +155,7 @@ def gateway_rules() -> List[AlertRule]:
 
     The coordinator feeds one record per collected tick (see
     ``GatewayCoordinator._observe_slo``) with a ``gateway.*`` sub-tree:
-    barrier-wait statistics, dead/shed bookkeeping, and the worker-side
+    barrier-wait statistics, missing partitions, and the worker-side
     accuracy deltas piggybacked on tick replies.
     """
     return [
@@ -169,18 +169,6 @@ def gateway_rules() -> List[AlertRule]:
             description=(
                 "one partition's barrier wait dominates the tick: its "
                 "worker is at least 4x slower than the fleet mean"
-            ),
-        ),
-        AlertRule(
-            name="shed_surge",
-            field="gateway.sheds",
-            kind="above",
-            threshold=0.0,
-            min_samples=1,
-            severity="warning",
-            description=(
-                "sub-ticks were load-shed since the previous tick: a "
-                "partition queue overflowed under the shed policy"
             ),
         ),
         AlertRule(

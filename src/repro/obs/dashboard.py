@@ -172,7 +172,6 @@ def _gateway_lines(health: Mapping[str, object]) -> List[str]:
         lines.append(
             f"  p{_fmt(worker.get('partition'))}  {state:<5} "
             f"queue={_fmt(worker.get('queue_depth'))} "
-            f"sheds={_fmt(worker.get('sheds'))} "
             f"second={_fmt(worker.get('last_second'))} "
             f"age={_fmt(worker.get('last_tick_age'))}"
         )

@@ -3,7 +3,7 @@
 A checkpoint is one JSON document capturing the full mutable state of a
 :class:`~repro.service.tracking.TrackingService` after some tick:
 
-* the collector's retained device runs, generations, and event log,
+* the collector's retained device runs, generations, and tag registry,
 * every cached filter state, bit-exact (so resumed filter runs replay
   the same seconds from the same belief), tagged with the producing
   backend's name and state version,
@@ -21,9 +21,11 @@ uninterrupted run (asserted in ``tests/test_service_checkpoint.py``).
 Version history: version 1 predates pluggable filter backends (its
 caches are implicitly particle-filter states); version 2 records the
 backend name and state version both at the service level and inside the
-cache document. Version-1 files are migrated on load; restoring onto a
-service running a *different* backend raises
-:class:`CheckpointCompatibilityError` instead of mis-decoding.
+cache document; version 3 drops the collector's ENTER/LEAVE event log,
+which nothing read and which grew with every tick. Version-1 and
+version-2 files are migrated on load; restoring onto a service running a
+*different* backend raises :class:`CheckpointCompatibilityError` instead
+of mis-decoding.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ if TYPE_CHECKING:
 PathLike = Union[str, "os.PathLike[str]"]
 
 CHECKPOINT_FORMAT = "repro-service-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointCompatibilityError(ValueError):
@@ -182,11 +184,22 @@ def _migrate_v1(state: dict) -> dict:
     return state
 
 
+def migrate_v2(state: dict) -> dict:
+    """Lift a version-2 service state to the version-3 layout, in place.
+
+    Version 2 carried the collector's ENTER/LEAVE event log, which no
+    reader ever consumed; it is dropped. Gateway checkpoints hold one
+    service state per tenant and migrate each of them through here.
+    """
+    state["collector"].pop("events", None)
+    return state
+
+
 def load_checkpoint(path: PathLike) -> dict:
     """Read and validate a checkpoint; returns the raw state dict.
 
-    Version-1 documents (pre-backend) are transparently migrated to the
-    current layout.
+    Version-1 (pre-backend) and version-2 (with the collector event
+    log) documents are transparently migrated to the current layout.
     """
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
@@ -197,11 +210,13 @@ def load_checkpoint(path: PathLike) -> dict:
     if not isinstance(state, dict):
         raise ValueError(f"{path}: checkpoint state is not an object")
     if version == 1:
-        return _migrate_v1(state)
+        return migrate_v2(_migrate_v1(state))
+    if version == 2:
+        return migrate_v2(state)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(
+        raise CheckpointCompatibilityError(
             f"{path}: unsupported checkpoint version {version!r} "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected {CHECKPOINT_VERSION}); re-create the checkpoint"
         )
     return state
 

@@ -56,6 +56,30 @@ class TestSimulate:
         assert json.loads(plan.read_text())["format"] == "repro-floorplan"
         assert json.loads(deployment.read_text())["format"] == "repro-deployment"
 
+    def test_zero_objects_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--objects", "0", "--seconds", "5"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seconds_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--objects", "5", "--seconds", "-5"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--readings", "--plan", "--deployment"])
+    def test_missing_output_directory_fails_before_the_run(
+        self, flag, tmp_path, monkeypatch
+    ):
+        def simulation(*args, **kwargs):
+            raise AssertionError("the run started before the output path was checked")
+
+        monkeypatch.setattr("repro.sim.Simulation", simulation)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--seconds", "5", flag, str(tmp_path / "missing" / "out")])
+        assert f"{flag} directory does not exist" in str(excinfo.value)
+
     def test_render_flag(self, capsys):
         code = main(["simulate", "--objects", "5", "--seconds", "5", "--render"])
         assert code == 0

@@ -1,12 +1,13 @@
-"""Tests for aggregation, the collector retention policy, and events."""
+"""Tests for aggregation, the collector retention policy, and ENTER/LEAVE."""
 
 import numpy as np
 import pytest
 
+from repro import obs
+
 from repro.collector import (
     DeviceRun,
     EventDrivenCollector,
-    EventKind,
     ReadingHistory,
     aggregate_second,
 )
@@ -173,25 +174,48 @@ class TestHistoryEntries:
         assert history.reading_at(newer[-1]) == "d2"
 
 
+@pytest.fixture
+def counted():
+    """Observability on with a fresh registry; off again afterwards."""
+    obs.enable(fresh=True)
+    yield obs.registry()
+    obs.disable()
+    obs.reset()
+
+
 class TestEvents:
-    def test_enter_leave_sequence(self):
+    """ENTER/LEAVE leave three traces: the device runs, the device
+    generation (the cache-invalidation signal of paper Section 4.5) and
+    the ``collector.enter_events``/``leave_events`` counters."""
+
+    def test_enter_leave_sequence(self, counted):
         collector = EventDrivenCollector(TAGS)
         collector.ingest_second(0, raw(0, "tag1", "d1"))
         collector.ingest_second(1, raw(1, "tag1", "d1"))
+        assert collector.device_generation("o1") == 1
         collector.ingest_second(5, raw(5, "tag1", "d2"))
-        events = collector.events_for("o1")
-        kinds = [(e.kind, e.reader_id, e.second) for e in events]
-        assert kinds == [
-            (EventKind.ENTER, "d1", 0),
-            (EventKind.LEAVE, "d1", 1),
-            (EventKind.ENTER, "d2", 5),
-        ]
+        runs = [(run.reader_id, run.seconds) for run in collector.history("o1").runs]
+        assert runs == [("d1", [0, 1]), ("d2", [5])]
+        assert collector.device_generation("o1") == 2
+        assert counted.counter_total("collector.enter_events") == 2
+        assert counted.counter_total("collector.leave_events") == 1
 
-    def test_events_multiple_objects(self):
+    def test_events_multiple_objects(self, counted):
         collector = EventDrivenCollector(TAGS)
         collector.ingest_second(0, raw(0, "tag1", "d1") + raw(0, "tag2", "d2"))
-        assert len(collector.events()) == 2
-        assert len(collector.events_for("o1")) == 1
+        assert collector.device_generation("o1") == 1
+        assert collector.device_generation("o2") == 1
+        assert counted.counter_total("collector.enter_events") == 2
+        assert counted.counter_total("collector.leave_events") == 0
+
+    def test_state_holds_no_event_log(self):
+        collector = EventDrivenCollector(TAGS)
+        for second, reader in enumerate(["d1", "d2", "d3", "d1"]):
+            collector.ingest_second(second, raw(second, "tag1", reader))
+        state = collector.state_dict()
+        assert "events" not in state
+        assert [run["reader_id"] for run in state["runs"]["o1"]] == ["d3", "d1"]
+        assert state["generations"] == {"o1": 4}
 
 
 class TestDeviceRun:

@@ -128,9 +128,11 @@ class TestGatewayCommand:
         ) == 0
         assert "analytics_epochs=3" in capsys.readouterr().out
 
-    def test_bad_shed_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            main(FAST + ["--seconds", "1", "--shed-policy", "panic"])
+    @pytest.mark.parametrize("policy", ["block", "shed"])
+    def test_shed_policy_option_is_gone(self, policy):
+        with pytest.raises(SystemExit) as excinfo:
+            main(FAST + ["--seconds", "1", "--shed-policy", policy])
+        assert excinfo.value.code == 2
 
     def test_unknown_tenant_backend_is_refused_before_forking(
         self, tmp_path, monkeypatch

@@ -220,21 +220,27 @@ class TestDegradation:
             assert set(after) <= set(before)
             assert after  # partition 1's slice survived
 
-    def test_shed_bookkeeping_unblocks_the_barrier(self, tenant_batches):
-        """A recorded shed removes the partition from the tick barrier."""
+    def test_worker_dead_at_submit_is_a_missing_partition(
+        self, tenant_batches, monkeypatch
+    ):
+        """A worker that dies between the fan-out's ``alive()`` check and
+        the send drops the sub-tick; the barrier then counts it missing."""
         coordinator = GatewayCoordinator(_specs(), 2, transport="inline")
         with coordinator:
             tid = "tenant-0"
-            batch = tenant_batches[tid][0]
-            coordinator.submit_tick(tid, batch)
-            entry = coordinator._pending[0]
-            victim = entry.parts[0]
-            coordinator._record_shed(tid, batch.second, victim)
-            assert victim not in entry.parts
-            assert coordinator.health()["tenants"][tid]["shed_subticks"] == 1
-            # The barrier completes from the remaining partition alone.
+            coordinator.process_batch(tid, tenant_batches[tid][0])
+            victim = coordinator.handles[0]
+            victim.kill()
+            monkeypatch.setattr(victim, "alive", lambda: True)
+            coordinator.submit_tick(tid, tenant_batches[tid][1])
+            assert coordinator._pending[0].parts == [0, 1]
             collected_tid, second, _ = coordinator.collect_tick()
-            assert (collected_tid, second) == (tid, batch.second)
+            assert (collected_tid, second) == (tid, tenant_batches[tid][1].second)
+            assert coordinator.last_slo()["gateway"]["missing_partitions"] == 1
+            assert coordinator.last_slo()["gateway"]["partitions"] == 1
+            record = coordinator.health()["tenants"][tid]
+            assert record["partial_ticks"] == 1
+            assert record["ticks"] == 2
 
 
 class TestClose:

@@ -288,7 +288,7 @@ class TestSlo:
             for worker in health["workers"]:
                 assert worker["alive"] is True
                 assert worker["queue_depth"] == 0
-                assert worker["sheds"] == 0
+                assert "sheds" not in worker
                 assert worker["last_second"] == SECONDS
                 assert worker["last_tick_age"] == 0
         finally:
@@ -306,6 +306,7 @@ class TestSlo:
             slo = record["gateway"]
             assert slo["partitions"] == 2
             assert slo["missing_partitions"] == 0
+            # Retired with the shed policy; kept at 0 for its readers.
             assert slo["sheds"] == 0
             assert slo["barrier_wait_max"] >= 0.0
             assert slo["worker_ess_collapses"] == 0
@@ -329,7 +330,6 @@ class TestSlo:
         quiet = {
             "gateway": {
                 "straggler_ratio": 1.0,
-                "sheds": 0,
                 "barrier_wait_max": 0.01,
                 "missing_partitions": 0,
                 "worker_ess_collapses": 0,
@@ -341,7 +341,6 @@ class TestSlo:
         bad = {
             "gateway": {
                 "straggler_ratio": 9.0,
-                "sheds": 3,
                 "barrier_wait_max": 0.01,
                 "missing_partitions": 1,
                 "worker_ess_collapses": 2,
@@ -351,9 +350,14 @@ class TestSlo:
             engine.observe_epoch(dict(bad, tick=tick))
         firing = {alert["rule"] for alert in engine.active()}
         assert "partition_straggler" in firing
-        assert "shed_surge" in firing
         assert "partition_dead" in firing
         assert "worker_ess_collapse" in firing
+        assert [rule.name for rule in gateway_rules()] == [
+            "partition_straggler",
+            "barrier_stall",
+            "partition_dead",
+            "worker_ess_collapse",
+        ]
 
 
 class TestHttpSurface:

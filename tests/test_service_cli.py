@@ -174,3 +174,19 @@ class TestServeFilterBackends:
         captured = capsys.readouterr()
         assert "produced by filter backend 'kalman'" in captured.err
         assert "re-create the checkpoint" in captured.err
+
+    def test_restore_refuses_an_unknown_checkpoint_version(self, world, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        code = _serve(
+            world, "--seconds", "5", "--quiet", "--checkpoint", str(ckpt)
+        )
+        assert code == 0
+        capsys.readouterr()
+        document = json.loads(ckpt.read_text())
+        document["checkpoint_version"] = 4
+        ckpt.write_text(json.dumps(document))
+        code = _serve(world, "--restore", str(ckpt), "--quiet")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unsupported checkpoint version 4" in captured.err
+        assert "re-create the checkpoint" in captured.err
