@@ -71,6 +71,7 @@ class ClockRule:
             "repro/queries",
             "repro/obs",
             "repro/analytics",
+            "repro/bench",
         ),
         exempt=(
             "repro/service/scheduler.py",

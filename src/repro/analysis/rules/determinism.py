@@ -8,7 +8,7 @@ cross-object coupling and makes results depend on partition count and
 thread interleaving.
 
 Flagged inside ``repro.core`` / ``repro.filters`` / ``repro.service`` /
-``repro.sim`` / ``repro.obs``:
+``repro.sim`` / ``repro.obs`` / ``repro.analytics`` / ``repro.bench``:
 
 * any import of the stdlib ``random`` module (its module functions are
   one shared, implicitly seeded stream);
@@ -66,6 +66,7 @@ class DeterminismRule:
             "repro/sim",
             "repro/obs",
             "repro/analytics",
+            "repro/bench",
         ),
         exempt=(),
     )

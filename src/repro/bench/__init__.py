@@ -1,45 +1,29 @@
-"""Benchmark regression gate.
+"""Bench digest lock.
 
-A small, deterministic benchmark harness behind ``repro bench``:
+A small, deterministic workload suite behind ``repro bench``:
+:func:`repro.bench.suite.run_suite` executes a fixed set of seeded
+pipeline workloads at one seed and size and records, per workload, an
+integer work profile (filter runs, seconds replayed, objects
+evaluated, ...) read from the :mod:`repro.obs` registry and a digest
+of its answers.
 
-* :func:`repro.bench.suite.run_suite` executes a fixed set of seeded
-  pipeline workloads and records, per workload, the wall-clock cost
-  *and* an integer work profile (filter runs, seconds replayed, objects
-  evaluated, ...) read from the :mod:`repro.obs` registry;
-* :func:`repro.bench.compare.compare_results` diffs two result files:
-  work counters must match **exactly** (seeded runs are deterministic,
-  so any drift is a real behavior change), while wall timings are first
-  normalized by a calibration-kernel ratio so the gate measures *this
-  code on this machine* against *that code on that machine* without
-  flaking on hardware differences.
-
-The package intentionally lives outside the invariant linter's CLK/DET
-scopes: benchmarks are the one place that legitimately reads the wall
-clock directly.
+Everything in the document is exact: seeded runs are deterministic, so
+any drift is a real behavior change. The tier-1 suite requires the
+document to equal the committed ``benchmarks/BENCH_BASELINE.json`` byte
+for byte; ``repro bench --out benchmarks/BENCH_BASELINE.json`` re-pins
+it after a deliberate change.
 """
 
-from repro.bench.compare import (
-    ComparisonReport,
-    compare_results,
-    load_result,
-    render_report,
-)
 from repro.bench.suite import (
     RESULT_FORMAT,
-    RESULT_VERSION,
-    default_result_name,
+    render_result,
     run_suite,
     write_result,
 )
 
 __all__ = [
-    "ComparisonReport",
     "RESULT_FORMAT",
-    "RESULT_VERSION",
-    "compare_results",
-    "default_result_name",
-    "load_result",
-    "render_report",
+    "render_result",
     "run_suite",
     "write_result",
 ]

@@ -25,8 +25,9 @@ Ten subcommands::
                       (per phase, backend, object bucket)
     repro top         live ANSI dashboard over a running serve endpoint
                       or an --events log file
-    repro bench       run the deterministic benchmark suite and gate a
-                      result file against a committed baseline
+    repro bench       run the deterministic workload suite and print its
+                      work counters and answer digests (pinned in
+                      benchmarks/BENCH_BASELINE.json)
     repro lint        static-check the repo's determinism, clock, and
                       thread-safety invariants (repro.analysis)
     repro analytics   continuous occupancy/flow/dwell analytics: run a
@@ -356,44 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = subparsers.add_parser(
-        "bench", help="deterministic benchmark suite + regression gate"
+        "bench", help="deterministic workload suite: work counters + answer digests"
     )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", help="run the workload suite and write a result file"
-    )
-    scale = bench_run.add_mutually_exclusive_group()
-    scale.add_argument(
-        "--smoke", dest="profile", action="store_const", const="smoke",
-        help="seconds-scale workloads (default; what CI runs)",
-    )
-    scale.add_argument(
-        "--full", dest="profile", action="store_const", const="full",
-        help="minutes-scale workloads for local before/after runs",
-    )
-    bench_run.set_defaults(profile="smoke")
-    bench_run.add_argument("--seed", type=int, default=7)
-    bench_run.add_argument(
+    bench.add_argument(
         "--out", metavar="JSON", default=None,
-        help="result path (default: the first free benchmarks/BENCH_<date>[-N].json)",
-    )
-    bench_compare = bench_sub.add_parser(
-        "compare", help="gate a candidate result against a baseline"
-    )
-    bench_compare.add_argument(
-        "candidate", metavar="JSON", help="candidate result file"
-    )
-    bench_compare.add_argument(
-        "--baseline", metavar="JSON", required=True,
-        help="committed baseline result file",
-    )
-    bench_compare.add_argument(
-        "--tolerance", type=float, default=None, metavar="X",
-        help="max calibration-normalized slowdown factor (default: 1.5)",
-    )
-    bench_compare.add_argument(
-        "--strict-digest", action="store_true",
-        help="also fail when answer digests differ (same-platform only)",
+        help="also write the document here (re-pins benchmarks/BENCH_BASELINE.json)",
     )
 
     lint = subparsers.add_parser(
@@ -907,52 +875,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_results,
-        default_result_name,
-        load_result,
-        render_report,
-        run_suite,
-        write_result,
-    )
-    from repro.bench.compare import (
-        DEFAULT_TOLERANCE,
-        EXIT_INCOMPARABLE,
-        BenchFormatError,
-    )
+    from repro.bench import render_result, run_suite, write_result
 
-    if args.bench_command == "run":
-        result = run_suite(profile=args.profile, seed=args.seed)
-        out = args.out or os.path.join(
-            "benchmarks", default_result_name(directory="benchmarks")
-        )
-        write_result(result, out)
-        total = sum(
-            w["wall_seconds"] for w in result["workloads"].values()
-        )
-        print(
-            f"bench {args.profile}: {len(result['workloads'])} workloads, "
-            f"{total:.2f}s measured, calibration "
-            f"{result['calibration_seconds'] * 1000:.1f}ms"
-        )
-        print(f"result -> {out}")
-        return 0
-
-    try:
-        baseline = load_result(args.baseline)
-        candidate = load_result(args.candidate)
-    except (OSError, ValueError, BenchFormatError) as exc:
-        print(f"repro: bench error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPARABLE
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    report = compare_results(
-        baseline,
-        candidate,
-        tolerance=tolerance,
-        strict_digest=args.strict_digest,
-    )
-    print(render_report(report))
-    return report.exit_code
+    result = run_suite()
+    sys.stdout.write(render_result(result))
+    if args.out:
+        write_result(result, args.out)
+    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

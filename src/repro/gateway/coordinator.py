@@ -62,6 +62,7 @@ from repro.queries.continuous import ResultDelta
 from repro.queries.knn_query import evaluate_knn_query
 from repro.queries.range_query import evaluate_range_query
 from repro.queries.types import KNNQuery, KNNResult, RangeQuery, RangeResult
+from repro.rfid.readings import RawReading
 from repro.service.ingest import ReadingBatch
 from repro.service.sessions import SessionManager
 from repro.service.tracking import ServiceSnapshot
@@ -74,6 +75,7 @@ from repro.gateway.transport import (
     GatewayWorkerError,
     make_worker_handles,
 )
+from repro.gateway.worker import encode_readings
 
 
 #: Cap on worker spans retained for the merged trace (the tracer's own
@@ -207,18 +209,11 @@ class GatewayCoordinator:
     def submit_tick(self, tenant_id: str, batch: ReadingBatch) -> None:
         """Fan one tenant-second out to every live partition."""
         self._tenant(tenant_id)  # validate
-        split: Dict[int, List[dict]] = {
+        split: Dict[int, List[RawReading]] = {
             handle.index: [] for handle in self.handles  # type: ignore[attr-defined]
         }
         for reading in batch.readings:
-            partition = self.ring.partition_of(tenant_id, reading.tag_id)
-            split[partition].append(
-                {
-                    "time": reading.time,
-                    "tag_id": reading.tag_id,
-                    "reader_id": reading.reader_id,
-                }
-            )
+            split[self.ring.partition_of(tenant_id, reading.tag_id)].append(reading)
         entry = _PendingTick(tenant_id=tenant_id, second=batch.second)
         trace = _trace_context(tenant_id, batch.second)
         with self._lock:
@@ -233,7 +228,7 @@ class GatewayCoordinator:
                     "op": "tick",
                     "tenant": tenant_id,
                     "second": batch.second,
-                    "readings": split[handle.index],  # type: ignore[attr-defined]
+                    "readings": encode_readings(split[handle.index]),  # type: ignore[attr-defined]
                 }
                 if self.observability:
                     message["trace"] = trace

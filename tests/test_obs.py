@@ -1,6 +1,8 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -229,6 +231,48 @@ class TestFacade:
 
         assert work(1) == 2
         assert obs.tracer().spans() == []
+
+    def test_disabled_path_reaches_no_recorder_and_keeps_no_memory(
+        self, monkeypatch
+    ):
+        """The guard every instrumented hot-path call site pays while off.
+
+        With obs disabled, no call may reach the registry or the tracer
+        (they raise here), and nothing allocated under ``repro/obs`` may
+        outlive the loop.
+        """
+        def recorder_called(*args, **kwargs):
+            raise AssertionError("disabled obs reached a recorder")
+
+        for method in ("counter", "gauge", "histogram", "timer"):
+            monkeypatch.setattr(MetricsRegistry, method, recorder_called)
+        monkeypatch.setattr(Tracer, "span", recorder_called)
+
+        @obs.timed("guard.timed")
+        def step(checksum, index):
+            return (checksum ^ (index << 1)) % 1_000_003
+
+        only_obs = [tracemalloc.Filter(True, os.path.join("*repro", "obs", "*"))]
+        checksum = 7
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_obs)
+            for index in range(10_000):
+                obs.add("guard.add")
+                obs.observe_seconds("guard.seconds", 0.001)
+                obs.gauge_set("guard.gauge", float(index))
+                with obs.timer("guard.timer"):
+                    checksum = (checksum * 31 + index) % 1_000_003
+                with obs.span("guard.span"):
+                    checksum = step(checksum, index)
+            after = tracemalloc.take_snapshot().filter_traces(only_obs)
+        finally:
+            tracemalloc.stop()
+        grown = [
+            stat for stat in after.compare_to(before, "lineno") if stat.size_diff > 0
+        ]
+        assert grown == [], grown
+        assert 0 <= checksum < 1_000_003
 
     def test_set_clock_applies_everywhere(self):
         obs.enable()
