@@ -2,14 +2,12 @@
 
 from repro.cache.particle_cache import (
     CachedFilterState,
-    CachedParticleState,
     CacheStats,
     ParticleCacheManager,
 )
 
 __all__ = [
     "CachedFilterState",
-    "CachedParticleState",
     "CacheStats",
     "ParticleCacheManager",
 ]

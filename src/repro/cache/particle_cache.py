@@ -38,10 +38,6 @@ class CachedFilterState:
     device_generation: int
 
 
-#: Backwards-compatible name from the particle-only cache era.
-CachedParticleState = CachedFilterState
-
-
 @dataclass
 class CacheStats:
     """Hit/miss counters (reported by the cache ablation)."""
@@ -129,7 +125,7 @@ class ParticleCacheManager:
     ) -> None:
         """Insert or replace an object's cached state (not copied).
 
-        ``state`` is a :meth:`~repro.filters.base.FilterRun.state`, which
+        ``state`` is a :attr:`~repro.filters.base.FilterRun.state`, which
         nothing mutates once its run has returned, so the cache keeps the
         object itself. A particle state is a view of its tick's stack;
         :meth:`settle` keeps such views from outliving their tick.

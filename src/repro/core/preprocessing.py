@@ -52,9 +52,6 @@ class PreprocessingModule:
         from repro.cache.particle_cache import ParticleCacheManager
         from repro.filters.registry import create_backend
 
-        self.graph = graph
-        self.anchor_index = anchor_index
-        self.config = config
         self.backend = create_backend(
             backend, graph, anchor_index, readers, config, resampler=resampler
         )
@@ -69,9 +66,6 @@ class PreprocessingModule:
             if use_cache and self.backend.cacheable
             else None
         )
-        self.compiled_graph = self.backend.compiled_graph
-        self.compiled_anchors = self.backend.compiled_anchors
-        self.readers = self.backend.readers
 
     def process(
         self,
@@ -127,7 +121,7 @@ class PreprocessingModule:
         runs = self.backend.run_many(requests, current_second) if requests else []
         if self.cache is not None:
             for object_id, generation, run in zip(filtered, generations, runs):
-                self.cache.store(object_id, run.state(), run.end_second, generation)
+                self.cache.store(object_id, run.state, run.end_second, generation)
             self.cache.settle(filtered)
         table = AnchorObjectTable()
         if not runs:

@@ -1,64 +1,48 @@
 """Pluggable Bayesian filter backends behind one interface.
 
 Every location estimator in the system — the paper's SIR particle
-filter and the symbolic uniform-over-reachable baseline — implements the
-:class:`~repro.filters.base.BayesFilter` /
-:class:`~repro.filters.base.FilterBackend` contract and registers itself
-with the :data:`~repro.filters.registry.FACTORY`. Engines, executors,
-and the CLI resolve backends by name (``--filter {particle, symbolic}``)
-and otherwise never special-case an estimator.
-
-Importing this package imports all built-in backend modules, which
-populates the registry as a side effect.
+filter and the symbolic uniform-over-reachable baseline — is a
+:class:`~repro.filters.base.FilterBackend`: ``run_many`` turns a tick's
+:class:`~repro.filters.base.FilterRequest` list into plain
+:class:`~repro.filters.base.FilterRun` records, ``posteriors`` snaps
+those runs to anchor distributions, and ``state_from_dict`` decodes a
+checkpointed belief. Engines, executors, and the CLI resolve backends
+by name (``--filter {particle, symbolic}``) through
+:func:`~repro.filters.registry.create_backend` and otherwise never
+special-case an estimator.
 """
 
 from repro.filters.base import (
-    BayesFilter,
     FilterBackend,
     FilterRequest,
     FilterRun,
     FilterState,
     FilterStateError,
-    ResumeState,
 )
+from repro.filters.particle import ParticleBackend
 from repro.filters.registry import (
-    FACTORY,
+    BACKENDS,
     BackendSpec,
-    FilterFactory,
     available_backends,
     create_backend,
-    register_backend,
 )
-
-# Import the built-in backends for their registration side effect.
-from repro.filters.particle import ParticleBackend, ParticleBayesFilter
-from repro.filters.symbolic import (
-    SymbolicBackend,
-    SymbolicBayesFilter,
-    SymbolicState,
-)
+from repro.filters.symbolic import SymbolicBackend, SymbolicState
 
 DEFAULT_BACKEND = ParticleBackend.name
 """The paper's estimator: what every entry point uses unless told otherwise."""
 
 __all__ = [
-    "BayesFilter",
     "FilterBackend",
     "FilterRequest",
     "FilterRun",
     "FilterState",
     "FilterStateError",
-    "ResumeState",
-    "FACTORY",
+    "BACKENDS",
     "BackendSpec",
-    "FilterFactory",
     "available_backends",
     "create_backend",
-    "register_backend",
     "ParticleBackend",
-    "ParticleBayesFilter",
     "SymbolicBackend",
-    "SymbolicBayesFilter",
     "SymbolicState",
     "DEFAULT_BACKEND",
 ]

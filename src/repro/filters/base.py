@@ -8,41 +8,37 @@ behind one model/processing interface — this module is that interface.
 
 A **backend** (:class:`FilterBackend`) owns the immutable per-deployment
 model: the walking graph, the reader layout, and whatever it precompiled
-from them. Its :meth:`FilterBackend.run` turns one object's reading
-history into a :class:`FilterRun` whose **filter** (:class:`BayesFilter`)
-is that object's final belief:
+from them. The preprocessing module makes two calls per tick:
 
-* ``posterior()`` — the belief as per-anchor probability mass, the
-  ``{ap_id: probability}`` form all query evaluation code consumes;
-* ``state()`` / ``to_state()`` — checkpointing: ``state()`` exposes the
-  belief itself (for the in-memory cache), ``to_state()`` a JSON-safe
-  document that round-trips bit-exactly.
+* :meth:`FilterBackend.run_many` turns each object's reading history
+  (and cached resume point, if any) into a :class:`FilterRun`: the
+  object's final belief and the second it covers;
+* :meth:`FilterBackend.posteriors` snaps those beliefs to per-anchor
+  probability mass, the ``{ap_id: probability}`` form all query
+  evaluation code consumes.
 
-Randomness is injected: the caller passes a generator derived from the
-``(seed, second, object_id)`` child stream
+A belief checkpoints through its ``to_state()`` document, which
+:meth:`FilterBackend.state_from_dict` decodes bit-exactly.
+
+Randomness is injected: each request carries a generator derived from
+the ``(seed, second, object_id)`` child stream
 (:func:`repro.rng.filter_run_rng`), never a shared evolving stream —
 this is what makes every backend's results independent of partitioning and
 restarts. Deterministic backends simply ignore the generator.
-
-:meth:`FilterBackend.run_many` runs a whole tick's objects in one call;
-by default it loops over :meth:`FilterBackend.run`, and the particle
-backend overrides it with its lockstep kernel.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Protocol, Sequence, Union
 
-from repro.collector.collector import ReadingHistory
 from repro.config import SimulationConfig
 from repro.core.compiled import CompiledAnchors, CompiledGraph
 from repro.core.filter import FilterRequest as FilterRequest
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
-from repro.rng import RngLike
 
 
 class FilterStateError(ValueError):
@@ -61,60 +57,27 @@ class FilterState(Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: A cached resume point: the belief and the second it represents.
-ResumeState = Tuple[FilterState, int]
-
-
-class BayesFilter(ABC):
-    """One object's belief, as a backend run left it."""
-
-    @abstractmethod
-    def posterior(self) -> Dict[int, float]:
-        """The belief as ``{anchor_id: probability}``; mass sums to 1."""
-
-    @abstractmethod
-    def state(self) -> FilterState:
-        """The belief itself, not a copy.
-
-        Once a backend's run has returned it, the belief is never
-        mutated again (see :meth:`FilterRun.state`); callers must not
-        mutate it either, and a resumed run copies it first.
-        """
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the belief (bit-exact round trip)."""
-        return self.state().to_state()
-
-
 @dataclass
 class FilterRun:
-    """Output of one backend run: the final belief and the second it covers."""
+    """Output of one object's run: the final belief and the second it covers.
 
-    filter: BayesFilter
+    The contract every backend keeps: once ``run_many`` has returned,
+    nothing mutates ``state``, so the cache may hold it as is. The
+    particle kernel returns views of a stack it built for the call and
+    never touches again; the symbolic backend builds a fresh state per
+    run.
+    """
+
+    state: FilterState
     end_second: int
-
-    def posterior(self) -> Dict[int, float]:
-        """The run's final per-anchor distribution."""
-        return self.filter.posterior()
-
-    def state(self) -> FilterState:
-        """The run's final belief, for the cache (not copied).
-
-        The contract every backend keeps: once ``run``/``run_many`` has
-        returned, nothing mutates this state, so the cache may hold it
-        as is. The particle kernel returns views of a stack it built for
-        the call and never touches again; the symbolic backend builds a
-        fresh state per run.
-        """
-        return self.filter.state()
 
 
 class FilterBackend(ABC):
-    """Per-deployment model shared by all of one backend's filters.
+    """Per-deployment model shared by all of one backend's runs.
 
     Subclasses declare:
 
-    * ``name`` — the registry key (``--filter`` value);
+    * ``name`` — the ``--filter`` value it is created under;
     * ``state_version`` — bumped whenever ``to_state`` layout changes, so
       checkpoints refuse incompatible restores instead of mis-decoding;
     * ``cacheable`` — whether resuming from a cached belief is cheaper
@@ -133,6 +96,7 @@ class FilterBackend(ABC):
         config: SimulationConfig,
         resampler: object = None,
     ) -> None:
+        del resampler  # the particle backend's kernel; others have none
         self.graph = graph
         self.anchor_index = anchor_index
         self.config = config
@@ -140,53 +104,23 @@ class FilterBackend(ABC):
             self.readers: Dict[str, RFIDReader] = dict(readers)
         else:
             self.readers = {r.reader_id: r for r in readers}
-        self.resampler = resampler
         self.compiled_graph = CompiledGraph(graph)
         self.compiled_anchors = CompiledAnchors(anchor_index, self.compiled_graph)
 
     @abstractmethod
     def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
-        """Decode a :meth:`BayesFilter.to_state` document (checkpoints)."""
+        """Decode a belief's ``to_state()`` document (checkpoints)."""
 
     @abstractmethod
-    def run(
-        self,
-        history: ReadingHistory,
-        current_second: int,
-        rng: RngLike = None,
-        resume: Optional[ResumeState] = None,
-    ) -> FilterRun:
-        """Run (or resume) the filter for one object up to ``current_second``.
-
-        Raises :class:`ValueError` when ``history`` holds no readings.
-        """
-
     def run_many(
         self, requests: Sequence[FilterRequest], current_second: int
     ) -> List[FilterRun]:
         """Run (or resume) every request up to ``current_second``, in order.
 
-        The preprocessing module makes one such call per tick. This
-        default runs the requests one by one through :meth:`run`.
+        Raises :class:`ValueError` when a request's history holds no
+        readings.
         """
-        return [
-            self.run(request.history, current_second, rng=request.rng, resume=request.resume)
-            for request in requests
-        ]
 
+    @abstractmethod
     def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:
-        """Each run's final per-anchor distribution, in ``runs`` order.
-
-        Backends that can snap many beliefs at once override this; the
-        preprocessing module calls it once per tick.
-        """
-        return [run.posterior() for run in runs]
-
-    def check_state_version(self, version: int) -> None:
-        """Raise :class:`FilterStateError` unless ``version`` matches."""
-        if version != self.state_version:
-            raise FilterStateError(
-                f"filter backend {self.name!r} speaks state version "
-                f"{self.state_version}, got a version-{version} state; "
-                f"re-create the checkpoint with the current code"
-            )
+        """Each run's final ``{anchor_id: probability}`` distribution, in order."""

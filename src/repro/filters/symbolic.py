@@ -2,7 +2,7 @@
 
 Wraps :class:`repro.symbolic.inference.SymbolicLocationModel` — the
 Yang-et-al. baseline the paper compares against — behind the
-:class:`~repro.filters.base.BayesFilter` contract. This backend *is* the
+:class:`~repro.filters.base.FilterBackend` contract. This backend *is* the
 baseline system: the simulator's ``sm_engine`` and the CLI's
 ``--filter symbolic`` both run it through the exact same engine,
 executor, and query-evaluation code paths as the particle backend.
@@ -12,8 +12,9 @@ propagate between seconds, so the backend opts out of state caching
 (``cacheable = False`` — recomputing is cheaper than resuming). Unlike
 the particle filter, the symbolic model evaluates at the *actual* query
 second with no silence cap — the maximum-speed reachability constraint
-plays that role — so :meth:`SymbolicBackend.run` evaluates directly at
-``current_second``.
+plays that role — so :meth:`SymbolicBackend.run_many` captures each
+history at ``current_second`` and :meth:`SymbolicBackend.posteriors`
+evaluates the model there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Union,
     cast,
@@ -33,19 +33,11 @@ from typing import (
 import repro.obs as obs
 from repro.collector.collector import DeviceRun, ReadingHistory
 from repro.config import SimulationConfig
-from repro.filters.base import (
-    BayesFilter,
-    FilterBackend,
-    FilterRun,
-    FilterState,
-    FilterStateError,
-    ResumeState,
-)
-from repro.filters.registry import register_backend
+from repro.core.filter import FilterRequest
+from repro.filters.base import FilterBackend, FilterRun, FilterState, FilterStateError
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
-from repro.rng import RngLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.symbolic.inference import SymbolicLocationModel
@@ -115,26 +107,8 @@ class SymbolicState:
             ) from exc
 
 
-class SymbolicBayesFilter(BayesFilter):
-    """Contract adapter: evaluate the symbolic model at the tracked second."""
-
-    def __init__(self, backend: "SymbolicBackend", state: SymbolicState) -> None:
-        self._backend = backend
-        self._state = state
-
-    def posterior(self) -> Dict[int, float]:
-        distribution = self._backend.model.infer(
-            self._state.history(), self._state.now
-        )
-        return dict(distribution) if distribution else {}
-
-    def state(self) -> FilterState:
-        return self._state
-
-
-@register_backend
 class SymbolicBackend(FilterBackend):
-    """Registry wrapper around the symbolic location model."""
+    """The symbolic location model behind the backend contract."""
 
     name = "symbolic"
     state_version = 1
@@ -150,7 +124,7 @@ class SymbolicBackend(FilterBackend):
         config: SimulationConfig,
         resampler: object = None,
     ) -> None:
-        super().__init__(graph, anchor_index, readers, config, resampler=resampler)
+        super().__init__(graph, anchor_index, readers, config)
         # Imported here, not at module level: repro.symbolic sits above
         # repro.filters in the layer map (ARCH).
         from repro.symbolic.inference import SymbolicLocationModel
@@ -163,28 +137,35 @@ class SymbolicBackend(FilterBackend):
     def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
         return SymbolicState.from_state(payload)
 
-    def run(
-        self,
-        history: ReadingHistory,
-        current_second: int,
-        rng: RngLike = None,
-        resume: Optional[ResumeState] = None,
-    ) -> FilterRun:
-        """Evaluate directly at ``current_second`` (no silence cap).
+    def run_many(
+        self, requests: Sequence[FilterRequest], current_second: int
+    ) -> List[FilterRun]:
+        """Capture every request's history at ``current_second`` (no silence cap).
 
         The symbolic model bounds the feasible region by maximum-speed
         reachability instead of capping replay length, so the model is
-        evaluated at the true query second.
+        evaluated at the true query second. It is deterministic and
+        closed-form: requests' generators and resume points are unused.
         """
-        del rng, resume  # deterministic and closed-form
-        if history.is_empty:
-            raise ValueError(
-                f"object {history.object_id!r} has no readings; it cannot be filtered"
-            )
-        with obs.span("filter.run", object=history.object_id, backend=self.name):
-            obs.add("filter.runs")
-            obs.add("filter.backend_runs", labels={"backend": self.name})
-            filt = SymbolicBayesFilter(
-                self, SymbolicState.from_history(history, int(current_second))
-            )
-        return FilterRun(filter=filt, end_second=int(current_second))
+        now = int(current_second)
+        runs: List[FilterRun] = []
+        for request in requests:
+            history = request.history
+            if history.is_empty:
+                raise ValueError(
+                    f"object {history.object_id!r} has no readings; it cannot be filtered"
+                )
+            with obs.span("filter.run", object=history.object_id, backend=self.name):
+                obs.add("filter.runs")
+                obs.add("filter.backend_runs", labels={"backend": self.name})
+                runs.append(FilterRun(SymbolicState.from_history(history, now), now))
+        return runs
+
+    def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:
+        """Each run's distribution: the model evaluated at the run's second."""
+        distributions: List[Dict[int, float]] = []
+        for run in runs:
+            state = cast(SymbolicState, run.state)
+            distribution = self.model.infer(state.history(), state.now)
+            distributions.append(dict(distribution) if distribution else {})
+        return distributions

@@ -19,7 +19,7 @@ from repro.collector.collector import DeviceRun, EventDrivenCollector, ReadingHi
 from repro.config import DEFAULT_CONFIG
 from repro.core import CompiledAnchors, CompiledGraph, ParticleSet
 from repro.core.discretize import particles_to_anchor_distribution
-from repro.core.filter import ParticleFilter
+from repro.core.filter import FilterRequest, ParticleFilter
 from repro.core.preprocessing import PreprocessingModule
 from repro.filters.registry import create_backend
 from repro.floorplan import (
@@ -301,9 +301,14 @@ class TestOneSnapPerProcess:
     def test_backend_posteriors_equal_per_run_posteriors(self, module_and_collector):
         module, collector = module_and_collector
         backend = module.backend
-        runs = [
-            backend.run(collector.history(f"o{i}"), 3, rng=np.random.default_rng(i))
+        requests = [
+            FilterRequest(collector.history(f"o{i}"), np.random.default_rng(i))
             for i in range(6)
         ]
+        runs = backend.run_many(requests, 3)
         stacked = backend.posteriors(runs)
-        assert [_items(d) for d in stacked] == [_items(r.posterior()) for r in runs]
+        per_run = [
+            particles_to_anchor_distribution([run.state], backend.compiled_anchors)[0]
+            for run in runs
+        ]
+        assert [_items(d) for d in stacked] == [_items(d) for d in per_run]

@@ -1,6 +1,6 @@
 """Cross-backend contract of :mod:`repro.filters`.
 
-Every registered backend — whatever its estimator — must honor the same
+Every backend — whatever its estimator — must honor the same
 observable contract: posteriors are probability distributions over
 anchors, states checkpoint and restore bit-exactly, and incompatible
 state documents are refused loudly instead of mis-decoded.
@@ -9,10 +9,14 @@ state documents are refused loudly instead of mis-decoded.
 import numpy as np
 import pytest
 
+import repro.obs as obs
+from repro.cache import ParticleCacheManager
+from repro.collector.collector import ReadingHistory
 from repro.config import DEFAULT_CONFIG
 from repro.filters import (
+    BACKENDS,
     DEFAULT_BACKEND,
-    FACTORY,
+    FilterRequest,
     FilterStateError,
     available_backends,
     create_backend,
@@ -71,6 +75,16 @@ def _rng_for(object_id, second):
     return filter_run_rng(FAST.seed, second, object_id)
 
 
+def _run(backend, object_id, history, resume=None):
+    """One object's run at second 30, as a one-request ``run_many`` call."""
+    request = FilterRequest(history, _rng_for(object_id, 30), resume)
+    return backend.run_many([request], 30)[0]
+
+
+def _posterior(backend, run):
+    return backend.posteriors([run])[0]
+
+
 class TestFactory:
     def test_all_backends_registered(self):
         assert available_backends() == ALL_BACKENDS
@@ -95,7 +109,7 @@ class TestFactory:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_state_version_is_positive(self, name):
-        assert FACTORY.state_version_of(name) >= 1
+        assert BACKENDS[name].state_version >= 1
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -104,8 +118,7 @@ class TestBackendContract:
         _, histories = world
         backend = backends[name]
         for object_id, history in histories.items():
-            run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-            posterior = run.posterior()
+            posterior = _posterior(backend, _run(backend, object_id, history))
             assert posterior, (name, object_id)
             assert all(p >= 0.0 for p in posterior.values())
             assert sum(posterior.values()) == pytest.approx(1.0)
@@ -114,8 +127,7 @@ class TestBackendContract:
         _, histories = world
         backend = backends[name]
         object_id, history = next(iter(histories.items()))
-        run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-        document = run.state().to_state()
+        document = _run(backend, object_id, history).state.to_state()
         decoded = backend.state_from_dict(document)
         assert decoded.to_state() == document
 
@@ -123,13 +135,11 @@ class TestBackendContract:
         _, histories = world
         backend = backends[name]
         object_id, history = next(iter(histories.items()))
-        run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-        decoded = backend.state_from_dict(run.state().to_state())
-        restored = backend.run(
-            history, 30, rng=_rng_for(object_id, 30), resume=(decoded, run.end_second)
-        )
+        run = _run(backend, object_id, history)
+        decoded = backend.state_from_dict(run.state.to_state())
+        restored = _run(backend, object_id, history, resume=(decoded, run.end_second))
         assert restored.end_second == run.end_second
-        assert restored.posterior() == run.posterior()
+        assert _posterior(backend, restored) == _posterior(backend, run)
 
     def test_missing_state_field_raises_filter_state_error(
         self, name, world, backends
@@ -137,25 +147,37 @@ class TestBackendContract:
         _, histories = world
         backend = backends[name]
         object_id, history = next(iter(histories.items()))
-        run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-        document = run.state().to_state()
+        document = _run(backend, object_id, history).state.to_state()
         document.pop(next(iter(document)))
         with pytest.raises(FilterStateError):
             backend.state_from_dict(document)
 
-    def test_state_version_check(self, name, backends):
+    def test_state_version_check(self, name, world, backends):
+        """A cache of this backend's states refuses any other state version."""
+        _, histories = world
         backend = backends[name]
-        backend.check_state_version(backend.state_version)
-        with pytest.raises(FilterStateError):
-            backend.check_state_version(backend.state_version + 1)
+
+        def cache():
+            return ParticleCacheManager(
+                backend=backend.name,
+                state_version=backend.state_version,
+                decoder=backend.state_from_dict,
+            )
+
+        object_id, history = next(iter(histories.items()))
+        written = cache()
+        written.store(object_id, _run(backend, object_id, history).state, 30, 0)
+        document = written.state_dict()
+        cache().restore_state(document)
+        document["state_version"] = backend.state_version + 1
+        with pytest.raises(FilterStateError, match="version"):
+            cache().restore_state(document)
 
     def test_empty_history_is_rejected(self, name, backends):
-        from repro.collector.collector import ReadingHistory
-
         backend = backends[name]
         empty = ReadingHistory(object_id="ghost", runs=())
         with pytest.raises(ValueError, match="ghost"):
-            backend.run(empty, 10)
+            backend.run_many([FilterRequest(empty, np.random.default_rng(0))], 10)
 
 
 class TestParticleEquivalence:
@@ -168,13 +190,62 @@ class TestParticleEquivalence:
             legacy = backend.filter.run(
                 history, 30, rng=_rng_for(object_id, 30)
             )
-            run = backend.run(history, 30, rng=_rng_for(object_id, 30))
-            state = run.state()
+            state = _run(backend, object_id, history).state
             for fieldname in ("edge", "offset", "direction", "speed", "dwelling"):
                 assert np.array_equal(
                     getattr(legacy.particles, fieldname),
                     getattr(state, fieldname),
                 ), (object_id, fieldname)
+
+
+class TestSymbolicBatch:
+    """The symbolic backend's ``run_many`` is N one-object runs, counters too."""
+
+    def test_batch_equals_one_request_calls(self, world, backends):
+        _, histories = world
+        backend = backends["symbolic"]
+        requests = [
+            FilterRequest(history, _rng_for(object_id, 30))
+            for object_id, history in histories.items()
+        ]
+        batch = backend.run_many(requests, 30)
+        alone = [backend.run_many([request], 30)[0] for request in requests]
+        assert len(batch) == len(requests) > 1
+        assert [run.end_second for run in batch] == [run.end_second for run in alone]
+        assert [run.state.to_state() for run in batch] == [
+            run.state.to_state() for run in alone
+        ]
+        assert backend.posteriors(batch) == [
+            backend.posteriors([run])[0] for run in alone
+        ]
+
+    def test_one_tick_counts_each_filtered_object(self, replay_readings):
+        batches = list(ReplaySource(replay_readings, max_seconds=12).batches())
+        service = TrackingService(FAST, filter_backend="symbolic")
+        try:
+            for batch in batches[:-1]:
+                service.process_batch(batch)
+            obs.enable(fresh=True)
+            try:
+                service.process_batch(batches[-1])
+                registry = obs.registry()
+                runs = registry.counter("filter.runs").value
+                backend_runs = registry.counter(
+                    "filter.backend_runs", {"backend": "symbolic"}
+                ).value
+                objects_filtered = registry.counter("preprocess.objects_filtered").value
+            finally:
+                obs.disable()
+            collector = service.collector
+            filtered = [
+                object_id
+                for object_id in collector.observed_objects()
+                if not collector.history(object_id).is_empty
+            ]
+        finally:
+            service.close()
+        assert len(filtered) > 1
+        assert runs == backend_runs == objects_filtered == len(filtered)
 
 
 class TestCheckpointCompatibility:
