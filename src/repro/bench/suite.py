@@ -146,11 +146,17 @@ def _bench_query_eval() -> Evidence:
 
     horizon = 12
     rounds = 6
+    # Query points on graph nodes put anchors at equal network distance
+    # along each incident edge (heap ties), and k up to the object count
+    # runs expansions whose running total reaches k exactly.
+    node_indices = (7, 14, 46)
+    node_ks = (1, 2, 4, 8, 16)
 
     sim = Simulation(_config(), build_symbolic=False)
     sim.run_until(horizon)
     windows = sim.random_windows(4)
     points = sim.random_query_points(3)
+    nodes = [sim.graph.nodes[index].point for index in node_indices]
 
     obs.enable(fresh=True)
     try:
@@ -173,7 +179,21 @@ def _bench_query_eval() -> Evidence:
             ):
                 for obj, p in result.probabilities.items():
                     answers.append((round_index, result.query_id, obj, round(p, 9)))
-        work = _counter_work(("engine.rounds", "engine.queries"))
+        # One ad-hoc round per node query, each pruned on its own.
+        for i, point in enumerate(nodes):
+            for k in node_ks:
+                result = sim.pf_engine.knn_query(point, k, horizon, rng=sim.pf_rng)
+                matched += len(result.probabilities)
+                for obj, p in result.probabilities.items():
+                    answers.append((rounds, f"n{i}k{k}", obj, round(p, 9)))
+        work = _counter_work(
+            (
+                "engine.rounds",
+                "engine.queries",
+                "prune.objects_seen",
+                "prune.candidates_kept",
+            )
+        )
     finally:
         obs.disable()
     work["matched"] = matched
