@@ -97,6 +97,22 @@ class CompiledGraph:
         self.leg_uy = np.array(uy)
         self.leg_cum = np.array(cum)
         self.leg_len = np.array(leg_len)
+        # For points(): column j holds each edge's (j + 1)-th leg-end
+        # threshold, +inf where the edge has no leg after it. consumed grows
+        # by positive lengths, so an edge's thresholds never decrease and
+        # the ones an offset exceeds are a prefix: their count is how far
+        # a leg-by-leg walk would advance from the edge's first leg.
+        n_legs = np.diff(self.leg_ptr)
+        ends = np.full((max(int(n_legs.max(initial=0)) - 1, 0), len(edges)), np.inf)
+        for e, (first, count) in enumerate(zip(leg_ptr, n_legs.tolist())):
+            if count > 1:
+                legs = slice(first, first + count - 1)
+                ends[: count - 1, e] = self.leg_cum[legs] + self.leg_len[legs] + 1e-12
+        self._leg_ends: List[np.ndarray] = list(ends)
+        # One row per leg field, so points() gathers them in one call.
+        self._legs = np.stack(
+            [self.leg_cum, self.leg_len, self.leg_sx, self.leg_sy, self.leg_ux, self.leg_uy]
+        )
 
     @property
     def num_edges(self) -> int:
@@ -111,23 +127,18 @@ class CompiledGraph:
     def points(self, edge: np.ndarray, offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """2-D coordinates of ``(edge, offset)`` particle positions.
 
-        Fully vectorized: finds each particle's polyline leg by walking the
-        leg table (edges have at most a handful of legs; door spurs have
-        two).
+        Fully vectorized: a particle's leg is its edge's first leg plus the
+        number of the edge's earlier leg ends (``leg_cum + leg_len +
+        1e-12``) its offset lies past; its leg's start, length and
+        direction then come from one gather of the packed leg table.
         """
-        leg = self.leg_ptr[edge].copy()
-        last = self.leg_ptr[edge + 1] - 1
-        # Advance to the leg containing the offset.
-        while True:
-            beyond = (leg < last) & (
-                offset > self.leg_cum[leg] + self.leg_len[leg] + 1e-12
-            )
-            if not beyond.any():
-                break
-            leg[beyond] += 1
-        local = np.clip(offset - self.leg_cum[leg], 0.0, self.leg_len[leg])
-        x = self.leg_sx[leg] + self.leg_ux[leg] * local
-        y = self.leg_sy[leg] + self.leg_uy[leg] * local
+        leg = self.leg_ptr[edge]
+        for ends in self._leg_ends:
+            leg = leg + (offset > ends[edge])
+        cum, length, sx, sy, ux, uy = self._legs.take(leg, axis=1)
+        local = (offset - cum).clip(0.0, length)
+        x = sx + ux * local
+        y = sy + uy * local
         return x, y
 
 

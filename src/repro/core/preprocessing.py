@@ -80,10 +80,10 @@ class PreprocessingModule:
         Objects with no reading history are skipped — the system has no
         evidence about them (they have not yet entered any reader's range).
 
-        ``rng_streams`` (when given) is called once, with the ids to be
-        filtered in order, and returns one independent generator per id
-        instead of one shared ``rng`` stream threaded through every
-        filter run. Per-object streams make the result independent
+        ``rng_streams`` (when given, and the backend draws) is called
+        once, with the ids to be filtered in order, and returns one
+        independent generator per id instead of one shared ``rng`` stream
+        threaded through every filter run. Per-object streams make the result independent
         of candidate *ordering and partitioning*, which is what lets the
         tracking service and the gateway's partitions
         (:mod:`repro.gateway`) produce bit-identical tables at any
@@ -110,7 +110,7 @@ class PreprocessingModule:
             filtered.append(object_id)
             generations.append(generation)
             pending.append((history, resume))
-        if rng_streams is None:
+        if rng_streams is None or not self.backend.draws:
             generators = [make_rng(rng)] * len(filtered)
         else:
             generators = [make_rng(stream) for stream in rng_streams(filtered)]

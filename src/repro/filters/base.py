@@ -81,12 +81,16 @@ class FilterBackend(ABC):
     * ``state_version`` — bumped whenever ``to_state`` layout changes, so
       checkpoints refuse incompatible restores instead of mis-decoding;
     * ``cacheable`` — whether resuming from a cached belief is cheaper
-      than recomputing (stateless backends opt out).
+      than recomputing (stateless backends opt out);
+    * ``draws`` — whether a run draws from its request's generator
+      (deterministic backends opt out, and are handed no per-object
+      generators).
     """
 
     name: ClassVar[str]
     state_version: ClassVar[int] = 1
     cacheable: ClassVar[bool] = True
+    draws: ClassVar[bool] = True
 
     def __init__(
         self,

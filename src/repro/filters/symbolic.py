@@ -115,6 +115,8 @@ class SymbolicBackend(FilterBackend):
     #: Stateless in the Bayesian sense: the posterior is a closed-form
     #: function of (history, now), so caching beliefs buys nothing.
     cacheable = False
+    #: Closed-form as well: no run draws from its generator.
+    draws = False
 
     def __init__(
         self,

@@ -70,6 +70,8 @@ class TableQueryEngine:
     evaluation, into a :class:`~repro.queries.range_query.RangePlan` or
     :class:`~repro.queries.knn_query.KNNPlan`; later rounds run only the
     table pass. Plans live exactly as long as their query is registered.
+    Query-aware pruning reads the kNN plans' located points
+    (:meth:`knn_plans`), so a registered kNN query is located once.
     """
 
     def __init__(
@@ -151,15 +153,27 @@ class TableQueryEngine:
             snapshot.range_results[query.query_id] = evaluate_range_query(
                 query, self.plan, self.anchor_index, table, compiled=range_plan
             )
+        for query, knn_plan in zip(self._knn_queries, self.knn_plans()):
+            snapshot.knn_results[query.query_id] = evaluate_knn_query(
+                query, self.graph, self.anchor_index, table, compiled=knn_plan
+            )
+        return snapshot
+
+    def knn_plans(self) -> List[KNNPlan]:
+        """The plan of each registered kNN query, in order.
+
+        A plan is built at its query's first use, so query-aware pruning
+        (which runs before the table pass) and the table pass share it.
+        """
+        plans = self._plans
+        knn_plans: List[KNNPlan] = []
         for query in self._knn_queries:
             knn_plan = plans.get(query.query_id)
             if not isinstance(knn_plan, KNNPlan) or knn_plan.query is not query:
                 knn_plan = KNNPlan.build(query, self.graph, self.anchor_index)
                 plans[query.query_id] = knn_plan
-            snapshot.knn_results[query.query_id] = evaluate_knn_query(
-                query, self.graph, self.anchor_index, table, compiled=knn_plan
-            )
-        return snapshot
+            knn_plans.append(knn_plan)
+        return knn_plans
 
     def _evaluate_alone(
         self,
@@ -252,7 +266,7 @@ class IndoorQueryEngine(TableQueryEngine):
         """Query-aware pruning, or every observed object when it is off."""
         if self.use_pruning:
             return self.optimizer.candidates(
-                collector, now, self._range_queries, self._knn_queries
+                collector, now, self._range_queries, knn_plans=self.knn_plans()
             )
         return set(collector.observed_objects())
 

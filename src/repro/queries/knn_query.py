@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.graph.anchors import AnchorIndex
+from repro.graph.location import GraphLocation
 from repro.graph.walking_graph import WalkingGraph
 from repro.index.hashtable import AnchorObjectTable
 from repro.queries.types import KNNQuery, KNNResult
@@ -46,16 +47,20 @@ class KNNPlan:
     pops of a search that stops once its total reaches ``k``.
     """
 
-    __slots__ = ("query", "order", "_distances", "_expanded", "_heap",
-                 "_visited", "_adjacency")
+    __slots__ = ("query", "location", "order", "_distances", "_expanded",
+                 "_heap", "_visited", "_adjacency")
 
     def __init__(
         self,
         query: KNNQuery,
+        location: GraphLocation,
         seeds: List[Tuple[float, int]],
         adjacency: Dict[int, List[Tuple[int, float]]],
     ) -> None:
         self.query = query
+        #: The query point located on the walking graph; query-aware
+        #: pruning reads it instead of locating the point again.
+        self.location = location
         self.order: List[int] = []
         self._distances: List[float] = []
         self._expanded = 0
@@ -70,7 +75,8 @@ class KNNPlan:
         cls, query: KNNQuery, graph: WalkingGraph, anchor_index: AnchorIndex
     ) -> "KNNPlan":
         """Locate the query point and seed the search from its edge."""
-        plan = cls(query, _seed_anchors(query, graph, anchor_index),
+        location, _ = graph.locate(query.point)
+        plan = cls(query, location, _seed_anchors(location, anchor_index),
                    anchor_index.neighbors())
         obs.add("query.plans_built", labels=_KNN_LABELS)
         return plan
@@ -136,10 +142,9 @@ def evaluate_knn_query(
 
 
 def _seed_anchors(
-    query: KNNQuery, graph: WalkingGraph, anchor_index: AnchorIndex
+    q_loc: GraphLocation, anchor_index: AnchorIndex
 ) -> List[Tuple[float, int]]:
-    """The anchors bracketing the query point on its nearest edge."""
-    q_loc, _ = graph.locate(query.point)
+    """The anchors bracketing the located query point on its edge."""
     ordered = anchor_index.on_edge(q_loc.edge_id)
     offsets = [off for off, _ in ordered]
     pos = bisect_left(offsets, q_loc.offset)

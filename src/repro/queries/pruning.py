@@ -17,14 +17,21 @@ The network-distance bounds are evaluated over the anchor points inside
 the uncertain region (the uncertain region restricted to the walking
 graph), padded by one anchor spacing so the discretization can never
 prune a true candidate. Each kNN query computes one vector of network
-distances to every anchor (:meth:`AnchorIndex.network_distances`); an
-object's bounds are then a min/max over its region's anchor ids, which
+distances to every anchor (:meth:`AnchorIndex.network_distances`) from
+its located point (a :class:`~repro.queries.knn_query.KNNPlan` brings
+one); a region's bounds are then a min/max over its anchor ids, which
 are memoized per region.
+
+Objects last seen by the same reader in the same second share one
+uncertain region, so each distinct region is built, range-tested and
+bounded once per round, however many objects share it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+import math
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,8 +42,12 @@ from repro.geometry import Circle, Point
 from repro.graph.anchors import AnchorIndex
 from repro.graph.location import GraphLocation
 from repro.graph.walking_graph import WalkingGraph
+from repro.queries.knn_query import KNNPlan
 from repro.queries.types import KNNQuery, RangeQuery
 from repro.rfid.reader import RFIDReader
+
+#: Each distinct uncertain region, with the objects whose region it is.
+Regions = List[Tuple[Circle, List[str]]]
 
 
 def uncertain_region(
@@ -80,8 +91,14 @@ class QueryAwareOptimizer:
         now: int,
         range_queries: Sequence[RangeQuery] = (),
         knn_queries: Sequence[KNNQuery] = (),
+        *,
+        knn_plans: Sequence[KNNPlan] = (),
     ) -> Set[str]:
-        """The union of candidate sets over all registered queries."""
+        """The union of candidate sets over all registered queries.
+
+        ``knn_queries`` are located here; each of ``knn_plans`` brings its
+        query with the point its plan already located.
+        """
         with obs.span("prune.candidates"):
             result: Set[str] = set()
             objects = collector.observed_objects()
@@ -90,64 +107,91 @@ class QueryAwareOptimizer:
                 result |= self.range_candidates(regions, range_queries)
             for query in knn_queries:
                 result |= self.knn_candidates(regions, query)
+            for plan in knn_plans:
+                result |= self.knn_candidates(regions, plan.query, plan.location)
         if obs.enabled():
             # Pruning effectiveness (paper §4.3): of the objects the
             # collector has seen, how many survived into the candidate
             # set that particle filtering must process?
+            seen = sum(len(members) for _, members in regions)
             obs.add("prune.rounds")
-            obs.add("prune.objects_seen", len(regions))
+            obs.add("prune.objects_seen", seen)
             obs.add("prune.candidates_kept", len(result))
-            obs.add("prune.objects_pruned", len(regions) - len(result))
+            obs.add("prune.objects_pruned", seen - len(result))
         return result
 
     def _uncertain_regions(
         self, collector: EventDrivenCollector, objects: Iterable[str], now: int
-    ) -> Dict[str, Circle]:
-        regions: Dict[str, Circle] = {}
+    ) -> Regions:
+        """Each distinct uncertain region and the objects that share it.
+
+        Objects last seen by the same reader in the same second share one
+        region, so it is built (and later tested) once for all of them.
+        """
+        by_detection: Dict[Tuple[str, int], List[str]] = {}
+        last_detection = collector.last_detection
         for object_id in objects:
-            detection = collector.last_detection(object_id)
+            detection = last_detection(object_id)
             if detection is None:
                 continue
-            reader_id, last_second = detection
-            regions[object_id] = uncertain_region(
-                self.readers[reader_id], last_second, now, self.config.max_speed
-            )
-        return regions
+            members = by_detection.get(detection)
+            if members is None:
+                by_detection[detection] = [object_id]
+            else:
+                members.append(object_id)
+        readers, max_speed = self.readers, self.config.max_speed
+        return [
+            (uncertain_region(readers[reader_id], last_second, now, max_speed), members)
+            for (reader_id, last_second), members in by_detection.items()
+        ]
 
     # ------------------------------------------------------------------
     def range_candidates(
-        self, regions: Dict[str, Circle], queries: Sequence[RangeQuery]
+        self, regions: Regions, queries: Sequence[RangeQuery]
     ) -> Set[str]:
         """Objects whose uncertain region overlaps at least one window."""
-        return {
-            object_id
-            for object_id, region in regions.items()
-            if any(region.intersects_rect(q.window) for q in queries)
-        }
+        windows = [query.window for query in queries]
+        result: Set[str] = set()
+        for region, members in regions:
+            for window in windows:
+                if region.intersects_rect(window):
+                    result.update(members)
+                    break
+        return result
 
     def knn_candidates(
-        self, regions: Dict[str, Circle], query: KNNQuery
+        self,
+        regions: Regions,
+        query: KNNQuery,
+        location: Optional[GraphLocation] = None,
     ) -> Set[str]:
-        """Distance-based pruning for one kNN query (paper Eq. 6)."""
+        """Distance-based pruning for one kNN query (paper Eq. 6).
+
+        ``location`` is the query point on the walking graph; it is
+        located here when not given.
+        """
         if not regions:
             return set()
-        q_loc, _ = self.graph.locate(query.point)
-        distances = self.anchor_index.network_distances(q_loc)
-        bounds: Dict[str, Tuple[float, float]] = {}
-        for object_id, region in regions.items():
-            bound = self._distance_bounds(q_loc, query.point, region, distances)
-            if bound is not None:
-                bounds[object_id] = bound
-
-        if len(bounds) <= query.k:
-            return set(bounds.keys())
-        l_values = sorted(hi for _, hi in bounds.values())
-        f = l_values[query.k - 1]
-        return {
-            object_id
-            for object_id, (s_i, _) in bounds.items()
-            if s_i <= f
-        }
+        if location is None:
+            location, _ = self.graph.locate(query.point)
+        distances = self.anchor_index.network_distances(location)
+        bounds = [
+            (self._distance_bounds(location, query.point, region, distances), members)
+            for region, members in regions
+        ]
+        if sum(len(members) for _, members in bounds) <= query.k:
+            f = math.inf
+        else:
+            # f: the k-th smallest l_i over objects, each region counted
+            # once per object that shares it.
+            ranked = sorted(bounds, key=lambda bound: bound[0][1])
+            counts = accumulate(len(members) for _, members in ranked)
+            f = next(l_i for ((_, l_i), _), n in zip(ranked, counts) if n >= query.k)
+        result: Set[str] = set()
+        for (s_i, _), members in bounds:
+            if s_i <= f:
+                result.update(members)
+        return result
 
     def region_anchor_ids(self, region: Circle) -> np.ndarray:
         """Ids of the anchors inside ``region``, as a read-only array.
@@ -183,7 +227,7 @@ class QueryAwareOptimizer:
         q_point: Point,
         region: Circle,
         distances: np.ndarray,
-    ) -> Optional[Tuple[float, float]]:
+    ) -> Tuple[float, float]:
         """``(s_i, l_i)`` network-distance bounds to an uncertain region.
 
         ``distances`` is the query location's network distance to every

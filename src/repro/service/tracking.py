@@ -208,11 +208,12 @@ class TrackingService:
                 self._register_unknown_tags(batch)
             self.collector.ingest_second(batch.second, batch.readings)
             if self.use_pruning:
+                engine = self.sessions.engine
                 candidates = self.optimizer.candidates(
                     self.collector,
                     batch.second,
-                    self.sessions.engine.range_queries,
-                    self.sessions.engine.knn_queries,
+                    engine.range_queries,
+                    knn_plans=engine.knn_plans(),
                 )
             else:
                 candidates = set(self.collector.observed_objects())

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledAnchors, CompiledGraph, GraphMotionModel, ParticleSet
+from repro.floorplan.presets import (
+    cross_office_plan,
+    linear_office_plan,
+    paper_office_plan,
+    small_test_plan,
+)
 from repro.geometry import Circle, Point
+from repro.graph import build_walking_graph
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +75,72 @@ class TestParticleSet:
         ps.weight[:] = 0.0
         ps.normalize_weights()
         assert np.allclose(ps.weight, 0.25)
+
+
+def walk_points(compiled, edge, offset):
+    """The leg-by-leg walk ``CompiledGraph.points`` replaced (reference)."""
+    leg = compiled.leg_ptr[edge].copy()
+    last = compiled.leg_ptr[edge + 1] - 1
+    while True:
+        beyond = (leg < last) & (
+            offset > compiled.leg_cum[leg] + compiled.leg_len[leg] + 1e-12
+        )
+        if not beyond.any():
+            break
+        leg[beyond] += 1
+    local = np.clip(offset - compiled.leg_cum[leg], 0.0, compiled.leg_len[leg])
+    x = compiled.leg_sx[leg] + compiled.leg_ux[leg] * local
+    y = compiled.leg_sy[leg] + compiled.leg_uy[leg] * local
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def preset_compiled():
+    return {
+        name: CompiledGraph(build_walking_graph(make()))
+        for name, make in (
+            ("paper", paper_office_plan),
+            ("small", small_test_plan),
+            ("linear", linear_office_plan),
+            ("cross", cross_office_plan),
+        )
+    }
+
+
+def _tricky_offsets(compiled, edge):
+    """Offsets at and around an edge's leg joints and ends, and past them."""
+    legs = range(compiled.leg_ptr[edge], compiled.leg_ptr[edge + 1])
+    joints = [float(compiled.leg_cum[leg] + compiled.leg_len[leg]) for leg in legs]
+    length = float(compiled.edge_length[edge])
+    exact = [0.0, -0.0, length, *joints]
+    near = [v + d for v in exact for d in (-1e-12, 1e-12)]
+    nudged = [float(np.nextafter(v + 1e-12, s)) for v in exact for s in (-np.inf, np.inf)]
+    return st.one_of(
+        st.sampled_from(exact + near + nudged),
+        st.floats(min_value=-5.0, max_value=length + 5.0),
+        st.floats(allow_nan=False, allow_infinity=True, width=64),
+    )
+
+
+class TestClosedFormPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_points_equal_the_leg_walk_bit_for_bit(self, data, preset_compiled):
+        compiled = preset_compiled[data.draw(st.sampled_from(sorted(preset_compiled)))]
+        edges = data.draw(
+            st.lists(st.integers(0, compiled.num_edges - 1), min_size=1, max_size=40)
+        )
+        offsets = [data.draw(_tricky_offsets(compiled, edge)) for edge in edges]
+        edge = np.array(edges, dtype=np.int64)
+        offset = np.array(offsets, dtype=np.float64)
+        got = compiled.points(edge, offset)
+        want = walk_points(compiled, edge, offset)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_every_preset_has_multi_leg_edges(self, preset_compiled):
+        for compiled in preset_compiled.values():
+            assert (np.diff(compiled.leg_ptr) > 1).any()
 
 
 class TestCompiledGraph:

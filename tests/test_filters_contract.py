@@ -247,6 +247,38 @@ class TestSymbolicBatch:
         assert len(filtered) > 1
         assert runs == backend_runs == objects_filtered == len(filtered)
 
+    def test_a_symbolic_tick_builds_no_generators(self, replay_readings, monkeypatch):
+        import repro.service.tracking as tracking
+
+        built = []
+        original = tracking.filter_run_rngs
+        monkeypatch.setattr(
+            tracking, "filter_run_rngs",
+            lambda *args: built.append(args) or original(*args),
+        )
+
+        def tables(draws):
+            with TrackingService(FAST, filter_backend="symbolic") as service:
+                if draws:
+                    # The reference: hand every run its own generator.
+                    service.executor.filter_backend.draws = True
+                served = []
+                for batch in ReplaySource(replay_readings, max_seconds=12).batches():
+                    service.process_batch(batch)
+                    table = service.snapshot().table
+                    served.append(
+                        {o: table.distribution_of(o) for o in sorted(table.objects())}
+                    )
+            return served
+
+        assert not BACKENDS["symbolic"].draws and BACKENDS["particle"].draws
+        served = tables(draws=False)
+        assert built == []
+        reference = tables(draws=True)
+        assert len(built) == len(reference) == 12
+        assert served == reference
+        assert any(served)
+
 
 class TestCheckpointCompatibility:
     def _served(self, readings, name, seconds=10):

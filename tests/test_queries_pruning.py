@@ -8,8 +8,16 @@ from repro.collector import EventDrivenCollector
 from repro.config import DEFAULT_CONFIG
 from repro.geometry import Circle, Point, Rect
 from repro.graph.location import GraphLocation
-from repro.queries import KNNQuery, QueryAwareOptimizer, RangeQuery, uncertain_region
+from repro.queries import (
+    IndoorQueryEngine,
+    KNNQuery,
+    QueryAwareOptimizer,
+    RangeQuery,
+    uncertain_region,
+)
+from repro.queries.knn_query import KNNPlan
 from repro.rfid.readings import RawReading
+from repro.service import ReplaySource, TrackingService
 from repro.sim import Simulation
 from repro.symbolic.inference import SymbolicLocationModel
 
@@ -59,7 +67,7 @@ class TestRangeCandidates:
         queries = [RangeQuery("q", Rect(0, 28, 3, 31))]
         candidates = optimizer.candidates(collector, now=1, range_queries=queries)
         # Window is a corner far from all five readers at t=1.
-        regions = optimizer._uncertain_regions(collector, collector.observed_objects(), 1)
+        regions = per_object_regions(optimizer, collector, 1)
         expected = {
             o for o, r in regions.items() if r.intersects_rect(queries[0].window)
         }
@@ -156,6 +164,28 @@ def reference_distance_bounds(optimizer, q_loc, q_point, region):
     s_i = max(min(distances) - pad, euclid_floor, 0.0)
     l_i = max(distances) + pad
     return s_i, l_i
+
+
+def per_object_regions(optimizer, collector, now):
+    """One ``UR(o_i)`` per object, as the optimizer built them before sharing."""
+    regions = {}
+    for object_id in collector.observed_objects():
+        detection = collector.last_detection(object_id)
+        if detection is not None:
+            reader_id, last_second = detection
+            regions[object_id] = uncertain_region(
+                optimizer.readers[reader_id], last_second, now,
+                optimizer.config.max_speed,
+            )
+    return regions
+
+
+def reference_range_candidates(regions, queries):
+    return {
+        object_id
+        for object_id, region in regions.items()
+        if any(region.intersects_rect(q.window) for q in queries)
+    }
 
 
 def reference_knn_candidates(optimizer, regions, query):
@@ -272,12 +302,13 @@ class TestVectorBounds:
             regions = optimizer._uncertain_regions(
                 engine.collector, engine.collector.observed_objects(), now
             )
+            per_object = per_object_regions(optimizer, engine.collector, now)
             for point in sim.random_query_points(3):
                 for k in (1, 3, 5):
                     query = KNNQuery("q", point, k=k)
                     got = optimizer.knn_candidates(regions, query)
-                    assert got == reference_knn_candidates(optimizer, regions, query)
-                    checked += len(regions) > k
+                    assert got == reference_knn_candidates(optimizer, per_object, query)
+                    checked += len(per_object) > k
         assert checked > 0
 
 
@@ -337,3 +368,128 @@ class TestRegionMemo:
         assert sorted(every.tolist()) == list(range(len(optimizer.anchor_index)))
         assert not every.flags.writeable
         assert len(optimizer._region_ids) == total
+
+
+# ----------------------------------------------------------------------
+# one pass per uncertain region: bit identity with the per-object loop
+# ----------------------------------------------------------------------
+def crowded_collector(readers, objects, seconds, seed):
+    """``objects`` objects, each last seen at one of a few (reader, second) pairs."""
+    rng = np.random.default_rng(seed)
+    reader_ids = sorted(readers)[:: max(1, len(readers) // 4)]
+    tags = {f"tag{i}": f"o{i}" for i in range(objects)}
+    collector = EventDrivenCollector(tags)
+    for second in range(seconds):
+        readings = []
+        for i in range(objects):
+            if rng.random() < 0.5 or second == 0:
+                reader_id = reader_ids[int(rng.integers(len(reader_ids)))]
+                readings += raw(second, f"tag{i}", reader_id)
+        collector.ingest_second(second, readings)
+    return collector
+
+
+class TestSharedRegions:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objects_share_regions(self, optimizer, paper_readers_by_id, seed):
+        collector = crowded_collector(paper_readers_by_id, 60, 3, seed)
+        regions = optimizer._uncertain_regions(
+            collector, collector.observed_objects(), 5
+        )
+        assert len(regions) < 20
+        per_object = per_object_regions(optimizer, collector, 5)
+        assert sorted(o for _, members in regions for o in members) == sorted(per_object)
+        for region, members in regions:
+            assert all(per_object[o] == region for o in members)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidates_equal_the_per_object_reference(
+        self, optimizer, paper_plan, paper_readers_by_id, seed
+    ):
+        collector = crowded_collector(paper_readers_by_id, 60, 3, seed)
+        rng = np.random.default_rng(100 + seed)
+        bounds = paper_plan.bounds
+        checked = 0
+        for now in (2, 4, 9):
+            per_object = per_object_regions(optimizer, collector, now)
+            regions = optimizer._uncertain_regions(
+                collector, collector.observed_objects(), now
+            )
+            for _ in range(4):
+                point = Point(
+                    float(rng.uniform(bounds.min_x, bounds.max_x)),
+                    float(rng.uniform(bounds.min_y, bounds.max_y)),
+                )
+                window = Rect(point.x - 4, point.y - 3, point.x + 4, point.y + 3)
+                assert optimizer.range_candidates(
+                    regions, [RangeQuery("r", window)]
+                ) == reference_range_candidates(per_object, [RangeQuery("r", window)])
+                location, _ = optimizer.graph.locate(point)
+                for k in (1, 2, 5, 13, 59, 60, 61):
+                    query = KNNQuery("q", point, k=k)
+                    want = reference_knn_candidates(optimizer, per_object, query)
+                    assert optimizer.knn_candidates(regions, query) == want
+                    assert optimizer.knn_candidates(regions, query, location) == want
+                    assert optimizer.candidates(
+                        collector, now, knn_queries=[query]
+                    ) == want
+                    checked += len(want) < len(per_object)
+        assert checked > 0
+
+    def test_plans_bring_their_located_point(
+        self, optimizer, paper_graph, paper_anchors, paper_readers_by_id, monkeypatch
+    ):
+        collector = crowded_collector(paper_readers_by_id, 30, 3, 4)
+        query = KNNQuery("q", paper_readers_by_id["d8"].position, k=3)
+        plan = KNNPlan.build(query, paper_graph, paper_anchors)
+        want = optimizer.candidates(collector, 6, knn_queries=[query])
+        located = []
+        original = optimizer.graph.locate
+        monkeypatch.setattr(
+            optimizer.graph, "locate", lambda p: located.append(p) or original(p)
+        )
+        assert optimizer.candidates(collector, 6, knn_plans=[plan]) == want
+        assert located == []
+
+
+def _count_locates(monkeypatch, graph):
+    calls = []
+    original = graph.locate
+    monkeypatch.setattr(graph, "locate", lambda p: calls.append(p) or original(p))
+    return calls
+
+
+class TestStandingKnnIsLocatedOnce:
+    SECONDS = 20
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        config = DEFAULT_CONFIG.with_overrides(num_objects=12, seed=5)
+        sim = Simulation(config, build_symbolic=False)
+        seconds = [sim.step() for _ in range(self.SECONDS)]
+        return config, sim, seconds
+
+    def test_indoor_query_engine(self, world, monkeypatch):
+        config, sim, seconds = world
+        engine = IndoorQueryEngine(
+            sim.plan, sim.readers, sim.trace.tag_to_object(), config=config,
+            use_pruning=True,
+        )
+        engine.register_knn_query(KNNQuery("k", sim.readers[3].position, 3))
+        calls = _count_locates(monkeypatch, engine.graph)
+        rng = np.random.default_rng(0)
+        for batch in ReplaySource([r for s in seconds for r in s]).batches():
+            engine.step(batch.second, batch.readings, rng=rng)
+        assert engine.collector.observed_objects()
+        assert len(calls) == 1
+
+    def test_tracking_service(self, world, monkeypatch):
+        config, sim, seconds = world
+        with TrackingService(config, plan=sim.plan, readers=sim.readers,
+                             use_pruning=True, seed=5) as service:
+            service.sessions.subscribe_knn(sim.readers[3].position, 3)
+            calls = _count_locates(monkeypatch, service.graph)
+            for batch in ReplaySource([r for s in seconds for r in s]).batches():
+                service.process_batch(batch)
+            assert service.ticks == self.SECONDS
+        assert len(calls) == 1
