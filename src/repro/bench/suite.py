@@ -182,9 +182,9 @@ def _bench_query_eval() -> Evidence:
         # One ad-hoc round per node query, each pruned on its own.
         for i, point in enumerate(nodes):
             for k in node_ks:
-                result = sim.pf_engine.knn_query(point, k, horizon, rng=sim.pf_rng)
-                matched += len(result.probabilities)
-                for obj, p in result.probabilities.items():
+                knn = sim.pf_engine.knn_query(point, k, horizon, rng=sim.pf_rng)
+                matched += len(knn.probabilities)
+                for obj, p in knn.probabilities.items():
                     answers.append((rounds, f"n{i}k{k}", obj, round(p, 9)))
         work = _counter_work(
             (

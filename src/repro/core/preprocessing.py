@@ -82,12 +82,12 @@ class PreprocessingModule:
 
         ``rng_streams`` (when given, and the backend draws) is called
         once, with the ids to be filtered in order, and returns one
-        independent generator per id instead of one shared ``rng`` stream
-        threaded through every filter run. Per-object streams make the result independent
-        of candidate *ordering and partitioning*, which is what lets the
-        tracking service and the gateway's partitions
-        (:mod:`repro.gateway`) produce bit-identical tables at any
-        partition count.
+        independent generator per id instead of one shared ``rng``
+        stream threaded through every filter run. Per-object streams make
+        the result independent of candidate *ordering and partitioning*,
+        which is what lets the tracking service and the gateway's
+        partitions (:mod:`repro.gateway`) produce bit-identical tables at
+        any partition count.
 
         The module looks every candidate up in the cache, makes one
         :meth:`~repro.filters.base.FilterBackend.run_many` call for all
