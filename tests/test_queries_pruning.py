@@ -389,6 +389,13 @@ def crowded_collector(readers, objects, seconds, seed):
     return collector
 
 
+def _count_locates(monkeypatch, graph):
+    calls = []
+    original = graph.locate
+    monkeypatch.setattr(graph, "locate", lambda p: calls.append(p) or original(p))
+    return calls
+
+
 class TestSharedRegions:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_objects_share_regions(self, optimizer, paper_readers_by_id, seed):
@@ -443,20 +450,9 @@ class TestSharedRegions:
         query = KNNQuery("q", paper_readers_by_id["d8"].position, k=3)
         plan = KNNPlan.build(query, paper_graph, paper_anchors)
         want = optimizer.candidates(collector, 6, knn_queries=[query])
-        located = []
-        original = optimizer.graph.locate
-        monkeypatch.setattr(
-            optimizer.graph, "locate", lambda p: located.append(p) or original(p)
-        )
+        located = _count_locates(monkeypatch, optimizer.graph)
         assert optimizer.candidates(collector, 6, knn_plans=[plan]) == want
         assert located == []
-
-
-def _count_locates(monkeypatch, graph):
-    calls = []
-    original = graph.locate
-    monkeypatch.setattr(graph, "locate", lambda p: calls.append(p) or original(p))
-    return calls
 
 
 class TestStandingKnnIsLocatedOnce:
@@ -466,11 +462,11 @@ class TestStandingKnnIsLocatedOnce:
     def world(self):
         config = DEFAULT_CONFIG.with_overrides(num_objects=12, seed=5)
         sim = Simulation(config, build_symbolic=False)
-        seconds = [sim.step() for _ in range(self.SECONDS)]
-        return config, sim, seconds
+        readings = [r for _ in range(self.SECONDS) for r in sim.step()]
+        return config, sim, readings
 
     def test_indoor_query_engine(self, world, monkeypatch):
-        config, sim, seconds = world
+        config, sim, readings = world
         engine = IndoorQueryEngine(
             sim.plan, sim.readers, sim.trace.tag_to_object(), config=config,
             use_pruning=True,
@@ -478,18 +474,18 @@ class TestStandingKnnIsLocatedOnce:
         engine.register_knn_query(KNNQuery("k", sim.readers[3].position, 3))
         calls = _count_locates(monkeypatch, engine.graph)
         rng = np.random.default_rng(0)
-        for batch in ReplaySource([r for s in seconds for r in s]).batches():
+        for batch in ReplaySource(readings).batches():
             engine.step(batch.second, batch.readings, rng=rng)
         assert engine.collector.observed_objects()
         assert len(calls) == 1
 
     def test_tracking_service(self, world, monkeypatch):
-        config, sim, seconds = world
+        config, sim, readings = world
         with TrackingService(config, plan=sim.plan, readers=sim.readers,
                              use_pruning=True, seed=5) as service:
             service.sessions.subscribe_knn(sim.readers[3].position, 3)
             calls = _count_locates(monkeypatch, service.graph)
-            for batch in ReplaySource([r for s in seconds for r in s]).batches():
+            for batch in ReplaySource(readings).batches():
                 service.process_batch(batch)
             assert service.ticks == self.SECONDS
         assert len(calls) == 1
