@@ -159,9 +159,8 @@ class GraphMotionModel:
         size = len(particles) // len(rngs)
 
         # 1. Dwelling particles decide whether to leave their room.
-        dwelling_rows = np.nonzero(particles.dwelling)[0]
-        if len(dwelling_rows):
-            self._exit_rooms(particles, dwelling_rows, rngs, size)
+        if particles.dwelling.any():
+            self._exit_rooms(particles, np.nonzero(particles.dwelling)[0], rngs, size)
 
         # 2. Vectorized move for particles that stay on their edge.
         moving = ~particles.dwelling
@@ -169,10 +168,11 @@ class GraphMotionModel:
         tentative = particles.offset + particles.direction * distance
         lengths = compiled.edge_length[particles.edge]
         stays = moving & (tentative >= 0.0) & (tentative <= lengths)
-        particles.offset[stays] = tentative[stays]
+        np.copyto(particles.offset, tentative, where=stays)
 
-        # 3. Walk the edge crossers across node transitions.
-        crossers = np.nonzero(moving & ~stays)[0]
+        # 3. Walk the edge crossers across node transitions (``stays``
+        # is a subset of ``moving``, so ``^`` leaves the movers that left).
+        crossers = np.nonzero(moving ^ stays)[0]
         if len(crossers):
             self._cross(particles, crossers, distance[crossers], rngs, size)
 
@@ -256,7 +256,10 @@ class GraphMotionModel:
             [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
             else rngs * len(rows)
         )
+        edges = [0] * len(rows)
+        directions = [0] * len(rows)
         dwelling = [False] * len(rows)
+        dwelled = False
 
         for i, remaining in enumerate(distance.tolist()):
             key, offset = keys[i], offsets[i]
@@ -276,7 +279,7 @@ class GraphMotionModel:
                 if entry is None:
                     if room[key]:
                         offset = far[key]
-                        dwelling[i] = True
+                        dwelling[i] = dwelled = True
                         break
                     doors, hallways = door_pools[key], hallway_pools[key]
                     if doors and hallways:
@@ -289,10 +292,10 @@ class GraphMotionModel:
                         else pool[generators[i].integers(len(pool))]
                     )
                 key, offset = entry
-            keys[i], offsets[i] = key, offset
+            edges[i], offsets[i], directions[i] = key >> 1, offset, sign[key]
 
-        heading = np.array(keys)
-        particles.edge[rows] = heading >> 1
+        particles.edge[rows] = edges
         particles.offset[rows] = offsets
-        particles.direction[rows] = (heading & 1) * 2 - 1
-        particles.dwelling[rows] = dwelling
+        particles.direction[rows] = directions
+        if dwelled:  # crossers were moving, so their flags are all False
+            particles.dwelling[rows] = dwelling

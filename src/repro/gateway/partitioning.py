@@ -63,14 +63,25 @@ class HashRing:
         points.sort()
         self._hashes: List[int] = [point for point, _ in points]
         self._owners: List[int] = [owner for _, owner in points]
+        #: ``(tenant, object)`` -> partition, filled by :meth:`partition_of`.
+        self._placement: Dict[Tuple[str, str], int] = {}
 
     def partition_of(self, tenant_id: str, object_id: str) -> int:
-        """The partition owning one tenant's object."""
-        point = hash_key(ring_key(tenant_id, object_id))
-        index = bisect.bisect_right(self._hashes, point)
-        if index == len(self._hashes):
-            index = 0
-        return self._owners[index]
+        """The partition owning one tenant's object.
+
+        A key's ring point is a pure function of the key, so its owner is
+        memoized on first use: each tag is hashed once per ring, not once
+        per reading. The memo holds one entry per key seen.
+        """
+        key = (tenant_id, object_id)
+        owner = self._placement.get(key)
+        if owner is None:
+            point = hash_key(ring_key(tenant_id, object_id))
+            index = bisect.bisect_right(self._hashes, point)
+            if index == len(self._hashes):
+                index = 0
+            owner = self._placement[key] = self._owners[index]
+        return owner
 
     def spread(
         self, tenant_id: str, object_ids: Iterable[str]

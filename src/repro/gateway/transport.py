@@ -278,7 +278,12 @@ class ProcessWorkerHandle:
                 self._recv_cv.wait(0.1 if remaining is None else min(remaining, 0.1))
 
     def alive(self) -> bool:
-        return not self._dead and self._process.is_alive()
+        """False once a pump thread saw EOF/broken pipe, or after :meth:`kill`.
+
+        A flag read, not a ``waitpid``: a child that dies on its own is
+        seen by the receiver as EOF on the pipe.
+        """
+        return not self._dead
 
     def kill(self) -> None:
         """Hard-kill the child (SIGKILL); used by failure drills."""

@@ -59,24 +59,20 @@ EMPTY_METRICS: Dict[str, List[dict]] = {
 }
 
 
-def encode_readings(readings: Sequence[RawReading]) -> List[dict]:
-    """Readings as picklable primitive dicts (the wire shape)."""
+def encode_readings(
+    readings: Sequence[RawReading],
+) -> List[Tuple[float, str, str]]:
+    """Readings as ``(time, tag_id, reader_id)`` tuples (the wire shape)."""
     return [
-        {"time": reading.time, "tag_id": reading.tag_id, "reader_id": reading.reader_id}
-        for reading in readings
+        (reading.time, reading.tag_id, reading.reader_id) for reading in readings
     ]
 
 
-def decode_readings(records: Sequence[Mapping[str, object]]) -> Tuple[RawReading, ...]:
-    """Inverse of :func:`encode_readings`."""
-    return tuple(
-        RawReading(
-            time=float(record["time"]),  # type: ignore[arg-type]
-            tag_id=str(record["tag_id"]),
-            reader_id=str(record["reader_id"]),
-        )
-        for record in records
-    )
+def decode_readings(
+    records: Sequence[Tuple[float, str, str]],
+) -> Tuple[RawReading, ...]:
+    """Inverse of :func:`encode_readings`: the same readings, field for field."""
+    return tuple(RawReading(*record) for record in records)
 
 
 class WorkerProtocolError(RuntimeError):
@@ -209,7 +205,7 @@ class PartitionWorkerCore:
             "tenant": tenant_id,
             "second": second,
             "entries": {
-                object_id: dict(table.distribution_of(object_id))
+                object_id: table.distribution_of(object_id)
                 for object_id in sorted(table.objects())
             },
             "candidates": sorted(snapshot.candidates),

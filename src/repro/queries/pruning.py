@@ -20,7 +20,8 @@ prune a true candidate. Each kNN query computes one vector of network
 distances to every anchor (:meth:`AnchorIndex.network_distances`) from
 its located point (a :class:`~repro.queries.knn_query.KNNPlan` brings
 one); a region's bounds are then a min/max over its anchor ids, which
-are memoized per region.
+are memoized per region, and every region of a round is bounded in one
+``reduceat`` pass over their concatenated ids.
 
 Objects last seen by the same reader in the same second share one
 uncertain region, so each distinct region is built, range-tested and
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -175,10 +176,12 @@ class QueryAwareOptimizer:
         if location is None:
             location, _ = self.graph.locate(query.point)
         distances = self.anchor_index.network_distances(location)
-        bounds = [
-            (self._distance_bounds(location, query.point, region, distances), members)
-            for region, members in regions
-        ]
+        bounds = list(zip(
+            self._distance_bounds(
+                location, query.point, [region for region, _ in regions], distances
+            ),
+            [members for _, members in regions],
+        ))
         if sum(len(members) for _, members in bounds) <= query.k:
             f = math.inf
         else:
@@ -225,26 +228,46 @@ class QueryAwareOptimizer:
         self,
         q_loc: GraphLocation,
         q_point: Point,
-        region: Circle,
+        regions: Sequence[Circle],
         distances: np.ndarray,
-    ) -> Tuple[float, float]:
-        """``(s_i, l_i)`` network-distance bounds to an uncertain region.
+    ) -> List[Tuple[float, float]]:
+        """``(s_i, l_i)`` network-distance bounds to each uncertain region.
 
         ``distances`` is the query location's network distance to every
-        anchor (:meth:`AnchorIndex.network_distances`). ``s_i`` is floored
-        by the Euclidean lower bound so that the anchor discretization can
-        only loosen (never tighten) the pruning.
+        anchor (:meth:`AnchorIndex.network_distances`). The regions'
+        anchor ids are gathered in one concatenation and each region's
+        min and max taken by one ``reduceat`` each; a region holding
+        every anchor reads the whole vector's min and max instead. ``s_i``
+        is floored by the Euclidean lower bound so that the anchor
+        discretization can only loosen (never tighten) the pruning.
         """
         pad = self.anchor_index.spacing
-        ids = self.region_anchor_ids(region)
-        if not len(ids):
-            # Degenerate region (tiny radius between anchors): fall back to
-            # the nearest graph location of the region's center.
-            loc, _ = self.graph.locate(region.center)
-            dist = self.graph.distance(q_loc, loc)
-            return dist, dist
-        in_region = distances[ids]
-        euclid_floor = max(q_point.distance_to(region.center) - region.radius, 0.0)
-        s_i = max(float(in_region.min()) - pad, euclid_floor, 0.0)
-        l_i = float(in_region.max()) + pad
-        return s_i, l_i
+        region_ids = [self.region_anchor_ids(region) for region in regions]
+        all_ids = self._all_ids
+        parts = [ids for ids in region_ids if len(ids) and ids is not all_ids]
+        lows: Iterator[float] = iter(())
+        highs: Iterator[float] = iter(())
+        if parts:
+            starts = [0, *accumulate(len(ids) for ids in parts[:-1])]
+            gathered = distances[parts[0] if len(parts) == 1 else np.concatenate(parts)]
+            lows = iter(np.minimum.reduceat(gathered, starts).tolist())
+            highs = iter(np.maximum.reduceat(gathered, starts).tolist())
+        everywhere: Optional[Tuple[float, float]] = None
+        bounds: List[Tuple[float, float]] = []
+        for region, ids in zip(regions, region_ids):
+            if not len(ids):
+                # Degenerate region (tiny radius between anchors): fall
+                # back to the nearest graph location of the region's center.
+                loc, _ = self.graph.locate(region.center)
+                dist = self.graph.distance(q_loc, loc)
+                bounds.append((dist, dist))
+                continue
+            if ids is all_ids:
+                if everywhere is None:
+                    everywhere = (float(distances.min()), float(distances.max()))
+                low, high = everywhere
+            else:
+                low, high = next(lows), next(highs)
+            euclid_floor = max(q_point.distance_to(region.center) - region.radius, 0.0)
+            bounds.append((max(low - pad, euclid_floor, 0.0), high + pad))
+        return bounds

@@ -8,6 +8,10 @@ tenant — because every filter run draws from a
 output.
 """
 
+import os
+import pickle
+import signal
+
 import pytest
 
 from repro.gateway import (
@@ -17,7 +21,9 @@ from repro.gateway import (
     TenantWorld,
     demo_tenants,
 )
+from repro.gateway.worker import decode_readings, encode_readings
 from repro.geometry import Point, Rect
+from repro.rfid.readings import RawReading
 from repro.service import LiveSimSource, TrackingService
 from repro.sim import Simulation
 
@@ -241,6 +247,88 @@ class TestDegradation:
             record = coordinator.health()["tenants"][tid]
             assert record["partial_ticks"] == 1
             assert record["ticks"] == 2
+
+
+    def test_worker_killed_mid_tick_from_outside(self, tenant_batches):
+        """A worker SIGKILLed by another process is seen through its pipe.
+
+        Liveness is the pump threads' view (EOF/broken pipe), not a
+        ``waitpid``: nothing calls ``handle.kill()`` here. The victim is
+        stopped before the fan-out so that it cannot answer either
+        sub-tick before the kill lands.
+        """
+        coordinator, _tables, _deltas = _run_gateway(
+            tenant_batches, 2, transport="process"
+        )
+        with coordinator:
+            before = coordinator.latest_snapshot("tenant-0").table.objects()
+            extended = {
+                spec.tenant_id: _batches(spec, SECONDS + 2) for spec in _specs()
+            }
+            victim = coordinator.handles[0]
+            os.kill(victim._process.pid, signal.SIGSTOP)
+            for tid, batches in extended.items():
+                coordinator.submit_tick(tid, batches[SECONDS])
+            os.kill(victim._process.pid, signal.SIGKILL)
+            for _ in extended:
+                coordinator.collect_tick()
+                slo = coordinator.last_slo()["gateway"]
+                assert slo["missing_partitions"] == 1
+                assert slo["partitions"] == 1
+            health = coordinator.health()
+            assert health["status"] == "degraded"
+            assert health["dead_partitions"] == 1
+            assert [w["alive"] for w in health["workers"]] == [False, True]
+            for record in health["tenants"].values():
+                assert record["partial_ticks"] == 1
+            # The next tick fans out to the survivor only.
+            coordinator.submit_tick("tenant-0", extended["tenant-0"][SECONDS + 1])
+            assert coordinator._pending[0].parts == [1]
+            coordinator.collect_tick()
+            assert coordinator.last_slo()["gateway"]["missing_partitions"] == 1
+            # Queries keep answering over the surviving slice.
+            after = coordinator.latest_snapshot("tenant-0").table.objects()
+            assert after  # partition 1's slice survived
+            assert set(after) <= set(before)
+            assert coordinator.query_range("tenant-0", WINDOW) is not None
+            assert coordinator.query_knn("tenant-0", KNN_POINT, KNN_K).ranked()
+
+
+    def test_process_liveness_reads_no_process_status(self, monkeypatch):
+        """``alive()`` and ``health()`` read the pump threads' flag only."""
+        coordinator = GatewayCoordinator(_specs(), 2, transport="process")
+        with coordinator:
+            with monkeypatch.context() as patch:
+                for handle in coordinator.handles:
+                    patch.setattr(
+                        handle._process, "is_alive",
+                        lambda: pytest.fail("alive() asked the OS"),
+                    )
+                assert all(handle.alive() for handle in coordinator.handles)
+                assert coordinator.health()["dead_partitions"] == 0
+
+
+class TestWireFormat:
+    def test_readings_round_trip_field_for_field(self, tenant_batches):
+        readings = [
+            reading
+            for batches in tenant_batches.values()
+            for batch in batches
+            for reading in batch.readings
+        ]
+        readings.append(RawReading(time=3, tag_id="o-int-time", reader_id="d1"))
+        assert readings
+        wire = encode_readings(readings)
+        assert all(type(record) is tuple and len(record) == 3 for record in wire)
+        decoded = decode_readings(pickle.loads(pickle.dumps(wire)))
+        assert decoded == tuple(readings)
+        for got, want in zip(decoded, readings):
+            for name in ("time", "tag_id", "reader_id"):
+                assert type(getattr(got, name)) is type(getattr(want, name))
+
+    def test_empty_slice(self):
+        assert encode_readings([]) == []
+        assert decode_readings([]) == ()
 
 
 class TestClose:

@@ -270,13 +270,18 @@ class TestVectorBounds:
         )
         q_loc, _ = optimizer.graph.locate(q_point)
         distances = optimizer.anchor_index.network_distances(q_loc)
+        regions, wants = [], []
         for reader in optimizer.readers.values():
             for dt in range(saturation_dt(optimizer, reader) + 4):
                 region = uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
-                got = optimizer._distance_bounds(q_loc, q_point, region, distances)
+                [got] = optimizer._distance_bounds(q_loc, q_point, [region], distances)
                 want = reference_distance_bounds(optimizer, q_loc, q_point, region)
                 assert got == want, (reader.reader_id, dt)
                 assert all(type(v) is float for v in got)
+                regions.append(region)
+                wants.append(want)
+        # One batched call over every region, saturated ones included.
+        assert optimizer._distance_bounds(q_loc, q_point, regions, distances) == wants
 
     def test_degenerate_region_falls_back_to_the_centre(self, optimizer):
         # A zero-radius circle between anchors holds no anchor.
@@ -288,8 +293,8 @@ class TestVectorBounds:
         q_loc, _ = optimizer.graph.locate(q_point)
         distances = optimizer.anchor_index.network_distances(q_loc)
         assert optimizer._distance_bounds(
-            q_loc, q_point, region, distances
-        ) == reference_distance_bounds(optimizer, q_loc, q_point, region)
+            q_loc, q_point, [region], distances
+        ) == [reference_distance_bounds(optimizer, q_loc, q_point, region)]
 
     def test_knn_candidates_equal_the_reference_on_a_replay(self):
         config = DEFAULT_CONFIG.with_overrides(num_objects=30, seed=11)
