@@ -8,7 +8,7 @@ out with probability 0.1 per second (Algorithm 2, lines 8-16).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ _INIT_SCAN_STEP = 0.25
 #: Cap on edge hops per particle per step; at >= 0.05 m/s minimum speed and
 #: 1 s steps a particle can never legitimately cross this many edges.
 _MAX_HOPS = 64
+
+#: Crossers in one ``step`` from which the walk runs as array passes over
+#: the stack; fewer (a lone cloud, a replay tail) take the scalar walk.
+_STACK_MIN_CROSSERS = 64
 
 
 class GraphMotionModel:
@@ -240,6 +244,43 @@ class GraphMotionModel:
         continues on a random hallway edge. A pool of one edge is taken
         without a draw: ``rng.integers(1)`` would not advance the
         generator anyway. Row ``r`` draws from ``rngs[r // size]``.
+
+        From ``_STACK_MIN_CROSSERS`` crossers on, :meth:`_cross_stack`
+        moves the rows that cross at most one node in array passes and
+        hands the rest to the same scalar :meth:`_walk`.
+        """
+        if len(rows) >= _STACK_MIN_CROSSERS:
+            self._cross_stack(particles, rows, distance, rngs, size)
+            return
+        generators = (
+            [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
+            else rngs * len(rows)
+        )
+        edges, offsets, directions, dwelling = self._walk(
+            (particles.edge[rows] * 2 + (particles.direction[rows] > 0)).tolist(),
+            particles.offset[rows].tolist(),
+            distance.tolist(),
+            generators,
+        )
+        particles.edge[rows] = edges
+        particles.offset[rows] = offsets
+        particles.direction[rows] = directions
+        if dwelling is not None:  # crossers were moving, so their flags are all False
+            particles.dwelling[rows] = dwelling
+
+    def _walk(
+        self,
+        keys: List[int],
+        offsets: List[float],
+        distances: List[float],
+        generators: Sequence[np.random.Generator],
+    ) -> Tuple[List[int], List[float], List[int], Optional[List[bool]]]:
+        """The scalar crossing walk of :meth:`_cross`, one row at a time.
+
+        Row ``i`` starts on heading ``keys[i]`` at ``offsets[i]`` and
+        draws from ``generators[i]``. Returns the rows' edges, offsets
+        (the ``offsets`` list, updated) and directions, and their
+        dwelling flags, or ``None`` when no row reached a room.
         """
         crossings = self.compiled.crossings
         far = crossings.far
@@ -250,18 +291,12 @@ class GraphMotionModel:
         door_pools = crossings.doors
         hallway_pools = crossings.hallways
         door_probability = self.door_entry_probability
-        keys = (particles.edge[rows] * 2 + (particles.direction[rows] > 0)).tolist()
-        offsets = particles.offset[rows].tolist()
-        generators = (
-            [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
-            else rngs * len(rows)
-        )
-        edges = [0] * len(rows)
-        directions = [0] * len(rows)
-        dwelling = [False] * len(rows)
+        edges = [0] * len(keys)
+        directions = [0] * len(keys)
+        dwelling = [False] * len(keys)
         dwelled = False
 
-        for i, remaining in enumerate(distance.tolist()):
+        for i, remaining in enumerate(distances):
             key, offset = keys[i], offsets[i]
             for _ in range(_MAX_HOPS):
                 # Distance to the far node: length - offset heading
@@ -293,9 +328,93 @@ class GraphMotionModel:
                     )
                 key, offset = entry
             edges[i], offsets[i], directions[i] = key >> 1, offset, sign[key]
+        return edges, offsets, directions, (dwelling if dwelled else None)
+
+    def _cross_stack(
+        self,
+        particles: ParticleSet,
+        rows: np.ndarray,
+        distance: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        size: int,
+    ) -> None:
+        """:meth:`_cross` for many crossers, with every draw of the walk.
+
+        One array pass takes each row to its far node with the walk's own
+        expressions. A row that stops short, dwells, or crosses a
+        ``FORCED``, ``COIN`` or ``PICK`` node with no more than its
+        heading's ``reach`` left moves by gathers; the rest (``OTHER``
+        nodes, and rows that may cross a second node) take :meth:`_walk`.
+        The draws then go out in row order: each run of consecutive
+        ``COIN`` rows of one block takes one ``random(k)`` call (as
+        ``random(out=...)``), which yields the values, and leaves the
+        state, of ``k`` ``random()`` calls; a ``PICK`` row takes its
+        ``integers(n)`` and a walked row its own draws at their turn.
+        """
+        crossings = self.compiled.crossings
+        key = particles.edge[rows] * 2 + (particles.direction[rows] > 0)
+        offset = particles.offset[rows]
+        far = crossings.far_array[key]
+        space = (far - offset) * crossings.sign_array[key]
+        stops = distance <= space + 1e-12
+        remaining = distance - space
+        kind = crossings.kind[key]
+        dwelling = ~stops & (kind == crossings.ROOM)
+        hops = ~(stops | dwelling)
+        walked = hops & (remaining > crossings.reach[key])
+        moved = hops & ~walked
+        coin = moved & (kind == crossings.COIN)
+        drawers = np.flatnonzero(coin | (moved & (kind == crossings.PICK)) | walked)
+
+        column = np.zeros(len(rows), dtype=np.int64)
+        walks = []
+        if len(drawers):
+            owners = rows[drawers] // size
+            batched = coin[drawers]
+            fresh = np.ones(len(drawers), dtype=bool)
+            fresh[1:] = ~(batched[1:] & batched[:-1] & (owners[1:] == owners[:-1]))
+            starts = np.flatnonzero(fresh)
+            uniforms = np.zeros(len(drawers))
+            picks = np.zeros(len(drawers), dtype=np.int64)
+            for start, stop, owner, batch, pool_size, walk in zip(
+                starts.tolist(),
+                [*starts[1:].tolist(), len(drawers)],
+                owners[starts].tolist(),
+                batched[starts].tolist(),
+                crossings.pool_size[key[drawers[starts]]].tolist(),
+                walked[drawers[starts]].tolist(),
+            ):
+                generator = rngs[owner]
+                if batch:
+                    generator.random(out=uniforms[start:stop])
+                elif not walk:
+                    picks[start] = generator.integers(pool_size)
+                else:
+                    row = int(drawers[start])
+                    walks.append((row, self._walk(
+                        [int(key[row])], [float(offset[row])], [float(distance[row])], [generator]
+                    )))
+            # A coin row takes its door (column 0) when its draw is below
+            # the door probability, else its hallway (column 1).
+            column[drawers] = np.where(
+                batched, uniforms >= self.door_entry_probability, picks
+            )
+        entry = crossings.entries[key, column]
+        heading = np.where(moved, entry, key)
+        origin = np.where(moved, crossings.far_array[entry ^ 1], offset)
+        sign = crossings.sign_array[heading]
+        length = crossings.length_array[heading]
+        ends = origin + sign * np.where(moved, remaining, distance)
+        ends = np.where(ends < 0.0, 0.0, np.where(ends > length, length, ends))
+        ends = np.where(dwelling, far, ends)
+        edges = heading >> 1
+        for row, (edge, end, direction, dwelled) in walks:
+            edges[row], ends[row], sign[row] = edge[0], end[0], direction[0]
+            if dwelled is not None:
+                dwelling[row] = True
 
         particles.edge[rows] = edges
-        particles.offset[rows] = offsets
-        particles.direction[rows] = directions
-        if dwelled:  # crossers were moving, so their flags are all False
+        particles.offset[rows] = ends
+        particles.direction[rows] = sign
+        if dwelling.any():  # crossers were moving, so their flags are all False
             particles.dwelling[rows] = dwelling

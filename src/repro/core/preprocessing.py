@@ -123,13 +123,11 @@ class PreprocessingModule:
             for object_id, generation, run in zip(filtered, generations, runs):
                 self.cache.store(object_id, run.state, run.end_second, generation)
             self.cache.settle(filtered)
-        table = AnchorObjectTable()
         if not runs:
-            return table
+            return AnchorObjectTable()
         # Every run is snapped in one pass (Algorithm 2, lines 32-36).
         with obs.span("preprocess.anchor_snap", objects=len(runs)):
             distributions = self.backend.posteriors(runs)
-        for object_id, distribution in zip(filtered, distributions):
-            table.set_distribution(object_id, distribution)
+        table = AnchorObjectTable.from_distributions(zip(filtered, distributions))
         obs.add("preprocess.objects_filtered", len(runs))
         return table

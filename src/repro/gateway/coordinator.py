@@ -279,13 +279,13 @@ class GatewayCoordinator:
                     f"while collecting ({entry.tenant_id!r}, {entry.second})"
                 )
             replies[index] = reply
-        merged = AnchorObjectTable()
+        merged = AnchorObjectTable.from_distributions(
+            (object_id, entries[object_id])
+            for entries in (replies[index]["entries"] for index in sorted(replies))
+            for object_id in sorted(entries)
+        )
         candidates: set = set()
-        for index in sorted(replies):
-            reply = replies[index]
-            entries = reply["entries"]
-            for object_id in sorted(entries):
-                merged.set_distribution(object_id, entries[object_id])
+        for reply in replies.values():
             candidates.update(reply["candidates"])
         snapshot = ServiceSnapshot(
             second=entry.second, table=merged, candidates=frozenset(candidates)

@@ -16,6 +16,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 
+def _positive(distribution: Mapping[int, float]) -> Dict[int, float]:
+    """The entries of ``distribution`` with positive mass, in its order."""
+    return {ap: p for ap, p in distribution.items() if p > 0.0}
+
+
 class AnchorObjectTable:
     """Bidirectional object/anchor probability table.
 
@@ -28,6 +33,34 @@ class AnchorObjectTable:
         self._by_anchor: Dict[int, Dict[str, float]] = {}
         self._by_object: Dict[str, Dict[int, float]] = {}
 
+    @classmethod
+    def from_distributions(
+        cls, pairs: Iterable[Tuple[str, Mapping[int, float]]]
+    ) -> "AnchorObjectTable":
+        """A table holding each ``(object_id, distribution)`` pair, in order.
+
+        Equal, iteration order of both maps included, to a fresh table
+        given each pair through :meth:`set_distribution`; object ids must
+        be distinct, as there is nothing to replace.
+        """
+        table = cls()
+        by_anchor = table._by_anchor
+        by_object = table._by_object
+        for object_id, distribution in pairs:
+            if object_id in by_object:
+                raise ValueError(f"object {object_id!r} appears twice")
+            cleaned = _positive(distribution)
+            if not cleaned:
+                continue
+            by_object[object_id] = cleaned
+            for ap_id, prob in cleaned.items():
+                bucket = by_anchor.get(ap_id)
+                if bucket is None:
+                    by_anchor[ap_id] = {object_id: prob}
+                else:
+                    bucket[object_id] = prob
+        return table
+
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -38,7 +71,7 @@ class AnchorObjectTable:
         the object entirely.
         """
         self.remove_object(object_id)
-        cleaned = {ap: p for ap, p in distribution.items() if p > 0.0}
+        cleaned = _positive(distribution)
         if not cleaned:
             return
         self._by_object[object_id] = cleaned

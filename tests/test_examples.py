@@ -1,0 +1,31 @@
+"""Every script in ``examples/`` runs to completion.
+
+Each runs in its own interpreter, with ``src`` on the path and a temporary
+working directory, and must exit 0; together they take a few seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).parent.parent
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+def test_examples_are_found():
+    assert len(EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
+def test_example_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

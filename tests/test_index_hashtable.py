@@ -1,5 +1,7 @@
 """Tests for the APtoObjHT anchor-object table."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,3 +111,53 @@ def test_roundtrip_property(distribution):
     assert table.total_probability("obj") == pytest.approx(sum(distribution.values()))
     for ap_id, mass in distribution.items():
         assert table.at(ap_id)["obj"] == mass
+
+
+def _both_maps(table):
+    # Without sort_keys: the dumps differ when either map's order does.
+    # Anchor ids become string keys, so they are spelled out as pairs.
+    return json.dumps([
+        [[ap_id, table.at(ap_id)] for ap_id in table.anchors()],
+        [[object_id, list(table.distribution_of(object_id).items())]
+         for object_id in table.objects()],
+    ])
+
+
+class TestFromDistributions:
+    """One-pass construction equals a fresh table filled by ``set_distribution``."""
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=12),
+                st.sampled_from([0.0, -0.25, 0.125, 0.5, 1.0]) | st.floats(0.001, 1.0),
+                max_size=6,
+            ),
+            max_size=8,
+        )
+    )
+    def test_equals_set_distribution(self, distributions):
+        pairs = [(f"o{i}", d) for i, d in reversed(list(enumerate(distributions)))]
+        expected = AnchorObjectTable()
+        for object_id, distribution in pairs:
+            expected.set_distribution(object_id, distribution)
+        table = AnchorObjectTable.from_distributions(pairs)
+        assert _both_maps(table) == _both_maps(expected)
+
+    def test_zero_masses_and_empty_distributions_are_dropped(self):
+        table = AnchorObjectTable.from_distributions(
+            [("o2", {4: 0.0, 3: 1.0}), ("o1", {}), ("o0", {1: 0.0}), ("o3", {3: 0.5})]
+        )
+        assert table.objects() == ["o2", "o3"]
+        assert table.anchors() == [3]
+        assert table.at(3) == {"o2": 1.0, "o3": 0.5}
+
+    def test_owns_its_distributions(self):
+        distribution = {1: 0.25, 2: 0.75}
+        table = AnchorObjectTable.from_distributions([("o1", distribution)])
+        distribution[1] = 9.0
+        assert table.distribution_of("o1") == {1: 0.25, 2: 0.75}
+
+    def test_repeated_object_is_refused(self):
+        with pytest.raises(ValueError, match="o1"):
+            AnchorObjectTable.from_distributions([("o1", {1: 1.0}), ("o1", {2: 1.0})])

@@ -1,8 +1,10 @@
 """Bit identity of the motion model's edge-crossing walk and dwell exits.
 
 ``GraphMotionModel.step`` walks its edge crossers in plain Python over
-``CompiledGraph.crossings``, a per-heading table of the junction law,
-and moves a block's room leavers with one speed draw per block. The
+``CompiledGraph.crossings``, a per-heading table of the junction law, or,
+from ``_STACK_MIN_CROSSERS`` crossers on, in array passes over the same
+table with batched coin draws; it moves a block's room leavers with one
+speed draw per block. The
 reference below is the earlier per-particle step, kept verbatim in
 spirit: one ``_exit_room`` per leaver drawing a size-1 speed, one
 ``_walk`` per crosser reading numpy scalars, and one
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledGraph, GraphMotionModel, ParticleSet
-from repro.core.motion import _MAX_HOPS
+from repro.core.motion import _MAX_HOPS, _STACK_MIN_CROSSERS
 from repro.floorplan import (
     cross_office_plan,
     linear_office_plan,
@@ -275,6 +277,113 @@ class TestWalkBitIdentity:
         assert pools
 
 
+def random_stack(compiled, blocks, size, seed, band):
+    """``blocks * size`` walking rows anywhere on the plan, none dwelling."""
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    stack = ParticleSet.empty(n)
+    stack.edge[:] = rng.integers(0, compiled.num_edges, size=n)
+    length = compiled.edge_length[stack.edge]
+    where = rng.integers(0, 3, size=n)
+    stack.offset[:] = np.select([where == 0, where == 1], [0.0, length], rng.random(n) * length)
+    stack.direction[:] = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+    lo, hi = SPEEDS[band]
+    stack.speed[:] = rng.uniform(lo, hi, size=n)
+    return stack
+
+
+def assert_stack_matches_reference(model, stack, blocks, seed, steps=1, dt=1.0):
+    """Step ``stack`` and each block alone; every block and generator must agree."""
+    size = len(stack) // blocks
+    expected = [stack[block * size:(block + 1) * size].copy() for block in range(blocks)]
+    rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
+    ref_rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
+    for _ in range(steps):
+        model.step(stack, rngs, dt=dt)
+        for block, (want, ref_rng) in enumerate(zip(expected, ref_rngs)):
+            reference_step(model, want, ref_rng, dt)
+            assert_same(stack[block * size:(block + 1) * size], want)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+class TestStackWalk:
+    """The array walk over a lockstep stack, against per-block reference steps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLANS)),
+        blocks=st.integers(8, 40),
+        size=st.integers(16, 64),
+        seed=st.integers(0, 2**32 - 1),
+        band=st.sampled_from(sorted(SPEEDS)),
+        door_probability=st.sampled_from([0.0, 0.2, 1.0]),
+        steps=st.integers(1, 3),
+    )
+    def test_stack_matches_reference(self, name, blocks, size, seed, band, door_probability, steps):
+        compiled = compiled_plan(name)
+        model = GraphMotionModel(compiled, door_entry_probability=door_probability)
+        stack = random_stack(compiled, blocks, size, seed, band)
+        assert_stack_matches_reference(model, stack, blocks, seed, steps=steps)
+
+    @pytest.mark.parametrize("crossers", [_STACK_MIN_CROSSERS - 1, _STACK_MIN_CROSSERS])
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_at_the_threshold(self, name, crossers):
+        # Exactly ``crossers`` rows leave their edge: the walk takes the
+        # scalar path one below the threshold and the stack path at it.
+        compiled = compiled_plan(name)
+        model = GraphMotionModel(compiled)
+        blocks, size = 4, 32
+        stack = random_stack(compiled, blocks, size, 97, "walk")
+        length = compiled.edge_length[stack.edge]
+        crossing = np.zeros(len(stack), dtype=bool)
+        crossing[np.random.default_rng(3).choice(len(stack), crossers, replace=False)] = True
+        # Crossers start at their far node; the rest at mid-edge with a
+        # speed their edge absorbs.
+        stack.offset[:] = np.where(
+            crossing, np.where(stack.direction > 0, length, 0.0), length / 2
+        )
+        stack.speed[:] = np.where(crossing, stack.speed, length / 4)
+        assert_stack_matches_reference(model, stack, blocks, 5)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_overshoot_within_tolerance_stops(self, name):
+        # Rows whose step overshoots the far node by under 1e-12 m leave
+        # their edge by the move test but stop by the walk's ``+ 1e-12``
+        # test, clamped to the node.
+        compiled = compiled_plan(name)
+        model = GraphMotionModel(compiled)
+        blocks, size = 4, 32
+        stack = random_stack(compiled, blocks, size, 41, "walk")
+        length = compiled.edge_length[stack.edge]
+        slack = np.where(np.arange(len(stack)) % 2 == 0, 4e-13, 0.0)
+        space = stack.speed - slack
+        stack.offset[:] = np.where(stack.direction > 0, length - space, space)
+        stack.speed[:] = np.where(space > length, length / 4, stack.speed)
+        assert_stack_matches_reference(model, stack, blocks, 9)
+
+    def test_stack_path_draws_coins_in_runs(self):
+        # Many walking rows on the paper plan: the stack path must batch
+        # coin draws, yet end every generator where the scalar walk does.
+        compiled = compiled_plan("paper")
+        assert (compiled.crossings.kind == compiled.crossings.COIN).any()
+        model = GraphMotionModel(compiled, door_entry_probability=0.5)
+        stack = random_stack(compiled, 20, 64, 123, "walk")
+        assert_stack_matches_reference(model, stack, 20, 123, steps=5)
+
+    def test_shared_generator_draws_in_row_order(self):
+        # Blocks that share one generator draw from it in row order
+        # across blocks, as the scalar walk does.
+        compiled = compiled_plan("cross")
+        model = GraphMotionModel(compiled)
+        stack = random_stack(compiled, 10, 32, 8, "walk")
+        expected = stack.copy()
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        model.step(stack, [rng] * 10)
+        reference_step(model, expected, ref_rng, 1.0)
+        assert_same(stack, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestJunctionTable:
     """``CompiledGraph.crossings`` against the junction law, from adjacency."""
 
@@ -323,6 +432,38 @@ class TestJunctionTable:
                 assert crossings.length[key] == length
                 assert crossings.room[key] == bool(compiled.node_is_room[node])
 
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_arrays_follow_the_lists(self, name):
+        compiled = compiled_plan(name)
+        c = compiled.crossings
+        assert c.far_array.tolist() == c.far
+        assert c.sign_array.tolist() == c.sign
+        assert c.length_array.tolist() == c.length
+        for key in range(len(c.far)):
+            doors, hallways = c.doors[key], c.hallways[key]
+            if c.forced[key] is not None:
+                kind, pool = c.FORCED, [c.forced[key]]
+            elif c.room[key]:
+                kind, pool = c.ROOM, []
+            elif len(doors) == len(hallways) == 1:
+                kind, pool = c.COIN, doors + hallways
+            elif not (doors and hallways):
+                kind, pool = c.PICK, doors or hallways
+            else:
+                kind, pool = c.OTHER, []
+            assert c.kind[key] == kind
+            assert c.pool_size[key] == len(pool)
+            row = c.entries[key].tolist()
+            assert row == [k for k, _ in pool] + [0] * (len(row) - len(pool))
+            # An entry's offset is the far end of the opposite heading.
+            assert [c.far[k ^ 1] for k, _ in pool] == [offset for _, offset in pool]
+            if kind == c.OTHER:
+                assert c.reach[key] == -np.inf
+            elif pool:
+                assert c.reach[key] == min(c.length[k] for k, _ in pool)
+            else:
+                assert c.reach[key] == np.inf
+
     def test_paper_plan_size(self):
         # One heading per edge end: 68 edges.
         crossings = compiled_plan("paper").crossings
@@ -335,6 +476,23 @@ class TestJunctionTable:
 
 class TestSingleChoiceDraw:
     """The walk takes a one-edge pool without ``rng.integers(1)``."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_random_k_equals_k_scalar_draws(self, buffered):
+        # The stack path draws a run of coin rows with one
+        # ``random(out=...)`` call; a half-word left by ``integers``
+        # must not enter it.
+        rngs = [np.random.default_rng(77) for _ in range(3)]
+        if buffered:
+            for rng in rngs:
+                rng.integers(3)
+        scalar = [rngs[0].random() for _ in range(9)]
+        assert rngs[1].random(9).tolist() == scalar
+        out = np.zeros(12)
+        rngs[2].random(out=out[2:11])
+        assert out[2:11].tolist() == scalar
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_integers_one_leaves_state_unchanged(self, buffered):
