@@ -2,11 +2,11 @@
 
 The subsystem ROADMAP item 4 asked for: per-room occupancy (expected
 count + variance), enter/leave flow rates, dwell-time distributions,
-density heatmaps, and top-k busiest regions — all maintained
-*incrementally* from per-epoch snapshot deltas by
-:class:`~repro.analytics.engine.AnalyticsEngine`, checkpointed inside
-the service's v2 envelope, replayable from the epoch event log for
-historical window queries, and scored against simulator ground truth.
+density heatmaps, and top-k busiest regions — folded from each epoch's
+published table by :class:`~repro.analytics.engine.AnalyticsEngine`,
+checkpointed inside the service's envelope, replayable from the epoch
+event log for historical window queries, and scored against simulator
+ground truth.
 """
 
 from repro.analytics.accuracy import TruthTracker, accuracy_summary
@@ -14,18 +14,12 @@ from repro.analytics.engine import (
     ANALYTICS_STATE_VERSION,
     DEFAULT_FLOW_HYSTERESIS,
     AnalyticsEngine,
-    RECOMPUTE_TOLERANCE,
     SnapshotLike,
     flow_key,
 )
-from repro.analytics.naive import NaiveAnalytics
 from repro.analytics.regions import HALLWAYS, RegionMap
 from repro.analytics.report import render_accuracy, render_summary, render_window
-from repro.analytics.streaming import (
-    DEFAULT_DWELL_EDGES,
-    LazyTopK,
-    StreamingHistogram,
-)
+from repro.analytics.streaming import DEFAULT_DWELL_EDGES, StreamingHistogram
 from repro.analytics.windows import (
     analytics_epochs,
     dwell_window,
@@ -40,9 +34,6 @@ __all__ = [
     "DEFAULT_DWELL_EDGES",
     "DEFAULT_FLOW_HYSTERESIS",
     "HALLWAYS",
-    "LazyTopK",
-    "NaiveAnalytics",
-    "RECOMPUTE_TOLERANCE",
     "RegionMap",
     "SnapshotLike",
     "StreamingHistogram",

@@ -1,29 +1,27 @@
-"""The incremental analytics engine.
+"""The analytics engine: one fold of each epoch's table.
 
 :class:`AnalyticsEngine` subscribes to the per-epoch snapshots a
 :class:`~repro.service.tracking.TrackingService` publishes (or an
-offline replay of them) and maintains every aggregate **from deltas**:
+offline replay of them). Each epoch it folds the published
+``APtoObjHT`` once, through :meth:`RegionMap.fold_table
+<repro.analytics.regions.RegionMap.fold_table>`, in ascending object id:
 
 * **occupancy** — per-region expected object count plus variance, from
   posterior room-membership mass (expected counts are additive over
   objects; variance is the Poisson-binomial ``Σ m·(1-m)``);
-* **flow** — enter/leave counts per region and per directed room edge,
-  from modal-region transitions;
-* **dwell** — per-region and per-object streaming histograms of
-  completed stays (no per-epoch rescan of history);
 * **density heatmap** — expected mass per anchor point of the walking
-  graph, updated by subtracting an object's previous posterior and
-  adding its new one;
-* **top-k busiest regions** — a monotone lazy heap updated from region
-  deltas.
+  graph;
+* **top-k busiest regions** — the regions sorted by expected count on
+  each read.
 
-Per epoch the engine touches only the objects whose posterior changed
-(one sparse pass per changed object); nothing is ever recomputed from
-the full table. The full-recompute definitions live in
-:meth:`recompute_from` / :meth:`self_check` — the assert-able
-equivalence path the tests (and the ``analytics_replay`` bench) hold the
-incremental path against, exact within ``1e-6`` absolute (float
-summation order is the only difference).
+These aggregates depend only on the current table; the engine keeps a
+reference to it and the fold, and no copy of any posterior. What does
+depend on history is kept per object and per region:
+
+* **flow** — enter/leave counts per region and per directed room edge,
+  from debounced modal-region transitions;
+* **dwell** — per-region and per-object streaming histograms of
+  completed stays (no per-epoch rescan of history).
 
 The engine is driven from the service's scheduler thread, like the
 standing-query sessions; it draws no randomness and reads no clock
@@ -41,18 +39,13 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
 )
 
 import repro.obs as obs
 from repro.analytics._coerce import as_float, as_int, as_list, as_map
-from repro.analytics.regions import RegionMap
-from repro.analytics.streaming import (
-    DEFAULT_DWELL_EDGES,
-    LazyTopK,
-    StreamingHistogram,
-)
+from repro.analytics.regions import RegionMap, TableFold
+from repro.analytics.streaming import DEFAULT_DWELL_EDGES, StreamingHistogram
 from repro.floorplan.plan import FloorPlan
 from repro.graph.anchors import AnchorIndex
 from repro.index.hashtable import AnchorObjectTable
@@ -60,11 +53,16 @@ from repro.index.hashtable import AnchorObjectTable
 if TYPE_CHECKING:
     from repro.queries.density import ZoneDensity
 
-#: Analytics checkpoint state version (carried inside the service's v2
+#: Analytics checkpoint state version (carried inside the service's
 #: checkpoint envelope). Version 2 added modal-readout hysteresis: the
 #: committed modal region, the pending-candidate debounce state, and the
-#: ``flow_hysteresis`` threshold are all part of the serialized state.
-ANALYTICS_STATE_VERSION = 2
+#: ``flow_hysteresis`` threshold. Version 3 dropped the folded
+#: aggregates (``occupancy``, ``occ_m2``, ``density``): a restore refolds
+#: the objects' ``dist`` maps. Version 2 states still restore.
+ANALYTICS_STATE_VERSION = 3
+
+#: State versions :meth:`AnalyticsEngine.restore_state` accepts.
+_RESTORABLE_VERSIONS = (2, ANALYTICS_STATE_VERSION)
 
 #: Default modal-transition debounce: a new modal region must hold for
 #: this many consecutive epochs before a flow event is committed. The
@@ -73,12 +71,6 @@ ANALYTICS_STATE_VERSION = 2
 #: transition — inflating flow counts roughly 4× against ground truth.
 #: ``1`` disables the debounce (every readout flip commits immediately).
 DEFAULT_FLOW_HYSTERESIS = 2
-
-#: Absolute float tolerance of the incremental-vs-recompute equivalence
-#: guarantee. Incremental maintenance applies the same additions in a
-#: different order than a full refold, so the aggregates agree to well
-#: under this bound but not bit-exactly.
-RECOMPUTE_TOLERANCE = 1e-6
 
 FlowKey = str
 
@@ -104,7 +96,7 @@ class SnapshotLike(Protocol):
 
 
 class AnalyticsEngine:
-    """Incrementally-maintained occupancy/flow/dwell analytics."""
+    """Occupancy/flow/dwell analytics, one table fold per epoch."""
 
     def __init__(
         self,
@@ -118,30 +110,21 @@ class AnalyticsEngine:
         self.region_map = RegionMap(plan, anchor_index)
         self.dwell_edges: Tuple[float, ...] = tuple(float(e) for e in dwell_edges)
         self.flow_hysteresis = int(flow_hysteresis)
+        # -- the last table and its fold --------------------------------
+        self._table = AnchorObjectTable()
+        self._fold: TableFold = self.region_map.fold_table(self._table)
         # -- per-object state ------------------------------------------
-        self._dist: Dict[str, Dict[int, float]] = {}
-        self._mass: Dict[str, Dict[str, float]] = {}
         self._modal: Dict[str, str] = {}
         self._modal_since: Dict[str, int] = {}
         #: debounce state: object -> (candidate region, second the
         #: candidate was first read out, consecutive readout count)
         self._pending: Dict[str, Tuple[str, int, int]] = {}
-        # -- aggregates -------------------------------------------------
-        self._occupancy: Dict[str, float] = {
-            region: 0.0 for region in self.region_map.regions
-        }
-        self._occ_m2: Dict[str, float] = {
-            region: 0.0 for region in self.region_map.regions
-        }
-        self._density: Dict[int, float] = {}
+        # -- history aggregates -----------------------------------------
         self._flows: Dict[FlowKey, int] = {}
         self._enters: Dict[str, int] = {}
         self._leaves: Dict[str, int] = {}
         self._dwell_region: Dict[str, StreamingHistogram] = {}
         self._dwell_object: Dict[str, StreamingHistogram] = {}
-        self._topk = LazyTopK()
-        for region in self.region_map.regions:
-            self._topk.update(region, 0.0)
         # -- counters ---------------------------------------------------
         self.epochs = 0
         self.updates = 0
@@ -157,8 +140,12 @@ class AnalyticsEngine:
         """Fold one published service snapshot into every aggregate.
 
         ``snapshot`` needs only ``.second`` and ``.table`` (the
-        :class:`~repro.service.tracking.ServiceSnapshot` shape). Returns
-        the epoch's analytics delta record (what the event log stores).
+        :class:`~repro.service.tracking.ServiceSnapshot` shape). Objects
+        that left the table are retired first; then the table is folded
+        once and every present object's modal region is read out.
+        Returns the epoch's analytics delta record (what the event log
+        stores); its ``updates`` counts the objects folded plus the
+        objects that departed.
         """
         second = int(snapshot.second)
         table = snapshot.table
@@ -169,59 +156,27 @@ class AnalyticsEngine:
             )
         epoch_flows: Dict[FlowKey, int] = {}
         epoch_dwells: List[Tuple[str, float]] = []
-        epoch_updates = 0
-        touched: Set[str] = set()
 
-        present = set(table.objects())
-        for object_id in sorted(set(self._dist) - present):
-            self._retire_object(object_id, second, epoch_dwells, touched)
-            epoch_updates += 1
+        departed = sorted(set(self._modal).difference(table.objects()))
+        for object_id in departed:
+            self._retire_object(object_id, second, epoch_dwells)
 
-        for object_id in sorted(present):
-            new_dist = table.distribution_of(object_id)
-            old_dist = self._dist.get(object_id)
-            if old_dist == new_dist:
-                # Posterior unchanged: zero aggregate delta — but an
-                # unchanged posterior re-reads the same modal region, so
-                # a pending transition candidate keeps accumulating (the
-                # naive comparator, which reprocesses every object every
-                # epoch, counts this epoch; so must we).
-                if object_id in self._pending:
-                    self._observe_modal_readout(
-                        object_id,
-                        self._pending[object_id][0],
-                        second,
-                        epoch_flows,
-                        epoch_dwells,
-                    )
-                continue
-            epoch_updates += 1
-            self._apply_density_delta(old_dist, new_dist)
-            new_mass = self.region_map.fold(new_dist)
-            old_mass = self._mass.get(object_id, {})
-            for region in sorted(set(old_mass) | set(new_mass)):
-                old_m = old_mass.get(region, 0.0)
-                new_m = new_mass.get(region, 0.0)
-                self._occupancy[region] += new_m - old_m
-                self._occ_m2[region] += new_m * (1.0 - new_m) - old_m * (1.0 - old_m)
-                touched.add(region)
-            new_modal = RegionMap.modal_region(new_mass)
-            assert new_modal is not None  # present objects carry mass
-            old_modal = self._modal.get(object_id)
-            if old_modal is None:
-                self._enters[new_modal] = self._enters.get(new_modal, 0) + 1
-                self._modal_since[object_id] = second
-                self._modal[object_id] = new_modal
-            else:
+        fold = self.region_map.fold_table(table)
+        for object_id, mass in fold.mass.items():
+            readout = RegionMap.modal_region(mass)
+            assert readout is not None  # present objects carry mass
+            if object_id in self._modal:
                 self._observe_modal_readout(
-                    object_id, new_modal, second, epoch_flows, epoch_dwells
+                    object_id, readout, second, epoch_flows, epoch_dwells
                 )
-            self._dist[object_id] = new_dist
-            self._mass[object_id] = new_mass
+            else:
+                self._enters[readout] = self._enters.get(readout, 0) + 1
+                self._modal_since[object_id] = second
+                self._modal[object_id] = readout
+        self._table = table
+        self._fold = fold
 
-        for region in sorted(touched):
-            self._topk.update(region, self._occupancy[region])
-
+        epoch_updates = len(fold.mass) + len(departed)
         self.epochs += 1
         self.updates += epoch_updates
         if self.first_second is None:
@@ -229,8 +184,8 @@ class AnalyticsEngine:
         self.last_second = second
         self._epoch_delta = {
             "occupancy": {
-                region: round(self._occupancy[region], 9)
-                for region in self.region_map.regions
+                region: round(expected, 9)
+                for region, expected in fold.occupancy.items()
             },
             "flows": dict(sorted(epoch_flows.items())),
             "dwells": [[region, seconds] for region, seconds in epoch_dwells],
@@ -243,11 +198,11 @@ class AnalyticsEngine:
                 obs.add(
                     "analytics.flow_events", sum(epoch_flows.values())
                 )
-            obs.gauge_set("analytics.objects_tracked", len(self._dist))
-            for region in sorted(touched):
+            obs.gauge_set("analytics.objects_tracked", len(fold.mass))
+            for region, expected in fold.occupancy.items():
                 obs.gauge_set(
                     "analytics.room_occupancy",
-                    round(self._occupancy[region], 9),
+                    round(expected, 9),
                     labels={"room": region},
                 )
         return dict(self._epoch_delta)
@@ -300,37 +255,14 @@ class AnalyticsEngine:
         object_id: str,
         second: int,
         epoch_dwells: List[Tuple[str, float]],
-        touched: Set[str],
     ) -> None:
-        """An object left the table: unwind its mass, close its dwell."""
-        old_dist = self._dist.pop(object_id)
-        self._apply_density_delta(old_dist, {})
-        old_mass = self._mass.pop(object_id)
-        for region, old_m in old_mass.items():
-            self._occupancy[region] -= old_m
-            self._occ_m2[region] -= old_m * (1.0 - old_m)
-            touched.add(region)
+        """An object left the table: close its dwell."""
         modal = self._modal.pop(object_id)
         self._pending.pop(object_id, None)
         dwelled = float(second - self._modal_since.pop(object_id))
         self._record_dwell(object_id, modal, dwelled)
         epoch_dwells.append((modal, dwelled))
         self._leaves[modal] = self._leaves.get(modal, 0) + 1
-
-    def _apply_density_delta(
-        self,
-        old_dist: Optional[Mapping[int, float]],
-        new_dist: Mapping[int, float],
-    ) -> None:
-        if old_dist:
-            for ap_id, probability in old_dist.items():
-                remaining = self._density.get(ap_id, 0.0) - probability
-                if remaining == 0.0:
-                    self._density.pop(ap_id, None)
-                else:
-                    self._density[ap_id] = remaining
-        for ap_id, probability in new_dist.items():
-            self._density[ap_id] = self._density.get(ap_id, 0.0) + probability
 
     def _record_dwell(self, object_id: str, region: str, seconds: float) -> None:
         if region not in self._dwell_region:
@@ -345,21 +277,28 @@ class AnalyticsEngine:
     # ------------------------------------------------------------------
     def occupancy_of(self, region: str) -> Tuple[float, float]:
         """``(expected_count, variance)`` of one region right now."""
-        return self._occupancy.get(region, 0.0), self._occ_m2.get(region, 0.0)
+        fold = self._fold
+        return fold.occupancy.get(region, 0.0), fold.variance.get(region, 0.0)
 
     def room_occupancy(self) -> Dict[str, Dict[str, float]]:
         """Expected count and variance for every region."""
+        fold = self._fold
         return {
             region: {
-                "expected": self._occupancy[region],
-                "variance": self._occ_m2[region],
+                "expected": fold.occupancy[region],
+                "variance": fold.variance[region],
             }
             for region in self.region_map.regions
         }
 
     def top_regions(self, k: int) -> List[Tuple[str, float]]:
-        """The ``k`` busiest regions by expected count."""
-        return self._topk.top(k)
+        """The ``k`` busiest regions by expected count (ties by region)."""
+        if k <= 0:
+            return []
+        ranked = sorted(
+            self._fold.occupancy.items(), key=lambda item: (-item[1], item[0])
+        )
+        return ranked[:k]
 
     def flow_counts(self) -> Dict[FlowKey, int]:
         """Cumulative transition counts per directed region edge."""
@@ -405,7 +344,7 @@ class AnalyticsEngine:
     def heatmap(self, limit: Optional[int] = None) -> List[Tuple[int, float, float, float]]:
         """``(ap_id, x, y, expected_mass)`` rows, densest anchors first."""
         ranked = sorted(
-            self._density.items(), key=lambda item: (-item[1], item[0])
+            self._fold.density.items(), key=lambda item: (-item[1], item[0])
         )
         if limit is not None:
             ranked = ranked[:limit]
@@ -416,8 +355,8 @@ class AnalyticsEngine:
         return rows
 
     def tracked_objects(self) -> int:
-        """Objects currently contributing mass to the aggregates."""
-        return len(self._dist)
+        """Objects in the last folded table."""
+        return len(self._modal)
 
     def observed_seconds(self) -> int:
         """Width of the observed time span (0 before two epochs)."""
@@ -435,10 +374,11 @@ class AnalyticsEngine:
             {"region": region, "expected": round(score, 9)}
             for region, score in self.top_regions(5)
         ]
+        fold = self._fold
         occupancy = {
             region: {
-                "expected": round(self._occupancy[region], 9),
-                "variance": round(max(self._occ_m2[region], 0.0), 9),
+                "expected": round(fold.occupancy[region], 9),
+                "variance": round(max(fold.variance[region], 0.0), 9),
             }
             for region in self.region_map.regions
         }
@@ -472,85 +412,32 @@ class AnalyticsEngine:
         }
 
     # ------------------------------------------------------------------
-    # density-query surface (what repro.queries.density shims onto)
+    # density-query surface
     # ------------------------------------------------------------------
     def room_densities(self, top_n: int = 3) -> "List[ZoneDensity]":
-        """Per-room expected occupancy as :class:`ZoneDensity` rows.
+        """Per-room expected occupancy of the last table.
 
-        Same result shape as :func:`repro.queries.density.room_densities`
-        but served from the maintained room-mass aggregates — no anchor
-        rescans, no per-room range queries.
+        :func:`repro.queries.density.room_densities` of that table: one
+        implementation, so the rows are equal float for float.
         """
-        from repro.queries.density import ZoneDensity
+        from repro.queries.density import room_densities
 
-        rows: "List[ZoneDensity]" = []
-        for region in self.region_map.room_ids():
-            members = sorted(
-                (
-                    (object_id, mass[region])
-                    for object_id, mass in self._mass.items()
-                    if region in mass
-                ),
-                key=lambda item: (-item[1], item[0]),
-            )
-            rows.append(
-                ZoneDensity(
-                    zone_id=region,
-                    expected_count=self._occupancy[region],
-                    top_objects=tuple(members[:top_n]),
-                )
-            )
-        rows.sort(key=lambda z: (-z.expected_count, z.zone_id))
-        return rows
+        region_map = self.region_map
+        return room_densities(
+            region_map.plan, region_map.anchor_index, self._table, top_n
+        )
 
     # ------------------------------------------------------------------
-    # the recompute-equivalence path (testing / self-verification)
-    # ------------------------------------------------------------------
-    def recompute_from(
-        self, table: AnchorObjectTable
-    ) -> Tuple[Dict[str, float], Dict[str, float], Dict[int, float]]:
-        """Full refold of ``(occupancy, variance, density)`` from a table.
-
-        The naive O(table) definition the incremental path must agree
-        with (within :data:`RECOMPUTE_TOLERANCE`).
-        """
-        occupancy = {region: 0.0 for region in self.region_map.regions}
-        m2 = {region: 0.0 for region in self.region_map.regions}
-        density: Dict[int, float] = {}
-        for object_id in sorted(table.objects()):
-            distribution = table.distribution_of(object_id)
-            for ap_id, probability in distribution.items():
-                density[ap_id] = density.get(ap_id, 0.0) + probability
-            for region, mass in self.region_map.fold(distribution).items():
-                occupancy[region] += mass
-                m2[region] += mass * (1.0 - mass)
-        return occupancy, m2, density
-
-    def self_check(
-        self, table: AnchorObjectTable, tolerance: float = RECOMPUTE_TOLERANCE
-    ) -> None:
-        """Assert the incremental aggregates match a full recompute."""
-        occupancy, m2, density = self.recompute_from(table)
-        for region in self.region_map.regions:
-            gap = abs(occupancy[region] - self._occupancy[region])
-            assert gap <= tolerance, (
-                f"occupancy[{region}] drifted {gap} from recompute"
-            )
-            gap = abs(m2[region] - self._occ_m2[region])
-            assert gap <= tolerance, (
-                f"variance[{region}] drifted {gap} from recompute"
-            )
-        for ap_id in set(density) | set(self._density):
-            gap = abs(density.get(ap_id, 0.0) - self._density.get(ap_id, 0.0))
-            assert gap <= tolerance, (
-                f"density[{ap_id}] drifted {gap} from recompute"
-            )
-
-    # ------------------------------------------------------------------
-    # checkpointing (rides in the service's v2 envelope)
+    # checkpointing (rides in the service's checkpoint envelope)
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Everything a warm restart needs, JSON-safe; resumes bit-exact."""
+        """Everything a warm restart needs, JSON-safe; resumes bit-exact.
+
+        Each object's ``dist`` is its last posterior in the table's own
+        order, which is the order the fold reads it, so a restore refolds
+        the same floats.
+        """
+        table = self._table
         return {
             "state_version": ANALYTICS_STATE_VERSION,
             "dwell_edges": list(self.dwell_edges),
@@ -564,9 +451,9 @@ class AnalyticsEngine:
                 object_id: {
                     "dist": {
                         str(ap_id): probability
-                        for ap_id, probability in sorted(
-                            self._dist[object_id].items()
-                        )
+                        for ap_id, probability in table.distribution_of(
+                            object_id
+                        ).items()
                     },
                     "modal": self._modal[object_id],
                     "modal_since": self._modal_since[object_id],
@@ -576,13 +463,7 @@ class AnalyticsEngine:
                         else None
                     ),
                 }
-                for object_id in sorted(self._dist)
-            },
-            "occupancy": dict(sorted(self._occupancy.items())),
-            "occ_m2": dict(sorted(self._occ_m2.items())),
-            "density": {
-                str(ap_id): mass
-                for ap_id, mass in sorted(self._density.items())
+                for object_id in sorted(self._modal)
             },
             "flows": dict(sorted(self._flows.items())),
             "enters": dict(sorted(self._enters.items())),
@@ -599,12 +480,16 @@ class AnalyticsEngine:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore from :meth:`state_dict` output (same world geometry)."""
+        """Restore from :meth:`state_dict` output (same world geometry).
+
+        Version 2 states restore too; their folded aggregates are ignored
+        and their ``dist`` maps, sorted by anchor id, are refolded.
+        """
         version = as_int(state.get("state_version", 0))
-        if version != ANALYTICS_STATE_VERSION:
+        if version not in _RESTORABLE_VERSIONS:
             raise ValueError(
                 f"analytics state version {version} is not supported "
-                f"(expected {ANALYTICS_STATE_VERSION})"
+                f"(expected one of {_RESTORABLE_VERSIONS})"
             )
         self.dwell_edges = tuple(as_float(e) for e in as_list(state["dwell_edges"]))
         self.flow_hysteresis = as_int(state["flow_hysteresis"])
@@ -615,20 +500,18 @@ class AnalyticsEngine:
         last = state["last_second"]
         self.first_second = None if first is None else as_int(first)
         self.last_second = None if last is None else as_int(last)
-        self._dist.clear()
-        self._mass.clear()
         self._modal.clear()
         self._modal_since.clear()
         self._pending.clear()
         objects = as_map(state["objects"])
+        distributions: List[Tuple[str, Dict[int, float]]] = []
         for object_id in sorted(objects):
             record = as_map(objects[object_id])
             dist_state = as_map(record["dist"])
-            distribution = {
-                int(ap_id): float(dist_state[ap_id]) for ap_id in dist_state
-            }
-            self._dist[str(object_id)] = distribution
-            self._mass[str(object_id)] = self.region_map.fold(distribution)
+            distributions.append((
+                str(object_id),
+                {int(ap_id): float(dist_state[ap_id]) for ap_id in dist_state},
+            ))
             self._modal[str(object_id)] = str(record["modal"])
             self._modal_since[str(object_id)] = int(record["modal_since"])
             pending = record.get("pending")
@@ -639,20 +522,8 @@ class AnalyticsEngine:
                     as_int(first_seen),
                     as_int(count),
                 )
-        occupancy = as_map(state["occupancy"])
-        occ_m2 = as_map(state["occ_m2"])
-        self._occupancy = {
-            region: float(occupancy.get(region, 0.0))
-            for region in self.region_map.regions
-        }
-        self._occ_m2 = {
-            region: float(occ_m2.get(region, 0.0))
-            for region in self.region_map.regions
-        }
-        density = as_map(state["density"])
-        self._density = {
-            int(ap_id): float(mass) for ap_id, mass in density.items()
-        }
+        self._table = AnchorObjectTable.from_distributions(distributions)
+        self._fold = self.region_map.fold_table(self._table)
         flows = as_map(state["flows"])
         enters = as_map(state["enters"])
         leaves = as_map(state["leaves"])
@@ -669,8 +540,5 @@ class AnalyticsEngine:
             str(object_id): StreamingHistogram.from_state(dwell_object[object_id])
             for object_id in sorted(dwell_object)
         }
-        self._topk = LazyTopK()
-        for region in self.region_map.regions:
-            self._topk.update(region, self._occupancy[region])
         delta = as_map(state.get("epoch_delta", {}))
         self._epoch_delta = dict(delta)

@@ -1,16 +1,14 @@
-"""Streaming aggregate structures: fixed-bucket histograms, lazy top-k.
+"""Streaming aggregate structure: the fixed-bucket histogram.
 
-Both structures are O(1) per update and never rescan history — the
-property the whole analytics layer is built on. Both serialize to plain
-JSON-safe dicts so checkpoints resume them bit-exactly.
+It is O(1) per update and never rescans history, and it serializes to a
+plain JSON-safe dict so checkpoints resume it bit-exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.analytics._coerce import as_float, as_int, as_list, as_map
+from repro.analytics._coerce import as_float, as_int, as_list
 
 #: Default dwell-time bucket upper bounds, in seconds. The last implicit
 #: bucket is open-ended (``>= edges[-1]``).
@@ -93,70 +91,3 @@ class StreamingHistogram:
         histogram.total = as_float(state["total"])
         return histogram
 
-
-class LazyTopK:
-    """Top-k keys by score, maintained from deltas via a monotone heap.
-
-    ``update`` pushes a new heap entry and bumps the key's version; stale
-    entries (older versions) are discarded lazily when :meth:`top` pops
-    them. Once stale entries outnumber live keys, ``update`` rebuilds the
-    heap from the live scores, so the heap never holds more than about
-    twice as many entries as keys. Updates are amortized O(log n); reads
-    pop at most the stale backlog once. Scores tie-break by key so the
-    ranking is deterministic.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, str, int]] = []
-        self._version: Dict[str, int] = {}
-        self._score: Dict[str, float] = {}
-
-    def update(self, key: str, score: float) -> None:
-        """Record a key's new score (supersedes its prior entries)."""
-        version = self._version.get(key, 0) + 1
-        self._version[key] = version
-        self._score[key] = score
-        heapq.heappush(self._heap, (-score, key, version))
-        if len(self._heap) > 2 * len(self._score):
-            self._heap = [
-                (-live, name, self._version[name]) for name, live in self._score.items()
-            ]
-            heapq.heapify(self._heap)
-
-    def top(self, k: int) -> List[Tuple[str, float]]:
-        """The ``k`` highest-scoring keys, compacting stale entries."""
-        if k <= 0:
-            return []
-        result: List[Tuple[str, float]] = []
-        kept: List[Tuple[float, str, int]] = []
-        while self._heap and len(result) < k:
-            negated, key, version = heapq.heappop(self._heap)
-            if self._version.get(key) != version:
-                continue  # superseded by a later update
-            result.append((key, -negated))
-            kept.append((negated, key, version))
-        # Live entries popped for the answer go back on the heap.
-        for entry in kept:
-            heapq.heappush(self._heap, entry)
-        return result
-
-    def score_of(self, key: str) -> float:
-        """The last recorded score for a key (0.0 when never updated)."""
-        return self._score.get(key, 0.0)
-
-    def __len__(self) -> int:
-        return len(self._version)
-
-    # -- checkpointing --------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        # Only the live score per key matters; the stale heap backlog is
-        # an in-memory artifact and is rebuilt compacted on restore.
-        return {"scores": dict(sorted(self._score.items()))}
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "LazyTopK":
-        topk = cls()
-        scores = as_map(state["scores"])
-        for key in sorted(scores):
-            topk.update(str(key), as_float(scores[key]))
-        return topk

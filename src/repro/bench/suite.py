@@ -202,15 +202,8 @@ def _bench_query_eval() -> Evidence:
 
 
 def _bench_analytics_replay() -> Evidence:
-    """Incremental analytics maintenance over a recorded snapshot stream.
-
-    Replays the same stream through both maintenance strategies: the
-    delta-maintained :class:`AnalyticsEngine` and the full-refold
-    :class:`NaiveAnalytics` reference. The naive flow tally is a work
-    counter, and its occupancy must agree with the engine's (checked
-    here, loudly).
-    """
-    from repro.analytics import AnalyticsEngine, NaiveAnalytics
+    """Analytics over a recorded snapshot stream: one table fold per epoch."""
+    from repro.analytics import AnalyticsEngine
     from repro.service import ReplaySource, TrackingService
     from repro.sim import Simulation
 
@@ -232,21 +225,6 @@ def _bench_analytics_replay() -> Evidence:
     engine = AnalyticsEngine(plan, anchors)
     for snapshot in snapshots:
         engine.observe_snapshot(snapshot)
-
-    naive = NaiveAnalytics(plan, anchors)
-    for snapshot in snapshots:
-        naive.observe_snapshot(snapshot)
-
-    # Equivalence is part of the workload's contract: the incremental
-    # aggregates must match both the naive replay and a full recompute
-    # of the final table (failing loudly beats a cryptic digest drift).
-    engine.self_check(snapshots[-1].table)
-    for region in engine.region_map.regions:
-        gap = abs(engine.occupancy_of(region)[0] - naive.occupancy[region])
-        if gap > 1e-6:
-            raise AssertionError(
-                f"incremental vs naive occupancy drift in {region}: {gap}"
-            )
     occupancy = {
         region: round(engine.occupancy_of(region)[0], 9)
         for region in engine.region_map.regions
@@ -255,7 +233,6 @@ def _bench_analytics_replay() -> Evidence:
         "epochs": engine.epochs,
         "updates": engine.updates,
         "flow_events": engine.flow_events,
-        "naive_flow_events": naive.flow_events,
     }
     return work, _digest(occupancy)
 

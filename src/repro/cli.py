@@ -255,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--analytics", action="store_true",
         help=(
-            "attach the incremental analytics engine (occupancy, flows, "
-            "dwell, heatmap); adds /analytics to --metrics-port, an "
+            "attach the analytics engine (occupancy, flows, dwell, "
+            "heatmap); adds /analytics to --metrics-port, an "
             "'analytics' section to --events records, and checkpoints "
-            "the aggregates for bit-exact resume"
+            "its state for bit-exact resume"
         ),
     )
     _add_filter_option(serve, default=None)
@@ -1343,8 +1343,7 @@ def _cmd_analytics_serve(args: argparse.Namespace) -> int:
 
     Drives the tracking service tick by tick (no feeder thread, no
     scheduler: analytics needs nothing time-based), tracks ground truth
-    alongside, then prints the aggregate summary, the accuracy scores,
-    and the result of the incremental-vs-recompute self-check.
+    alongside, then prints the aggregate summary and the accuracy scores.
     """
     import json as _json
 
@@ -1398,11 +1397,9 @@ def _cmd_analytics_serve(args: argparse.Namespace) -> int:
         finally:
             if event_writer is not None:
                 event_writer.close()
-        engine.self_check(service.snapshot().table)
         accuracy = accuracy_summary(engine, truth)
         print(render_summary(engine.summary()))
         print(render_accuracy(accuracy))
-        print("recompute equivalence: OK")
         if event_writer is not None:
             print(
                 f"event log -> {args.events} "

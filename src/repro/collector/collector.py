@@ -146,9 +146,10 @@ class EventDrivenCollector:
     def register_tags(self, tag_to_object: Mapping[str, str]) -> None:
         """Add (or update) tag-to-object mappings.
 
-        Supports populations that change over time (arrival scenarios):
-        tags registered here are recognized by subsequent ingests;
-        readings from unknown tags are ignored.
+        Supports populations that change over time (the tracking service
+        registers each tag the first time it reads it): tags registered
+        here are recognized by subsequent ingests; readings from unknown
+        tags are ignored.
         """
         self._tag_to_object.update(tag_to_object)
 

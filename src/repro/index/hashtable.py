@@ -16,11 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 
-def _positive(distribution: Mapping[int, float]) -> Dict[int, float]:
-    """The entries of ``distribution`` with positive mass, in its order."""
-    return {ap: p for ap, p in distribution.items() if p > 0.0}
-
-
 class AnchorObjectTable:
     """Bidirectional object/anchor probability table.
 
@@ -39,9 +34,11 @@ class AnchorObjectTable:
     ) -> "AnchorObjectTable":
         """A table holding each ``(object_id, distribution)`` pair, in order.
 
-        Equal, iteration order of both maps included, to a fresh table
-        given each pair through :meth:`set_distribution`; object ids must
-        be distinct, as there is nothing to replace.
+        This is the one way to build a table. Entries with zero or
+        negative mass are dropped, and a distribution left empty adds no
+        object. Both maps keep insertion order: objects in pair order,
+        each anchor's objects in the order they arrive. Object ids must
+        be distinct; a repeated id raises :class:`ValueError`.
         """
         table = cls()
         by_anchor = table._by_anchor
@@ -49,7 +46,7 @@ class AnchorObjectTable:
         for object_id, distribution in pairs:
             if object_id in by_object:
                 raise ValueError(f"object {object_id!r} appears twice")
-            cleaned = _positive(distribution)
+            cleaned = {ap: p for ap, p in distribution.items() if p > 0.0}
             if not cleaned:
                 continue
             by_object[object_id] = cleaned
@@ -60,40 +57,6 @@ class AnchorObjectTable:
                 else:
                     bucket[object_id] = prob
         return table
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-    def set_distribution(self, object_id: str, distribution: Mapping[int, float]) -> None:
-        """Replace an object's anchor distribution.
-
-        Zero or negative masses are dropped; an empty distribution removes
-        the object entirely.
-        """
-        self.remove_object(object_id)
-        cleaned = _positive(distribution)
-        if not cleaned:
-            return
-        self._by_object[object_id] = cleaned
-        for ap_id, prob in cleaned.items():
-            self._by_anchor.setdefault(ap_id, {})[object_id] = prob
-
-    def remove_object(self, object_id: str) -> None:
-        """Remove all entries of an object (no-op if absent)."""
-        old = self._by_object.pop(object_id, None)
-        if old is None:
-            return
-        for ap_id in old:
-            bucket = self._by_anchor.get(ap_id)
-            if bucket is not None:
-                bucket.pop(object_id, None)
-                if not bucket:
-                    del self._by_anchor[ap_id]
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._by_anchor.clear()
-        self._by_object.clear()
 
     # ------------------------------------------------------------------
     # reads

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analytics.regions import RegionMap
 from repro.floorplan.plan import FloorPlan
@@ -74,32 +74,28 @@ def room_densities(
 ) -> List[ZoneDensity]:
     """Expected occupancy of every room of the plan.
 
-    Thin shim over the analytics region model
-    (:class:`repro.analytics.regions.RegionMap`): each object's posterior
-    folds through the precomputed anchor→room map in one sparse pass —
-    no per-room range query, no anchor rescans. A live
-    :class:`~repro.analytics.engine.AnalyticsEngine` serves the same
-    rows straight from its maintained aggregates without touching the
-    table at all.
+    One :meth:`~repro.analytics.regions.RegionMap.fold_table` of the
+    table through the precomputed anchor→room map — no per-room range
+    query, no anchor rescans. A live
+    :class:`~repro.analytics.engine.AnalyticsEngine` answers
+    ``room_densities`` with this function over its last table.
     """
     region_map = _region_map_for(plan, anchor_index)
-    membership: Dict[str, Dict[str, float]] = {
-        room_id: {} for room_id in region_map.room_ids()
+    fold = region_map.fold_table(table)
+    membership: Dict[str, List[Tuple[str, float]]] = {
+        room_id: [] for room_id in region_map.room_ids()
     }
-    for object_id in sorted(table.objects()):
-        mass = region_map.fold(table.distribution_of(object_id))
+    for object_id, mass in fold.mass.items():
         for region, value in mass.items():
-            if region in membership and value > 0.0:
-                membership[region][object_id] = value
+            if region in membership:
+                membership[region].append((object_id, value))
     results: List[ZoneDensity] = []
-    for room_id in region_map.room_ids():
-        members = sorted(
-            membership[room_id].items(), key=lambda item: (-item[1], item[0])
-        )
+    for room_id, members in membership.items():
+        members.sort(key=lambda item: (-item[1], item[0]))
         results.append(
             ZoneDensity(
                 zone_id=room_id,
-                expected_count=sum(membership[room_id].values()),
+                expected_count=fold.occupancy[room_id],
                 top_objects=tuple(members[:top_n]),
             )
         )

@@ -32,11 +32,6 @@ from repro.sim.statistics import (
     staleness_snapshot,
     tracking_statistics,
 )
-from repro.sim.scenarios import (
-    ArrivalEvent,
-    ArrivalTraceGenerator,
-    rush_hour_arrivals,
-)
 from repro.sim.analysis import (
     ErrorSummary,
     LocalizationSample,
@@ -70,9 +65,6 @@ __all__ = [
     "tracking_statistics",
     "staleness_snapshot",
     "hallway_coverage_fraction",
-    "ArrivalEvent",
-    "ArrivalTraceGenerator",
-    "rush_hour_arrivals",
     "LocalizationSample",
     "ErrorSummary",
     "localization_samples",

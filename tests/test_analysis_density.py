@@ -19,11 +19,10 @@ from repro.sim.analysis import (
 
 
 def table_at(anchors, placements):
-    table = AnchorObjectTable()
-    for object_id, point in placements.items():
-        anchor = anchors.nearest(point)
-        table.set_distribution(object_id, {anchor.ap_id: 1.0})
-    return table
+    return AnchorObjectTable.from_distributions(
+        (object_id, {anchors.nearest(point).ap_id: 1.0})
+        for object_id, point in placements.items()
+    )
 
 
 class TestLocalizationSamples:
@@ -41,10 +40,11 @@ class TestLocalizationSamples:
         assert sample.staleness == 0
 
     def test_split_distribution(self, small_anchors):
-        table = AnchorObjectTable()
         near = small_anchors.nearest(Point(10, 5))
         far = small_anchors.nearest(Point(2, 5))
-        table.set_distribution("o1", {near.ap_id: 0.5, far.ap_id: 0.5})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {near.ap_id: 0.5, far.ap_id: 0.5})]
+        )
         samples = localization_samples(
             table, small_anchors, {"o1": Point(10, 5)}, {"o1": 4}, second=9
         )

@@ -37,7 +37,13 @@ class TestAnalyticsServe:
         out = capsys.readouterr().out
         assert "== analytics ==" in out
         assert "accuracy vs ground truth" in out
-        assert "recompute equivalence: OK" in out
+        assert "objects=4 " in out
+        # The printed occupancy rows (3 decimals each) account for all
+        # four objects.
+        section = out.split("-- occupancy (expected ± sd) --\n")[1]
+        rows = section.split("-- busiest --")[0].splitlines()
+        expected = sum(float(row.split()[1]) for row in rows)
+        assert expected == pytest.approx(4.0, abs=0.0005 * len(rows))
 
     def test_out_document_shape(self, analytics_run):
         doc = json.loads(analytics_run["out"].read_text())

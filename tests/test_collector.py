@@ -123,6 +123,21 @@ class TestCollectorRetention:
         collector.ingest_second(0, raw(0, "tag1", "d1") + raw(0, "tag2", "d3"))
         assert sorted(collector.observed_objects()) == ["o1", "o2"]
 
+    def test_tags_registered_later_are_ingested_from_then_on(self):
+        """A population that grows: a tag's readings count only once it is
+        registered, and registering keeps earlier objects' histories."""
+        collector = EventDrivenCollector({"tag1": "o1"})
+        collector.ingest_second(1, raw(1, "tag1", "d1") + raw(1, "tag2", "d2"))
+        assert collector.observed_objects() == ["o1"]
+        assert not collector.knows_tag("tag2")
+        collector.register_tags({"tag2": "o2"})
+        assert collector.knows_tag("tag2")
+        collector.ingest_second(2, raw(2, "tag1", "d1") + raw(2, "tag2", "d2"))
+        assert sorted(collector.observed_objects()) == ["o1", "o2"]
+        assert collector.history("o1").first_second == 1
+        assert collector.history("o2").first_second == 2
+        assert collector.last_detection("o2") == ("d2", 2)
+
     def test_device_generation_bumps_on_new_device_only(self):
         collector = EventDrivenCollector(TAGS)
         collector.ingest_second(0, raw(0, "tag1", "d1"))

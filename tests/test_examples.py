@@ -18,7 +18,7 @@ EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 
 def test_examples_are_found():
-    assert len(EXAMPLES) >= 7
+    assert len(EXAMPLES) >= 6
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)

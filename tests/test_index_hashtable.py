@@ -9,11 +9,13 @@ from repro.index import AnchorObjectTable
 
 
 def make_table():
-    table = AnchorObjectTable()
-    table.set_distribution("o1", {1: 0.14, 2: 0.5, 3: 0.36})
-    table.set_distribution("o3", {1: 0.03, 7: 0.97})
-    table.set_distribution("o7", {1: 0.37, 9: 0.63})
-    return table
+    return AnchorObjectTable.from_distributions(
+        [
+            ("o1", {1: 0.14, 2: 0.5, 3: 0.36}),
+            ("o3", {1: 0.03, 7: 0.97}),
+            ("o7", {1: 0.37, 9: 0.63}),
+        ]
+    )
 
 
 class TestWrites:
@@ -22,41 +24,16 @@ class TestWrites:
         assert table.at(1) == {"o1": 0.14, "o3": 0.03, "o7": 0.37}
         assert table.distribution_of("o1") == {1: 0.14, 2: 0.5, 3: 0.36}
 
-    def test_replace_clears_old_entries(self):
-        table = make_table()
-        table.set_distribution("o1", {5: 1.0})
-        assert "o1" not in table.at(1)
-        assert table.distribution_of("o1") == {5: 1.0}
-
     def test_zero_mass_dropped(self):
-        table = AnchorObjectTable()
-        table.set_distribution("o1", {1: 0.0, 2: -0.5, 3: 1.0})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {1: 0.0, 2: -0.5, 3: 1.0})]
+        )
         assert table.distribution_of("o1") == {3: 1.0}
 
     def test_empty_distribution_removes(self):
-        table = make_table()
-        table.set_distribution("o1", {})
+        table = AnchorObjectTable.from_distributions([("o1", {}), ("o2", {4: 1.0})])
         assert not table.has_object("o1")
-
-    def test_remove_object(self):
-        table = make_table()
-        table.remove_object("o3")
-        assert not table.has_object("o3")
-        assert "o3" not in table.at(1)
-        table.remove_object("o3")  # idempotent
-
-    def test_remove_cleans_empty_buckets(self):
-        table = AnchorObjectTable()
-        table.set_distribution("o1", {42: 1.0})
-        table.remove_object("o1")
-        assert 42 not in table.anchors()
-
-    def test_clear(self):
-        table = make_table()
-        table.clear()
-        assert len(table) == 0
-        assert table.objects() == []
-        assert table.anchors() == []
+        assert table.objects() == ["o2"]
 
 
 class TestReads:
@@ -105,8 +82,7 @@ class TestReads:
     )
 )
 def test_roundtrip_property(distribution):
-    table = AnchorObjectTable()
-    table.set_distribution("obj", distribution)
+    table = AnchorObjectTable.from_distributions([("obj", distribution)])
     assert table.distribution_of("obj") == distribution
     assert table.total_probability("obj") == pytest.approx(sum(distribution.values()))
     for ap_id, mass in distribution.items():
@@ -124,33 +100,37 @@ def _both_maps(table):
 
 
 class TestFromDistributions:
-    """One-pass construction equals a fresh table filled by ``set_distribution``."""
-
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.integers(min_value=0, max_value=12),
-                st.sampled_from([0.0, -0.25, 0.125, 0.5, 1.0]) | st.floats(0.001, 1.0),
-                max_size=6,
-            ),
-            max_size=8,
-        )
-    )
-    def test_equals_set_distribution(self, distributions):
-        pairs = [(f"o{i}", d) for i, d in reversed(list(enumerate(distributions)))]
-        expected = AnchorObjectTable()
-        for object_id, distribution in pairs:
-            expected.set_distribution(object_id, distribution)
-        table = AnchorObjectTable.from_distributions(pairs)
-        assert _both_maps(table) == _both_maps(expected)
+    """Each construction rule, pinned against explicitly written maps."""
 
     def test_zero_masses_and_empty_distributions_are_dropped(self):
         table = AnchorObjectTable.from_distributions(
             [("o2", {4: 0.0, 3: 1.0}), ("o1", {}), ("o0", {1: 0.0}), ("o3", {3: 0.5})]
         )
-        assert table.objects() == ["o2", "o3"]
-        assert table.anchors() == [3]
-        assert table.at(3) == {"o2": 1.0, "o3": 0.5}
+        assert _both_maps(table) == json.dumps([
+            [[3, {"o2": 1.0, "o3": 0.5}]],
+            [["o2", [[3, 1.0]]], ["o3", [[3, 0.5]]]],
+        ])
+
+    def test_both_maps_keep_insertion_order(self):
+        table = AnchorObjectTable.from_distributions(
+            [
+                ("o9", {5: 0.25, 2: 0.75}),
+                ("o1", {2: 0.5, 8: -0.125, 7: 0.5}),
+                ("o4", {7: 1.0}),
+            ]
+        )
+        assert _both_maps(table) == json.dumps([
+            [
+                [5, {"o9": 0.25}],
+                [2, {"o9": 0.75, "o1": 0.5}],
+                [7, {"o1": 0.5, "o4": 1.0}],
+            ],
+            [
+                ["o9", [[5, 0.25], [2, 0.75]]],
+                ["o1", [[2, 0.5], [7, 0.5]]],
+                ["o4", [[7, 1.0]]],
+            ],
+        ])
 
     def test_owns_its_distributions(self):
         distribution = {1: 0.25, 2: 0.75}

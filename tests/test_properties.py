@@ -89,9 +89,8 @@ class TestRangeQueryProperties:
         ax=st.floats(min_value=0, max_value=20),
     )
     def test_probability_bounds(self, small_plan, small_anchors, x, y, w, h, ax):
-        table = AnchorObjectTable()
         anchor = small_anchors.nearest(Point(ax, 5.0))
-        table.set_distribution("o1", {anchor.ap_id: 1.0})
+        table = AnchorObjectTable.from_distributions([("o1", {anchor.ap_id: 1.0})])
         query = RangeQuery("q", Rect(x, y, x + w, y + h))
         result = evaluate_range_query(query, small_plan, small_anchors, table)
         p = result.probabilities.get("o1", 0.0)
@@ -106,9 +105,8 @@ class TestRangeQueryProperties:
     )
     def test_monotone_in_window(self, small_plan, small_anchors, x, w, grow, ax):
         """A larger window can only gain probability (same center line)."""
-        table = AnchorObjectTable()
         anchor = small_anchors.nearest(Point(ax, 5.0))
-        table.set_distribution("o1", {anchor.ap_id: 1.0})
+        table = AnchorObjectTable.from_distributions([("o1", {anchor.ap_id: 1.0})])
         small = Rect(x, 0.0, x + w, 10.0)
         large = Rect(max(x - grow, 0.0), 0.0, x + w + grow, 10.0)
         p_small = evaluate_range_query(
@@ -120,12 +118,11 @@ class TestRangeQueryProperties:
         assert p_large >= p_small - 1e-6
 
     def test_building_wide_window_captures_everything(self, small_plan, small_anchors):
-        table = AnchorObjectTable()
         spread = {
             ap.ap_id: 1.0 / len(small_anchors)
             for ap in small_anchors.anchors
         }
-        table.set_distribution("o1", spread)
+        table = AnchorObjectTable.from_distributions([("o1", spread)])
         whole = small_plan.bounds.expanded(1.0)
         p = evaluate_range_query(
             RangeQuery("q", whole), small_plan, small_anchors, table

@@ -18,19 +18,19 @@ from repro.queries.events import (
 
 @pytest.fixture
 def context(small_plan, small_graph, small_anchors):
-    table = AnchorObjectTable()
+    distributions = {}
 
     def place(object_id, point, mass=1.0):
         anchor = small_anchors.nearest(point)
-        dist = table.distribution_of(object_id)
+        dist = distributions.setdefault(object_id, {})
         dist[anchor.ap_id] = dist.get(anchor.ap_id, 0.0) + mass
-        table.set_distribution(object_id, dist)
 
     place("joe", Point(10, 5))            # hallway, x=10
     place("mary", Point(11, 5))           # hallway, next to joe
     place("sam", small_plan.room("R1").center)   # in room R1
     place("split", Point(2, 5), 0.5)
     place("split", Point(18, 5), 0.5)
+    table = AnchorObjectTable.from_distributions(distributions.items())
     return EventContext(small_plan, small_graph, small_anchors, table)
 
 

@@ -98,11 +98,10 @@ class TestContinuousMonitor:
 
 class TestClosestPairs:
     def _table(self, anchors, placements):
-        table = AnchorObjectTable()
-        for object_id, point in placements.items():
-            anchor = anchors.nearest(point)
-            table.set_distribution(object_id, {anchor.ap_id: 1.0})
-        return table
+        return AnchorObjectTable.from_distributions(
+            (object_id, {anchors.nearest(point).ap_id: 1.0})
+            for object_id, point in placements.items()
+        )
 
     def test_finds_adjacent_pair(self, small_graph, small_anchors):
         table = self._table(
@@ -126,11 +125,14 @@ class TestClosestPairs:
         assert {pairs[1].object_a, pairs[1].object_b} == {"c", "d"}
 
     def test_expected_distance_of_spread_distributions(self, small_graph, small_anchors):
-        table = AnchorObjectTable()
         left = small_anchors.nearest(Point(4, 5))
         right = small_anchors.nearest(Point(6, 5))
-        table.set_distribution("a", {left.ap_id: 0.5, right.ap_id: 0.5})
-        table.set_distribution("b", {left.ap_id: 0.5, right.ap_id: 0.5})
+        table = AnchorObjectTable.from_distributions(
+            [
+                ("a", {left.ap_id: 0.5, right.ap_id: 0.5}),
+                ("b", {left.ap_id: 0.5, right.ap_id: 0.5}),
+            ]
+        )
         pairs = evaluate_closest_pairs(small_graph, small_anchors, table, m=1)
         # E[d] = 0.5*0 + 0.5*2 = 1.0 (two anchors 2 m apart).
         assert pairs[0].expected_distance == pytest.approx(1.0, abs=0.05)
@@ -148,15 +150,16 @@ class TestClosestPairs:
 
     def test_matches_bruteforce(self, small_graph, small_anchors):
         rng = np.random.default_rng(4)
-        table = AnchorObjectTable()
         anchors = small_anchors.anchors
+        pairs = []
         for i in range(6):
             picks = rng.integers(0, len(anchors), size=3)
             masses = rng.random(3)
             masses /= masses.sum()
-            table.set_distribution(
-                f"o{i}", {int(anchors[p].ap_id): float(w) for p, w in zip(picks, masses)}
+            pairs.append(
+                (f"o{i}", {int(anchors[p].ap_id): float(w) for p, w in zip(picks, masses)})
             )
+        table = AnchorObjectTable.from_distributions(pairs)
         pairs = evaluate_closest_pairs(small_graph, small_anchors, table, m=1)
 
         def expected(a, b):

@@ -8,11 +8,10 @@ from repro.queries import KNNQuery, evaluate_knn_query
 
 
 def place(anchor_index, placements):
-    table = AnchorObjectTable()
-    for object_id, (point, mass) in placements.items():
-        anchor = anchor_index.nearest(point)
-        table.set_distribution(object_id, {anchor.ap_id: mass})
-    return table
+    return AnchorObjectTable.from_distributions(
+        (object_id, {anchor_index.nearest(point).ap_id: mass})
+        for object_id, (point, mass) in placements.items()
+    )
 
 
 class TestExpansion:
@@ -52,10 +51,11 @@ class TestExpansion:
         assert result.total_probability == pytest.approx(1.0)
 
     def test_split_mass_accumulates(self, small_graph, small_anchors):
-        table = AnchorObjectTable()
         a = small_anchors.nearest(Point(9, 5))
         b = small_anchors.nearest(Point(11, 5))
-        table.set_distribution("o1", {a.ap_id: 0.6, b.ap_id: 0.4})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {a.ap_id: 0.6, b.ap_id: 0.4})]
+        )
         result = evaluate_knn_query(
             KNNQuery("q", Point(10, 5), k=1), small_graph, small_anchors, table
         )
@@ -82,11 +82,11 @@ class TestExpansion:
         # Probabilities spread over many anchors: the returned set must be
         # exactly the objects whose nearest anchors are within the search
         # radius implied by the accumulated mass.
-        table = AnchorObjectTable()
         points = [Point(10, 5), Point(20, 5), Point(30, 5), Point(40, 5), Point(20, 27)]
-        for i, p in enumerate(points):
-            anchor = paper_anchors.nearest(p)
-            table.set_distribution(f"o{i}", {anchor.ap_id: 1.0})
+        table = AnchorObjectTable.from_distributions(
+            (f"o{i}", {paper_anchors.nearest(p).ap_id: 1.0})
+            for i, p in enumerate(points)
+        )
         q_point = Point(12, 5)
         result = evaluate_knn_query(
             KNNQuery("q", q_point, k=2), paper_graph, paper_anchors, table

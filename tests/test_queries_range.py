@@ -9,11 +9,10 @@ from repro.queries import RangeQuery, evaluate_range_query
 
 def table_with(anchor_index, placements):
     """Build a table placing each object fully at the anchor nearest a point."""
-    table = AnchorObjectTable()
-    for object_id, point in placements.items():
-        anchor = anchor_index.nearest(point)
-        table.set_distribution(object_id, {anchor.ap_id: 1.0})
-    return table
+    return AnchorObjectTable.from_distributions(
+        (object_id, {anchor_index.nearest(point).ap_id: 1.0})
+        for object_id, point in placements.items()
+    )
 
 
 class TestHallwayPart:
@@ -43,10 +42,11 @@ class TestHallwayPart:
         assert result.probabilities["o1"] == pytest.approx(0.5, abs=0.01)
 
     def test_mass_split_across_anchors(self, small_plan, small_anchors):
-        table = AnchorObjectTable()
         a = small_anchors.nearest(Point(9, 5))
         b = small_anchors.nearest(Point(11, 5))
-        table.set_distribution("o1", {a.ap_id: 0.5, b.ap_id: 0.5})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {a.ap_id: 0.5, b.ap_id: 0.5})]
+        )
         query = RangeQuery("q", Rect(8.4, 4, 9.6, 6))  # covers only anchor a
         result = evaluate_range_query(query, small_plan, small_anchors, table)
         assert result.probabilities["o1"] == pytest.approx(0.5, abs=0.05)
@@ -77,10 +77,11 @@ class TestRoomPart:
 
 class TestCombined:
     def test_window_spanning_hallway_and_room(self, small_plan, small_anchors):
-        table = AnchorObjectTable()
         hall_anchor = small_anchors.nearest(Point(5, 5))
         room_anchor = small_anchors.nearest(small_plan.room("R3").center)
-        table.set_distribution("o1", {hall_anchor.ap_id: 0.5, room_anchor.ap_id: 0.5})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {hall_anchor.ap_id: 0.5, room_anchor.ap_id: 0.5})]
+        )
         # Covers the hallway band fully (width-wise) around x=5 and all of R3.
         query = RangeQuery("q", Rect(0, 4, 10, 10))
         result = evaluate_range_query(query, small_plan, small_anchors, table)
@@ -98,9 +99,10 @@ class TestCombined:
 
     def test_probability_never_exceeds_one(self, paper_plan, paper_anchors):
         # An object spread widely; a window covering the whole building.
-        table = AnchorObjectTable()
         anchors = paper_anchors.anchors[:40]
-        table.set_distribution("o1", {a.ap_id: 1.0 / 40 for a in anchors})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {a.ap_id: 1.0 / 40 for a in anchors})]
+        )
         query = RangeQuery("q", paper_plan.bounds)
         result = evaluate_range_query(query, paper_plan, paper_anchors, table)
         assert result.probabilities["o1"] <= 1.0 + 1e-9
@@ -113,10 +115,10 @@ class TestCombined:
         assert result.probabilities == {}
 
     def test_result_top_ordering(self, small_plan, small_anchors):
-        table = AnchorObjectTable()
         a = small_anchors.nearest(Point(10, 5))
-        table.set_distribution("o1", {a.ap_id: 0.9})
-        table.set_distribution("o2", {a.ap_id: 0.4})
+        table = AnchorObjectTable.from_distributions(
+            [("o1", {a.ap_id: 0.9}), ("o2", {a.ap_id: 0.4})]
+        )
         query = RangeQuery("q", Rect(8, 4, 12, 6))
         result = evaluate_range_query(query, small_plan, small_anchors, table)
         top = result.top(2)

@@ -179,18 +179,18 @@ def _items(result):
 
 def _random_table(anchor_index, seed, objects=None):
     rng = np.random.default_rng(seed)
-    table = AnchorObjectTable()
     ap_ids = [ap.ap_id for ap in anchor_index.anchors]
     count = int(rng.integers(0, 8)) if objects is None else objects
+    pairs = []
     for n in range(count):
         size = int(rng.integers(1, min(12, len(ap_ids)) + 1))
         chosen = rng.choice(ap_ids, size=size, replace=False)
         masses = rng.random(size)
         masses /= masses.sum()
-        table.set_distribution(
-            f"o{n}", {int(ap): float(m) for ap, m in zip(chosen, masses)}
+        pairs.append(
+            (f"o{n}", {int(ap): float(m) for ap, m in zip(chosen, masses)})
         )
-    return table
+    return AnchorObjectTable.from_distributions(pairs)
 
 
 def _point_in(bounds, fx, fy):
