@@ -43,7 +43,7 @@ def main() -> None:
         }
         truth = true_knn_result(your_position, others, sim.graph, K)
 
-        pf = sim.pf_engine.knn_query(your_position, K, now, rng=sim.pf_rng)
+        pf = sim.pf_engine.knn_query(your_position, K, now)
         sm = sim.sm_engine.knn_query(your_position, K, now)
         pf_returned = [o for o in pf.objects() if o != you.object_id]
         sm_returned = [o for o in sm.top(K + 1) if o != you.object_id][:K]

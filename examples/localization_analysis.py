@@ -45,7 +45,7 @@ def main() -> None:
                 ],
             )
         )
-        pf_table = sim.pf_engine.locations_snapshot(timestamp, rng=sim.pf_rng)
+        pf_table = sim.pf_engine.locations_snapshot(timestamp)
         sm_table = sim.sm_engine.locations_snapshot(timestamp)
         pf_samples += localization_samples(
             pf_table, sim.anchor_index, truth, staleness, timestamp
@@ -81,7 +81,7 @@ def main() -> None:
         )
 
     # Heat map of the most-silent object's PF distribution.
-    table = sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+    table = sim.pf_engine.locations_snapshot(sim.now)
     objects = table.objects()
     chosen = max(
         objects,

@@ -30,7 +30,7 @@ def main() -> None:
 
     # --- range query: who is in the lower-left quadrant of the building?
     window = Rect(4, 0, 30, 12)
-    result = sim.pf_engine.range_query(window, now, rng=sim.pf_rng)
+    result = sim.pf_engine.range_query(window, now)
     truth = true_range_result(window, sim.true_positions())
 
     print(f"\nRange query {window}:")
@@ -42,7 +42,7 @@ def main() -> None:
 
     # --- kNN query: the 3 objects nearest to the middle of the bottom hallway.
     query_point = Point(32, 5)
-    knn = sim.pf_engine.knn_query(query_point, 3, now, rng=sim.pf_rng)
+    knn = sim.pf_engine.knn_query(query_point, 3, now)
     knn_truth = true_knn_result(query_point, sim.true_locations(), sim.graph, 3)
 
     print(f"\n3NN query at {query_point}:")

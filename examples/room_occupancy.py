@@ -38,7 +38,7 @@ def main() -> None:
     rooms = sim.plan.rooms
     for room in rooms:
         engine.register_range_query(RangeQuery(room.room_id, room.boundary))
-    snapshot = engine.evaluate(now, rng=sim.pf_rng)
+    snapshot = engine.evaluate(now)
     engine.clear_queries()
 
     print(f"{'room':>5} {'expected':>9} {'actual':>7}  occupancy bar")

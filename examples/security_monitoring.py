@@ -32,7 +32,7 @@ def main() -> None:
     print(f"monitoring restricted zone {zone} every 10 s\n")
     for _ in range(8):
         sim.run_for(10)
-        (delta,) = monitor.tick(sim.now, rng=sim.pf_rng)
+        (delta,) = monitor.tick(sim.now)
         events = []
         events += [f"+{obj} (p={p:.2f})" for obj, p in sorted(delta.entered.items())]
         events += [f"-{obj}" for obj in delta.left]
@@ -43,7 +43,7 @@ def main() -> None:
         print(f"        currently inside: {inside if inside else '(nobody)'}")
 
     # Closest pair right now, from the filtered location distributions.
-    table = sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+    table = sim.pf_engine.locations_snapshot(sim.now)
     pairs = evaluate_closest_pairs(
         sim.graph, sim.anchor_index, table, m=3
     )

@@ -14,7 +14,7 @@ Quickstart::
     sim = Simulation(DEFAULT_CONFIG.with_overrides(num_objects=50))
     sim.run_for(120)                               # simulate two minutes
     result = sim.pf_engine.range_query(            # who is in this room?
-        sim.plan.room("R5").boundary, sim.now, rng=sim.pf_rng
+        sim.plan.room("R5").boundary, sim.now
     )
     print(result.top(5))
 """

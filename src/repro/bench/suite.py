@@ -74,7 +74,7 @@ def _bench_filter_replay() -> Evidence:
                 sim.pf_engine.register_range_query(RangeQuery(f"r{i}", window))
             for i, point in enumerate(points):
                 sim.pf_engine.register_knn_query(KNNQuery(f"k{i}", point, 3))
-            snapshot = sim.pf_engine.evaluate(timestamp, rng=sim.pf_rng)
+            snapshot = sim.pf_engine.evaluate(timestamp)
             for result in snapshot.range_results.values():
                 for obj, p in sorted(result.probabilities.items()):
                     answers.append((result.query_id, obj, round(p, 9)))
@@ -168,7 +168,7 @@ def _bench_query_eval() -> Evidence:
         matched = 0
         answers: List[Tuple[int, str, str, float]] = []
         for round_index in range(rounds):
-            snapshot = sim.pf_engine.evaluate(horizon, rng=sim.pf_rng)
+            snapshot = sim.pf_engine.evaluate(horizon)
             for result in snapshot.range_results.values():
                 matched += len(result.objects())
             for result in snapshot.knn_results.values():
@@ -182,7 +182,7 @@ def _bench_query_eval() -> Evidence:
         # One ad-hoc round per node query, each pruned on its own.
         for i, point in enumerate(nodes):
             for k in node_ks:
-                knn = sim.pf_engine.knn_query(point, k, horizon, rng=sim.pf_rng)
+                knn = sim.pf_engine.knn_query(point, k, horizon)
                 matched += len(knn.probabilities)
                 for obj, p in knn.probabilities.items():
                     answers.append((rounds, f"n{i}k{k}", obj, round(p, 9)))

@@ -142,12 +142,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate a figure of the paper's evaluation, or an ablation",
     )
     experiment.add_argument(
-        "figure", choices=list(SUBJECTS), metavar="SUBJECT",
-        help="one of: " + ", ".join(SUBJECTS) + " (only the figures take --filter)",
+        "figure", choices=[*SUBJECTS, "gate"], metavar="SUBJECT",
+        help="one of: " + ", ".join(SUBJECTS) + " (only the figures take --filter),"
+        " or gate: this tree's accuracy against --parent's",
     )
     experiment.add_argument(
         "--scale", choices=list(SCALES), default="paper",
         help="sampling effort and sweeps (default: paper)",
+    )
+    experiment.add_argument(
+        "--parent", metavar="DIR",
+        help="gate: the checkout to compare against (its src/ is imported)",
+    )
+    experiment.add_argument(
+        "--seeds", type=_count, default=10,
+        help="gate: run seeds 1..N on both sides (default: 10)",
+    )
+    experiment.add_argument(
+        "--particles", type=_count, default=64,
+        help="gate: this tree's particle count (the parent runs 64)",
     )
     experiment.add_argument("--objects", type=_count, default=None)
     experiment.add_argument("--seconds", type=_count, default=None)
@@ -663,8 +676,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # query eval) plus an all-objects snapshot, so the trace covers
         # pruning counters AND filter phases for every tracked object,
         # not just collector throughput.
-        sim.pf_engine.range_query(sim.random_window(), sim.now, rng=sim.pf_rng)
-        sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+        sim.pf_engine.range_query(sim.random_window(), sim.now)
+        sim.pf_engine.locations_snapshot(sim.now)
 
     print(
         f"simulated {args.seconds} s, {args.objects} objects, "
@@ -710,6 +723,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.figure == "gate":
+        return _cmd_gate(args)
     _require_parent_dir("--out-csv", args.out_csv)
     _require_parent_dir("--out-json", args.out_json)
     tracing = _start_trace(args)
@@ -749,6 +764,33 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             },
         )
     return 0
+
+
+def _cmd_gate(args: argparse.Namespace) -> int:
+    """Exit 1 when a median moves worse than the parent's seed spread."""
+    from pathlib import Path
+
+    import repro
+    from repro.bench.gate import render_checks, run_gate
+
+    if args.parent is None:
+        raise SystemExit("repro experiment gate: --parent DIR is required")
+    rows, checks = run_gate(
+        Path(args.parent),
+        Path(repro.__file__).resolve().parents[2],
+        scale=args.scale,
+        seeds=args.seeds,
+        particles=args.particles,
+    )
+    print(format_rows(rows, title=(
+        f"gate: {args.parent} (64 particles) vs this tree ({args.particles}"
+        f" particles), scale {args.scale}, seeds 1..{args.seeds}"
+    )))
+    print()
+    print(render_checks(checks))
+    failed = [check for check in checks if not check.passed]
+    print(f"gate: {'FAIL' if failed else 'PASS'} ({len(checks) - len(failed)}/{len(checks)} checks)")
+    return 1 if failed else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -814,8 +856,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sim.run_for(seconds)
         # One full evaluation round so query-path phases are attributed
         # too, not just the collector/filter loop.
-        sim.pf_engine.range_query(sim.random_window(), sim.now, rng=sim.pf_rng)
-        sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+        sim.pf_engine.range_query(sim.random_window(), sim.now)
+        sim.pf_engine.locations_snapshot(sim.now)
         meta = {
             "command": "profile",
             "objects": objects,
@@ -1315,14 +1357,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     sim.run_for(90)
 
     window = Rect(4, 0, 30, 12)
-    result = sim.pf_engine.range_query(window, sim.now, rng=sim.pf_rng)
+    result = sim.pf_engine.range_query(window, sim.now)
     truth = true_range_result(window, sim.true_positions())
     print(f"\nrange query {window}")
     print(f"  truth: {sorted(truth)}")
     print(f"  top answers: {result.top(5)}")
 
     point = Point(30, 5)
-    knn = sim.pf_engine.knn_query(point, 3, sim.now, rng=sim.pf_rng)
+    knn = sim.pf_engine.knn_query(point, 3, sim.now)
     knn_truth = true_knn_result(point, sim.true_locations(), sim.graph, 3)
     print(f"\n3NN at {point}")
     print(f"  truth: {knn_truth}")

@@ -16,7 +16,10 @@ package provides:
 * :class:`ParticleFilter` — paper Algorithm 2;
 * :func:`particles_to_anchor_distribution` — anchor-point discretization;
 * :class:`PreprocessingModule` — the particle filter-based preprocessing
-  module that fills the ``APtoObjHT`` table for candidate objects.
+  module that fills the ``APtoObjHT`` table for candidate objects;
+* :class:`FilterExecutor` — a preprocessing module on the per-object
+  ``(seed, second, object)`` streams: the one filter-tick path of the
+  query engine, the tracking service and the gateway workers.
 """
 
 from repro.core.compiled import CompiledAnchors, CompiledGraph
@@ -32,7 +35,7 @@ from repro.core.resampling import (
 )
 from repro.core.filter import FilterResult, ParticleFilter
 from repro.core.discretize import particles_to_anchor_distribution
-from repro.core.preprocessing import PreprocessingModule
+from repro.core.preprocessing import FilterExecutor, PreprocessingModule
 
 __all__ = [
     "CompiledGraph",
@@ -49,4 +52,5 @@ __all__ = [
     "FilterResult",
     "particles_to_anchor_distribution",
     "PreprocessingModule",
+    "FilterExecutor",
 ]

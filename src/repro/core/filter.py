@@ -49,13 +49,14 @@ class FilterResult:
 class FilterRequest:
     """One object's share of a :meth:`ParticleFilter.run_many` call.
 
-    ``rng`` supplies every draw of the object's run. ``resume`` is
-    ``(state, state_second)`` from the cache module, or ``None``; the
-    state is read, never mutated.
+    ``rng`` supplies every draw of the object's run; no two requests of
+    one call share a generator, and a backend that draws nothing is
+    handed ``None``. ``resume`` is ``(state, state_second)`` from the
+    cache module, or ``None``; the state is read, never mutated.
     """
 
     history: ReadingHistory
-    rng: np.random.Generator
+    rng: Optional[np.random.Generator]
     resume: Optional[Tuple[Any, int]] = None
 
 
@@ -117,25 +118,22 @@ class ParticleFilter:
         device generation — Section 4.5). Each request replays up to
         ``min(t_d + silence_cap, current_second)``.
 
-        Requests are advanced in lockstep batches (:meth:`_lockstep`).
-        When every request has its own generator, one batch holds all
-        requests of a particle count. When generators are shared, each
-        batch holds one request, in request order: the only order that
-        keeps a shared stream's draws where a serial loop puts them.
+        Requests are advanced in lockstep, one batch per particle count
+        (:meth:`_lockstep`). Every request must bring its own generator:
+        a repeated one raises ``ValueError``, since lockstep stepping
+        would interleave a shared stream's draws across objects.
         """
+        if len({id(request.rng) for request in requests}) != len(requests):
+            raise ValueError("every request of run_many needs its own generator")
         plans = [self._plan(request, current_second) for request in requests]
-        if len({id(request.rng) for request in requests}) == len(requests):
-            groups: Dict[int, List[int]] = {}
-            for index, plan in enumerate(plans):
-                size = self.config.num_particles if plan.state is None else len(plan.state)
-                groups.setdefault(size, []).append(index)
-            batches = list(groups.values())
-        else:
-            batches = [[index] for index in range(len(requests))]
-        if len(batches) == 1:
+        groups: Dict[int, List[int]] = {}
+        for index, plan in enumerate(plans):
+            size = self.config.num_particles if plan.state is None else len(plan.state)
+            groups.setdefault(size, []).append(index)
+        if len(groups) == 1:
             return self._lockstep(requests, plans)
         results: Dict[int, FilterResult] = {}
-        for batch in batches:
+        for batch in groups.values():
             results.update(zip(batch, self._lockstep(
                 [requests[index] for index in batch], [plans[index] for index in batch]
             )))
@@ -330,8 +328,7 @@ class ParticleFilter:
         obs.add("filter.observations", blocks)
         with obs.timer("filter.normalize"):
             particles.normalize_weights(blocks)
-        # A lone cloud (every batch of the shared-generator engines) keeps
-        # a 1-D call here: same bits, fewer numpy calls.
+        # A lone cloud keeps a 1-D call here: same bits, fewer numpy calls.
         hits = [mask.any()] if blocks == 1 else mask.reshape(blocks, size).any(axis=1).tolist()
         for block, hit in enumerate(hits):
             if hit:

@@ -11,14 +11,18 @@ backend name or instance and drives it purely through the
 filter and the symbolic baseline both flow through this exact code
 path.
 
-The module owns the backend and its state cache: the query engine and
-the tracking service both build one and read ``.backend`` / ``.cache``
+The module owns the backend and its state cache. :class:`FilterExecutor`
+wraps one with the system's single filter-stream scheme; the query
+engine, the tracking service and every gateway worker filter through an
+executor and read ``.preprocessing`` / ``.filter_backend`` / ``.cache``
 from it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -27,7 +31,8 @@ from repro.core.filter import FilterRequest
 from repro.core.resampling import systematic_resample
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
-from repro.rng import RngLike, make_rng
+from repro.index.hashtable import AnchorObjectTable
+from repro.rng import RngLike, filter_run_rngs, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.particle_cache import ParticleCacheManager
@@ -72,29 +77,31 @@ class PreprocessingModule:
         candidates: Iterable[str],
         collector: EventDrivenCollector,
         current_second: int,
-        rng: RngLike = None,
         rng_streams: Optional[Callable[[Sequence[str]], Sequence[RngLike]]] = None,
-    ):
+    ) -> AnchorObjectTable:
         """Filter every candidate and return a fresh ``APtoObjHT`` table.
 
         Objects with no reading history are skipped — the system has no
         evidence about them (they have not yet entered any reader's range).
 
-        ``rng_streams`` (when given, and the backend draws) is called
-        once, with the ids to be filtered in order, and returns one
-        independent generator per id instead of one shared ``rng``
-        stream threaded through every filter run. Per-object streams make
-        the result independent of candidate *ordering and partitioning*,
-        which is what lets the tracking service and the gateway's
-        partitions (:mod:`repro.gateway`) produce bit-identical tables at
-        any partition count.
+        ``rng_streams`` is called once, with the ids to be filtered in
+        order, and returns one independent generator (or seed) per id
+        (:class:`FilterExecutor` passes :func:`repro.rng.filter_run_rngs`).
+        Per-object streams make the result independent of candidate
+        *ordering and partitioning*, which is what lets the tracking
+        service and the gateway's partitions (:mod:`repro.gateway`)
+        produce bit-identical tables at any partition count. A backend
+        that draws nothing (``draws = False``) needs no streams; one that
+        draws raises ``ValueError`` without them.
 
         The module looks every candidate up in the cache, makes one
         :meth:`~repro.filters.base.FilterBackend.run_many` call for all
         of them, then stores every result; candidates are distinct.
         """
-        from repro.index.hashtable import AnchorObjectTable
-
+        if rng_streams is None and self.backend.draws:
+            raise ValueError(
+                f"the {self.backend.name!r} backend draws: pass rng_streams"
+            )
         filtered: List[str] = []
         generations: List[int] = []
         pending = []
@@ -110,10 +117,11 @@ class PreprocessingModule:
             filtered.append(object_id)
             generations.append(generation)
             pending.append((history, resume))
-        if rng_streams is None or not self.backend.draws:
-            generators = [make_rng(rng)] * len(filtered)
-        else:
-            generators = [make_rng(stream) for stream in rng_streams(filtered)]
+        generators: Sequence[Optional[np.random.Generator]] = (
+            [make_rng(stream) for stream in rng_streams(filtered)]
+            if rng_streams is not None and self.backend.draws
+            else [None] * len(filtered)
+        )
         requests = [
             FilterRequest(history, generator, resume)
             for (history, resume), generator in zip(pending, generators)
@@ -131,3 +139,47 @@ class PreprocessingModule:
         table = AnchorObjectTable.from_distributions(zip(filtered, distributions))
         obs.add("preprocess.objects_filtered", len(runs))
         return table
+
+
+class FilterExecutor:
+    """The per-object filter step of one tick (paper Section 4.4).
+
+    Owns the :class:`PreprocessingModule` that holds the filter backend
+    and its state cache. Every object's run at second ``t`` draws from
+    its own :func:`repro.rng.filter_run_rng` stream ``(seed, t, object)``
+    (built for the whole call by :func:`repro.rng.filter_run_rngs`), so
+    a table does not depend on which other objects share the call — the
+    property that makes a gateway partition's slice bit-identical to the
+    same objects tracked in one process, and that lets every candidate
+    of an on-demand query step in one lockstep stack.
+    """
+
+    def __init__(
+        self,
+        graph: WalkingGraph,
+        anchor_index: AnchorIndex,
+        readers,
+        config: SimulationConfig,
+        use_cache: bool = True,
+        seed: Optional[int] = None,
+        filter_backend: "BackendSpec" = "particle",
+        resampler=systematic_resample,
+    ) -> None:
+        self.seed = seed if seed is not None else config.seed
+        self.preprocessing = PreprocessingModule(
+            graph, anchor_index, readers, config,
+            use_cache=use_cache, resampler=resampler, backend=filter_backend,
+        )
+        self.filter_backend = self.preprocessing.backend
+        self.cache = self.preprocessing.cache
+
+    def build_table(
+        self, candidates: Sequence[str], collector: EventDrivenCollector, second: int
+    ) -> AnchorObjectTable:
+        """Filter every candidate, in the given order, into a fresh table."""
+        return self.preprocessing.process(
+            candidates,
+            collector,
+            second,
+            rng_streams=lambda object_ids: filter_run_rngs(self.seed, second, object_ids),
+        )

@@ -124,6 +124,19 @@ class _PendingTick:
     parts: List[int] = field(default_factory=list)
 
 
+def _merge_slices(second: int, slices: Dict[int, dict]) -> ServiceSnapshot:
+    """One tick's snapshot from its partitions' slices, in partition order."""
+    merged = AnchorObjectTable.from_distributions(
+        (object_id, entries[object_id])
+        for entries in (slices[index]["entries"] for index in sorted(slices))
+        for object_id in sorted(entries)
+    )
+    candidates: set = set()
+    for part in slices.values():
+        candidates.update(part["candidates"])
+    return ServiceSnapshot(second=second, table=merged, candidates=frozenset(candidates))
+
+
 class GatewayCoordinator:
     """Partitioned multi-tenant tracking behind one serving surface."""
 
@@ -279,17 +292,8 @@ class GatewayCoordinator:
                     f"while collecting ({entry.tenant_id!r}, {entry.second})"
                 )
             replies[index] = reply
-        merged = AnchorObjectTable.from_distributions(
-            (object_id, entries[object_id])
-            for entries in (replies[index]["entries"] for index in sorted(replies))
-            for object_id in sorted(entries)
-        )
-        candidates: set = set()
-        for reply in replies.values():
-            candidates.update(reply["candidates"])
-        snapshot = ServiceSnapshot(
-            second=entry.second, table=merged, candidates=frozenset(candidates)
-        )
+        snapshot = _merge_slices(entry.second, replies)
+        merged = snapshot.table
         with self._lock:
             serving = self._serving[entry.tenant_id]
             serving.snapshot = snapshot
@@ -825,6 +829,7 @@ class GatewayCoordinator:
         analytics are restored here, at the gateway.
         """
         services: Dict[str, dict] = state["services"]
+        slices: Dict[str, Dict[int, dict]] = {tenant_id: {} for tenant_id in services}
         with self._control_lock:
             for handle in self.handles:
                 index = handle.index  # type: ignore[attr-defined]
@@ -838,11 +843,13 @@ class GatewayCoordinator:
                     for tenant_id, service in services.items()
                 }
                 try:
-                    handle.call({"op": "restore", "tenants": payload}, timeout=60.0)  # type: ignore[attr-defined]
+                    reply = handle.call({"op": "restore", "tenants": payload}, timeout=60.0)  # type: ignore[attr-defined]
                 except GatewayWorkerError as exc:
                     raise GatewayError(
                         f"restore failed on partition {index}: {exc}"
                     ) from exc
+                for tenant_id, part in reply["slices"].items():
+                    slices[tenant_id][index] = part
         with self._lock:
             for tenant_id, record in state["serving"].items():
                 serving = self._tenant(tenant_id)
@@ -850,6 +857,12 @@ class GatewayCoordinator:
                 last = record["last_second"]
                 serving.last_second = None if last is None else int(last)
                 serving.partial_ticks = int(record["partial_ticks"])
+                if serving.last_second is not None:
+                    # Every worker re-published its slice of the saved
+                    # tick; merged as a tick is, they serve that tick.
+                    serving.snapshot = _merge_slices(
+                        serving.last_second, slices[tenant_id]
+                    )
                 service = services[tenant_id]
                 serving.sessions.restore_state(service["sessions"])
                 if service["analytics"] is not None:

@@ -12,7 +12,8 @@ op         meaning
 tick       ingest one tenant-second of readings, filter, reply with
            the slice's snapshot (``op: snapshot``)
 state      reply with every tenant service's full ``state_dict``
-restore    restore every tenant service from checkpoint slices
+restore    restore every tenant service from checkpoint slices,
+           reply with each tenant's re-published snapshot slice
 ping       liveness probe; replies per-tenant tick counters
 telemetry  reply with this worker's metric registry snapshot plus the
            spans recorded since the previous telemetry fetch
@@ -133,7 +134,14 @@ class PartitionWorkerCore:
             assert isinstance(states, dict)
             for tenant_id, state in states.items():
                 self._service(tenant_id).restore_state(state)
-            return {"op": "ok", "partition": self.index}
+            return {
+                "op": "ok",
+                "partition": self.index,
+                "slices": {
+                    tenant_id: self._slice(self._service(tenant_id))
+                    for tenant_id in states
+                },
+            }
         if op == "ping":
             return {
                 "op": "pong",
@@ -197,22 +205,29 @@ class PartitionWorkerCore:
                 service.process_batch(batch)
         else:
             service.process_batch(batch)
-        snapshot = service.snapshot()
-        table = snapshot.table
         reply: dict = {
             "op": "snapshot",
             "partition": self.index,
             "tenant": tenant_id,
-            "second": second,
+            **self._slice(service),
+        }
+        if self.private_registry and obs.enabled():
+            reply["obs"] = self._tick_obs()
+        return reply
+
+    @staticmethod
+    def _slice(service: TrackingService) -> dict:
+        """The service's published snapshot: this partition's slice of a tick."""
+        snapshot = service.snapshot()
+        table = snapshot.table
+        return {
+            "second": snapshot.second,
             "entries": {
                 object_id: table.distribution_of(object_id)
                 for object_id in sorted(table.objects())
             },
             "candidates": sorted(snapshot.candidates),
         }
-        if self.private_registry and obs.enabled():
-            reply["obs"] = self._tick_obs()
-        return reply
 
     def _tick_obs(self) -> dict:
         """Accuracy-proxy deltas attributable to the tick just run.

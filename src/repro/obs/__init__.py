@@ -24,7 +24,7 @@ Typical use::
 
     obs.enable()
     sim.run_for(120)
-    sim.pf_engine.evaluate(sim.now, rng=sim.pf_rng)
+    sim.pf_engine.evaluate(sim.now)
     print(obs.render_summary())
     obs.export_json("trace.json")
 """

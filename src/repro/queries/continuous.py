@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 
 from repro.geometry import Point, Rect
 from repro.queries.types import KNNQuery, RangeQuery
-from repro.rng import RngLike
 
 
 @dataclass
@@ -101,7 +100,7 @@ class ContinuousQueryMonitor:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def tick(self, now: int, rng: RngLike = None) -> List[ResultDelta]:
+    def tick(self, now: int) -> List[ResultDelta]:
         """Evaluate all monitored queries at ``now`` and diff the results.
 
         Returns one (possibly empty) delta per monitored query. Seconds
@@ -112,7 +111,7 @@ class ContinuousQueryMonitor:
                 f"tick at {now} precedes previous tick at {self._last_second}"
             )
         self._last_second = now
-        snapshot = self.engine.evaluate(now, rng)
+        snapshot = self.engine.evaluate(now)
 
         deltas: List[ResultDelta] = []
         results: Dict[str, Dict[str, float]] = {}

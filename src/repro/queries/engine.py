@@ -10,6 +10,10 @@ Wires together the five modules:
 
 Raw readings flow in second by second via :meth:`IndoorQueryEngine.ingest_second`;
 registered queries are answered at any timestamp via :meth:`evaluate`.
+Filtering goes through a :class:`~repro.core.preprocessing.FilterExecutor`,
+the same per-object stream scheme the tracking service and the gateway
+workers run, so every candidate of one evaluation steps in one lockstep
+stack.
 
 There is one engine: the location estimator is a
 :class:`~repro.filters.base.FilterBackend`, so the paper's symbolic
@@ -29,7 +33,7 @@ import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
 from repro.collector.historical import HistoricalCollector
 from repro.config import DEFAULT_CONFIG, SimulationConfig
-from repro.core.preprocessing import PreprocessingModule
+from repro.core.preprocessing import FilterExecutor
 from repro.core.resampling import systematic_resample
 from repro.filters.registry import BackendSpec
 from repro.floorplan.plan import FloorPlan
@@ -43,7 +47,7 @@ from repro.queries.range_query import RangePlan, evaluate_range_query
 from repro.queries.types import KNNQuery, KNNResult, RangeQuery, RangeResult
 from repro.rfid.reader import RFIDReader
 from repro.rfid.readings import RawReading
-from repro.rng import RngLike, make_rng
+from repro.rng import RngLike
 
 
 @dataclass
@@ -133,8 +137,8 @@ class TableQueryEngine:
     def evaluate(self, now: int, rng: RngLike = None) -> EngineSnapshot:
         """Answer every registered query from the published table.
 
-        ``rng`` is accepted (and ignored) for monitor compatibility —
-        table evaluation is deterministic.
+        ``rng`` is accepted and ignored, as by
+        :meth:`IndoorQueryEngine.evaluate`: table evaluation draws nothing.
         """
         del rng
         return self._answer(now, set(self.table.objects()), self.table)
@@ -177,9 +181,8 @@ class TableQueryEngine:
 
     def _evaluate_alone(
         self,
-        evaluate: Callable[[int, RngLike], EngineSnapshot],
+        evaluate: Callable[[int], EngineSnapshot],
         second: int,
-        rng: RngLike,
         range_queries: List[RangeQuery],
         knn_queries: List[KNNQuery],
     ) -> EngineSnapshot:
@@ -192,13 +195,19 @@ class TableQueryEngine:
         self._range_queries, self._knn_queries = range_queries, knn_queries
         self._plans = {}
         try:
-            return evaluate(second, rng)
+            return evaluate(second)
         finally:
             self._range_queries, self._knn_queries, self._plans = saved
 
 
 class IndoorQueryEngine(TableQueryEngine):
-    """RFID + Bayesian filter indoor spatial query evaluation system."""
+    """RFID + Bayesian filter indoor spatial query evaluation system.
+
+    ``collector`` builds the engine over an existing collector instead
+    of a fresh one (``tag_to_object`` and ``historical`` are then
+    unused): engines that share it read one reading stream, ingested
+    once by whichever owner feeds it.
+    """
 
     def __init__(
         self,
@@ -213,6 +222,7 @@ class IndoorQueryEngine(TableQueryEngine):
         historical: bool = False,
         resampler=systematic_resample,
         filter_backend: BackendSpec = "particle",
+        collector: Optional[EventDrivenCollector] = None,
     ):
         graph = graph if graph is not None else build_walking_graph(plan)
         if anchor_index is None:
@@ -220,24 +230,27 @@ class IndoorQueryEngine(TableQueryEngine):
         super().__init__(plan, graph, anchor_index)
         self.config = config
         self.readers = {r.reader_id: r for r in readers}
-        collector_cls = HistoricalCollector if historical else EventDrivenCollector
-        self.collector = collector_cls(tag_to_object)
+        if collector is None:
+            collector_cls = HistoricalCollector if historical else EventDrivenCollector
+            collector = collector_cls(tag_to_object)
+        self.collector = collector
         self.use_pruning = use_pruning
         self.optimizer = QueryAwareOptimizer(
             self.graph, self.anchor_index, self.readers, config
         )
-        self.preprocessing = PreprocessingModule(
+        self.executor = FilterExecutor(
             self.graph,
             self.anchor_index,
             self.readers,
             config,
             use_cache=use_cache,
             resampler=resampler,
-            backend=filter_backend,
+            filter_backend=filter_backend,
         )
-        self.filter_backend = self.preprocessing.backend
-        self.cache = self.preprocessing.cache
-        self._historical_pp: Optional[PreprocessingModule] = None
+        self.preprocessing = self.executor.preprocessing
+        self.filter_backend = self.executor.filter_backend
+        self.cache = self.executor.cache
+        self._historical: Optional[FilterExecutor] = None
 
     # ------------------------------------------------------------------
     # data ingestion
@@ -249,9 +262,7 @@ class IndoorQueryEngine(TableQueryEngine):
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def step(
-        self, second: int, raw_readings: Sequence[RawReading], rng: RngLike = None
-    ) -> EngineSnapshot:
+    def step(self, second: int, raw_readings: Sequence[RawReading]) -> EngineSnapshot:
         """One full pipeline tick: ingest one second, then evaluate it.
 
         This is the per-tick unit the online service layer
@@ -260,7 +271,7 @@ class IndoorQueryEngine(TableQueryEngine):
         loop.
         """
         self.ingest_second(second, raw_readings)
-        return self.evaluate(second, rng)
+        return self.evaluate(second)
 
     def _candidates(self, collector: EventDrivenCollector, now: int) -> Set[str]:
         """Query-aware pruning, or every observed object when it is off."""
@@ -275,9 +286,11 @@ class IndoorQueryEngine(TableQueryEngine):
 
         Runs the full Figure-3 pipeline: candidate pruning, filtering
         (with cache reuse), anchor discretization, and query evaluation
-        over the resulting ``APtoObjHT`` table.
+        over the resulting ``APtoObjHT`` table. Each candidate's run draws
+        from its own ``(config.seed, now, object)`` stream; ``rng`` is
+        accepted and ignored.
         """
-        generator = make_rng(rng)
+        del rng
         with obs.span("engine.evaluate", second=now):
             candidates = self._candidates(self.collector, now)
             with obs.span(
@@ -285,8 +298,8 @@ class IndoorQueryEngine(TableQueryEngine):
                 candidates=len(candidates),
                 backend=self.filter_backend.name,
             ):
-                table = self.preprocessing.process(
-                    sorted(candidates), self.collector, now, generator
+                table = self.executor.build_table(
+                    sorted(candidates), self.collector, now
                 )
             with obs.span("engine.query_eval"):
                 snapshot = self._answer(now, candidates, table)
@@ -310,82 +323,73 @@ class IndoorQueryEngine(TableQueryEngine):
     # ------------------------------------------------------------------
     # historical evaluation (requires historical=True)
     # ------------------------------------------------------------------
-    def evaluate_at(self, second: int, rng: RngLike = None) -> EngineSnapshot:
+    def evaluate_at(self, second: int) -> EngineSnapshot:
         """Answer every registered query *as of* a past second.
 
         Requires the engine to have been constructed with
         ``historical=True`` (a :class:`HistoricalCollector` keeping full
         reading history). The filters are replayed from the reading
-        window that was current at ``second``; the cache is bypassed so
-        live snapshot state is never polluted with past states.
+        window that was current at ``second`` on that second's streams;
+        the cache is bypassed so live snapshot state is never polluted
+        with past states, and a second's answers repeat exactly.
         """
         if not isinstance(self.collector, HistoricalCollector):
             raise TypeError(
                 "historical evaluation needs IndoorQueryEngine(historical=True)"
             )
-        generator = make_rng(rng)
         view = self.collector.as_of_view(second)
         candidates = self._candidates(view, second)
-        table = self._historical_preprocessing().process(
-            sorted(candidates), view, second, generator
+        table = self._historical_executor().build_table(
+            sorted(candidates), view, second
         )
         return self._answer(second, candidates, table)
 
-    def range_query_at(
-        self, window: Rect, second: int, rng: RngLike = None
-    ) -> RangeResult:
+    def range_query_at(self, window: Rect, second: int) -> RangeResult:
         """A single historical range query."""
         query = RangeQuery("adhoc-range-at", window)
-        snapshot = self._evaluate_alone(self.evaluate_at, second, rng, [query], [])
+        snapshot = self._evaluate_alone(self.evaluate_at, second, [query], [])
         return snapshot.range_results[query.query_id]
 
-    def knn_query_at(
-        self, point: Point, k: int, second: int, rng: RngLike = None
-    ) -> KNNResult:
+    def knn_query_at(self, point: Point, k: int, second: int) -> KNNResult:
         """A single historical kNN query."""
         query = KNNQuery("adhoc-knn-at", point, k)
-        snapshot = self._evaluate_alone(self.evaluate_at, second, rng, [], [query])
+        snapshot = self._evaluate_alone(self.evaluate_at, second, [], [query])
         return snapshot.knn_results[query.query_id]
 
-    def _historical_preprocessing(self) -> PreprocessingModule:
-        """A cache-less preprocessing module for time-travel evaluation."""
-        if self._historical_pp is None:
-            self._historical_pp = PreprocessingModule(
+    def _historical_executor(self) -> FilterExecutor:
+        """A cache-less executor over this engine's backend, for time travel."""
+        if self._historical is None:
+            self._historical = FilterExecutor(
                 self.graph,
                 self.anchor_index,
                 self.readers,
                 self.config,
                 use_cache=False,
-                backend=self.filter_backend,
+                filter_backend=self.filter_backend,
             )
-        return self._historical_pp
+        return self._historical
 
     # ------------------------------------------------------------------
     # one-shot conveniences
     # ------------------------------------------------------------------
-    def range_query(self, window: Rect, now: int, rng: RngLike = None) -> RangeResult:
+    def range_query(self, window: Rect, now: int) -> RangeResult:
         """Answer a single ad-hoc range query at time ``now``."""
         query = RangeQuery("adhoc-range", window)
-        snapshot = self._evaluate_alone(self.evaluate, now, rng, [query], [])
+        snapshot = self._evaluate_alone(self.evaluate, now, [query], [])
         return snapshot.range_results[query.query_id]
 
-    def knn_query(
-        self, point: Point, k: int, now: int, rng: RngLike = None
-    ) -> KNNResult:
+    def knn_query(self, point: Point, k: int, now: int) -> KNNResult:
         """Answer a single ad-hoc kNN query at time ``now``."""
         query = KNNQuery("adhoc-knn", point, k)
-        snapshot = self._evaluate_alone(self.evaluate, now, rng, [], [query])
+        snapshot = self._evaluate_alone(self.evaluate, now, [], [query])
         return snapshot.knn_results[query.query_id]
 
-    def locations_snapshot(self, now: int, rng: RngLike = None) -> AnchorObjectTable:
+    def locations_snapshot(self, now: int) -> AnchorObjectTable:
         """Filtered location distributions for *all* observed objects.
 
         Bypasses query-aware pruning; used by the top-k success metric,
         which needs every object's distribution.
         """
-        return self.preprocessing.process(
-            sorted(self.collector.observed_objects()),
-            self.collector,
-            now,
-            make_rng(rng),
+        return self.executor.build_table(
+            sorted(self.collector.observed_objects()), self.collector, now
         )

@@ -36,12 +36,12 @@ from repro.analytics.engine import DEFAULT_FLOW_HYSTERESIS, AnalyticsEngine
 from repro.analytics.streaming import DEFAULT_DWELL_EDGES
 from repro.collector.collector import EventDrivenCollector
 from repro.config import DEFAULT_CONFIG, SimulationConfig
-from repro.core.preprocessing import PreprocessingModule
+from repro.core.preprocessing import FilterExecutor
 from repro.floorplan.plan import FloorPlan
 from repro.floorplan.presets import paper_office_plan
 from repro.geometry import Point, Rect
-from repro.graph.anchors import AnchorIndex, build_anchor_index
-from repro.graph.walking_graph import WalkingGraph, build_walking_graph
+from repro.graph.anchors import build_anchor_index
+from repro.graph.walking_graph import build_walking_graph
 from repro.index.hashtable import AnchorObjectTable
 from repro.queries.continuous import ResultDelta
 from repro.queries.pruning import QueryAwareOptimizer
@@ -51,57 +51,8 @@ from repro.queries.range_query import evaluate_range_query
 from repro.rfid.deployment import deploy_readers_uniform
 from repro.rfid.reader import RFIDReader
 from repro.filters.registry import BackendSpec
-from repro.rng import filter_run_rngs
 from repro.service.ingest import ReadingBatch
 from repro.service.sessions import SessionManager
-
-
-class FilterExecutor:
-    """The per-object filter step of one tick (paper Section 4.4).
-
-    Owns the :class:`PreprocessingModule` that holds the tick's filter
-    backend and its state cache. Every object's run draws
-    from its own :func:`repro.rng.filter_run_rng` stream (built for the
-    whole tick by :func:`repro.rng.filter_run_rngs`), so the table
-    does not depend on which other objects share the tick — the property
-    that makes a gateway partition's slice bit-identical to the same
-    objects tracked in one process.
-    """
-
-    def __init__(
-        self,
-        graph: WalkingGraph,
-        anchor_index: AnchorIndex,
-        readers: Sequence[RFIDReader],
-        config: SimulationConfig,
-        use_cache: bool = True,
-        seed: Optional[int] = None,
-        filter_backend: BackendSpec = "particle",
-    ) -> None:
-        self.seed = seed if seed is not None else config.seed
-        self.preprocessing = PreprocessingModule(
-            graph, anchor_index, readers, config,
-            use_cache=use_cache, backend=filter_backend,
-        )
-        self.filter_backend = self.preprocessing.backend
-        self.cache = self.preprocessing.cache
-
-    def build_table(
-        self, candidates: Sequence[str], collector: EventDrivenCollector, second: int
-    ) -> AnchorObjectTable:
-        """Filter every candidate, in the given order, into a fresh table."""
-        with obs.timer(
-            "service.filter_tick", labels={"backend": self.filter_backend.name}
-        ):
-            table: AnchorObjectTable = self.preprocessing.process(
-                candidates,
-                collector,
-                second,
-                rng_streams=lambda object_ids: filter_run_rngs(
-                    self.seed, second, object_ids
-                ),
-            )
-        return table
 
 
 @dataclass(frozen=True)
@@ -207,24 +158,8 @@ class TrackingService:
             if self._identity_tags:
                 self._register_unknown_tags(batch)
             self.collector.ingest_second(batch.second, batch.readings)
-            if self.use_pruning:
-                engine = self.sessions.engine
-                candidates = self.optimizer.candidates(
-                    self.collector,
-                    batch.second,
-                    engine.range_queries,
-                    knn_plans=engine.knn_plans(),
-                )
-            else:
-                candidates = set(self.collector.observed_objects())
-            table = self.executor.build_table(
-                sorted(candidates), self.collector, batch.second
-            )
-            self._snapshot = ServiceSnapshot(
-                second=batch.second,
-                table=table,
-                candidates=frozenset(candidates),
-            )
+            self._snapshot = self._filter_tick(batch.second)
+            table = self._snapshot.table
             deltas = self.sessions.publish(batch.second, table)
             if self.analytics is not None:
                 self.analytics.observe_snapshot(self._snapshot)
@@ -233,6 +168,29 @@ class TrackingService:
             if obs.enabled():
                 obs.gauge_set("service.tracked_objects", len(table.objects()))
         return deltas
+
+    def _filter_tick(self, second: int) -> ServiceSnapshot:
+        """Prune (when on) and filter the collector's objects at ``second``."""
+        if self.use_pruning:
+            engine = self.sessions.engine
+            candidates = self.optimizer.candidates(
+                self.collector,
+                second,
+                engine.range_queries,
+                knn_plans=engine.knn_plans(),
+            )
+        else:
+            candidates = set(self.collector.observed_objects())
+        with obs.timer(
+            "service.filter_tick",
+            labels={"backend": self.executor.filter_backend.name},
+        ):
+            table = self.executor.build_table(
+                sorted(candidates), self.collector, second
+            )
+        return ServiceSnapshot(
+            second=second, table=table, candidates=frozenset(candidates)
+        )
 
     def _register_unknown_tags(self, batch: ReadingBatch) -> None:
         new_tags = {
@@ -344,6 +302,14 @@ class TrackingService:
             # aggregates silently would break the bit-exact-resume
             # guarantee.
             self.enable_analytics().restore_state(analytics_state)
+        if self.last_second is not None:
+            # Re-publish the saved tick's table. The collector and cache
+            # are as that tick left them, so every candidate resumes its
+            # cached state with nothing to replay (or, without a cache,
+            # replays its history on the tick's own stream): the table
+            # equals the one the saved service served, and the cache's
+            # entries come out unchanged.
+            self._snapshot = self._filter_tick(self.last_second)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -141,7 +141,7 @@ def evaluate_accuracy(
             sim.sm_engine.register_knn_query(query)
 
         with obs.timer("experiment.pf_evaluate"):
-            pf_snapshot = sim.pf_engine.evaluate(timestamp, rng=sim.pf_rng)
+            pf_snapshot = sim.pf_engine.evaluate(timestamp)
         with obs.timer("experiment.sm_evaluate"):
             sm_snapshot = sim.sm_engine.evaluate(timestamp)
 
@@ -182,9 +182,7 @@ def evaluate_accuracy(
 
         if measure_topk:
             with obs.timer("experiment.topk_snapshot"):
-                table = sim.pf_engine.locations_snapshot(
-                    timestamp, rng=sim.pf_rng
-                )
+                table = sim.pf_engine.locations_snapshot(timestamp)
             for object_id in sorted(universe):
                 distribution = table.distribution_of(object_id)
                 truth_point = positions[object_id]
@@ -332,9 +330,7 @@ def _timed_snapshots(
         timestamp = config.warmup_seconds + i * SNAPSHOT_GAP_SECONDS
         simulation.run_until(timestamp)
         with stopwatch:
-            table = simulation.pf_engine.locations_snapshot(
-                timestamp, rng=simulation.pf_rng
-            )
+            table = simulation.pf_engine.locations_snapshot(timestamp)
         objects_filtered += len(table.objects())
     return simulation, stopwatch.total, objects_filtered
 
@@ -429,7 +425,7 @@ def run_pruning_ablation(
                 KNNQuery("k", simulation.random_query_point(), config.k)
             )
             with stopwatch:
-                snapshot = engine.evaluate(timestamp, rng=simulation.pf_rng)
+                snapshot = engine.evaluate(timestamp)
             candidates += len(snapshot.candidates)
             observed += len(engine.collector.observed_objects())
         rows.append(

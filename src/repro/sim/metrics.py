@@ -74,13 +74,15 @@ def range_query_kl(
     Returns None when the true result set is empty (the paper averages
     over queries, which we interpret as queries with non-empty ground
     truth). ``universe`` is accepted for interface stability; the metric
-    only reads the true objects' probabilities.
+    only reads the true objects' probabilities. The terms are summed in
+    ascending object id, so the value does not depend on the process's
+    string-hash order.
     """
     del universe
     if not true_set:
         return None
     total = 0.0
-    for object_id in true_set:
+    for object_id in sorted(true_set):
         q = min(max(result_probabilities.get(object_id, 0.0), epsilon), 1.0)
         total += math.log(1.0 / q)
     return total / len(true_set)

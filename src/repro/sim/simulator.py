@@ -6,8 +6,9 @@ engines and ground truth together. Both engines are
 only in their pluggable location estimator: ``pf_engine`` runs the
 configured filter backend (the particle filter by default) and
 ``sm_engine`` runs the symbolic baseline (``filter_backend="symbolic"``).
-They consume the *same* raw reading stream, and accuracy is judged
-against the same true traces.
+They read the *same* raw reading stream through one shared collector,
+and accuracy is judged against the same true traces. Every filter run
+draws from its object's ``(config.seed, second, object)`` stream.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ class Simulation:
                 anchor_index=self.anchor_index,
                 use_pruning=use_pruning,
                 filter_backend="symbolic",
+                collector=self.pf_engine.collector,
             )
             if build_symbolic
             else None
         )
 
-        self.pf_rng = child_rng(config.seed, "pf")
         self._query_rng = child_rng(config.seed, "queries")
         #: Raw readings generated by the most recent simulated second
         #: (consumed by the CLI's reading-log export).
@@ -115,9 +116,10 @@ class Simulation:
         """Advance the world by exactly one second and return its readings.
 
         One tick = move every object, generate that second's raw
-        readings, and feed them to both collectors. ``run_until`` is just
-        this in a loop; the online service layer (:mod:`repro.service`)
-        calls it directly to source live readings tick by tick.
+        readings, and feed them to the engines' shared collector.
+        ``run_until`` is just this in a loop; the online service layer
+        (:mod:`repro.service`) calls it directly to source live readings
+        tick by tick.
         """
         with obs.timer("sim.step"):
             self.trace.step()
@@ -127,14 +129,12 @@ class Simulation:
                 )
             with obs.timer("sim.ingest"):
                 self.pf_engine.ingest_second(self.trace.now, readings)
-                if self.sm_engine is not None:
-                    self.sm_engine.ingest_second(self.trace.now, readings)
         self.last_readings = readings
         obs.add("sim.seconds_simulated")
         return readings
 
     def run_until(self, second: int) -> None:
-        """Advance the world (traces + readings + both collectors)."""
+        """Advance the world (traces + readings + the shared collector)."""
         while self.trace.now < second:
             self.step()
 

@@ -287,11 +287,11 @@ def test_injected_unseeded_rng_in_tracking_is_caught():
     sabotaged = source.replace(
         "from dataclasses import", "import random\nfrom dataclasses import", 1
     ).replace(
-        "rng_streams=lambda object_ids: filter_run_rngs(",
-        "rng_streams=lambda object_ids: random.Random() or filter_run_rngs(",
+        "table = self.executor.build_table(",
+        "table = random.Random() or self.executor.build_table(",
         1,
     )
-    assert "random.Random() or filter_run_rngs(" in sabotaged
+    assert "random.Random() or self.executor.build_table(" in sabotaged
     result = lint_source(sabotaged, path=str(tracking_path))
     assert any(
         f.rule == "DET" and "unseeded `random.Random()`" in f.message

@@ -2,7 +2,6 @@
 
 from repro.config import DEFAULT_CONFIG
 from repro.geometry import Point, Rect
-from repro.rng import child_rng
 from repro.sim import Simulation
 
 FAST = DEFAULT_CONFIG.with_overrides(
@@ -36,15 +35,15 @@ class TestWorldDeterminism:
         a = build_and_run()
         b = build_and_run()
         window = Rect(10, 3, 25, 8)
-        result_a = a.pf_engine.range_query(window, 40, rng=child_rng(1, "q"))
-        result_b = b.pf_engine.range_query(window, 40, rng=child_rng(1, "q"))
+        result_a = a.pf_engine.range_query(window, 40)
+        result_b = b.pf_engine.range_query(window, 40)
         assert result_a.probabilities == result_b.probabilities
 
     def test_knn_answers_identical(self):
         a = build_and_run()
         b = build_and_run()
-        ka = a.pf_engine.knn_query(Point(30, 5), 3, 40, rng=child_rng(2, "k"))
-        kb = b.pf_engine.knn_query(Point(30, 5), 3, 40, rng=child_rng(2, "k"))
+        ka = a.pf_engine.knn_query(Point(30, 5), 3, 40)
+        kb = b.pf_engine.knn_query(Point(30, 5), 3, 40)
         assert ka.probabilities == kb.probabilities
 
     def test_different_seeds_differ(self):
@@ -84,12 +83,8 @@ class TestObservabilityDeterminism:
         def answers():
             sim = build_and_run()
             window = Rect(10, 3, 25, 8)
-            range_probs = sim.pf_engine.range_query(
-                window, 40, rng=child_rng(1, "q")
-            ).probabilities
-            knn_probs = sim.pf_engine.knn_query(
-                Point(30, 5), 3, 40, rng=child_rng(2, "k")
-            ).probabilities
+            range_probs = sim.pf_engine.range_query(window, 40).probabilities
+            knn_probs = sim.pf_engine.knn_query(Point(30, 5), 3, 40).probabilities
             return range_probs, knn_probs, sim.true_locations()
 
         baseline = answers()

@@ -1,6 +1,5 @@
 """Integration tests: the full Figure-3 pipeline on both estimators."""
 
-import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -36,7 +35,7 @@ class TestPfEngine:
         point = simulation.random_query_point()
         engine.register_range_query(RangeQuery("r0", window))
         engine.register_knn_query(KNNQuery("k0", point, 3))
-        snapshot = engine.evaluate(60, rng=simulation.pf_rng)
+        snapshot = engine.evaluate(60)
         assert snapshot.second == 60
         assert "r0" in snapshot.range_results
         assert "k0" in snapshot.knn_results
@@ -44,13 +43,13 @@ class TestPfEngine:
 
     def test_range_probabilities_valid(self, simulation):
         engine = simulation.pf_engine
-        result = engine.range_query(Rect(10, 3, 25, 8), 60, rng=simulation.pf_rng)
+        result = engine.range_query(Rect(10, 3, 25, 8), 60)
         for probability in result.probabilities.values():
             assert 0.0 <= probability <= 1.0 + 1e-9
 
     def test_knn_returns_at_least_k(self, simulation):
         engine = simulation.pf_engine
-        result = engine.knn_query(Point(20, 5), 3, 60, rng=simulation.pf_rng)
+        result = engine.knn_query(Point(20, 5), 3, 60)
         # With 15 objects spread around, the expansion should collect >= 3.
         assert result.total_probability >= 3.0 or len(result.objects()) == len(
             engine.collector.observed_objects()
@@ -58,7 +57,7 @@ class TestPfEngine:
 
     def test_locations_snapshot_covers_observed(self, simulation):
         engine = simulation.pf_engine
-        table = engine.locations_snapshot(60, rng=simulation.pf_rng)
+        table = engine.locations_snapshot(60)
         observed = engine.collector.observed_objects()
         assert set(table.objects()) <= set(observed)
         for object_id in table.objects():
@@ -67,16 +66,16 @@ class TestPfEngine:
     def test_cache_speeds_up_second_evaluation(self, simulation):
         engine = simulation.pf_engine
         assert engine.cache is not None
-        engine.locations_snapshot(60, rng=simulation.pf_rng)
+        engine.locations_snapshot(60)
         hits_before = engine.cache.stats.hits
-        engine.locations_snapshot(60, rng=simulation.pf_rng)
+        engine.locations_snapshot(60)
         assert engine.cache.stats.hits > hits_before
 
     def test_pruning_reduces_candidates(self, simulation):
         engine = simulation.pf_engine
         engine.clear_queries()
         engine.register_range_query(RangeQuery("tiny", Rect(10, 4, 12, 6)))
-        snapshot = engine.evaluate(60, rng=simulation.pf_rng)
+        snapshot = engine.evaluate(60)
         engine.clear_queries()
         assert len(snapshot.candidates) <= len(engine.collector.observed_objects())
 
@@ -142,12 +141,12 @@ class TestEngineStandalone:
             engine.ingest_second(
                 second, [RawReading(second + 0.5, "tag1", reader)]
             )
-        result = engine.range_query(Rect(15, 4, 20, 6), 8, rng=np.random.default_rng(0))
+        result = engine.range_query(Rect(15, 4, 20, 6), 8)
         assert result.probabilities.get("o1", 0.0) > 0.5
 
     def test_unseen_object_absent(self):
         engine = self._setup()
-        result = engine.range_query(Rect(0, 0, 20, 10), 5, rng=np.random.default_rng(0))
+        result = engine.range_query(Rect(0, 0, 20, 10), 5)
         assert result.probabilities == {}
 
     def test_symbolic_engine_same_stream(self):
@@ -204,8 +203,8 @@ class TestStepApi:
         stepped.register_range_query(RangeQuery("w", window))
         for second, readings in enumerate(per_second, start=1):
             composed.ingest_second(second, readings)
-            snap_a = composed.evaluate(second, np.random.default_rng(second))
-            snap_b = stepped.step(second, readings, np.random.default_rng(second))
+            snap_a = composed.evaluate(second)
+            snap_b = stepped.step(second, readings)
             assert snap_a.second == snap_b.second
             assert (
                 snap_a.range_results["w"].probabilities

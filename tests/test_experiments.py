@@ -78,7 +78,7 @@ class TestEvaluateAccuracy:
                 engine.register_knn_query(KNNQuery(f"k{i}", point, FAST.k))
         for now in query_timestamps(FAST):
             sim.run_until(now)
-            pf = sim.pf_engine.evaluate(now, rng=sim.pf_rng)
+            pf = sim.pf_engine.evaluate(now)
             sm = sim.sm_engine.evaluate(now)
             for i in range(len(points)):
                 assert (

@@ -92,7 +92,5 @@ class TestSystemUnderOutage:
         # Only d1 and d3 ever reported (d2 dark).
         history = engine.collector.history("o1")
         assert {run.reader_id for run in history.runs} <= {"d1", "d3"}
-        result = engine.range_query(
-            Rect(15, 4, 20, 6), 15, rng=np.random.default_rng(1)
-        )
+        result = engine.range_query(Rect(15, 4, 20, 6), 15)
         assert result.probabilities.get("o1", 0.0) > 0.5

@@ -262,21 +262,22 @@ class TestBatching:
             if span["name"] == "filter.run"
         ]
 
-    def test_shared_generator_runs_one_object_per_batch(self):
+    def test_repeated_generator_is_rejected(self):
         compiled, readers = world("paper", 2.0)
         pf = ParticleFilter(compiled, readers, DEFAULT_CONFIG)
-        histories = self._objects(pf, 5)
+        histories = self._objects(pf, 3)
         shared = np.random.default_rng(11)
-        obs.enable()
-        results = pf.run_many([FilterRequest(h, shared) for h in histories], 30)
-        spans = self._filter_spans()
-        assert [span["objects"] for span in spans] == [1] * 5
-        # The serial order of one shared stream: object by object.
-        reference = np.random.default_rng(11)
-        for history, result in zip(histories, results):
-            expected, _ = reference_run(pf, history, 30, reference)
-            assert_same(result.particles, expected)
-        assert shared.bit_generator.state == reference.bit_generator.state
+        own = np.random.default_rng(12)
+        requests = [
+            FilterRequest(histories[0], shared),
+            FilterRequest(histories[1], own),
+            FilterRequest(histories[2], shared),
+        ]
+        before = shared.bit_generator.state
+        with pytest.raises(ValueError, match="its own generator"):
+            pf.run_many(requests, 30)
+        # Rejected before any draw: the stream is left where it was.
+        assert shared.bit_generator.state == before
 
     def test_own_generators_run_one_batch_per_particle_count(self):
         compiled, readers = world("paper", 2.0)

@@ -248,12 +248,12 @@ class TestSymbolicBatch:
         assert runs == backend_runs == objects_filtered == len(filtered)
 
     def test_a_symbolic_tick_builds_no_generators(self, replay_readings, monkeypatch):
-        import repro.service.tracking as tracking
+        import repro.core.preprocessing as preprocessing
 
         built = []
-        original = tracking.filter_run_rngs
+        original = preprocessing.filter_run_rngs
         monkeypatch.setattr(
-            tracking, "filter_run_rngs",
+            preprocessing, "filter_run_rngs",
             lambda *args: built.append(args) or original(*args),
         )
 

@@ -74,5 +74,5 @@ class TestCrossPlan:
         readers = deploy_readers_uniform(plan, 6, 2.0)
         sim = Simulation(config, plan=plan, readers=readers)
         sim.run_for(30)
-        table = sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+        table = sim.pf_engine.locations_snapshot(sim.now)
         assert len(table.objects()) >= 1

@@ -1,0 +1,54 @@
+"""The paired accuracy gate (``repro experiment gate``)."""
+
+from pathlib import Path
+
+import pytest
+
+from repro.bench.gate import Check, GateError, gate_points, run_gate
+from repro.cli import build_parser
+
+REPO = Path(__file__).resolve().parents[1]
+
+class TestCheck:
+    def test_range_kl_fails_when_it_rises_past_the_spread(self):
+        assert not Check("fig11", "range_kl", 1.0, 1.2, 0.1).passed
+        assert Check("fig11", "range_kl", 1.0, 1.05, 0.1).passed
+        assert Check("fig11", "range_kl", 1.0, 0.5, 0.1).passed  # better
+
+    def test_knn_hit_fails_when_it_falls_past_the_spread(self):
+        assert not Check("fig11", "knn_hit", 0.9, 0.7, 0.1).passed
+        assert Check("fig11", "knn_hit", 0.9, 0.85, 0.1).passed
+        assert Check("fig11", "knn_hit", 0.5, 0.9, 0.0).passed  # better
+
+    def test_a_move_of_exactly_the_spread_passes(self):
+        assert Check("fig11", "knn_hit", 0.9, 0.8, 0.1).worse_by == pytest.approx(0.1)
+        assert Check("fig11", "range_kl", 1.0, 1.0, 0.0).passed
+
+
+def test_points_are_fig11_at_the_base_and_the_second_fig12_count():
+    assert gate_points("standard", 64) == [
+        ("fig11", {"num_particles": 64}),
+        ("fig12@400", {"num_particles": 64, "num_objects": 400}),
+    ]
+    assert gate_points("quick", 8)[1] == ("fig12@80", {"num_particles": 8, "num_objects": 80})
+
+
+def test_the_tree_against_itself_passes():
+    rows, checks = run_gate(REPO, REPO, scale="quick", seeds=2)
+    assert len(rows) == 4 and len(checks) == 4
+    for row in rows:
+        assert row["parent_range_kl"] == row["change_range_kl"]
+        assert row["parent_knn_hit"] == row["change_knn_hit"]
+    assert all(check.passed and check.worse_by == 0.0 for check in checks)
+
+
+def test_a_tree_without_src_is_refused(tmp_path):
+    with pytest.raises(GateError, match="no src/repro package"):
+        run_gate(tmp_path, REPO, scale="quick", seeds=1)
+
+
+def test_cli_takes_gate_as_an_experiment_subject():
+    args = build_parser().parse_args(
+        ["experiment", "gate", "--parent", ".", "--seeds", "3", "--particles", "8"]
+    )
+    assert (args.figure, args.parent, args.seeds, args.particles) == ("gate", ".", 3, 8)

@@ -164,6 +164,47 @@ class TestResume:
             tail = _run(coordinator, tenant_batches, CUT_AT, TOTAL_SECONDS)
             assert _observables(coordinator, tail) == _tail(cold, CUT_AT)
 
+    @pytest.mark.parametrize("num_partitions", [None, 3, 1])
+    def test_restored_gateway_serves_the_saved_tick(
+        self, tenant_batches, tmp_path, num_partitions
+    ):
+        """Before any new tick, the restored gateway answers as the saved one."""
+        path = str(tmp_path / "gateway-ck.json")
+
+        def served(coordinator):
+            out = {}
+            for tid in sorted(coordinator.tenant_ids()):
+                snapshot = coordinator.latest_snapshot(tid)
+                out[tid] = (
+                    snapshot.second,
+                    _table(snapshot.table),
+                    json.dumps([
+                        coordinator.query_range(tid, WINDOW).probabilities,
+                        coordinator.query_knn(tid, KNN_POINT, 2).probabilities,
+                    ]),
+                    json.dumps(
+                        [[ap, snapshot.table.items_at(ap)] for ap in snapshot.table.anchors()]
+                    ),
+                )
+            return out
+
+        with _new_coordinator() as saved:
+            _run(saved, tenant_batches, 0, CUT_AT)
+            save_checkpoint(saved, path)
+            expected = served(saved)
+        with restore_coordinator(
+            path, num_partitions=num_partitions, transport="inline"
+        ) as restored:
+            got = served(restored)
+        assert all(record[0] == CUT_AT and record[1] for record in got.values())
+        if num_partitions is None:
+            # The same ring merges the same slices in the same order.
+            assert got == expected
+        else:
+            assert {tid: r[:2] for tid, r in got.items()} == {
+                tid: r[:2] for tid, r in expected.items()
+            }
+
     def test_restore_pins_the_expected_tenant_set(self, checkpoint_path):
         same = restore_coordinator(
             checkpoint_path, tenants=_specs(), transport="inline"

@@ -1,6 +1,5 @@
 """Tests for historical reading retention and time-travel queries."""
 
-import numpy as np
 import pytest
 
 from repro.collector.historical import HistoricalCollector
@@ -108,32 +107,26 @@ class TestHistoricalEngine:
     def test_past_query_sees_past_location(self):
         engine = self._engine()
         # At t=8 the object was at d2 (x~10): the window around d2 hits.
-        result = engine.range_query_at(
-            Rect(8, 4, 12, 6), 8, rng=np.random.default_rng(0)
-        )
+        result = engine.range_query_at(Rect(8, 4, 12, 6), 8)
         assert result.probabilities.get("o1", 0.0) > 0.5
         # ... and the window around d3 misses at that time.
-        far = engine.range_query_at(
-            Rect(15, 4, 19, 6), 8, rng=np.random.default_rng(0)
-        )
+        far = engine.range_query_at(Rect(15, 4, 19, 6), 8)
         assert far.probabilities.get("o1", 0.0) < 0.2
 
     def test_present_query_sees_present_location(self):
         engine = self._engine()
-        result = engine.range_query_at(
-            Rect(15, 4, 19, 6), 15, rng=np.random.default_rng(0)
-        )
+        result = engine.range_query_at(Rect(15, 4, 19, 6), 15)
         assert result.probabilities.get("o1", 0.0) > 0.5
 
     def test_knn_query_at(self):
         engine = self._engine()
-        result = engine.knn_query_at(Point(10, 5), 1, 8, rng=np.random.default_rng(0))
+        result = engine.knn_query_at(Point(10, 5), 1, 8)
         assert result.probabilities.get("o1", 0.0) > 0.9
 
     def test_historical_does_not_pollute_cache(self):
         engine = self._engine()
         assert engine.cache is not None
-        engine.range_query_at(Rect(8, 4, 12, 6), 8, rng=np.random.default_rng(0))
+        engine.range_query_at(Rect(8, 4, 12, 6), 8)
         assert len(engine.cache) == 0
 
     def test_non_historical_engine_rejects(self):

@@ -380,7 +380,7 @@ class TestPipelineIntegration:
         obs.enable()
         sim = Simulation(self._config(), build_symbolic=False)
         sim.run_until(25)
-        sim.pf_engine.range_query(Rect(0, 0, 60, 40), 25, rng=sim.pf_rng)
+        sim.pf_engine.range_query(Rect(0, 0, 60, 40), 25)
         snap = obs.snapshot()
         counters = {c["name"] for c in snap["metrics"]["counters"]}
         histograms = {h["name"] for h in snap["metrics"]["histograms"]}

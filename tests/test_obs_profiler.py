@@ -344,7 +344,7 @@ class TestPerBackendSeconds:
         def drive():
             sim = Simulation(self.CONFIG, build_symbolic=False, filter_backend=backend)
             sim.run_for(10)
-            sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+            sim.pf_engine.locations_snapshot(sim.now)
 
         profile = self._profile(drive)
         assert [row["backend"] for row in profile.backends] == [backend]
@@ -406,7 +406,7 @@ class TestInitAttribution:
         obs.set_clock(CountingClock())
         sim = Simulation(config, build_symbolic=False)
         sim.run_for(20)
-        sim.pf_engine.locations_snapshot(sim.now, rng=sim.pf_rng)
+        sim.pf_engine.locations_snapshot(sim.now)
         snapshot = obs.snapshot()
         obs.disable()
 

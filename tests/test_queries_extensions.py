@@ -32,7 +32,7 @@ class TestContinuousMonitor:
     def test_first_tick_reports_entries(self, simulation):
         monitor = ContinuousQueryMonitor(simulation.pf_engine)
         monitor.add_range_query("whole", simulation.plan.bounds)
-        deltas = monitor.tick(30, rng=simulation.pf_rng)
+        deltas = monitor.tick(30)
         assert len(deltas) == 1
         assert deltas[0].query_id == "whole"
         assert deltas[0].entered  # everyone enters a building-wide window
@@ -44,17 +44,17 @@ class TestContinuousMonitor:
             simulation.pf_engine, report_threshold=0.0, min_change=2.0
         )
         monitor.add_range_query("whole", simulation.plan.bounds)
-        monitor.tick(30, rng=simulation.pf_rng)
-        second = monitor.tick(30, rng=simulation.pf_rng)
+        monitor.tick(30)
+        second = monitor.tick(30)
         assert second[0].is_empty or not second[0].entered
         simulation.pf_engine.clear_queries()
 
     def test_objects_leave_as_world_moves(self, simulation):
         monitor = ContinuousQueryMonitor(simulation.pf_engine)
         monitor.add_range_query("strip", Rect(4, 4, 20, 6))
-        first = monitor.tick(30, rng=simulation.pf_rng)
+        first = monitor.tick(30)
         simulation.run_until(55)
-        later = monitor.tick(55, rng=simulation.pf_rng)
+        later = monitor.tick(55)
         # Over 25 s the population of a narrow hallway strip changes.
         assert first[0].entered != later[0].entered or later[0].left
         simulation.pf_engine.clear_queries()
@@ -62,7 +62,7 @@ class TestContinuousMonitor:
     def test_knn_monitoring(self, simulation):
         monitor = ContinuousQueryMonitor(simulation.pf_engine)
         monitor.add_knn_query("k", Point(30, 5), 2)
-        deltas = monitor.tick(simulation.now, rng=simulation.pf_rng)
+        deltas = monitor.tick(simulation.now)
         assert deltas[0].entered
         simulation.pf_engine.clear_queries()
 
@@ -76,9 +76,9 @@ class TestContinuousMonitor:
     def test_rejects_time_reversal(self, simulation):
         monitor = ContinuousQueryMonitor(simulation.pf_engine)
         monitor.add_range_query("whole", simulation.plan.bounds)
-        monitor.tick(simulation.now, rng=simulation.pf_rng)
+        monitor.tick(simulation.now)
         with pytest.raises(ValueError):
-            monitor.tick(simulation.now - 10, rng=simulation.pf_rng)
+            monitor.tick(simulation.now - 10)
         simulation.pf_engine.clear_queries()
 
     def test_parameter_validation(self, simulation):
@@ -90,7 +90,7 @@ class TestContinuousMonitor:
     def test_current_result(self, simulation):
         monitor = ContinuousQueryMonitor(simulation.pf_engine)
         monitor.add_range_query("whole", simulation.plan.bounds)
-        monitor.tick(simulation.now, rng=simulation.pf_rng)
+        monitor.tick(simulation.now)
         assert monitor.current_result("whole")
         assert monitor.current_result("ghost") == {}
         simulation.pf_engine.clear_queries()

@@ -478,9 +478,8 @@ class TestStandingKnnIsLocatedOnce:
         )
         engine.register_knn_query(KNNQuery("k", sim.readers[3].position, 3))
         calls = _count_locates(monkeypatch, engine.graph)
-        rng = np.random.default_rng(0)
         for batch in ReplaySource(readings).batches():
-            engine.step(batch.second, batch.readings, rng=rng)
+            engine.step(batch.second, batch.readings)
         assert engine.collector.observed_objects()
         assert len(calls) == 1
 

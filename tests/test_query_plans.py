@@ -405,7 +405,7 @@ class TestLifecycle:
         engine.evaluate(0)
         kept = dict(engine._plans)
         snapshot = engine._evaluate_alone(
-            engine.evaluate, 0, None, [], [KNNQuery("adhoc", Point(5, 5), 1)]
+            engine.evaluate, 0, [], [KNNQuery("adhoc", Point(5, 5), 1)]
         )
         assert list(snapshot.knn_results) == ["adhoc"]
         assert engine._plans == kept

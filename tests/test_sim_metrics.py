@@ -123,6 +123,15 @@ class TestRangeQueryKl:
     def test_empty_truth_returns_none(self):
         assert range_query_kl(set(), {"a": 1.0}, ["a"]) is None
 
+    def test_value_does_not_depend_on_iteration_order(self):
+        # These three terms sum to different doubles forwards and
+        # backwards; a set of ids iterates in string-hash order, which
+        # changes from process to process.
+        result = {"a": 0.9, "b": 0.3, "c": 0.11}
+        forwards = range_query_kl(["a", "b", "c"], result, [], epsilon=0.01)
+        backwards = range_query_kl(["c", "b", "a"], result, [], epsilon=0.01)
+        assert forwards == backwards
+
     def test_normalized_by_truth_size(self):
         one = range_query_kl({"a"}, {"a": 0.5}, ["a"], epsilon=0.01)
         two = range_query_kl(
