@@ -11,7 +11,6 @@ why particle filters beat the symbolic model).
 Run:  python examples/tracking_walkthrough.py
 """
 
-import numpy as np
 
 from repro import DEFAULT_CONFIG
 from repro.core import (
@@ -60,7 +59,6 @@ def main() -> None:
 
     # The person walks right at ~1 m/s starting at x=9 (inside d2's range).
     print("true trajectory: x = 9 + t (hallway y=5), readers at x=3, 10, 17\n")
-    rng = np.random.default_rng(1)
     for second in range(0, 11):
         x = 9.0 + second
         readings = [
@@ -73,7 +71,7 @@ def main() -> None:
         history = collector.history("o1")
         if history.is_empty:
             continue
-        result = pf.run(history, current_second=second, rng=rng)
+        result = pf.run(history, current_second=second, seed=1)
         (distribution,) = particles_to_anchor_distribution(
             [result.particles], compiled_anchors
         )

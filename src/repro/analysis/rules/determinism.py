@@ -1,8 +1,9 @@
 """DET — all randomness flows through seeded, labeled generator factories.
 
-The per-object determinism guarantee holds because every filter run
-draws from a private ``child_rng(seed, "pf:{second}:{object_id}")``
-stream. One call into process-global RNG state — ``random.random()``,
+The per-object determinism guarantee holds because every filter draw
+is keyed by ``(seed, object, stepped second)`` (``repro.rng.CounterDraws``)
+and every other stream comes from a seeded, labeled ``child_rng``. One
+call into process-global RNG state — ``random.random()``,
 ``np.random.seed()``, an unseeded ``Random()`` — reintroduces
 cross-object coupling and makes results depend on partition count and
 thread interleaving.

@@ -5,8 +5,9 @@ cannot see is a generator constructed two modules away and handed down a
 call chain. The per-object determinism guarantee needs the stronger,
 whole-program statement: **every RNG object reaching
 ``repro.core`` / ``repro.filters`` / ``repro.service`` derives from the
-seeded ``repro.rng`` factories** (``make_rng`` / ``child_rng`` /
-``filter_run_rng`` / ``filter_run_rngs``).
+seeded ``repro.rng`` sources**: the generator factories (``make_rng`` /
+``child_rng``) and the particle filter's counter-based draws
+(``CounterDraws``, keyed by ``object_words(seed, ids)``).
 
 The analysis assigns every project function a *return provenance* in a
 three-point lattice — ``RAW`` (constructs or forwards a generator from
@@ -46,14 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Packages whose code every reaching RNG must have seeded provenance.
 FILTER_EXECUTOR_PACKAGES = ("core", "filters", "service")
 
-#: The sanctioned seeded factories.
+#: The sanctioned seeded sources.
 SANCTIONED = frozenset(
     {
         "repro.rng.make_rng",
         "repro.rng.child_rng",
         "repro.rng.child_seed",
-        "repro.rng.filter_run_rng",
-        "repro.rng.filter_run_rngs",
+        "repro.rng.object_words",
+        "repro.rng.CounterDraws",
+        "repro.rng.CounterDraws.at",
     }
 )
 
@@ -96,7 +98,7 @@ class SeedProvenanceRule:
         invariant=(
             "every RNG object reaching repro.core / repro.filters / "
             "repro.service derives from the seeded repro.rng factories "
-            "(make_rng / child_rng / filter_run_rng / filter_run_rngs), "
+            "(make_rng / child_rng, or CounterDraws keyed by object_words), "
             "across call and module boundaries"
         ),
         severity=Severity.ERROR,
@@ -255,7 +257,7 @@ class SeedProvenanceRule:
                             node,
                             f"RNG without repro.rng provenance created in "
                             f"filter/executor code via {label}; derive it "
-                            "with repro.rng.child_rng/filter_run_rng",
+                            "with repro.rng.child_rng or repro.rng.CounterDraws",
                         )
                     )
                 findings.extend(

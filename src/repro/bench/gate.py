@@ -11,9 +11,17 @@ Each tree runs in its own interpreter with only its ``src`` on
 ``PYTHONPATH``, through the one call both trees share
 (:func:`repro.sim.experiments.evaluate_accuracy`), so the parent needs
 no gate code of its own. A check fails when this tree's median range KL
-(lower is better) or kNN hit rate (higher is better) is worse than the
-parent's median by more than the parent's interquartile range across
-seeds: a move the parent's own seed-to-seed spread does not cover.
+(lower is better), kNN hit rate (higher is better) or error correlation
+(lower is better) is worse than the parent's median by more than the
+parent's interquartile range across seeds: a move the parent's own
+seed-to-seed spread does not cover.
+
+The error correlation guards the random stream itself: it is the mean
+pairwise correlation, across objects, of each object's localization
+error (the posterior's expected distance to the true position) sampled
+every ``ERROR_STRIDE`` seconds over a separate run of the same world. A
+stream that passed on the accuracy medians by being biased the same way
+for every object would raise it.
 """
 
 from __future__ import annotations
@@ -32,21 +40,53 @@ from repro.sim.experiments import SCALES, format_rows
 #: What each tree's interpreter runs: one JSON line per (point, seed).
 WORKER = r"""
 import json, sys
+import numpy as np
 import repro
+from repro.sim import Simulation
 from repro.sim.experiments import SCALES, evaluate_accuracy
+
+
+def error_correlation(config, stride):
+    sim = Simulation(config, build_symbolic=False)
+    anchors = sim.pf_engine.anchor_index
+    stamps = list(range(config.warmup_seconds,
+                        config.warmup_seconds + config.duration_seconds + 1, stride))
+    errors = {}
+    for second in stamps:
+        sim.run_until(second)
+        truth = sim.true_positions()
+        table = sim.pf_engine.locations_snapshot(second)
+        for obj in table.objects():
+            errors.setdefault(obj, []).append(sum(
+                p * anchors.anchor(ap).point.distance_to(truth[obj])
+                for ap, p in table.distribution_of(obj).items()
+            ))
+    rows = np.array([row for row in errors.values() if len(row) == len(stamps)])
+    rows = rows[rows.std(axis=1) > 0]
+    if len(rows) < 2:
+        return None
+    matrix = np.corrcoef(rows)
+    return float(matrix[~np.eye(len(rows), dtype=bool)].mean())
+
+
 job = json.loads(sys.argv[1])
 print(json.dumps({"package": repro.__file__}), flush=True)
 base = SCALES[job["scale"]].config
 for seed in job["seeds"]:
     for point, overrides in job["points"]:
-        report = evaluate_accuracy(
-            base.with_overrides(seed=seed, **overrides), measure_topk=False
-        )
-        print(json.dumps([point, seed, report.range_kl_pf, report.knn_hit_pf]), flush=True)
+        config = base.with_overrides(seed=seed, **overrides)
+        report = evaluate_accuracy(config, measure_topk=False)
+        correlation = error_correlation(config, job["stride"])
+        print(json.dumps(
+            [point, seed, report.range_kl_pf, report.knn_hit_pf, correlation]
+        ), flush=True)
 """
 
 #: The gated metrics: (name, True when lower is better).
-METRICS = (("range_kl", True), ("knn_hit", False))
+METRICS = (("range_kl", True), ("knn_hit", False), ("error_corr", True))
+
+#: Seconds between the localization-error samples of the correlation check.
+ERROR_STRIDE = 10
 
 PARENT_PARTICLES = 64
 
@@ -105,7 +145,7 @@ def _launch(src: Path, job: dict) -> "subprocess.Popen[str]":
 
 def _collect(
     name: str, src: Path, process: "subprocess.Popen[str]"
-) -> Dict[Tuple[str, int], Tuple[float, float]]:
+) -> Dict[Tuple[str, int], Tuple[float, ...]]:
     out, _ = process.communicate()
     if process.returncode != 0:
         raise GateError(f"the {name} side exited {process.returncode}")
@@ -113,12 +153,12 @@ def _collect(
     package = Path(json.loads(lines[0])["package"]).resolve()
     if src not in package.parents:
         raise GateError(f"the {name} side imported {package}, not its tree's {src}")
-    values: Dict[Tuple[str, int], Tuple[float, float]] = {}
+    values: Dict[Tuple[str, int], Tuple[float, ...]] = {}
     for line in lines[1:]:
-        point, seed, range_kl, knn_hit = json.loads(line)
-        if range_kl is None or knn_hit is None:
+        point, seed, *measured = json.loads(line)
+        if any(value is None for value in measured):
             raise GateError(f"the {name} side measured nothing at {point}, seed {seed}")
-        values[point, seed] = (float(range_kl), float(knn_hit))
+        values[point, seed] = tuple(float(value) for value in measured)
     return values
 
 
@@ -144,6 +184,7 @@ def run_gate(
                 "scale": scale,
                 "seeds": seed_list,
                 "points": gate_points(scale, count),
+                "stride": ERROR_STRIDE,
             }
             sides[name] = (src, _launch(src, job))
         results = {name: _collect(name, src, process) for name, (src, process) in sides.items()}

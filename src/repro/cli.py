@@ -1552,7 +1552,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 telemetry_interval=args.telemetry_interval,
             )
         except GatewayCompatibilityError as exc:
-            raise SystemExit(f"repro: error: {exc}") from None
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
         specs = list(coordinator.tenants.values())
         print(
             f"restored {len(specs)} tenant(s) from {args.restore} "

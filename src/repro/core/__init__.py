@@ -17,8 +17,8 @@ package provides:
 * :func:`particles_to_anchor_distribution` — anchor-point discretization;
 * :class:`PreprocessingModule` — the particle filter-based preprocessing
   module that fills the ``APtoObjHT`` table for candidate objects;
-* :class:`FilterExecutor` — a preprocessing module on the per-object
-  ``(seed, second, object)`` streams: the one filter-tick path of the
+* :class:`FilterExecutor` — a preprocessing module with the seed that
+  keys every draw by ``(seed, object, stepped second)``: the one filter-tick path of the
   query engine, the tracking service and the gateway workers.
 """
 

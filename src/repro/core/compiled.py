@@ -26,9 +26,8 @@ class CompiledGraph:
     Edges are indexed by their ``edge_id`` (which the builder assigns
     densely from 0). Polyline edges are flattened into a global leg table
     so that 2-D points for ``(edge, offset)`` pairs can be computed fully
-    vectorized. The edge-crossing walk of the motion model runs in plain
-    Python, so :attr:`crossings` tabulates the choices at every junction
-    once, as Python lists per edge and direction.
+    vectorized. :attr:`crossings` tabulates the choices at every junction
+    once, per edge and direction, for the motion model's crossing walk.
     """
 
     def __init__(self, graph: WalkingGraph):
@@ -146,8 +145,7 @@ class Crossings:
     """What a particle meets at the far end of its edge, per heading.
 
     A heading is an edge and a direction, encoded as the key ``2 * edge +
-    (direction > 0)``. The lists below are indexed by key, so the motion
-    model's crossing walk reads each with one list lookup:
+    (direction > 0)``. The lists below are indexed by key:
 
     * :attr:`far` — the offset of the node the heading runs into (the
       edge's length, or 0.0), and :attr:`sign` — the direction;
@@ -163,27 +161,15 @@ class Crossings:
     U-turns) unless the node is a dead end, and one remaining edge is
     forced; otherwise the door and hallway edges form the pools.
 
-    The same law as arrays, for the walk's stack path: :attr:`far_array`,
-    :attr:`sign_array` and :attr:`length_array` mirror the lists, and
-    :attr:`kind` sorts each heading by what a crosser draws at its node:
-
-    * :data:`FORCED` — nothing, it takes the forced entry;
-    * :data:`ROOM` — nothing, it dwells;
-    * :data:`COIN` — one door and one hallway: one ``random()``;
-    * :data:`PICK` — one pool of two or more: one ``integers(n)``;
-    * :data:`OTHER` — doors and hallways with two or more in a pool.
-
-    Row ``key`` of :attr:`entries` lists the entry keys a crosser can take
-    (the forced one; the door then the hallway; the pool), padded with 0,
-    and :attr:`pool_size` counts them. An entry's offset is
-    ``far_array[entry ^ 1]``: 0.0 heading forward, the length heading
-    back. :attr:`reach` is the length of the shortest entry edge, so a
-    crosser with no more than that left stops on its entry edge
-    whichever it takes; it is ``+inf`` at rooms and ``-inf`` for
-    :data:`OTHER`, whose crossers the walk never batches.
+    The same law as arrays, for the walk's array passes: :attr:`far_array`,
+    :attr:`sign_array`, :attr:`length_array` and :attr:`room_array`
+    mirror the lists. Row ``key`` of :attr:`pools` lists the entry keys a
+    crosser can take: the door pool then the hallway pool, or the forced
+    entry alone (counted as a hallway pool of one), padded with 0;
+    :attr:`door_count` and :attr:`hallway_count` size the two pools. An
+    entry's offset is ``far_array[entry ^ 1]``: 0.0 heading forward, the
+    length heading back.
     """
-
-    FORCED, ROOM, COIN, PICK, OTHER = range(5)
 
     def __init__(self, compiled: "CompiledGraph", adjacency: List[List[int]]) -> None:
         lengths: List[float] = compiled.edge_length.tolist()
@@ -222,40 +208,20 @@ class Crossings:
                 self.doors.append([entry(e, node) for e in onward if is_door[e]])
                 self.hallways.append([entry(e, node) for e in onward if not is_door[e]])
 
-        kinds: List[int] = []
-        pools: List[List[int]] = []
-        for room, forced, doors, hallways in zip(
-            self.room, self.forced, self.doors, self.hallways
-        ):
-            if forced is not None:
-                kinds.append(self.FORCED)
-                pools.append([forced[0]])
-            elif room:
-                kinds.append(self.ROOM)
-                pools.append([])
-            elif len(doors) == len(hallways) == 1:
-                kinds.append(self.COIN)
-                pools.append([doors[0][0], hallways[0][0]])
-            elif not (doors and hallways):
-                kinds.append(self.PICK)
-                pools.append([key for key, _ in doors or hallways])
-            else:
-                kinds.append(self.OTHER)
-                pools.append([])
+        pools = [
+            [forced[0]] if forced is not None else [key for key, _ in doors + hallways]
+            for forced, doors, hallways in zip(self.forced, self.doors, self.hallways)
+        ]
         width = max([1, *map(len, pools)])
         self.far_array = np.array(self.far)
         self.sign_array = np.array(self.sign, dtype=np.int8)
         self.length_array = np.array(self.length)
-        self.kind = np.array(kinds, dtype=np.int8)
-        self.pool_size = np.array([len(pool) for pool in pools], dtype=np.int64)
-        self.entries = np.array([pool + [0] * (width - len(pool)) for pool in pools], dtype=np.int64)
-        # The shortest entry edge: +inf past the pool, so rooms read +inf.
-        self.reach = np.where(
-            np.arange(width) < self.pool_size[:, None],
-            self.length_array[self.entries],
-            np.inf,
-        ).min(axis=1)
-        self.reach[self.kind == self.OTHER] = -np.inf
+        self.room_array = np.array(self.room, dtype=bool)
+        self.pools = np.array([pool + [0] * (width - len(pool)) for pool in pools], dtype=np.int64)
+        self.door_count = np.array([len(doors) for doors in self.doors], dtype=np.int64)
+        self.hallway_count = np.array(
+            [len(pool) - len(doors) for pool, doors in zip(pools, self.doors)], dtype=np.int64
+        )
 
 
 class CompiledAnchors:

@@ -4,10 +4,15 @@ Particles move forward with constant per-particle speeds drawn from
 ``N(1 m/s, 0.1)``, choose a random direction at intersections, and enter /
 leave rooms: a particle that reaches a room node dwells there and moves
 out with probability 0.1 per second (Algorithm 2, lines 8-16).
+
+Every draw comes from a :class:`~repro.rng.CounterDraws` over the stack
+being stepped, so each operation below is one array pass over every
+block, and a block draws the same values alone or in any stack.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,7 +20,7 @@ import numpy as np
 from repro.geometry import Circle
 from repro.core.compiled import CompiledGraph
 from repro.core.particles import ParticleSet
-from repro.rng import RngLike, make_rng
+from repro.rng import CounterDraws, Draw
 
 #: Scan resolution (meters) when enumerating edge positions inside a circle.
 _INIT_SCAN_STEP = 0.25
@@ -23,10 +28,6 @@ _INIT_SCAN_STEP = 0.25
 #: Cap on edge hops per particle per step; at >= 0.05 m/s minimum speed and
 #: 1 s steps a particle can never legitimately cross this many edges.
 _MAX_HOPS = 64
-
-#: Crossers in one ``step`` from which the walk runs as array passes over
-#: the stack; fewer (a lone cloud, a replay tail) take the scalar walk.
-_STACK_MIN_CROSSERS = 64
 
 
 class GraphMotionModel:
@@ -55,17 +56,65 @@ class GraphMotionModel:
         self.min_speed = min_speed
         #: Seed sets per circle, filled lazily by :meth:`positions_in_circle`.
         self._seed_sets: Dict[Circle, Tuple[np.ndarray, np.ndarray]] = {}
+        self._law = self._junction_law(compiled, door_entry_probability)
+        #: Per heading: the offset a crosser enters it at (its far end's
+        #: opposite: 0.0 heading forward, the length heading back).
+        self._entry_offset = compiled.crossings.far_array[
+            np.arange(len(compiled.crossings.far)) ^ 1
+        ]
+        # Per edge, where a room leaver starts: the room end, heading out.
+        into_b = compiled.node_is_room[compiled.edge_node_b]
+        self._exit_offset = np.where(into_b, compiled.edge_length, 0.0)
+        self._exit_direction = np.where(into_b, -1, 1).astype(np.int8)
+
+    @staticmethod
+    def _junction_law(compiled: CompiledGraph, door_probability: float) -> np.ndarray:
+        """Per heading, one row of what a crosser meets at the far node.
+
+        Columns: ``0`` the far node's offset, ``1`` the direction, ``2``
+        the edge length, ``3`` whether the node is a room; then how one
+        uniform ``u`` picks the entry (:meth:`_cross`): ``4`` the door
+        threshold ``t`` (``u < t`` takes the door pool: the door
+        probability when both pools are offered, 1 for doors only, 0 for
+        hallways only or a forced entry), ``5`` and ``6`` the spans
+        ``doors / t`` and ``hallways / (1 - t)`` that stretch ``u``'s
+        share of [0, 1) over its pool, ``7`` the door pool's last column,
+        ``8`` the hallway pool's last column and ``9`` its first (the
+        door count).
+        """
+        crossings = compiled.crossings
+        doors = crossings.door_count.astype(np.float64)
+        hallways = crossings.hallway_count.astype(np.float64)
+        threshold = np.where(
+            (doors > 0) & (hallways > 0), door_probability, np.where(doors > 0, 1.0, 0.0)
+        )
+        door_span = np.divide(doors, threshold, out=np.zeros_like(threshold), where=threshold > 0.0)
+        hallway_span = np.divide(
+            hallways, 1.0 - threshold, out=np.zeros_like(threshold), where=threshold < 1.0
+        )
+        return np.stack([
+            crossings.far_array, crossings.sign_array, crossings.length_array,
+            crossings.room_array, threshold, door_span, hallway_span,
+            doors - 1.0, doors + hallways - 1.0, doors,
+        ], axis=1).astype(np.float64)
 
     # ------------------------------------------------------------------
     # initialization
     # ------------------------------------------------------------------
-    def draw_speeds(self, n: int, rng: RngLike = None) -> np.ndarray:
-        """Speeds ~ N(mean, std), floored at ``min_speed``."""
-        generator = make_rng(rng)
-        return np.maximum(
-            generator.normal(self.speed_mean, self.speed_std, size=n),
-            self.min_speed,
-        )
+    def draw_speeds(
+        self, draws: CounterDraws, rows: Optional[np.ndarray] = None, hop: int = 0
+    ) -> np.ndarray:
+        """Speeds ~ N(mean, std) for ``rows`` of the stack, floored at ``min_speed``.
+
+        Box-Muller from the rows' ``SPEED_RADIUS`` and ``SPEED_ANGLE``
+        uniforms at ``hop`` (0 when seeding, 1 when leaving a room).
+        """
+        radius, angle = draws.uniforms(Draw.SPEED_RADIUS, rows, hop, width=2)
+        return self._speeds(radius, angle)
+
+    def _speeds(self, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+        normal = np.sqrt(-2.0 * np.log1p(-radius)) * np.cos(2.0 * math.pi * angle)
+        return np.maximum(self.speed_mean + self.speed_std * normal, self.min_speed)
 
     def positions_in_circle(self, circle: Circle) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate ``(edge_ids, offsets)`` positions inside ``circle``.
@@ -109,117 +158,104 @@ class GraphMotionModel:
         self._seed_sets[circle] = (edge_array, offset_array)
         return edge_array, offset_array
 
-    def initialize_in_circle(
-        self, n: int, circle: Circle, rng: RngLike = None
+    def initialize_in_circles(
+        self, circles: Sequence[Circle], draws: CounterDraws
     ) -> ParticleSet:
-        """Seed ``n`` particles uniformly on the graph within ``circle``.
+        """Seed one block of ``draws.size`` particles per circle, in one pass.
 
-        Each particle picks a random direction and a Gaussian speed. If
-        the circle misses the graph entirely (malformed deployment), the
-        particles collapse onto the closest graph location instead of
-        failing, so the filter stays usable.
+        Block ``b`` lies uniformly on the graph within ``circles[b]`` and
+        draws from block ``b`` of ``draws``: a seed position among the
+        circle's candidates, a jitter of up to half a scan step, a random
+        direction and a Gaussian speed. If a circle misses the graph
+        entirely (malformed deployment), its block collapses onto the
+        closest graph location instead of failing, so the filter stays
+        usable.
         """
-        generator = make_rng(rng)
-        cand_edge, cand_offset = self.positions_in_circle(circle)
-        particles = ParticleSet.empty(n)
-        if len(cand_edge):
-            picks = generator.integers(0, len(cand_edge), size=n)
-            jitter = generator.uniform(-_INIT_SCAN_STEP / 2, _INIT_SCAN_STEP / 2, size=n)
-            edge = cand_edge[picks]
+        size = draws.size
+        unique = list(dict.fromkeys(circles))
+        sets = [self.positions_in_circle(circle) for circle in unique]
+        counts = np.array([len(edges) for edges, _ in sets], dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        which = np.array([unique.index(circle) for circle in circles], dtype=np.int64)
+        count = np.repeat(counts[which], size)
+        particles = ParticleSet.empty(len(circles) * size)
+        pick, jitter, direction, radius, angle = draws.uniforms(Draw.INIT_PICK, width=5)
+        picks = np.repeat(starts[which], size) + np.minimum(
+            (pick * count).astype(np.int64), count - 1
+        )
+        jitter = (jitter - 0.5) * _INIT_SCAN_STEP
+        if counts.all():
+            edge = np.concatenate([edges for edges, _ in sets])[picks]
             particles.edge[:] = edge
             particles.offset[:] = np.minimum(
-                np.maximum(cand_offset[picks] + jitter, 0.0),
+                np.maximum(np.concatenate([offsets for _, offsets in sets])[picks] + jitter, 0.0),
                 self.compiled.edge_length[edge],
             )
         else:
-            loc, _ = self.compiled.graph.locate(circle.center)
-            particles.edge[:] = loc.edge_id
-            particles.offset[:] = loc.offset
-        particles.direction[:] = np.where(
-            generator.random(n) < 0.5, 1, -1
-        ).astype(np.int8)
-        particles.speed[:] = self.draw_speeds(n, generator)
-        particles.dwelling[:] = False
-        particles.weight[:] = 1.0 / max(n, 1)
+            for block, circle in enumerate(circles):
+                rows = slice(block * size, (block + 1) * size)
+                edges, offsets = sets[which[block]]
+                if len(edges):
+                    local = picks[rows] - starts[which[block]]
+                    particles.edge[rows] = edges[local]
+                    particles.offset[rows] = np.minimum(
+                        np.maximum(offsets[local] + jitter[rows], 0.0),
+                        self.compiled.edge_length[edges[local]],
+                    )
+                else:
+                    loc, _ = self.compiled.graph.locate(circle.center)
+                    particles.edge[rows] = loc.edge_id
+                    particles.offset[rows] = loc.offset
+        particles.direction[:] = np.where(direction < 0.5, 1, -1)
+        particles.speed[:] = self._speeds(radius, angle)
+        particles.weight[:] = 1.0 / max(size, 1)
         return particles
 
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def step(
-        self,
-        particles: ParticleSet,
-        rngs: Sequence[np.random.Generator],
-        dt: float = 1.0,
-    ) -> None:
+    def step(self, particles: ParticleSet, draws: CounterDraws, dt: float = 1.0) -> None:
         """Advance every particle by ``dt`` seconds, in place.
 
-        ``particles`` is a stack of ``len(rngs)`` equal blocks of rows, one
-        per object; a single cloud passes ``[rng]``. Block ``b`` draws
-        only from ``rngs[b]``, in row order, so each block draws exactly
-        what it would draw stepped alone.
+        ``particles`` is a stack of ``len(draws)`` equal blocks of rows,
+        one per object, and row ``r`` draws only row ``r``'s uniforms.
         """
-        compiled = self.compiled
-        size = len(particles) // len(rngs)
-
         # 1. Dwelling particles decide whether to leave their room.
-        if particles.dwelling.any():
-            self._exit_rooms(particles, np.nonzero(particles.dwelling)[0], rngs, size)
+        dwellers = particles.dwelling.nonzero()[0]
+        if len(dwellers):
+            self._exit_rooms(particles, dwellers, draws)
 
         # 2. Vectorized move for particles that stay on their edge.
         moving = ~particles.dwelling
-        distance = particles.speed * dt
+        distance = particles.speed if dt == 1.0 else particles.speed * dt
         tentative = particles.offset + particles.direction * distance
-        lengths = compiled.edge_length[particles.edge]
+        lengths = self.compiled.edge_length[particles.edge]
         stays = moving & (tentative >= 0.0) & (tentative <= lengths)
         np.copyto(particles.offset, tentative, where=stays)
 
         # 3. Walk the edge crossers across node transitions (``stays``
         # is a subset of ``moving``, so ``^`` leaves the movers that left).
-        crossers = np.nonzero(moving ^ stays)[0]
+        crossers = (moving ^ stays).nonzero()[0]
         if len(crossers):
-            self._cross(particles, crossers, distance[crossers], rngs, size)
+            self._cross(particles, crossers, distance[crossers], draws)
 
     def _exit_rooms(
-        self,
-        particles: ParticleSet,
-        dwelling_rows: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        size: int,
+        self, particles: ParticleSet, dwelling_rows: np.ndarray, draws: CounterDraws
     ) -> None:
         """Move the dwellers that leave their room onto their door edge.
 
-        Each block with dwellers draws, from its own generator, one
-        uniform per dweller and then one speed per leaver (one
-        ``normal(size=k)`` call yields exactly the values of ``k``
-        size-1 calls). A leaver heads out of the room: a dweller sits at
-        the room end of a door edge.
+        A dweller leaves when its ``EXIT`` uniform is below the exit
+        probability, and takes a fresh speed (hop 1 of the speed
+        draws). It heads out of the room: a dweller sits at the room end
+        of a door edge.
         """
-        if len(rngs) == 1:
-            groups = [(dwelling_rows, rngs[0])]
-        else:
-            owners = dwelling_rows // size
-            cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
-            groups = [
-                (dwelling_rows[start:stop], rngs[int(owners[start])])
-                for start, stop in zip(cuts, cuts[1:])
-            ]
-        leavers = []
-        speeds = []
-        for rows, generator in groups:
-            exits = rows[generator.random(len(rows)) < self.room_exit_probability]
-            if len(exits):
-                leavers.append(exits)
-                speeds.append(self.draw_speeds(len(exits), generator))
-        if not leavers:
+        rows = dwelling_rows[draws.uniforms(Draw.EXIT, dwelling_rows) < self.room_exit_probability]
+        if not len(rows):
             return
-        rows = leavers[0] if len(leavers) == 1 else np.concatenate(leavers)
-        compiled = self.compiled
         edge = particles.edge[rows]
-        into_b = compiled.node_is_room[compiled.edge_node_b[edge]]
-        particles.offset[rows] = np.where(into_b, compiled.edge_length[edge], 0.0)
-        particles.direction[rows] = np.where(into_b, -1, 1)
-        particles.speed[rows] = speeds[0] if len(speeds) == 1 else np.concatenate(speeds)
+        particles.offset[rows] = self._exit_offset[edge]
+        particles.direction[rows] = self._exit_direction[edge]
+        particles.speed[rows] = self.draw_speeds(draws, rows, hop=1)
         particles.dwelling[rows] = False
 
     def _cross(
@@ -227,194 +263,73 @@ class GraphMotionModel:
         particles: ParticleSet,
         rows: np.ndarray,
         distance: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        size: int,
+        draws: CounterDraws,
     ) -> None:
-        """Walk each crosser until its ``distance`` is spent, in row order.
+        """Walk each crosser until its ``distance`` is spent, hop-major.
 
-        A particle that reaches a room node dwells there. At a hallway
-        node it continues on an edge read from the per-heading
-        :attr:`CompiledGraph.crossings`.
+        Each pass takes every row still walking to its far node. A row
+        that stops short settles there; one that reaches a room node
+        dwells; the rest continue on an entry of
+        :attr:`CompiledGraph.crossings` with what is left of their
+        distance. A row still walking after ``_MAX_HOPS`` passes stays at
+        the start of its last entry.
+
         The paper's model is "particles pick a random direction at
         intersections"; a uniform choice over incident edges would send a
         particle through every door with probability ~1/2, far more often
         than people actually enter rooms. We therefore bias the choice:
         with probability ``door_entry_probability`` the particle turns
         into a (random) door spur when one is available, otherwise it
-        continues on a random hallway edge. A pool of one edge is taken
-        without a draw: ``rng.integers(1)`` would not advance the
-        generator anyway. Row ``r`` draws from ``rngs[r // size]``.
-
-        From ``_STACK_MIN_CROSSERS`` crossers on, :meth:`_cross_stack`
-        moves the rows that cross at most one node in array passes and
-        hands the rest to the same scalar :meth:`_walk`.
+        continues on a random hallway edge. One ``WALK`` uniform per row
+        and hop decides both: ``u`` below the heading's door threshold
+        ``t`` takes the door pool, and ``u``'s place in its share of
+        [0, 1), stretched over the pool (:meth:`_junction_law`), picks
+        the entry. A forced entry is a hallway pool of one, which the
+        uniform cannot change.
         """
-        if len(rows) >= _STACK_MIN_CROSSERS:
-            self._cross_stack(particles, rows, distance, rngs, size)
-            return
-        generators = (
-            [rngs[owner] for owner in (rows // size).tolist()] if len(rngs) > 1
-            else rngs * len(rows)
-        )
-        edges, offsets, directions, dwelling = self._walk(
-            (particles.edge[rows] * 2 + (particles.direction[rows] > 0)).tolist(),
-            particles.offset[rows].tolist(),
-            distance.tolist(),
-            generators,
-        )
-        particles.edge[rows] = edges
-        particles.offset[rows] = offsets
-        particles.direction[rows] = directions
-        if dwelling is not None:  # crossers were moving, so their flags are all False
-            particles.dwelling[rows] = dwelling
-
-    def _walk(
-        self,
-        keys: List[int],
-        offsets: List[float],
-        distances: List[float],
-        generators: Sequence[np.random.Generator],
-    ) -> Tuple[List[int], List[float], List[int], Optional[List[bool]]]:
-        """The scalar crossing walk of :meth:`_cross`, one row at a time.
-
-        Row ``i`` starts on heading ``keys[i]`` at ``offsets[i]`` and
-        draws from ``generators[i]``. Returns the rows' edges, offsets
-        (the ``offsets`` list, updated) and directions, and their
-        dwelling flags, or ``None`` when no row reached a room.
-        """
-        crossings = self.compiled.crossings
-        far = crossings.far
-        sign = crossings.sign
-        length = crossings.length
-        room = crossings.room
-        forced = crossings.forced
-        door_pools = crossings.doors
-        hallway_pools = crossings.hallways
-        door_probability = self.door_entry_probability
-        edges = [0] * len(keys)
-        directions = [0] * len(keys)
-        dwelling = [False] * len(keys)
-        dwelled = False
-
-        for i, remaining in enumerate(distances):
-            key, offset = keys[i], offsets[i]
-            for _ in range(_MAX_HOPS):
-                # Distance to the far node: length - offset heading
-                # forward, offset heading back ((0.0 - offset) * -1, exact).
-                space = (far[key] - offset) * sign[key]
-                if remaining <= space + 1e-12:
-                    offset += sign[key] * remaining
-                    if offset < 0.0:
-                        offset = 0.0
-                    elif offset > length[key]:
-                        offset = length[key]
-                    break
-                remaining -= space
-                entry = forced[key]
-                if entry is None:
-                    if room[key]:
-                        offset = far[key]
-                        dwelling[i] = dwelled = True
-                        break
-                    doors, hallways = door_pools[key], hallway_pools[key]
-                    if doors and hallways:
-                        draw = generators[i].random()
-                        pool = doors if draw < door_probability else hallways
-                    else:
-                        pool = doors or hallways
-                    entry = (
-                        pool[0] if len(pool) == 1
-                        else pool[generators[i].integers(len(pool))]
-                    )
-                key, offset = entry
-            edges[i], offsets[i], directions[i] = key >> 1, offset, sign[key]
-        return edges, offsets, directions, (dwelling if dwelled else None)
-
-    def _cross_stack(
-        self,
-        particles: ParticleSet,
-        rows: np.ndarray,
-        distance: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        size: int,
-    ) -> None:
-        """:meth:`_cross` for many crossers, with every draw of the walk.
-
-        One array pass takes each row to its far node with the walk's own
-        expressions. A row that stops short, dwells, or crosses a
-        ``FORCED``, ``COIN`` or ``PICK`` node with no more than its
-        heading's ``reach`` left moves by gathers; the rest (``OTHER``
-        nodes, and rows that may cross a second node) take :meth:`_walk`.
-        The draws then go out in row order: each run of consecutive
-        ``COIN`` rows of one block takes one ``random(k)`` call (as
-        ``random(out=...)``), which yields the values, and leaves the
-        state, of ``k`` ``random()`` calls; a ``PICK`` row takes its
-        ``integers(n)`` and a walked row its own draws at their turn.
-        """
-        crossings = self.compiled.crossings
+        law = self._law
         key = particles.edge[rows] * 2 + (particles.direction[rows] > 0)
         offset = particles.offset[rows]
-        far = crossings.far_array[key]
-        space = (far - offset) * crossings.sign_array[key]
-        stops = distance <= space + 1e-12
-        remaining = distance - space
-        kind = crossings.kind[key]
-        dwelling = ~stops & (kind == crossings.ROOM)
-        hops = ~(stops | dwelling)
-        walked = hops & (remaining > crossings.reach[key])
-        moved = hops & ~walked
-        coin = moved & (kind == crossings.COIN)
-        drawers = np.flatnonzero(coin | (moved & (kind == crossings.PICK)) | walked)
+        dwelling = np.zeros(len(rows), dtype=bool)
+        walking = np.arange(len(rows))
+        heading, start, left = key, offset, distance
+        for hop in range(_MAX_HOPS):
+            at = law[heading]
+            sign = at[:, 1]
+            space = (at[:, 0] - start) * sign
+            stops = left <= space + 1e-12
+            stopped = np.count_nonzero(stops)
+            if stopped:
+                ends = np.minimum(np.maximum(start + sign * left, 0.0), at[:, 2])
+                if stopped == len(walking):
+                    offset[walking] = ends
+                    break
+                offset[walking[stops]] = ends[stops]
+                go = ~stops
+                walking, heading, left, space, at = (
+                    walking[go], heading[go], left[go], space[go], at[go]
+                )
+            left = left - space
+            room = at[:, 3] > 0.0
+            if np.count_nonzero(room):
+                offset[walking[room]] = at[room, 0]
+                dwelling[walking[room]] = True
+                go = ~room
+                walking, heading, left, at = walking[go], heading[go], left[go], at[go]
+                if not len(walking):
+                    break
+            u = draws.uniforms(Draw.WALK, rows[walking], hop)
+            threshold = at[:, 4]
+            door = u < threshold
+            stretched = np.where(door, u * at[:, 5], (u - threshold) * at[:, 6] + at[:, 9])
+            column = np.minimum(stretched, np.where(door, at[:, 7], at[:, 8]))
+            heading = self.compiled.crossings.pools[heading, column.astype(np.int64)]
+            start = self._entry_offset[heading]
+            key[walking] = heading
+            offset[walking] = start
 
-        column = np.zeros(len(rows), dtype=np.int64)
-        walks = []
-        if len(drawers):
-            owners = rows[drawers] // size
-            batched = coin[drawers]
-            fresh = np.ones(len(drawers), dtype=bool)
-            fresh[1:] = ~(batched[1:] & batched[:-1] & (owners[1:] == owners[:-1]))
-            starts = np.flatnonzero(fresh)
-            uniforms = np.zeros(len(drawers))
-            picks = np.zeros(len(drawers), dtype=np.int64)
-            for start, stop, owner, batch, pool_size, walk in zip(
-                starts.tolist(),
-                [*starts[1:].tolist(), len(drawers)],
-                owners[starts].tolist(),
-                batched[starts].tolist(),
-                crossings.pool_size[key[drawers[starts]]].tolist(),
-                walked[drawers[starts]].tolist(),
-            ):
-                generator = rngs[owner]
-                if batch:
-                    generator.random(out=uniforms[start:stop])
-                elif not walk:
-                    picks[start] = generator.integers(pool_size)
-                else:
-                    row = int(drawers[start])
-                    walks.append((row, self._walk(
-                        [int(key[row])], [float(offset[row])], [float(distance[row])], [generator]
-                    )))
-            # A coin row takes its door (column 0) when its draw is below
-            # the door probability, else its hallway (column 1).
-            column[drawers] = np.where(
-                batched, uniforms >= self.door_entry_probability, picks
-            )
-        entry = crossings.entries[key, column]
-        heading = np.where(moved, entry, key)
-        origin = np.where(moved, crossings.far_array[entry ^ 1], offset)
-        sign = crossings.sign_array[heading]
-        length = crossings.length_array[heading]
-        ends = origin + sign * np.where(moved, remaining, distance)
-        ends = np.where(ends < 0.0, 0.0, np.where(ends > length, length, ends))
-        ends = np.where(dwelling, far, ends)
-        edges = heading >> 1
-        for row, (edge, end, direction, dwelled) in walks:
-            edges[row], ends[row], sign[row] = edge[0], end[0], direction[0]
-            if dwelled is not None:
-                dwelling[row] = True
-
-        particles.edge[rows] = edges
-        particles.offset[rows] = ends
-        particles.direction[rows] = sign
-        if dwelling.any():  # crossers were moving, so their flags are all False
+        particles.edge[rows] = key >> 1
+        particles.offset[rows] = offset
+        particles.direction[rows] = self.compiled.crossings.sign_array[key]
+        if np.count_nonzero(dwelling):  # crossers were moving, so their flags are all False
             particles.dwelling[rows] = dwelling

@@ -12,7 +12,7 @@ filter and the symbolic baseline both flow through this exact code
 path.
 
 The module owns the backend and its state cache. :class:`FilterExecutor`
-wraps one with the system's single filter-stream scheme; the query
+wraps one with the system's filter seed; the query
 engine, the tracking service and every gateway worker filter through an
 executor and read ``.preprocessing`` / ``.filter_backend`` / ``.cache``
 from it.
@@ -20,9 +20,7 @@ from it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.collector.collector import EventDrivenCollector
@@ -32,7 +30,6 @@ from repro.core.resampling import systematic_resample
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.index.hashtable import AnchorObjectTable
-from repro.rng import RngLike, filter_run_rngs, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.particle_cache import ParticleCacheManager
@@ -77,31 +74,26 @@ class PreprocessingModule:
         candidates: Iterable[str],
         collector: EventDrivenCollector,
         current_second: int,
-        rng_streams: Optional[Callable[[Sequence[str]], Sequence[RngLike]]] = None,
+        seed: Optional[int] = None,
     ) -> AnchorObjectTable:
         """Filter every candidate and return a fresh ``APtoObjHT`` table.
 
         Objects with no reading history are skipped — the system has no
         evidence about them (they have not yet entered any reader's range).
 
-        ``rng_streams`` is called once, with the ids to be filtered in
-        order, and returns one independent generator (or seed) per id
-        (:class:`FilterExecutor` passes :func:`repro.rng.filter_run_rngs`).
-        Per-object streams make the result independent of candidate
-        *ordering and partitioning*, which is what lets the tracking
-        service and the gateway's partitions (:mod:`repro.gateway`)
-        produce bit-identical tables at any partition count. A backend
-        that draws nothing (``draws = False``) needs no streams; one that
-        draws raises ``ValueError`` without them.
+        Every draw is keyed by ``seed`` (default: the config's), the
+        object and the second being stepped (:class:`repro.rng.
+        CounterDraws`). Keyed draws make the result independent of
+        candidate *ordering and partitioning*, which is what lets the
+        tracking service and the gateway's partitions
+        (:mod:`repro.gateway`) produce bit-identical tables at any
+        partition count, and a cached resume equal to stepping tick by
+        tick.
 
         The module looks every candidate up in the cache, makes one
         :meth:`~repro.filters.base.FilterBackend.run_many` call for all
         of them, then stores every result; candidates are distinct.
         """
-        if rng_streams is None and self.backend.draws:
-            raise ValueError(
-                f"the {self.backend.name!r} backend draws: pass rng_streams"
-            )
         filtered: List[str] = []
         generations: List[int] = []
         pending = []
@@ -117,16 +109,8 @@ class PreprocessingModule:
             filtered.append(object_id)
             generations.append(generation)
             pending.append((history, resume))
-        generators: Sequence[Optional[np.random.Generator]] = (
-            [make_rng(stream) for stream in rng_streams(filtered)]
-            if rng_streams is not None and self.backend.draws
-            else [None] * len(filtered)
-        )
-        requests = [
-            FilterRequest(history, generator, resume)
-            for (history, resume), generator in zip(pending, generators)
-        ]
-        runs = self.backend.run_many(requests, current_second) if requests else []
+        requests = [FilterRequest(history, resume) for history, resume in pending]
+        runs = self.backend.run_many(requests, current_second, seed) if requests else []
         if self.cache is not None:
             for object_id, generation, run in zip(filtered, generations, runs):
                 self.cache.store(object_id, run.state, run.end_second, generation)
@@ -145,9 +129,8 @@ class FilterExecutor:
     """The per-object filter step of one tick (paper Section 4.4).
 
     Owns the :class:`PreprocessingModule` that holds the filter backend
-    and its state cache. Every object's run at second ``t`` draws from
-    its own :func:`repro.rng.filter_run_rng` stream ``(seed, t, object)``
-    (built for the whole call by :func:`repro.rng.filter_run_rngs`), so
+    and its state cache, and the seed every draw is keyed by. An
+    object's draws depend only on ``(seed, object, stepped second)``, so
     a table does not depend on which other objects share the call — the
     property that makes a gateway partition's slice bit-identical to the
     same objects tracked in one process, and that lets every candidate
@@ -177,9 +160,4 @@ class FilterExecutor:
         self, candidates: Sequence[str], collector: EventDrivenCollector, second: int
     ) -> AnchorObjectTable:
         """Filter every candidate, in the given order, into a fresh table."""
-        return self.preprocessing.process(
-            candidates,
-            collector,
-            second,
-            rng_streams=lambda object_ids: filter_run_rngs(self.seed, second, object_ids),
-        )
+        return self.preprocessing.process(candidates, collector, second, self.seed)

@@ -10,33 +10,35 @@ alternatives for the resampling ablation (they are the standard choices in
 the particle-filtering literature; see Arulampalam et al. 2002, the
 paper's reference [1]).
 
-All functions map ``(weights, n, rng)`` to an index array into the
+All functions map ``(weights, n, uniforms)`` to an index array into the
 original particle set; callers then use
 :meth:`~repro.core.particles.ParticleSet.take`. ``weights`` is one 1-D
-weight vector with one generator ``rng``, or a ``(rows, N)`` matrix with
-a sequence of one generator per row; the result then has one row of
-``n`` indices per weight row. A row draws only from its own generator,
-exactly what a 1-D call on that row would draw, so the rows of one call
-equal one 1-D call each, bit for bit: validation, normalization and the
-cumulative sums run over all rows at once (row sums and cumulative sums
-of a C-contiguous matrix equal each row's own), and ``np.searchsorted``
-runs once per row.
+weight vector or a ``(rows, N)`` matrix; the result then has one row of
+``n`` indices per weight row. ``uniforms`` is the draw source: a callable
+that maps a column count ``c`` to a ``(rows, c)`` matrix of uniforms in
+[0, 1), row ``r`` serving weight row ``r`` (the particle filter passes
+its counter-based draws), or a generator or seed, whose ``random((rows,
+c))`` serves instead. Validation, normalization and the cumulative sums
+run over all rows at once (row sums and cumulative sums of a
+C-contiguous matrix equal each row's own), and ``np.searchsorted`` runs
+once per row, so a row's picks depend only on its own weights and
+uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, List, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from repro.rng import RngLike, make_rng
 
-#: One generator for 1-D weights, one per row for a weight matrix.
-RowRngs = Union[RngLike, Sequence[np.random.Generator]]
+#: A draw source: ``columns -> (rows, columns)`` uniforms, or a generator or seed.
+Uniforms = Union[Callable[[int], np.ndarray], RngLike]
 
-_Kernel = Callable[[np.ndarray, int, List[np.random.Generator]], np.ndarray]
+_Kernel = Callable[[np.ndarray, int, Callable[[int], np.ndarray]], np.ndarray]
 
 
 def _normalized_rows(weights: np.ndarray) -> np.ndarray:
@@ -57,7 +59,7 @@ def _normalized_rows(weights: np.ndarray) -> np.ndarray:
     raise ValueError("weights must have positive finite sum")
 
 
-def _per_row(kernel: _Kernel, weights: np.ndarray, n: int, rng: RowRngs) -> np.ndarray:
+def _per_row(kernel: _Kernel, weights: np.ndarray, n: int, uniforms: Uniforms) -> np.ndarray:
     """Run a row kernel on 1-D weights (one row) or on a weight matrix."""
     weights = np.asarray(weights, dtype=float)
     one_row = weights.ndim == 1
@@ -68,13 +70,21 @@ def _per_row(kernel: _Kernel, weights: np.ndarray, n: int, rng: RowRngs) -> np.n
     rows = _normalized_rows(weights)
     if n is None:
         n = rows.shape[1]
-    if one_row:
-        generators = [make_rng(rng)]
+    if callable(uniforms):
+        source = uniforms
     else:
-        generators = list(rng)  # type: ignore[arg-type]
-        if len(generators) != len(rows):
-            raise ValueError("a weight matrix needs one generator per row")
-    picks = kernel(rows, n, generators)
+        generator = make_rng(uniforms)
+
+        def source(columns: int) -> np.ndarray:
+            return generator.random((len(rows), columns))
+
+    def draws(columns: int) -> np.ndarray:
+        values = source(columns)
+        if values.shape != (len(rows), columns):
+            raise ValueError("the uniform source must give one row per weight row")
+        return values
+
+    picks = kernel(rows, n, draws)
     return picks[0] if one_row else picks
 
 
@@ -105,63 +115,63 @@ def _strides(n: int) -> np.ndarray:
     return strides
 
 
-def _systematic(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
-    starts = [generator.uniform(0.0, 1.0 / n) for generator in generators]
-    return _search(_cdf(rows), np.add.outer(starts, _strides(n)))
+def _systematic(rows: np.ndarray, n: int, uniforms: Callable[[int], np.ndarray]) -> np.ndarray:
+    starts = uniforms(1) / n
+    return _search(_cdf(rows), starts + _strides(n))
 
 
-def _multinomial(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
-    draws = np.array([generator.random(n) for generator in generators])
-    return _search(_cdf(rows), draws.reshape(len(rows), n))
+def _multinomial(rows: np.ndarray, n: int, uniforms: Callable[[int], np.ndarray]) -> np.ndarray:
+    return _search(_cdf(rows), uniforms(n))
 
 
-def _stratified(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
-    draws = np.array([generator.random(n) for generator in generators])
-    return _search(_cdf(rows), (np.arange(n) + draws.reshape(len(rows), n)) / n)
+def _stratified(rows: np.ndarray, n: int, uniforms: Callable[[int], np.ndarray]) -> np.ndarray:
+    return _search(_cdf(rows), (np.arange(n) + uniforms(n)) / n)
 
 
-def _residual(rows: np.ndarray, n: int, generators: List[np.random.Generator]) -> np.ndarray:
+def _residual(rows: np.ndarray, n: int, uniforms: Callable[[int], np.ndarray]) -> np.ndarray:
     scaled = n * rows
     copies = np.floor(scaled).astype(np.int64)
     residual = scaled - copies
+    draws = uniforms(n)
     picks = np.empty((len(rows), n), dtype=np.int64)
     columns = np.arange(rows.shape[1])
-    for row, generator in enumerate(generators):
+    for row in range(len(rows)):
         indices = np.repeat(columns, copies[row])
         remainder = n - len(indices)
         if remainder > 0:
             total = residual[row].sum()
             if total <= 0:
-                extra = generator.integers(0, rows.shape[1], size=remainder)
+                extra = (draws[row, :remainder] * rows.shape[1]).astype(np.int64)
             else:
                 cdf = np.cumsum(residual[row] / total)
                 cdf[-1] = 1.0
-                extra = np.searchsorted(cdf, generator.random(remainder), side="left")
+                extra = np.searchsorted(cdf, draws[row, :remainder], side="left")
             indices = np.concatenate([indices, extra.astype(np.int64)])
         picks[row] = indices[:n]
     return picks
 
 
-def systematic_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, n: int = None, rng: Uniforms = None) -> np.ndarray:
     """Paper Algorithm 1: systematic resampling.
 
     Returns indices ``j`` such that index ``i`` appears approximately
-    ``n * w_i`` times. Each row draws one ``uniform(0, 1/n)`` start.
+    ``n * w_i`` times. Each row takes one start ``u1 = u / n`` from the
+    first uniform of its row.
     """
     return _per_row(_systematic, weights, n, rng)
 
 
-def multinomial_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
+def multinomial_resample(weights: np.ndarray, n: int = None, rng: Uniforms = None) -> np.ndarray:
     """Multinomial resampling: n i.i.d. draws from the weight distribution."""
     return _per_row(_multinomial, weights, n, rng)
 
 
-def stratified_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
+def stratified_resample(weights: np.ndarray, n: int = None, rng: Uniforms = None) -> np.ndarray:
     """Stratified resampling: one uniform draw inside each of n strata."""
     return _per_row(_stratified, weights, n, rng)
 
 
-def residual_resample(weights: np.ndarray, n: int = None, rng: RowRngs = None) -> np.ndarray:
+def residual_resample(weights: np.ndarray, n: int = None, rng: Uniforms = None) -> np.ndarray:
     """Residual resampling: deterministic copies plus multinomial residue."""
     return _per_row(_residual, weights, n, rng)
 

@@ -20,18 +20,19 @@ from them. The preprocessing module makes two calls per tick:
 A belief checkpoints through its ``to_state()`` document, which
 :meth:`FilterBackend.state_from_dict` decodes bit-exactly.
 
-Randomness is injected: each request carries a generator derived from
-the ``(seed, second, object_id)`` child stream
-(:func:`repro.rng.filter_run_rng`), never a shared evolving stream —
-this is what makes every backend's results independent of partitioning and
-restarts. Deterministic backends simply ignore the generator.
+Randomness is keyed, not threaded: ``run_many`` takes the system seed,
+and a backend that draws keys every draw by ``(seed, object, stepped
+second)`` (:class:`repro.rng.CounterDraws`), never by a shared evolving
+stream — this is what makes every backend's results independent of
+partitioning, caching and restarts. Deterministic backends ignore the
+seed.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Mapping, Protocol, Sequence, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
 
 from repro.config import SimulationConfig
 from repro.core.compiled import CompiledAnchors, CompiledGraph
@@ -81,16 +82,12 @@ class FilterBackend(ABC):
     * ``state_version`` — bumped whenever ``to_state`` layout changes, so
       checkpoints refuse incompatible restores instead of mis-decoding;
     * ``cacheable`` — whether resuming from a cached belief is cheaper
-      than recomputing (stateless backends opt out);
-    * ``draws`` — whether a run draws from its request's generator
-      (deterministic backends opt out, and are handed no per-object
-      generators).
+      than recomputing (stateless backends opt out).
     """
 
     name: ClassVar[str]
     state_version: ClassVar[int] = 1
     cacheable: ClassVar[bool] = True
-    draws: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -117,9 +114,14 @@ class FilterBackend(ABC):
 
     @abstractmethod
     def run_many(
-        self, requests: Sequence[FilterRequest], current_second: int
+        self,
+        requests: Sequence[FilterRequest],
+        current_second: int,
+        seed: Optional[int] = None,
     ) -> List[FilterRun]:
         """Run (or resume) every request up to ``current_second``, in order.
+
+        Draws, if any, are keyed by ``seed`` (default: the config's).
 
         Raises :class:`ValueError` when a request's history holds no
         readings.

@@ -2,15 +2,15 @@
 
 This wraps :class:`repro.core.filter.ParticleFilter` without changing
 its behavior: :meth:`ParticleBackend.run_many` hands a tick's requests
-to the filter's lockstep kernel, so every result — and every RNG draw —
-is bit-identical to running each object alone, and
+to the filter's lockstep kernel, so every result — and every draw — is
+bit-identical to running each object alone, and
 :meth:`ParticleBackend.posteriors` snaps every final cloud in one
 stacked pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Union, cast
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union, cast
 
 import repro.obs as obs
 from repro.config import SimulationConfig
@@ -28,7 +28,10 @@ class ParticleBackend(FilterBackend):
     """The paper's SIR particle filter behind the backend contract."""
 
     name = "particle"
-    state_version = 1
+    #: Version 2: draws keyed by (seed, object, stepped second). A
+    #: version-1 state was stepped on per-tick generator streams, so
+    #: resuming it here would not continue the run that wrote it.
+    state_version = 2
     cacheable = True
 
     def __init__(
@@ -56,13 +59,16 @@ class ParticleBackend(FilterBackend):
             ) from exc
 
     def run_many(
-        self, requests: Sequence[FilterRequest], current_second: int
+        self,
+        requests: Sequence[FilterRequest],
+        current_second: int,
+        seed: Optional[int] = None,
     ) -> List[FilterRun]:
         """Run every request through the filter's lockstep kernel."""
         obs.add("filter.backend_runs", len(requests), labels={"backend": self.name})
         return [
             FilterRun(result.particles, result.end_second)
-            for result in self.filter.run_many(requests, current_second)
+            for result in self.filter.run_many(requests, current_second, seed)
         ]
 
     def posteriors(self, runs: Sequence[FilterRun]) -> List[Dict[int, float]]:

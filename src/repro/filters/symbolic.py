@@ -25,6 +25,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Union,
     cast,
@@ -115,8 +116,6 @@ class SymbolicBackend(FilterBackend):
     #: Stateless in the Bayesian sense: the posterior is a closed-form
     #: function of (history, now), so caching beliefs buys nothing.
     cacheable = False
-    #: Closed-form as well: no run draws from its generator.
-    draws = False
 
     def __init__(
         self,
@@ -140,14 +139,17 @@ class SymbolicBackend(FilterBackend):
         return SymbolicState.from_state(payload)
 
     def run_many(
-        self, requests: Sequence[FilterRequest], current_second: int
+        self,
+        requests: Sequence[FilterRequest],
+        current_second: int,
+        seed: Optional[int] = None,
     ) -> List[FilterRun]:
         """Capture every request's history at ``current_second`` (no silence cap).
 
         The symbolic model bounds the feasible region by maximum-speed
         reachability instead of capping replay length, so the model is
         evaluated at the true query second. It is deterministic and
-        closed-form: requests' generators and resume points are unused.
+        closed-form: the seed and requests' resume points are unused.
         """
         now = int(current_second)
         runs: List[FilterRun] = []

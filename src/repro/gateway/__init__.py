@@ -5,8 +5,8 @@ partitioned across worker *processes* by a consistent-hash ring, each
 worker runs one tracking service per tenant over its slice, and the
 gateway merges the per-partition snapshots back into
 one table per tenant — bit-identical to a single-process run at any
-partition count, because filter randomness derives from
-``(seed, second, object_id)`` and never from placement.
+partition count, because every filter draw is keyed by
+``(seed, object, stepped second)`` and never by placement.
 
 Layers:
 

@@ -18,8 +18,8 @@ not part of what persists. A crash mid-checkpoint leaves the previous
 complete file in place: readers see the old cut or the new one.
 
 Restoring at a *different* partition count splits each tenant's state
-along the new ring (:func:`split_tenant_state`). Because filter
-randomness derives from ``(seed, second, object_id)``, the re-placed
+along the new ring (:func:`split_tenant_state`). Because every filter
+draw is keyed by ``(seed, object, stepped second)``, the re-placed
 objects resume bit-identically.
 
 Version 3 dropped two fields nothing read: each service state's
@@ -39,6 +39,7 @@ from repro.gateway.tenants import TenantSpec
 from repro.gateway.transport import DEFAULT_QUEUE_DEPTH
 from repro.service.checkpoint import (
     CheckpointCompatibilityError,
+    check_filter_state,
     checkpoint_config,
     migrate_v2,
     write_json_atomic,
@@ -239,6 +240,7 @@ def restore_coordinator(
     try:
         for service in state["services"].values():
             checkpoint_config(service["config"])
+            check_filter_state(service)
     except CheckpointCompatibilityError as exc:
         raise GatewayCompatibilityError(f"{path}: {exc}") from None
     if tenants is not None:

@@ -15,14 +15,16 @@ Write path: :meth:`submit_tick` splits a tenant's second of readings by
 ring owner and enqueues one sub-tick per partition — *every* partition,
 including ones whose slice is empty, because previously seen objects
 keep filtering on quiet seconds. :meth:`collect_tick` barriers on the
-sub-snapshots of the oldest outstanding tick, merges them in partition
-order (object sets are disjoint, so merge order cannot change the
-table), publishes the merged snapshot, and fans session deltas out.
+sub-snapshots of the oldest outstanding tick, merges them into one
+table, publishes the merged snapshot, and fans session deltas out.
 
-Consistency: per-object RNG streams + disjoint per-partition object
-sets + order-insensitive query evaluation ⇒ the merged table is
-bit-identical to a single-process :class:`TrackingService` run at any
-partition count. The tests assert this for 1, 2, and 4 partitions.
+Consistency: draws keyed by object and stepped second + disjoint
+per-partition object sets + the table's canonical order (every anchor
+bucket in ascending object id, whatever order the slices merge in) ⇒
+the merged table, and every answer and session delta read from it, is
+byte-identical to a single-process :class:`TrackingService` run at any
+partition count: query evaluation sums each bucket in that one order.
+The tests compare serialized answers at 1, 2, and 4 partitions.
 
 Failure: a dead worker degrades the deployment instead of failing it —
 its sub-snapshots stop arriving, ticks complete as *partial* over the
@@ -125,11 +127,9 @@ class _PendingTick:
 
 
 def _merge_slices(second: int, slices: Dict[int, dict]) -> ServiceSnapshot:
-    """One tick's snapshot from its partitions' slices, in partition order."""
+    """One tick's snapshot from its partitions' slices (canonical order)."""
     merged = AnchorObjectTable.from_distributions(
-        (object_id, entries[object_id])
-        for entries in (slices[index]["entries"] for index in sorted(slices))
-        for object_id in sorted(entries)
+        pair for part in slices.values() for pair in part["entries"].items()
     )
     candidates: set = set()
     for part in slices.values():

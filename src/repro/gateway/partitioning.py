@@ -16,8 +16,8 @@ Both come from a classic consistent-hash ring: each partition owns
 :func:`hashlib.blake2b`, never Python's randomized ``hash``), and a key
 lands on the first point clockwise from its own hash.
 
-Placement never feeds the filters' RNG streams — every filter run draws
-from ``(seed, second, object_id)`` — so *any* assignment yields
+Placement never feeds the filters' draws — every filter draw is keyed
+by ``(seed, object, stepped second)`` — so *any* assignment yields
 bit-identical tracking output; the ring only shapes load balance and
 resize churn.
 """

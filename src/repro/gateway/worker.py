@@ -28,8 +28,8 @@ by the coordinator; when observability is on the worker wraps its
 tick in a ``gateway.worker_tick`` span tagged with that context, which
 is how a merged Chrome trace stitches one tick across processes.
 
-Determinism: filter randomness is derived from
-``(seed, second, object_id)``, and a worker ticks *every* second of its
+Determinism: every filter draw is keyed by
+``(seed, object, stepped second)``, and a worker ticks *every* second of its
 tenants (even with an empty slice of readings — previously seen objects
 must keep filtering), so worker output is bit-identical to the same
 objects tracked in a single process. The gateway's fan-in relies on

@@ -13,7 +13,10 @@ object -> distribution map that query evaluation and metrics need.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Tuple
+
+_object_id = itemgetter(0)
 
 
 class AnchorObjectTable:
@@ -36,14 +39,17 @@ class AnchorObjectTable:
 
         This is the one way to build a table. Entries with zero or
         negative mass are dropped, and a distribution left empty adds no
-        object. Both maps keep insertion order: objects in pair order,
-        each anchor's objects in the order they arrive. Object ids must
-        be distinct; a repeated id raises :class:`ValueError`.
+        object. The order is canonical: objects, and each anchor's
+        bucket, in ascending object id, whatever order the pairs come
+        in. So a table merged from any partitioning of its objects
+        iterates, serializes and sums (kNN's running total) exactly as
+        one built in a single process. Object ids must be distinct; a
+        repeated id raises :class:`ValueError`.
         """
         table = cls()
         by_anchor = table._by_anchor
         by_object = table._by_object
-        for object_id, distribution in pairs:
+        for object_id, distribution in sorted(pairs, key=_object_id):
             if object_id in by_object:
                 raise ValueError(f"object {object_id!r} appears twice")
             cleaned = {ap: p for ap, p in distribution.items() if p > 0.0}

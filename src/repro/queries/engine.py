@@ -11,9 +11,8 @@ Wires together the five modules:
 Raw readings flow in second by second via :meth:`IndoorQueryEngine.ingest_second`;
 registered queries are answered at any timestamp via :meth:`evaluate`.
 Filtering goes through a :class:`~repro.core.preprocessing.FilterExecutor`,
-the same per-object stream scheme the tracking service and the gateway
-workers run, so every candidate of one evaluation steps in one lockstep
-stack.
+with the same draw keying the tracking service and the gateway workers
+use, so every candidate of one evaluation steps in one lockstep stack.
 
 There is one engine: the location estimator is a
 :class:`~repro.filters.base.FilterBackend`, so the paper's symbolic
@@ -286,8 +285,8 @@ class IndoorQueryEngine(TableQueryEngine):
 
         Runs the full Figure-3 pipeline: candidate pruning, filtering
         (with cache reuse), anchor discretization, and query evaluation
-        over the resulting ``APtoObjHT`` table. Each candidate's run draws
-        from its own ``(config.seed, now, object)`` stream; ``rng`` is
+        over the resulting ``APtoObjHT`` table. Each candidate's draws are
+        keyed by ``(config.seed, object, stepped second)``; ``rng`` is
         accepted and ignored.
         """
         del rng

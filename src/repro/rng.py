@@ -1,19 +1,31 @@
 """Deterministic random-number plumbing.
 
-Every stochastic component in the reproduction (traces, readings, particle
-filters, query placement) receives an explicit :class:`numpy.random.Generator`.
-This module centralizes how generators are created and how independent child
-streams are derived, so that any experiment row can be regenerated in
-isolation from its ``(seed, label)`` pair.
+Two kinds of randomness run through the reproduction.
+
+* **Generators.** The simulation (traces, readings, query placement)
+  receives an explicit :class:`numpy.random.Generator`. :func:`make_rng`
+  and :func:`child_rng` centralize how generators are created and how
+  independent child streams are derived, so that any experiment row can
+  be regenerated in isolation from its ``(seed, label)`` pair.
+* **Counter-based draws.** Every draw of the particle filter is a pure
+  function of its indices (Salmon et al., "Parallel Random Numbers: As
+  Easy as 1, 2, 3", SC 2011): ``u = H(seed, object, second, purpose,
+  hop, row)``. :class:`CounterDraws` evaluates ``H`` over ``uint64``
+  arrays for a whole lockstep stack at once. The second is the one being
+  stepped, not the tick that steps it, so a run resumed from a cached
+  state draws exactly what tick-by-tick stepping draws, and an object's
+  draws never depend on which other objects share the call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import zlib
-from typing import List, Sequence, Union
+from enum import IntEnum
+from functools import lru_cache
+from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -44,100 +56,150 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(child_seed(seed, label))
 
 
-def filter_run_label(second: int, object_id: str) -> str:
-    """The canonical child-stream label of one object's filter run at one tick.
+# ----------------------------------------------------------------------
+# counter-based draws
+# ----------------------------------------------------------------------
+class Draw(IntEnum):
+    """The purpose index of a filter draw; each names one use of a uniform."""
 
-    Every per-object filter run in the system — in the tracking service,
-    in any gateway partition, or resumed from a checkpoint — must derive
-    its generator from this exact label, which is what makes results
-    bit-identical across partition counts and restarts (the per-object
-    determinism scheme). Filter backends get their stream through
-    :func:`filter_run_rng` instead of formatting the label themselves, so
-    the convention cannot drift between backends.
+    INIT_PICK = 0  # a seed position among a circle's candidates
+    INIT_JITTER = 1  # the offset jitter around it
+    INIT_DIRECTION = 2
+    SPEED_RADIUS = 3  # Box-Muller radius; hop 0 at seeding, 1 at a room exit
+    SPEED_ANGLE = 4  # Box-Muller angle; hops as for the radius
+    EXIT = 5  # whether a dweller leaves its room
+    WALK = 6  # the entry taken at a junction; hop h is the walk's h-th node
+    RESAMPLE = 7  # resampling: one systematic start, or a row of uniforms
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _word(value: int) -> np.ndarray:
+    # A 0-d array: as an operand it costs less per call than a scalar.
+    return np.array(value, dtype=np.uint64)
+
+
+#: SplitMix64's increment (the golden ratio) and output multipliers.
+_GAMMA = _word(0x9E3779B97F4A7C15)
+_MIX_A = _word(0xBF58476D1CE4E5B9)
+_MIX_B = _word(0x94D049BB133111EB)
+_SHIFT_A, _SHIFT_B, _SHIFT_C = _word(30), _word(27), _word(31)
+#: 64 - 53: the bits dropped to make a double in [0, 1).
+_SHIFT_UNIT = _word(11)
+_UNIT = 2.0 ** -53
+#: Counter layout: purpose above hop above row.
+_PURPOSE_SHIFT, _HOP_SHIFT = 40, 32
+
+
+def _mix(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function over a ``uint64`` array (a new array).
+
+    The products wrap modulo 2**64. Array arithmetic wraps silently;
+    callers keep every operand an array, since wrapping *scalar* uint64
+    arithmetic warns.
     """
-    return f"pf:{second}:{object_id}"
+    words = words ^ (words >> _SHIFT_A)
+    words *= _MIX_A
+    words ^= words >> _SHIFT_B
+    words *= _MIX_B
+    words ^= words >> _SHIFT_C
+    return words
 
 
-def filter_run_rng(seed: int, second: int, object_id: str) -> np.random.Generator:
-    """The private generator of one object's filter run at one tick."""
-    return filter_run_rngs(seed, second, [object_id])[0]
+@lru_cache(maxsize=1 << 16)
+def object_key(object_id: str) -> int:
+    """A stable 64-bit key of an object id (BLAKE2b, not the salted ``hash``)."""
+    digest = hashlib.blake2b(object_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
-def filter_run_rngs(
-    seed: int, second: int, object_ids: Sequence[str]
-) -> List[np.random.Generator]:
-    """:func:`filter_run_rng` for every id of one tick, in one pass.
+def object_words(seed: int, object_ids: Sequence[str]) -> np.ndarray:
+    """The ``(seed, object)`` part of every draw key, one word per id."""
+    keys = np.array([object_key(object_id) for object_id in object_ids], dtype=np.uint64)
+    seed_word = _mix(np.array([seed & _MASK64], dtype=np.uint64))
+    return _mix(keys ^ seed_word)
 
-    Each generator equals ``child_rng(seed, filter_run_label(second,
-    object_id))`` bit for bit: ``default_rng(s)`` is ``Generator(PCG64(
-    SeedSequence(s)))``, and PCG64 reads only
-    ``SeedSequence(s).generate_state(4, uint64)``. Those words are
-    computed for every id at once by :func:`_seed_sequence_words`, so no
-    :class:`~numpy.random.SeedSequence` is built per object.
+
+class CounterDraws:
+    """Counter-based uniforms for a stack of equal blocks of rows.
+
+    Block ``b`` holds one object's cloud at one stepped second; its key
+    is ``words[b]``, mixed from :func:`object_words` and that second by
+    :meth:`at`. The uniform of row ``r`` of block ``b`` for ``purpose``
+    at ``hop`` is SplitMix64's output number ``c + 1`` from the state
+    ``words[b]``, with the counter ``c = purpose << 40 | hop << 32 |
+    r``: a pure function of its indices, so a block draws the same values
+    alone or in any stack. Uniforms are multiples of 2**-53 in [0, 1).
     """
-    seeds = [child_seed(seed, filter_run_label(second, object_id)) for object_id in object_ids]
-    words = _seed_sequence_words(np.array(seeds, dtype=np.uint32))
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
+    __slots__ = ("words", "size")
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose PCG64 seeding words are already known."""
-
-    def __init__(self, words: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, size: int) -> None:
         self.words = words
+        self.size = size
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("precomputed seed words serve PCG64's (4, uint64) request only")
-        return self.words
+    @classmethod
+    def at(cls, objects: np.ndarray, seconds: np.ndarray, size: int) -> "CounterDraws":
+        """Draws of ``objects`` (:func:`object_words`) at ``seconds``, one per block."""
+        return cls(_mix(objects + seconds.astype(np.uint64) * _GAMMA), size)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def take(self, blocks: Sequence[int]) -> "CounterDraws":
+        """The draws of a sub-stack made of ``blocks``."""
+        return CounterDraws(self.words[np.asarray(blocks, dtype=np.int64)], self.size)
+
+    def uniforms(
+        self,
+        purpose: Draw,
+        rows: Optional[np.ndarray] = None,
+        hop: int = 0,
+        width: int = 1,
+    ) -> np.ndarray:
+        """Uniforms of the stack rows in ``rows`` (default: every row, in order).
+
+        With ``width`` above 1, row ``j`` of the ``(width, len(rows))``
+        result holds purpose ``purpose + j``: one pass for several
+        consecutive purposes.
+        """
+        if rows is None:
+            counters = _counters(self.size, purpose, hop, width)
+            words = (self.words[:, None] + counters).reshape(width, -1)
+        elif len(self.words) == 1:
+            words = self.words + (rows.astype(np.uint64) + _lanes(purpose, hop, width)) * _GAMMA
+        else:
+            blocks = rows // self.size
+            offsets = (rows - blocks * self.size).astype(np.uint64)
+            words = self.words[blocks] + (offsets + _lanes(purpose, hop, width)) * _GAMMA
+        values = _unit(_mix(words))
+        return values[0] if width == 1 else values
+
+    def block_uniforms(self, purpose: Draw, columns: int) -> np.ndarray:
+        """A ``(blocks, columns)`` matrix: row ``b`` holds block ``b``'s rows ``< columns``."""
+        return _unit(_mix(self.words[:, None] + _counters(columns, purpose, 0, 1)[0]))
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
+def _unit(words: np.ndarray) -> np.ndarray:
+    return np.multiply(words >> _SHIFT_UNIT, _UNIT)
 
 
-def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, uint64)`` for every ``s`` in ``seeds``.
+@lru_cache(maxsize=64)
+def _lanes(purpose: int, hop: int, width: int) -> np.ndarray:
+    """``(purpose + j) << 40 | hop << 32`` plus 1, as a ``(width, 1)`` column."""
+    lanes = np.array(
+        [[((purpose + lane) << _PURPOSE_SHIFT | hop << _HOP_SHIFT) + 1] for lane in range(width)],
+        dtype=np.uint64,
+    )
+    lanes.flags.writeable = False
+    return lanes
 
-    ``seeds`` are uint32 values, each a one-word entropy pool input (no
-    spawn key). This is numpy's ``mix_entropy`` and ``generate_state``
-    over uint32 arrays, one lane per seed: products wrap modulo 2**32
-    exactly as in numpy's uint32 arithmetic. The hash constants evolve
-    independently of the data, so they are plain Python ints here.
-    """
-    xshift = np.uint32(16)
-    hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> xshift)
-
-    # The first pool word hashes the seed; the rest hash zero entropy.
-    pool = [hashmix(seeds)]
-    zero = np.zeros_like(seeds)
-    pool.extend(hashmix(zero) for _ in range(_POOL_SIZE - 1))
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                mixed = (
-                    np.uint32(_MIX_MULT_L) * pool[i_dst]
-                    - np.uint32(_MIX_MULT_R) * hashmix(pool[i_src])
-                )
-                pool[i_dst] = mixed ^ (mixed >> xshift)
-
-    state = np.empty((len(seeds), 2 * _POOL_SIZE), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i_dst in range(2 * _POOL_SIZE):
-        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i_dst] = value ^ (value >> xshift)
-    # Pairs of little-endian uint32 words, as numpy assembles them.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+@lru_cache(maxsize=256)
+def _counters(size: int, purpose: int, hop: int, width: int) -> np.ndarray:
+    """The ``(width, 1, size)`` counter terms of rows ``< size`` (read-only, shared)."""
+    counters = ((np.arange(size, dtype=np.uint64) + _lanes(purpose, hop, width)) * _GAMMA)
+    counters = counters[:, None, :]
+    counters.flags.writeable = False
+    return counters

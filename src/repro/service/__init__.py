@@ -17,8 +17,8 @@ as objects move. The layers compose left to right::
 Scale-out is not this package's job: :mod:`repro.gateway` partitions
 objects across worker processes, each running one service per tenant.
 
-Determinism guarantee: every filter run draws from a private RNG stream
-derived from ``(seed, second, object_id)`` via :mod:`repro.rng`, so the
+Determinism guarantee: every filter draw is keyed by ``(seed, object,
+stepped second)`` (:class:`repro.rng.CounterDraws`), so the
 published anchor-point tables, the delta streams, and the final particle
 states do not depend on which objects share a process — a gateway run
 at **any** partition count matches a single service — and a checkpoint

@@ -12,20 +12,22 @@ A checkpoint is one JSON document capturing the full mutable state of a
   of the whole result set),
 * the tick counter, last processed second, and RNG seed.
 
-Because every filter run's randomness is derived from
-``(seed, second, object_id)`` — never from an evolving generator — no
-generator state needs to be serialized, and
-``checkpoint → restore → resume`` is tick-for-tick identical to an
-uninterrupted run (asserted in ``tests/test_service_checkpoint.py``).
+Because every filter draw is keyed by ``(seed, object, stepped
+second)`` — never drawn from an evolving generator — no generator state
+needs to be serialized, and ``checkpoint → restore → resume`` is
+tick-for-tick identical to an uninterrupted run (asserted in
+``tests/test_service_checkpoint.py``).
 
 Version history: version 1 predates pluggable filter backends (its
 caches are implicitly particle-filter states); version 2 records the
 backend name and state version both at the service level and inside the
 cache document; version 3 drops the collector's ENTER/LEAVE event log,
-which nothing read and which grew with every tick. Version-1 and
-version-2 files are migrated on load; restoring onto a service running a
-*different* backend raises :class:`CheckpointCompatibilityError` instead
-of mis-decoding.
+which nothing read and which grew with every tick. Version-2 files are
+migrated on load. A version-1 file holds particle states of state
+version 1, which this build cannot resume (:func:`check_filter_state`),
+so it is refused on load. Restoring onto a service running a *different*
+backend, or states of another state version, raises
+:class:`CheckpointCompatibilityError` instead of mis-decoding.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.config import SimulationConfig
-from repro.filters import available_backends
+from repro.filters import BACKENDS, available_backends
 
 if TYPE_CHECKING:
     from repro.floorplan.plan import FloorPlan
@@ -157,33 +159,6 @@ def save_checkpoint(service: TrackingService, path: PathLike) -> None:
     write_json_atomic(path, document)
 
 
-def _migrate_v1(state: dict) -> dict:
-    """Lift a version-1 state dict to the version-2 layout.
-
-    Version 1 only ever held particle-filter state: inject the implicit
-    backend identity and wrap the flat cache mapping in the tagged
-    ``entries`` envelope (renaming each entry's ``particles`` field to
-    the generic ``state``).
-    """
-    state = dict(state)
-    state.setdefault("filter", {"backend": "particle", "state_version": 1})
-    cache = state.get("cache")
-    if cache is not None and "entries" not in cache:
-        state["cache"] = {
-            "backend": "particle",
-            "state_version": 1,
-            "entries": {
-                object_id: {
-                    "state_second": entry["state_second"],
-                    "device_generation": entry["device_generation"],
-                    "state": entry["particles"],
-                }
-                for object_id, entry in cache.items()
-            },
-        }
-    return state
-
-
 def migrate_v2(state: dict) -> dict:
     """Lift a version-2 service state to the version-3 layout, in place.
 
@@ -198,8 +173,8 @@ def migrate_v2(state: dict) -> dict:
 def load_checkpoint(path: PathLike) -> dict:
     """Read and validate a checkpoint; returns the raw state dict.
 
-    Version-1 (pre-backend) and version-2 (with the collector event
-    log) documents are transparently migrated to the current layout.
+    Version-2 documents (with the collector event log) are migrated to
+    the current layout; version-1 documents are refused.
     """
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
@@ -210,7 +185,11 @@ def load_checkpoint(path: PathLike) -> dict:
     if not isinstance(state, dict):
         raise ValueError(f"{path}: checkpoint state is not an object")
     if version == 1:
-        return migrate_v2(_migrate_v1(state))
+        raise CheckpointCompatibilityError(
+            f"{path}: checkpoint version 1 carries particle states of state "
+            f"version 1, but this build speaks version "
+            f"{BACKENDS['particle'].state_version}; re-create the checkpoint"
+        )
     if version == 2:
         return migrate_v2(state)
     if version != CHECKPOINT_VERSION:
@@ -219,6 +198,31 @@ def load_checkpoint(path: PathLike) -> dict:
             f"(expected {CHECKPOINT_VERSION}); re-create the checkpoint"
         )
     return state
+
+
+def check_filter_state(state: dict) -> None:
+    """Refuse a service state whose filter states this build cannot resume.
+
+    The recorded backend must exist here and speak the recorded state
+    version: a particle state of version 1 was stepped on per-tick
+    generator streams, not on keyed draws, so resuming it would not
+    continue the run that wrote it.
+    """
+    recorded = state.get("filter", {"backend": "particle", "state_version": 1})
+    name = str(recorded.get("backend", "particle"))
+    if name not in available_backends():
+        raise CheckpointCompatibilityError(
+            f"checkpoint was produced by filter backend {name!r}, "
+            f"which this build does not have (it has "
+            f"{', '.join(available_backends())}); re-create the checkpoint"
+        )
+    version = int(recorded.get("state_version", 1))
+    if version != BACKENDS[name].state_version:
+        raise CheckpointCompatibilityError(
+            f"checkpoint carries {name!r} states at version {version}, but "
+            f"this build speaks version {BACKENDS[name].state_version}; "
+            "re-create the checkpoint"
+        )
 
 
 def restore_service(
@@ -246,13 +250,8 @@ def restore_service(
     """
     from repro.service.tracking import TrackingService
 
+    check_filter_state(state)
     recorded = str(state.get("filter", {}).get("backend", "particle"))
-    if recorded not in available_backends():
-        raise CheckpointCompatibilityError(
-            f"checkpoint was produced by filter backend {recorded!r}, "
-            f"which this build does not have (it has "
-            f"{', '.join(available_backends())}); re-create the checkpoint"
-        )
     if filter_backend is None:
         filter_backend = recorded
     config = checkpoint_config(state["config"])

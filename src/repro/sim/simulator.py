@@ -7,8 +7,8 @@ only in their pluggable location estimator: ``pf_engine`` runs the
 configured filter backend (the particle filter by default) and
 ``sm_engine`` runs the symbolic baseline (``filter_backend="symbolic"``).
 They read the *same* raw reading stream through one shared collector,
-and accuracy is judged against the same true traces. Every filter run
-draws from its object's ``(config.seed, second, object)`` stream.
+and accuracy is judged against the same true traces. Every filter draw
+is keyed by ``(config.seed, object, stepped second)``.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from repro.floorplan import (
 from repro.graph import build_anchor_index, build_walking_graph
 from repro.rfid import deploy_readers_uniform
 from repro.rfid.readings import RawReading
+from tests.streams import draws_for
 
 PLANS = {
     "paper": paper_office_plan,
@@ -204,15 +205,15 @@ class TestDistribution:
         compiled, anchors = WORLDS["paper"]
         config = DEFAULT_CONFIG.with_overrides(use_negative_information=True)
         pf = ParticleFilter(compiled, paper_readers_by_id, config)
-        rng = np.random.default_rng(5)
         reader_id = sorted(paper_readers_by_id)[0]
         history = ReadingHistory("o1", (DeviceRun(reader_id, [0]),))
         sets = []
-        for _ in range(12):
-            ps = pf.initialize(history, rng)
-            for _ in range(3):
-                pf.predict(ps, [rng])
-                pf.observe_silence(ps, [rng])
+        for cloud in range(12):
+            ps = pf.initialize([history], draws_for(5, 1, config.num_particles, cloud))
+            for second in range(3):
+                draws = draws_for(5, 1, config.num_particles, 100 * cloud + second)
+                pf.predict(ps, draws)
+                pf.observe_silence(ps, draws)
             sets.append(ps)
         assert any(len(set(ps.weight.tolist())) > 1 for ps in sets)
         got = particles_to_anchor_distribution(sets, anchors)
@@ -263,10 +264,6 @@ class TestDistribution:
 # ----------------------------------------------------------------------
 # the preprocessing module snaps once per call
 # ----------------------------------------------------------------------
-def _object_seeds(object_ids):
-    return [7 + int(object_id[1:]) for object_id in object_ids]
-
-
 class TestOneSnapPerProcess:
     @pytest.fixture
     def module_and_collector(self, paper_plan, paper_graph, paper_anchors):
@@ -287,7 +284,7 @@ class TestOneSnapPerProcess:
         objects = [f"o{i}" for i in range(6)]
         obs.enable(fresh=True)
         try:
-            table = module.process(objects, collector, 3, rng_streams=_object_seeds)
+            table = module.process(objects, collector, 3, 3)
             spans = [s for s in obs.tracer().spans() if s.name == "preprocess.anchor_snap"]
         finally:
             obs.disable()
@@ -295,15 +292,14 @@ class TestOneSnapPerProcess:
         assert sorted(table.objects()) == objects
 
         module.cache.clear()
-        alone = module.process(["o4"], collector, 3, rng_streams=_object_seeds)
+        alone = module.process(["o4"], collector, 3, 3)
         assert _items(alone.distribution_of("o4")) == _items(table.distribution_of("o4"))
 
     def test_backend_posteriors_equal_per_run_posteriors(self, module_and_collector):
         module, collector = module_and_collector
         backend = module.backend
         requests = [
-            FilterRequest(collector.history(f"o{i}"), np.random.default_rng(i))
-            for i in range(6)
+            FilterRequest(collector.history(f"o{i}")) for i in range(6)
         ]
         runs = backend.run_many(requests, 3)
         stacked = backend.posteriors(runs)

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.geometry import Point
 from repro.rfid import RFIDReader
+from tests.streams import seed_cloud
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +57,7 @@ class TestSensingModel:
 
     def test_reweight_hits_and_misses(self, small_compiled, small_readers, small_filter, rng):
         sensing = DeviceSensingModel(small_compiled, small_readers, 0.9, 0.01)
-        ps = small_filter.motion.initialize_in_circle(
-            64, small_readers["d2"].detection_circle, rng
-        )
+        ps = seed_cloud(small_filter.motion, 64, small_readers["d2"].detection_circle, 12345)
         # Pin half the cloud well away from d2 and half at its center.
         far_loc, _ = small_compiled.graph.locate(Point(1.0, 5.0))
         ps.edge[:32] = far_loc.edge_id
@@ -75,16 +74,12 @@ class TestSensingModel:
 
 class TestDiscretization:
     def test_distribution_sums_to_one(self, small_filter, small_compiled, small_compiled_anchors, small_readers, rng):
-        ps = small_filter.motion.initialize_in_circle(
-            64, small_readers["d2"].detection_circle, rng
-        )
+        ps = seed_cloud(small_filter.motion, 64, small_readers["d2"].detection_circle, 12345)
         (dist,) = particles_to_anchor_distribution([ps], small_compiled_anchors)
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_anchors_near_particles(self, small_filter, small_compiled, small_compiled_anchors, small_readers, small_anchors, rng):
-        ps = small_filter.motion.initialize_in_circle(
-            64, small_readers["d2"].detection_circle, rng
-        )
+        ps = seed_cloud(small_filter.motion, 64, small_readers["d2"].detection_circle, 12345)
         (dist,) = particles_to_anchor_distribution([ps], small_compiled_anchors)
         for ap_id in dist:
             anchor = small_anchors.anchor(ap_id)
@@ -120,10 +115,10 @@ class TestDiscretization:
 class TestParticleFilter:
     def test_requires_readings(self, small_filter):
         with pytest.raises(ValueError):
-            small_filter.run(ReadingHistory("o1", tuple()), 10, rng=0)
+            small_filter.run(ReadingHistory("o1", tuple()), 10, seed=0)
 
     def test_initial_cloud_in_older_device_range(self, small_filter, small_compiled, small_readers, rng):
-        result = small_filter.run(history(("d2", [0])), current_second=0, rng=rng)
+        result = small_filter.run(history(("d2", [0])), current_second=0, seed=12345)
         xs, ys = small_compiled.points(result.particles.edge, result.particles.offset)
         center = small_readers["d2"].position
         for x, y in zip(xs, ys):
@@ -133,7 +128,7 @@ class TestParticleFilter:
         # Seen at d2 then d3 moving right: after leaving d3, most mass
         # must be at or right of d3, not back toward d2.
         hist = history(("d2", [0, 1]), ("d3", [7, 8]))
-        result = small_filter.run(hist, current_second=12, rng=rng)
+        result = small_filter.run(hist, current_second=12, seed=12345)
         xs, _ = small_compiled.points(result.particles.edge, result.particles.offset)
         d3_x = small_readers["d3"].position.x
         frac_right = (xs >= d3_x - 1.0).mean()
@@ -141,21 +136,21 @@ class TestParticleFilter:
 
     def test_silence_cap(self, small_filter, rng):
         hist = history(("d2", [0, 1, 2]))
-        result = small_filter.run(hist, current_second=500, rng=rng)
+        result = small_filter.run(hist, current_second=500, seed=12345)
         assert result.end_second == 2 + int(DEFAULT_CONFIG.silence_cap_seconds)
 
     def test_end_second_at_current_when_recent(self, small_filter, rng):
         hist = history(("d2", [0, 1, 2]))
-        result = small_filter.run(hist, current_second=10, rng=rng)
+        result = small_filter.run(hist, current_second=10, seed=12345)
         assert result.end_second == 10
 
     def test_resume_equivalent_semantics(self, small_filter, rng):
         hist = history(("d2", [0, 1]), ("d3", [7, 8]))
-        full = small_filter.run(hist, current_second=8, rng=np.random.default_rng(5))
+        full = small_filter.run(hist, current_second=8, seed=5)
         resumed = small_filter.run(
             hist,
             current_second=12,
-            rng=np.random.default_rng(6),
+            seed=6,
             resume=(full.particles, full.end_second),
         )
         assert resumed.end_second == 12
@@ -163,10 +158,10 @@ class TestParticleFilter:
 
     def test_resume_in_future_is_ignored(self, small_filter, rng):
         hist = history(("d2", [0, 1]))
-        early = small_filter.run(hist, current_second=20, rng=rng)
+        early = small_filter.run(hist, current_second=20, seed=12345)
         # Resume state is at second 20, but we ask for second 5: rerun.
         result = small_filter.run(
-            hist, current_second=5, rng=rng, resume=(early.particles, early.end_second)
+            hist, current_second=5, seed=12345, resume=(early.particles, early.end_second)
         )
         assert result.end_second == 5
 
@@ -177,7 +172,7 @@ class TestParticleFilter:
         # reach d3, so a d3 reading at t=1 depletes every particle and the
         # filter must reseed within d3's range.
         hist = history(("d1", [0]), ("d3", [1]))
-        result = small_filter.run(hist, current_second=1, rng=rng)
+        result = small_filter.run(hist, current_second=1, seed=12345)
         xs, ys = small_compiled.points(result.particles.edge, result.particles.offset)
         center = small_readers["d3"].position
         for x, y in zip(xs, ys):
@@ -186,17 +181,17 @@ class TestParticleFilter:
     def test_particle_count_honors_config(self, small_compiled, small_readers, rng):
         config = DEFAULT_CONFIG.with_overrides(num_particles=17)
         pf = ParticleFilter(small_compiled, small_readers, config)
-        result = pf.run(history(("d2", [0])), current_second=3, rng=rng)
+        result = pf.run(history(("d2", [0])), current_second=3, seed=12345)
         assert len(result.particles) == 17
 
     def test_weights_remain_normalized(self, small_filter, rng):
         hist = history(("d2", [0, 1, 2]), ("d3", [7, 8]))
-        result = small_filter.run(hist, current_second=9, rng=rng)
+        result = small_filter.run(hist, current_second=9, seed=12345)
         assert result.particles.weight.sum() == pytest.approx(1.0)
 
     def test_deterministic_given_rng(self, small_filter):
         hist = history(("d2", [0, 1]), ("d3", [7]))
-        a = small_filter.run(hist, 10, rng=np.random.default_rng(3))
-        b = small_filter.run(hist, 10, rng=np.random.default_rng(3))
+        a = small_filter.run(hist, 10, seed=3)
+        b = small_filter.run(hist, 10, seed=3)
         assert np.array_equal(a.particles.offset, b.particles.offset)
         assert np.array_equal(a.particles.edge, b.particles.edge)

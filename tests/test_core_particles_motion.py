@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.rng import Draw
 from repro.core import CompiledAnchors, CompiledGraph, GraphMotionModel, ParticleSet
 from repro.floorplan.presets import (
     cross_office_plan,
@@ -13,6 +14,7 @@ from repro.floorplan.presets import (
 )
 from repro.geometry import Circle, Point
 from repro.graph import build_walking_graph
+from tests.streams import draws_for, seed_cloud
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +199,7 @@ class TestMotionModel:
     def test_initialize_within_circle(self, small_compiled, rng):
         model = self._model(small_compiled)
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(64, circle, rng)
+        ps = seed_cloud(model, 64, circle, 12345)
         xs, ys = small_compiled.points(ps.edge, ps.offset)
         for x, y in zip(xs, ys):
             assert circle.contains(Point(x, y)) or circle.center.distance_to(
@@ -207,12 +209,12 @@ class TestMotionModel:
     def test_initialize_off_graph_collapses_to_nearest(self, small_compiled, rng):
         model = self._model(small_compiled)
         circle = Circle(Point(100, 100), 0.5)
-        ps = model.initialize_in_circle(16, circle, rng)
+        ps = seed_cloud(model, 16, circle, 12345)
         assert len(np.unique(ps.edge)) == 1
 
     def test_speeds_positive_and_near_mean(self, small_compiled, rng):
         model = self._model(small_compiled)
-        speeds = model.draw_speeds(2000, rng)
+        speeds = model.draw_speeds(draws_for(1, 1, 2000))
         assert (speeds > 0).all()
         assert abs(speeds.mean() - 1.0) < 0.02
         assert abs(speeds.std() - 0.1) < 0.02
@@ -220,9 +222,9 @@ class TestMotionModel:
     def test_step_keeps_particles_on_graph(self, paper_compiled, rng):
         model = self._model(paper_compiled)
         circle = Circle(Point(20, 5), 2.0)
-        ps = model.initialize_in_circle(128, circle, rng)
-        for _ in range(30):
-            model.step(ps, [rng])
+        ps = seed_cloud(model, 128, circle, 12345)
+        for second in range(30):
+            model.step(ps, draws_for(1, 1, len(ps), second))
             lengths = paper_compiled.edge_length[ps.edge]
             assert (ps.offset >= -1e-9).all()
             assert (ps.offset <= lengths + 1e-9).all()
@@ -231,9 +233,9 @@ class TestMotionModel:
     def test_step_distance_bounded_by_speed(self, small_compiled, rng):
         model = self._model(small_compiled, room_exit_probability=0.0)
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(64, circle, rng)
+        ps = seed_cloud(model, 64, circle, 12345)
         x0, y0 = small_compiled.points(ps.edge, ps.offset)
-        model.step(ps, [rng], dt=1.0)
+        model.step(ps, draws_for(1, 1, len(ps)), dt=1.0)
         x1, y1 = small_compiled.points(ps.edge, ps.offset)
         moved = np.hypot(x1 - x0, y1 - y0)
         # Straight-line displacement can never exceed the walked distance.
@@ -242,17 +244,17 @@ class TestMotionModel:
     def test_particles_eventually_enter_and_dwell_in_rooms(self, small_compiled, rng):
         model = self._model(small_compiled, door_entry_probability=0.5)
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(64, circle, rng)
-        for _ in range(40):
-            model.step(ps, [rng])
+        ps = seed_cloud(model, 64, circle, 12345)
+        for second in range(40):
+            model.step(ps, draws_for(1, 1, len(ps), second))
         assert ps.dwelling.any()
 
     def test_no_door_entry_means_no_dwelling(self, small_compiled, rng):
         model = self._model(small_compiled, door_entry_probability=0.0)
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(64, circle, rng)
-        for _ in range(40):
-            model.step(ps, [rng])
+        ps = seed_cloud(model, 64, circle, 12345)
+        for second in range(40):
+            model.step(ps, draws_for(1, 1, len(ps), second))
         assert not ps.dwelling.any()
 
     def test_room_exit_zero_traps_dwellers(self, small_compiled, rng):
@@ -260,9 +262,9 @@ class TestMotionModel:
             small_compiled, door_entry_probability=1.0, room_exit_probability=0.0
         )
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(64, circle, rng)
-        for _ in range(60):
-            model.step(ps, [rng])
+        ps = seed_cloud(model, 64, circle, 12345)
+        for second in range(60):
+            model.step(ps, draws_for(1, 1, len(ps), second))
         assert ps.dwelling.all()
 
     def test_room_exit_one_releases_quickly(self, small_compiled, rng):
@@ -270,13 +272,13 @@ class TestMotionModel:
             small_compiled, door_entry_probability=0.0, room_exit_probability=1.0
         )
         circle = Circle(Point(10, 5), 2.0)
-        ps = model.initialize_in_circle(32, circle, rng)
+        ps = seed_cloud(model, 32, circle, 12345)
         ps.dwelling[:] = True
         # Park everyone on a door edge at its room end.
         door = small_compiled.graph.door_edge("R1")
         ps.edge[:] = door.edge_id
         ps.offset[:] = door.length
-        model.step(ps, [rng])
+        model.step(ps, draws_for(1, 1, len(ps)))
         assert not ps.dwelling.any()
 
     def test_dead_end_reverses(self, small_compiled, rng):
@@ -292,11 +294,11 @@ class TestMotionModel:
         left_is_a = edge.path.start.x < edge.path.end.x
         ps.direction[:] = -1 if left_is_a else 1
         ps.speed[:] = 1.0
-        model.step(ps, [rng])
+        model.step(ps, draws_for(1, 1, len(ps)))
         x, _ = small_compiled.points(ps.edge, ps.offset)
         assert x[0] >= 0.0
         # After bouncing, the particle heads back into the hallway.
-        model.step(ps, [rng])
+        model.step(ps, draws_for(1, 1, len(ps)))
         x2, _ = small_compiled.points(ps.edge, ps.offset)
         assert x2[0] > x[0] - 1e-9
 
@@ -321,23 +323,29 @@ def _reference_scan(model, circle):
     return candidates
 
 
-def _reference_initialize(model, candidates, n, circle, rng):
+def _reference_initialize(model, candidates, n, circle, seed):
     """Particle seeding as a per-row loop over ``(edge, offset)`` tuples."""
+    draws = draws_for(seed, 1, n)
+
+    def row_uniform(purpose, row):
+        return float(draws.uniforms(purpose, np.array([row]))[0])
+
     particles = ParticleSet.empty(n)
     if candidates:
-        picks = rng.integers(0, len(candidates), size=n)
-        jitter = rng.uniform(-0.125, 0.125, size=n)
-        for row, pick in enumerate(picks):
+        for row in range(n):
+            pick = min(int(row_uniform(Draw.INIT_PICK, row) * len(candidates)), len(candidates) - 1)
+            jitter = (row_uniform(Draw.INIT_JITTER, row) - 0.5) * 0.25
             edge_id, offset = candidates[pick]
             length = model.compiled.edge_length[edge_id]
             particles.edge[row] = edge_id
-            particles.offset[row] = min(max(offset + jitter[row], 0.0), length)
+            particles.offset[row] = min(max(offset + jitter, 0.0), length)
     else:
         loc, _ = model.compiled.graph.locate(circle.center)
         particles.edge[:] = loc.edge_id
         particles.offset[:] = loc.offset
-    particles.direction[:] = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    particles.speed[:] = model.draw_speeds(n, rng)
+    for row in range(n):
+        particles.direction[row] = 1 if row_uniform(Draw.INIT_DIRECTION, row) < 0.5 else -1
+        particles.speed[row] = model.draw_speeds(draws, np.array([row]))[0]
     particles.dwelling[:] = False
     particles.weight[:] = 1.0 / max(n, 1)
     return particles
@@ -363,20 +371,16 @@ class TestSeedSets:
             circle = reader.detection_circle
             candidates = _reference_scan(model, circle)
             assert candidates, reader.reader_id
-            got = model.initialize_in_circle(n, circle, np.random.default_rng(seed))
-            expected = _reference_initialize(
-                model, candidates, n, circle, np.random.default_rng(seed)
-            )
+            got = seed_cloud(model, n, circle, seed)
+            expected = _reference_initialize(model, candidates, n, circle, seed)
             _assert_same_bytes(got, expected)
 
     def test_off_graph_fallback_matches_reference(self, paper_compiled):
         model = GraphMotionModel(paper_compiled)
         circle = Circle(Point(200.0, -50.0), 1.0)
         assert _reference_scan(model, circle) == []
-        got = model.initialize_in_circle(32, circle, np.random.default_rng(5))
-        expected = _reference_initialize(
-            model, [], 32, circle, np.random.default_rng(5)
-        )
+        got = seed_cloud(model, 32, circle, 5)
+        expected = _reference_initialize(model, [], 32, circle, 5)
         _assert_same_bytes(got, expected)
 
     def test_second_call_reuses_read_only_arrays(self, paper_compiled):
@@ -387,7 +391,7 @@ class TestSeedSets:
         # A rescan would build new arrays; the memo hands back the same ones.
         again = model.positions_in_circle(Circle(Point(20.0, 5.0), 2.0))
         assert again[0] is edges and again[1] is offsets
-        model.initialize_in_circle(8, circle, np.random.default_rng(0))
+        seed_cloud(model, 8, circle, 0)
         for array in (edges, offsets):
             assert not array.flags.writeable
             with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ engines, and a restored service that serves its saved tick at once.
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis import lint_project
@@ -71,11 +70,11 @@ class TestFilterEntryPoints:
         sim.run_until(20)
         pf = sim.pf_engine.filter_backend.filter
         history = sim.pf_engine.collector.history(sim.pf_engine.collector.observed_objects()[0])
-        resumed_from = pf.run(history, 12, rng=np.random.default_rng(3))
+        resumed_from = pf.run(history, 12, seed=3)
         for resume in (None, (resumed_from.particles, resumed_from.end_second)):
-            alone = pf.run(history, 20, rng=np.random.default_rng(5), resume=resume)
+            alone = pf.run(history, 20, seed=5, resume=resume)
             (batch,) = pf.run_many(
-                [FilterRequest(history, np.random.default_rng(5), resume)], 20
+                [FilterRequest(history, resume)], 20, 5
             )
             assert alone.end_second == batch.end_second
             assert json.dumps(alone.particles.to_state()) == json.dumps(

@@ -1,11 +1,11 @@
 """Bit identity of the lockstep particle filter kernel.
 
 ``ParticleFilter.run_many`` advances a batch of objects together over
-stacked ``(objects x N)`` particle arrays, each object drawing from its
-own generator. The reference below is the per-object run loop it
-replaced, kept verbatim in spirit: one object at a time, one cloud per
-call, 1-D normalization and ESS. Every array of every result and every
-generator's final state must match it.
+stacked ``(objects x N)`` particle arrays, each object drawing its own
+counter-based uniforms, keyed by its id and the second it steps. The
+reference below is the per-object run loop it replaced, kept verbatim in
+spirit: one object at a time, one cloud per call, 1-D normalization and
+ESS. Every array of every result must match it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from functools import partial
 
 from repro import obs
 from repro.collector.collector import DeviceRun, ReadingHistory
@@ -31,6 +33,8 @@ from repro.floorplan import (
 )
 from repro.graph import build_walking_graph
 from repro.rfid import deploy_readers_uniform, reader_by_id
+from repro.rng import CounterDraws, Draw, object_words
+from tests.streams import seed_cloud
 
 PLANS = {
     "paper": paper_office_plan,
@@ -66,27 +70,28 @@ def reference_run(
     pf: ParticleFilter,
     history: ReadingHistory,
     current_second: int,
-    rng: np.random.Generator,
+    seed: int,
     resume: Optional[Tuple[ParticleSet, int]] = None,
 ) -> Tuple[ParticleSet, int]:
     t_end = int(min(history.last_second + pf.config.silence_cap_seconds, current_second))
+    objects = object_words(seed, [history.object_id])
     if resume is not None and resume[1] <= t_end:
         particles = resume[0].copy()
         t_state = resume[1]
     else:
         reader = pf.readers[history.initial_reader_id]
-        particles = pf.motion.initialize_in_circle(
-            pf.config.num_particles, reader.detection_circle, rng
-        )
         t_state = history.first_second
+        draws = CounterDraws.at(objects, np.array([t_state]), pf.config.num_particles)
+        particles = pf.motion.initialize_in_circles([reader.detection_circle], draws)
     for second in range(t_state + 1, t_end + 1):
-        pf.motion.step(particles, [rng], dt=1.0)
+        draws = CounterDraws.at(objects, np.array([second]), len(particles))
+        pf.motion.step(particles, draws, dt=1.0)
         reader_id = history.reading_at(second)
         if reader_id is None:
             if pf.config.use_negative_information:
-                _reference_silence(pf, particles, rng)
+                _reference_silence(pf, particles, draws)
             continue
-        _reference_observe(pf, particles, reader_id, rng)
+        _reference_observe(pf, particles, reader_id, draws)
     return particles, t_end
 
 
@@ -104,7 +109,12 @@ def _reference_take(particles: ParticleSet, indices: np.ndarray) -> None:
     particles.weight[:] = 1.0 / max(len(indices), 1)
 
 
-def _reference_observe(pf, particles, reader_id, rng) -> None:
+def _reference_resample(pf, particles, draws) -> None:
+    source = partial(draws.block_uniforms, Draw.RESAMPLE)
+    _reference_take(particles, pf.resampler(particles.weight, len(particles), source))
+
+
+def _reference_observe(pf, particles, reader_id, draws) -> None:
     reader = pf.readers[reader_id]
     x, y = pf.compiled.points(particles.edge, particles.offset)
     dx = x - reader.position.x
@@ -112,17 +122,15 @@ def _reference_observe(pf, particles, reader_id, rng) -> None:
     mask = dx * dx + dy * dy <= reader.activation_range ** 2 + 1e-12
     particles.weight *= np.where(mask, pf.config.weight_hit, pf.config.weight_miss)
     if not mask.any():
-        reseeded = pf.motion.initialize_in_circle(
-            len(particles), reader.detection_circle, rng
-        )
+        reseeded = pf.motion.initialize_in_circles([reader.detection_circle], draws)
         for name in FIELDS:
             getattr(particles, name)[:] = getattr(reseeded, name)
         return
     _reference_normalize(particles)
-    _reference_take(particles, pf.resampler(particles.weight, len(particles), rng))
+    _reference_resample(pf, particles, draws)
 
 
-def _reference_silence(pf, particles, rng) -> None:
+def _reference_silence(pf, particles, draws) -> None:
     mask = pf.sensing.in_any_range_mask(particles)
     particles.weight *= np.where(mask, pf.config.negative_likelihood, 1.0)
     _reference_normalize(particles)
@@ -130,7 +138,7 @@ def _reference_silence(pf, particles, rng) -> None:
         return
     ess = 1.0 / float(np.sum(particles.weight ** 2))
     if ess < len(particles) / 2.0:
-        _reference_take(particles, pf.resampler(particles.weight, len(particles), rng))
+        _reference_resample(pf, particles, draws)
 
 
 def assert_same(a: ParticleSet, b: ParticleSet) -> None:
@@ -164,7 +172,7 @@ def histories(draw, reader_ids: List[str], now: int, object_id: str) -> ReadingH
 
 @st.composite
 def batches(draw, min_objects: int = 1, max_objects: int = 6):
-    """``(filter, current_second, [(history, seed, resume)])`` for one batch."""
+    """``(filter, current_second, seed, [(history, resume)])`` for one batch."""
     compiled, readers = world(
         draw(st.sampled_from(sorted(PLANS))),
         # 60 m puts every particle in range: silence has no contrast.
@@ -182,20 +190,18 @@ def batches(draw, min_objects: int = 1, max_objects: int = 6):
         resampler=RESAMPLERS[draw(st.sampled_from(sorted(RESAMPLERS)))],
     )
     now = draw(st.integers(5, 90))
+    seed = draw(st.integers(0, 2**32 - 1))
     reader_ids = sorted(readers)
     objects = []
     for index in range(draw(st.integers(min_objects, max_objects))):
         history = draw(histories(reader_ids, now, f"o{index}"))
-        seed = draw(st.integers(0, 2**32 - 1))
         t_end = int(min(history.last_second + config.silence_cap_seconds, now))
         mode = draw(st.sampled_from(["cold", "one_second", "midway", "future", "resized"]))
         resume = None
         if mode != "cold":
             size = config.num_particles + 3 if mode == "resized" else config.num_particles
-            state = pf.motion.initialize_in_circle(
-                size,
-                readers[history.latest_reader_id].detection_circle,
-                np.random.default_rng(seed ^ 0x5EED),
+            state = seed_cloud(
+                pf.motion, size, readers[history.latest_reader_id].detection_circle, seed ^ index
             )
             state_second = {
                 "one_second": t_end - 1,
@@ -204,25 +210,19 @@ def batches(draw, min_objects: int = 1, max_objects: int = 6):
                 "resized": t_end - draw(st.integers(0, 3)),
             }[mode]
             resume = (state, state_second)
-        objects.append((history, seed, resume))
-    return pf, now, objects
+        objects.append((history, resume))
+    return pf, now, seed, objects
 
 
-def check_batch(pf, now, objects) -> None:
-    inputs = [None if resume is None else resume[0].copy() for _, _, resume in objects]
-    rngs = [np.random.default_rng(seed) for _, seed, _ in objects]
-    requests = [
-        FilterRequest(history, rng, resume)
-        for (history, _, resume), rng in zip(objects, rngs)
-    ]
-    results = pf.run_many(requests, now)
+def check_batch(pf, now, seed, objects) -> None:
+    inputs = [None if resume is None else resume[0].copy() for _, resume in objects]
+    requests = [FilterRequest(history, resume) for history, resume in objects]
+    results = pf.run_many(requests, now, seed)
     assert len(results) == len(objects)
-    for (history, seed, resume), rng, result, before in zip(objects, rngs, results, inputs):
-        ref_rng = np.random.default_rng(seed)
-        expected, t_end = reference_run(pf, history, now, ref_rng, resume)
+    for (history, resume), result, before in zip(objects, results, inputs):
+        expected, t_end = reference_run(pf, history, now, seed, resume)
         assert result.end_second == t_end
         assert_same(result.particles, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, history.object_id
         if resume is not None:
             assert_same(resume[0], before)  # the kernel never writes to its inputs
 
@@ -242,8 +242,8 @@ class TestLockstepBitIdentity:
         compiled, readers = world("paper", 2.0)
         pf = ParticleFilter(compiled, readers, DEFAULT_CONFIG)
         history = ReadingHistory("o1", (DeviceRun("d1", [3, 4, 6]), DeviceRun("d3", [12])))
-        result = pf.run(history, 40, rng=np.random.default_rng(9))
-        expected, t_end = reference_run(pf, history, 40, np.random.default_rng(9))
+        result = pf.run(history, 40, seed=9)
+        expected, t_end = reference_run(pf, history, 40, 9)
         assert result.end_second == t_end
         assert_same(result.particles, expected)
 
@@ -262,32 +262,25 @@ class TestBatching:
             if span["name"] == "filter.run"
         ]
 
-    def test_repeated_generator_is_rejected(self):
+    def test_repeated_object_draws_alike(self):
+        # Draws are keyed by object and second, not by a stream that two
+        # requests could interleave: a repeated request gets the same run.
         compiled, readers = world("paper", 2.0)
         pf = ParticleFilter(compiled, readers, DEFAULT_CONFIG)
-        histories = self._objects(pf, 3)
-        shared = np.random.default_rng(11)
-        own = np.random.default_rng(12)
-        requests = [
-            FilterRequest(histories[0], shared),
-            FilterRequest(histories[1], own),
-            FilterRequest(histories[2], shared),
-        ]
-        before = shared.bit_generator.state
-        with pytest.raises(ValueError, match="its own generator"):
-            pf.run_many(requests, 30)
-        # Rejected before any draw: the stream is left where it was.
-        assert shared.bit_generator.state == before
+        histories = self._objects(pf, 2)
+        requests = [FilterRequest(histories[0]), FilterRequest(histories[1]),
+                    FilterRequest(histories[0])]
+        first, _, again = pf.run_many(requests, 30, 11)
+        assert_same(first.particles, again.particles)
+        assert_same(first.particles, pf.run(histories[0], 30, seed=11).particles)
 
     def test_own_generators_run_one_batch_per_particle_count(self):
         compiled, readers = world("paper", 2.0)
         pf = ParticleFilter(compiled, readers, DEFAULT_CONFIG)
         histories = self._objects(pf, 5)
-        odd = pf.motion.initialize_in_circle(
-            10, readers["d2"].detection_circle, np.random.default_rng(0)
-        )
+        odd = seed_cloud(pf.motion, 10, readers["d2"].detection_circle, 0)
         requests = [
-            FilterRequest(h, np.random.default_rng(i), (odd, 25) if i == 2 else None)
+            FilterRequest(h, (odd, 25) if i == 2 else None)
             for i, h in enumerate(histories)
         ]
         obs.enable()
@@ -301,9 +294,7 @@ class TestBatching:
         config = DEFAULT_CONFIG.with_overrides(use_negative_information=True)
         pf = ParticleFilter(compiled, readers, config)
         histories = self._objects(pf, 8)
-        resume = pf.motion.initialize_in_circle(
-            config.num_particles, readers["d1"].detection_circle, np.random.default_rng(1)
-        )
+        resume = seed_cloud(pf.motion, config.num_particles, readers["d1"].detection_circle, 1)
 
         def counters(run):
             obs.disable()
@@ -317,7 +308,7 @@ class TestBatching:
 
         def requests():
             return [
-                FilterRequest(h, np.random.default_rng(i), (resume, 20) if i % 3 == 0 else None)
+                FilterRequest(h, (resume, 20) if i % 3 == 0 else None)
                 for i, h in enumerate(histories)
             ]
 

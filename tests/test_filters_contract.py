@@ -21,7 +21,6 @@ from repro.filters import (
     available_backends,
     create_backend,
 )
-from repro.rng import filter_run_rng
 from repro.service import (
     CheckpointCompatibilityError,
     ReplaySource,
@@ -71,14 +70,10 @@ def replay_readings():
     return readings
 
 
-def _rng_for(object_id, second):
-    return filter_run_rng(FAST.seed, second, object_id)
-
-
 def _run(backend, object_id, history, resume=None):
     """One object's run at second 30, as a one-request ``run_many`` call."""
-    request = FilterRequest(history, _rng_for(object_id, 30), resume)
-    return backend.run_many([request], 30)[0]
+    request = FilterRequest(history, resume)
+    return backend.run_many([request], 30, FAST.seed)[0]
 
 
 def _posterior(backend, run):
@@ -177,7 +172,7 @@ class TestBackendContract:
         backend = backends[name]
         empty = ReadingHistory(object_id="ghost", runs=())
         with pytest.raises(ValueError, match="ghost"):
-            backend.run_many([FilterRequest(empty, np.random.default_rng(0))], 10)
+            backend.run_many([FilterRequest(empty)], 10)
 
 
 class TestParticleEquivalence:
@@ -187,9 +182,7 @@ class TestParticleEquivalence:
         _, histories = world
         backend = backends["particle"]
         for object_id, history in histories.items():
-            legacy = backend.filter.run(
-                history, 30, rng=_rng_for(object_id, 30)
-            )
+            legacy = backend.filter.run(history, 30, seed=FAST.seed)
             state = _run(backend, object_id, history).state
             for fieldname in ("edge", "offset", "direction", "speed", "dwelling"):
                 assert np.array_equal(
@@ -204,10 +197,7 @@ class TestSymbolicBatch:
     def test_batch_equals_one_request_calls(self, world, backends):
         _, histories = world
         backend = backends["symbolic"]
-        requests = [
-            FilterRequest(history, _rng_for(object_id, 30))
-            for object_id, history in histories.items()
-        ]
+        requests = [FilterRequest(history) for history in histories.values()]
         batch = backend.run_many(requests, 30)
         alone = [backend.run_many([request], 30)[0] for request in requests]
         assert len(batch) == len(requests) > 1
@@ -248,36 +238,24 @@ class TestSymbolicBatch:
         assert runs == backend_runs == objects_filtered == len(filtered)
 
     def test_a_symbolic_tick_builds_no_generators(self, replay_readings, monkeypatch):
-        import repro.core.preprocessing as preprocessing
+        # The symbolic model is closed-form: a tick keys no draws at all.
+        import repro.core.filter as core_filter
 
         built = []
-        original = preprocessing.filter_run_rngs
+        original = core_filter.object_words
         monkeypatch.setattr(
-            preprocessing, "filter_run_rngs",
+            core_filter, "object_words",
             lambda *args: built.append(args) or original(*args),
         )
-
-        def tables(draws):
-            with TrackingService(FAST, filter_backend="symbolic") as service:
-                if draws:
-                    # The reference: hand every run its own generator.
-                    service.executor.filter_backend.draws = True
-                served = []
-                for batch in ReplaySource(replay_readings, max_seconds=12).batches():
-                    service.process_batch(batch)
-                    table = service.snapshot().table
-                    served.append(
-                        {o: table.distribution_of(o) for o in sorted(table.objects())}
-                    )
-            return served
-
-        assert not BACKENDS["symbolic"].draws and BACKENDS["particle"].draws
-        served = tables(draws=False)
+        with TrackingService(FAST, filter_backend="symbolic") as service:
+            for batch in ReplaySource(replay_readings, max_seconds=12).batches():
+                service.process_batch(batch)
+            assert service.snapshot().table.objects()
         assert built == []
-        reference = tables(draws=True)
-        assert len(built) == len(reference) == 12
-        assert served == reference
-        assert any(served)
+        with TrackingService(FAST, filter_backend="particle") as service:
+            for batch in ReplaySource(replay_readings, max_seconds=2).batches():
+                service.process_batch(batch)
+        assert built
 
 
 class TestCheckpointCompatibility:
@@ -349,8 +327,9 @@ class TestCheckpointCompatibility:
         with pytest.raises(CheckpointCompatibilityError, match="version"):
             restore_service(state)
 
-    def test_v1_checkpoint_is_migrated(self, replay_readings, tmp_path):
-        """Pre-backend checkpoints load as implicit particle state."""
+    def test_v1_checkpoint_is_refused(self, replay_readings, tmp_path):
+        """Pre-backend checkpoints hold particle states of state version 1,
+        stepped on per-tick generator streams: they are refused on load."""
         import json
 
         path = tmp_path / "ckpt.json"
@@ -376,14 +355,10 @@ class TestCheckpointCompatibility:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
 
-        migrated = load_checkpoint(path)
-        assert migrated["filter"] == {"backend": "particle", "state_version": 1}
-        restored = restore_from_file(path)
-        try:
-            assert restored.executor.filter_backend.name == "particle"
-            assert restored.ticks == 10
-        finally:
-            restored.close()
+        with pytest.raises(CheckpointCompatibilityError, match="re-create the checkpoint"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointCompatibilityError, match="version 1"):
+            restore_from_file(path)
 
     def test_v1_migration_refused_onto_other_backend(
         self, replay_readings, tmp_path
@@ -402,5 +377,5 @@ class TestCheckpointCompatibility:
         document["checkpoint_version"] = 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
-        with pytest.raises(CheckpointCompatibilityError, match="symbolic"):
+        with pytest.raises(CheckpointCompatibilityError, match="re-create"):
             restore_from_file(path, filter_backend="symbolic")

@@ -25,6 +25,13 @@ class TestCheck:
         assert Check("fig11", "range_kl", 1.0, 1.0, 0.0).passed
 
 
+def test_error_correlation_fails_when_it_rises_past_the_spread():
+    # A stream biased alike for every object correlates their errors.
+    assert not Check("fig11", "error_corr", 0.05, 0.4, 0.1).passed
+    assert Check("fig11", "error_corr", 0.05, 0.1, 0.1).passed
+    assert Check("fig11", "error_corr", 0.05, -0.2, 0.0).passed  # less correlated
+
+
 def test_points_are_fig11_at_the_base_and_the_second_fig12_count():
     assert gate_points("standard", 64) == [
         ("fig11", {"num_particles": 64}),
@@ -35,10 +42,12 @@ def test_points_are_fig11_at_the_base_and_the_second_fig12_count():
 
 def test_the_tree_against_itself_passes():
     rows, checks = run_gate(REPO, REPO, scale="quick", seeds=2)
-    assert len(rows) == 4 and len(checks) == 4
+    assert len(rows) == 4 and len(checks) == 6
     for row in rows:
         assert row["parent_range_kl"] == row["change_range_kl"]
         assert row["parent_knn_hit"] == row["change_knn_hit"]
+        assert row["parent_error_corr"] == row["change_error_corr"]
+        assert -1.0 <= row["change_error_corr"] <= 1.0
     assert all(check.passed and check.worse_by == 0.0 for check in checks)
 
 

@@ -98,9 +98,9 @@ class TestGatewayCommand:
         with pytest.raises(SystemExit):
             main(FAST + ["--seconds", "1", "--restore"])
 
-    def test_restore_of_a_missing_checkpoint_is_actionable(self, tmp_path):
-        with pytest.raises(SystemExit, match="re-create"):
-            main(FAST + ["--restore", str(tmp_path / "absent.json")])
+    def test_restore_of_a_missing_checkpoint_is_actionable(self, tmp_path, capsys):
+        assert main(FAST + ["--restore", str(tmp_path / "absent.json")]) == 2
+        assert "re-create" in capsys.readouterr().err
 
     def test_partition_counts_print_identical_deltas(self, capsys):
         runs = {}

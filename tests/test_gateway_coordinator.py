@@ -3,11 +3,13 @@
 The acceptance property of the gateway: a multi-tenant run partitioned
 across 1, 2, or 4 workers produces snapshots, standing-query deltas, and
 query answers identical to a single-process ``TrackingService`` per
-tenant — because every filter run draws from a
-``(seed, second, object_id)`` RNG stream, placement cannot change the
-output.
+tenant — because every filter draw is keyed by ``(seed, object, stepped
+second)``, placement cannot change the output, and because every table
+keeps its anchor buckets in ascending object id, the answers match byte
+for byte, key order included (:class:`TestSerializedIdentity`).
 """
 
+import json
 import os
 import pickle
 import signal
@@ -153,6 +155,71 @@ class TestBitIdentity:
                 for obj in sorted(table.objects())
             }
         assert alone == reference["tables"][spec.tenant_id]
+
+
+def _serialized_tick(table, range_result, knn_result, deltas):
+    """One tick as JSON without ``sort_keys``: key order is part of the bytes."""
+    return json.dumps({
+        "objects": {obj: table.distribution_of(obj) for obj in table.objects()},
+        "buckets": {str(ap): table.items_at(ap) for ap in table.anchors()},
+        "range": range_result.probabilities,
+        "knn": knn_result.probabilities,
+        "deltas": [[d.query_id, d.second, d.entered, d.left, d.updated] for d in deltas],
+    })
+
+
+@pytest.fixture(scope="module")
+def serialized_reference(tenant_batches):
+    """Every tick of single-process per-tenant runs, serialized."""
+    out = {}
+    for spec in _specs():
+        world = TenantWorld(spec)
+        with TrackingService(
+            world.config, plan=world.plan, readers=world.readers, seed=spec.seed,
+        ) as service:
+            service.sessions.subscribe_range(WINDOW, session_id="r0")
+            service.sessions.subscribe_knn(KNN_POINT, KNN_K, session_id="k0")
+            ticks = []
+            for batch in tenant_batches[spec.tenant_id]:
+                deltas = service.process_batch(batch)
+                ticks.append(_serialized_tick(
+                    service.snapshot().table,
+                    service.query_range(WINDOW, query_id="q-range"),
+                    service.query_knn(KNN_POINT, KNN_K, query_id="q-knn"),
+                    deltas,
+                ))
+        out[spec.tenant_id] = ticks
+    return out
+
+
+class TestSerializedIdentity:
+    """Answers and deltas are byte-identical at any partition count."""
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    @pytest.mark.parametrize("num_partitions", [1, 2, 4])
+    def test_json_equals_single_process(
+        self, tenant_batches, serialized_reference, num_partitions, transport
+    ):
+        ticks = {tid: [] for tid in tenant_batches}
+        with GatewayCoordinator(
+            _specs(), num_partitions=num_partitions, transport=transport
+        ) as coordinator:
+            for spec in _specs():
+                coordinator.subscribe_range(spec.tenant_id, WINDOW, session_id="r0")
+                coordinator.subscribe_knn(spec.tenant_id, KNN_POINT, KNN_K, session_id="k0")
+            for step in range(SECONDS):
+                for tid in tenant_batches:
+                    coordinator.submit_tick(tid, tenant_batches[tid][step])
+                for _ in tenant_batches:
+                    tid, _second, deltas = coordinator.collect_tick()
+                    ticks[tid].append(_serialized_tick(
+                        coordinator.latest_snapshot(tid).table,
+                        coordinator.query_range(tid, WINDOW, query_id="q-range"),
+                        coordinator.query_knn(tid, KNN_POINT, KNN_K, query_id="q-knn"),
+                        deltas,
+                    ))
+        assert ticks == serialized_reference
+        assert any('"deltas": [[' in tick for run in ticks.values() for tick in run)
 
 
 class TestQueries:

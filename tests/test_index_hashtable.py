@@ -111,26 +111,31 @@ class TestFromDistributions:
             [["o2", [[3, 1.0]]], ["o3", [[3, 0.5]]]],
         ])
 
-    def test_both_maps_keep_insertion_order(self):
-        table = AnchorObjectTable.from_distributions(
-            [
-                ("o9", {5: 0.25, 2: 0.75}),
-                ("o1", {2: 0.5, 8: -0.125, 7: 0.5}),
-                ("o4", {7: 1.0}),
-            ]
-        )
+    def test_both_maps_take_ascending_object_order(self):
+        # Whatever order the pairs come in (a gateway merges partition by
+        # partition), objects and every anchor bucket are in ascending
+        # object id; anchors in order of first appearance in that walk.
+        pairs = [
+            ("o9", {5: 0.25, 2: 0.75}),
+            ("o1", {2: 0.5, 8: -0.125, 7: 0.5}),
+            ("o4", {7: 1.0}),
+        ]
+        table = AnchorObjectTable.from_distributions(pairs)
         assert _both_maps(table) == json.dumps([
             [
-                [5, {"o9": 0.25}],
-                [2, {"o9": 0.75, "o1": 0.5}],
+                [2, {"o1": 0.5, "o9": 0.75}],
                 [7, {"o1": 0.5, "o4": 1.0}],
+                [5, {"o9": 0.25}],
             ],
             [
-                ["o9", [[5, 0.25], [2, 0.75]]],
                 ["o1", [[2, 0.5], [7, 0.5]]],
                 ["o4", [[7, 1.0]]],
+                ["o9", [[5, 0.25], [2, 0.75]]],
             ],
         ])
+        for order in ([2, 0, 1], [1, 2, 0], [0, 2, 1]):
+            shuffled = AnchorObjectTable.from_distributions([pairs[i] for i in order])
+            assert _both_maps(shuffled) == _both_maps(table)
 
     def test_owns_its_distributions(self):
         distribution = {1: 0.25, 2: 0.75}

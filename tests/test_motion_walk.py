@@ -1,15 +1,13 @@
 """Bit identity of the motion model's edge-crossing walk and dwell exits.
 
-``GraphMotionModel.step`` walks its edge crossers in plain Python over
-``CompiledGraph.crossings``, a per-heading table of the junction law, or,
-from ``_STACK_MIN_CROSSERS`` crossers on, in array passes over the same
-table with batched coin draws; it moves a block's room leavers with one
-speed draw per block. The
-reference below is the earlier per-particle step, kept verbatim in
-spirit: one ``_exit_room`` per leaver drawing a size-1 speed, one
-``_walk`` per crosser reading numpy scalars, and one
-``_choose_next_edge`` per junction masking the node's adjacency array.
-Every array and the final generator state must match it.
+``GraphMotionModel.step`` walks its edge crossers hop-major, in array
+passes over ``CompiledGraph.crossings``, with one counter-based ``WALK``
+uniform per row and hop, and moves every room leaver of the stack in one
+pass. The reference below is the per-particle step: one ``_exit_room``
+per leaver, one ``_walk`` per crosser reading its own uniforms row by row,
+and one ``_choose_next_edge`` per junction masking the node's adjacency
+array. Every array must match it, and every block of a stack must match
+the same block stepped alone.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CompiledGraph, GraphMotionModel, ParticleSet
-from repro.core.motion import _MAX_HOPS, _STACK_MIN_CROSSERS
+from repro.core.motion import _MAX_HOPS
 from repro.floorplan import (
     cross_office_plan,
     linear_office_plan,
@@ -29,6 +27,7 @@ from repro.floorplan import (
     small_test_plan,
 )
 from repro.graph import build_walking_graph
+from repro.rng import CounterDraws, Draw, object_words
 
 PLANS = {
     "paper": paper_office_plan,
@@ -43,18 +42,27 @@ def compiled_plan(name: str) -> CompiledGraph:
     return CompiledGraph(build_walking_graph(PLANS[name]()))
 
 
+def draws_for(seed: int, blocks: int, size: int, second: int = 7) -> CounterDraws:
+    """Draws of ``blocks`` objects at one second."""
+    objects = object_words(seed, [f"obj-{block}" for block in range(blocks)])
+    return CounterDraws.at(objects, np.full(blocks, second), size)
+
+
+def uniform(draws: CounterDraws, purpose: Draw, row: int, hop: int = 0) -> float:
+    """One row's uniform, drawn alone."""
+    return float(draws.uniforms(purpose, np.array([row]), hop)[0])
+
+
 # ----------------------------------------------------------------------
-# reference: the per-particle walk the junction table replaced
+# reference: the per-particle walk
 # ----------------------------------------------------------------------
 def reference_step(
-    model: GraphMotionModel, particles: ParticleSet, rng: np.random.Generator, dt: float
+    model: GraphMotionModel, particles: ParticleSet, draws: CounterDraws, dt: float
 ) -> None:
     compiled = model.compiled
-    dwelling_rows = np.nonzero(particles.dwelling)[0]
-    if len(dwelling_rows):
-        exits = dwelling_rows[rng.random(len(dwelling_rows)) < model.room_exit_probability]
-        for row in exits:
-            _reference_exit_room(model, particles, int(row), rng)
+    for row in np.nonzero(particles.dwelling)[0].tolist():
+        if uniform(draws, Draw.EXIT, row) < model.room_exit_probability:
+            _reference_exit_room(model, particles, row, draws)
     moving = ~particles.dwelling
     distance = particles.speed * dt
     tentative = particles.offset + particles.direction * distance
@@ -62,10 +70,10 @@ def reference_step(
     stays = moving & (tentative >= 0.0) & (tentative <= lengths)
     particles.offset[stays] = tentative[stays]
     for row in np.nonzero(moving & ~stays)[0]:
-        _reference_walk(model, particles, int(row), float(distance[row]), rng)
+        _reference_walk(model, particles, int(row), float(distance[row]), draws)
 
 
-def _reference_exit_room(model, particles, row, rng):
+def _reference_exit_room(model, particles, row, draws):
     compiled = model.compiled
     edge_id = int(particles.edge[row])
     if compiled.node_is_room[compiled.edge_node_b[edge_id]]:
@@ -74,19 +82,20 @@ def _reference_exit_room(model, particles, row, rng):
     else:
         particles.offset[row] = 0.0
         particles.direction[row] = 1
-    particles.speed[row] = np.maximum(
-        rng.normal(model.speed_mean, model.speed_std, size=1), model.min_speed
-    )[0]
+    radius = uniform(draws, Draw.SPEED_RADIUS, row, hop=1)
+    angle = uniform(draws, Draw.SPEED_ANGLE, row, hop=1)
+    normal = np.sqrt(-2.0 * np.log1p(-radius)) * np.cos(2.0 * np.pi * angle)
+    particles.speed[row] = max(model.speed_mean + model.speed_std * normal, model.min_speed)
     particles.dwelling[row] = False
 
 
-def _reference_walk(model, particles, row, distance, rng):
+def _reference_walk(model, particles, row, distance, draws):
     compiled = model.compiled
     edge = int(particles.edge[row])
     offset = float(particles.offset[row])
     direction = int(particles.direction[row])
     remaining = distance
-    for _ in range(_MAX_HOPS):
+    for hop in range(_MAX_HOPS):
         length = compiled.edge_length[edge]
         space = (length - offset) if direction > 0 else offset
         if remaining <= space + 1e-12:
@@ -101,7 +110,7 @@ def _reference_walk(model, particles, row, distance, rng):
         if compiled.node_is_room[node]:
             particles.dwelling[row] = True
             break
-        edge = _reference_choose_next_edge(model, node, edge, rng)
+        edge = _reference_choose_next_edge(model, node, edge, uniform(draws, Draw.WALK, row, hop))
         if compiled.edge_node_a[edge] == node:
             offset = 0.0
             direction = 1
@@ -113,7 +122,13 @@ def _reference_walk(model, particles, row, distance, rng):
     particles.direction[row] = direction
 
 
-def _reference_choose_next_edge(model, node, arrival_edge, rng):
+def _reference_choose_next_edge(model, node, arrival_edge, u):
+    """One uniform picks the pool (door with the door probability) and the entry.
+
+    ``u`` below the door probability takes the door pool, and ``u``'s
+    place in its pool's share of [0, 1), stretched over the pool, picks
+    the entry.
+    """
     compiled = model.compiled
     candidates = compiled.adjacency[node]
     if len(candidates) > 1:
@@ -121,15 +136,20 @@ def _reference_choose_next_edge(model, node, arrival_edge, rng):
     if len(candidates) == 1:
         return int(candidates[0])
     door_mask = compiled.edge_is_door[candidates]
-    doors = candidates[door_mask]
-    hallways = candidates[~door_mask]
-    if len(doors) and len(hallways):
-        pool = doors if rng.random() < model.door_entry_probability else hallways
-    elif len(doors):
-        pool = doors
+    doors = list(candidates[door_mask])
+    hallways = list(candidates[~door_mask])
+    p = model.door_entry_probability
+    if doors and hallways:
+        if u < p:
+            column = min(u * (len(doors) / p), len(doors) - 1)
+        else:
+            column = min(
+                (u - p) * (len(hallways) / (1.0 - p)) + len(doors),
+                len(doors) + len(hallways) - 1,
+            )
     else:
-        pool = hallways
-    return int(pool[rng.integers(len(pool))])
+        column = min(u * len(doors or hallways), len(doors or hallways) - 1)
+    return int((doors + hallways)[int(column)])
 
 
 # ----------------------------------------------------------------------
@@ -189,13 +209,11 @@ class TestWalkBitIdentity:
     def test_step_matches_reference(self, case, steps, dt):
         model, particles, seed = case
         expected = particles.copy()
-        rng_new = np.random.default_rng(seed + 1)
-        rng_ref = np.random.default_rng(seed + 1)
-        for _ in range(steps):
-            model.step(particles, [rng_new], dt=dt)
-            reference_step(model, expected, rng_ref, dt)
+        for second in range(steps):
+            draws = draws_for(seed, 1, len(particles), second)
+            model.step(particles, draws, dt=dt)
+            reference_step(model, expected, draws, dt)
             assert_same(particles, expected)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_capped_walk_spends_max_hops(self, name):
@@ -209,8 +227,9 @@ class TestWalkBitIdentity:
         particles.offset[:] = compiled.edge_length[particles.edge] / 2
         particles.speed[:] = 1e6
         expected = particles.copy()
-        model.step(particles, [np.random.default_rng(5)])
-        reference_step(model, expected, np.random.default_rng(5), 1.0)
+        draws = draws_for(5, 1, 32)
+        model.step(particles, draws)
+        reference_step(model, expected, draws, 1.0)
         assert_same(particles, expected)
         assert not particles.dwelling.any()
 
@@ -237,19 +256,15 @@ class TestWalkBitIdentity:
         stack.speed[:] = rng.uniform(0.5, 1.5, size=len(stack))
         stack.dwelling[:] = rng.random(len(stack)) < 0.8
         expected = [stack[block * size:(block + 1) * size].copy() for block in range(blocks)]
-        rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
-        ref_rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
-        model.step(stack, rngs)
-        for block, (want, ref_rng) in enumerate(zip(expected, ref_rngs)):
-            reference_step(model, want, ref_rng, 1.0)
+        draws = draws_for(seed, blocks, size)
+        model.step(stack, draws)
+        for block, want in enumerate(expected):
+            reference_step(model, want, draws.take([block]), 1.0)
             assert_same(stack[block * size:(block + 1) * size], want)
-        assert [r.bit_generator.state for r in rngs] == [
-            r.bit_generator.state for r in ref_rngs
-        ]
 
     def test_every_dweller_leaves_with_one_speed_draw(self):
-        # All 40 rows leave at once: one normal(size=40) call must give the
-        # speeds that 40 size-1 calls give, in row order.
+        # All 40 rows leave at once: one pass must give the speeds that
+        # 40 one-row draws give, in row order.
         compiled = compiled_plan("paper")
         model = GraphMotionModel(compiled, room_exit_probability=1.0)
         door_edges = np.nonzero(compiled.edge_is_door)[0]
@@ -259,22 +274,35 @@ class TestWalkBitIdentity:
         particles.offset[:] = np.where(room_at_b, compiled.edge_length[particles.edge], 0.0)
         particles.dwelling[:] = True
         expected = particles.copy()
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        model.step(particles, [rng], dt=1e-9)
-        reference_step(model, expected, ref_rng, 1e-9)
+        draws = draws_for(11, 1, 40)
+        model.step(particles, draws, dt=1e-9)
+        reference_step(model, expected, draws, 1e-9)
         assert_same(particles, expected)
         assert not particles.dwelling.any()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(set(particles.speed.tolist())) == 40
 
     def test_multi_way_pools_still_draw(self):
         # The paper plan has junctions offering two hallways: their pool
-        # of two must keep drawing from the generator.
-        crossings = compiled_plan("paper").crossings
+        # of two must take an entry by the draw, and a forced entry none.
+        compiled = compiled_plan("paper")
+        crossings = compiled.crossings
         pools = [
             key for key in range(len(crossings.far))
             if max(len(crossings.doors[key]), len(crossings.hallways[key])) >= 2
         ]
         assert pools
+        model = GraphMotionModel(compiled, door_entry_probability=0.0)
+        key = next(k for k in pools if not crossings.doors[k])
+        edge, forward = divmod(key, 2)
+        particles = ParticleSet.empty(256)
+        particles.edge[:] = edge
+        particles.direction[:] = 1 if forward else -1
+        length = compiled.edge_length[edge]
+        particles.offset[:] = length - 0.01 if forward else 0.01
+        particles.speed[:] = 0.02
+        model.step(particles, draws_for(3, 1, 256))
+        taken = {(int(e), int(d)) for e, d in zip(particles.edge, particles.direction)}
+        assert {(k >> 1, 1 if k & 1 else -1) for k, _ in crossings.hallways[key]} == taken
 
 
 def random_stack(compiled, blocks, size, seed, band):
@@ -293,17 +321,15 @@ def random_stack(compiled, blocks, size, seed, band):
 
 
 def assert_stack_matches_reference(model, stack, blocks, seed, steps=1, dt=1.0):
-    """Step ``stack`` and each block alone; every block and generator must agree."""
+    """Step ``stack`` and each block alone; every block must agree."""
     size = len(stack) // blocks
     expected = [stack[block * size:(block + 1) * size].copy() for block in range(blocks)]
-    rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
-    ref_rngs = [np.random.default_rng([seed, block]) for block in range(blocks)]
-    for _ in range(steps):
-        model.step(stack, rngs, dt=dt)
-        for block, (want, ref_rng) in enumerate(zip(expected, ref_rngs)):
-            reference_step(model, want, ref_rng, dt)
+    for second in range(steps):
+        draws = draws_for(seed, blocks, size, second)
+        model.step(stack, draws, dt=dt)
+        for block, want in enumerate(expected):
+            reference_step(model, want, draws.take([block]), dt)
             assert_same(stack[block * size:(block + 1) * size], want)
-    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
 class TestStackWalk:
@@ -325,11 +351,12 @@ class TestStackWalk:
         stack = random_stack(compiled, blocks, size, seed, band)
         assert_stack_matches_reference(model, stack, blocks, seed, steps=steps)
 
-    @pytest.mark.parametrize("crossers", [_STACK_MIN_CROSSERS - 1, _STACK_MIN_CROSSERS])
+    @pytest.mark.parametrize("crossers", [63, 64])
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_at_the_threshold(self, name, crossers):
-        # Exactly ``crossers`` rows leave their edge: the walk takes the
-        # scalar path one below the threshold and the stack path at it.
+        # Exactly ``crossers`` rows leave their edge, around the count
+        # from which an earlier walk switched from scalar to array passes;
+        # one hop-major walk now serves every count.
         compiled = compiled_plan(name)
         model = GraphMotionModel(compiled)
         blocks, size = 4, 32
@@ -362,26 +389,34 @@ class TestStackWalk:
         assert_stack_matches_reference(model, stack, blocks, 9)
 
     def test_stack_path_draws_coins_in_runs(self):
-        # Many walking rows on the paper plan: the stack path must batch
-        # coin draws, yet end every generator where the scalar walk does.
+        # Many walking rows on the paper plan, with junctions offering one
+        # door and one hallway: every block must match its reference over
+        # five steps, and about half the coin crossers take the door.
         compiled = compiled_plan("paper")
-        assert (compiled.crossings.kind == compiled.crossings.COIN).any()
+        crossings = compiled.crossings
+        coins = [
+            key for key in range(len(crossings.far))
+            if len(crossings.doors[key]) == len(crossings.hallways[key]) == 1
+        ]
+        assert coins
         model = GraphMotionModel(compiled, door_entry_probability=0.5)
         stack = random_stack(compiled, 20, 64, 123, "walk")
         assert_stack_matches_reference(model, stack, 20, 123, steps=5)
 
-    def test_shared_generator_draws_in_row_order(self):
-        # Blocks that share one generator draw from it in row order
-        # across blocks, as the scalar walk does.
+    def test_stack_order_does_not_change_draws(self):
+        # A block draws by its object's key, not its place in the stack:
+        # stepping the blocks in reverse order gives the same blocks.
         compiled = compiled_plan("cross")
         model = GraphMotionModel(compiled)
-        stack = random_stack(compiled, 10, 32, 8, "walk")
-        expected = stack.copy()
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        model.step(stack, [rng] * 10)
-        reference_step(model, expected, ref_rng, 1.0)
-        assert_same(stack, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        blocks, size = 10, 32
+        stack = random_stack(compiled, blocks, size, 8, "walk")
+        order = list(reversed(range(blocks)))
+        rows = (np.array(order)[:, None] * size + np.arange(size)).reshape(-1)
+        reversed_stack = stack[rows]
+        draws = draws_for(4, blocks, size)
+        model.step(stack, draws)
+        model.step(reversed_stack, draws.take(order))
+        assert_same(stack[rows], reversed_stack)
 
 
 class TestJunctionTable:
@@ -439,30 +474,19 @@ class TestJunctionTable:
         assert c.far_array.tolist() == c.far
         assert c.sign_array.tolist() == c.sign
         assert c.length_array.tolist() == c.length
+        assert c.room_array.tolist() == c.room
         for key in range(len(c.far)):
             doors, hallways = c.doors[key], c.hallways[key]
             if c.forced[key] is not None:
-                kind, pool = c.FORCED, [c.forced[key]]
-            elif c.room[key]:
-                kind, pool = c.ROOM, []
-            elif len(doors) == len(hallways) == 1:
-                kind, pool = c.COIN, doors + hallways
-            elif not (doors and hallways):
-                kind, pool = c.PICK, doors or hallways
+                pool, door_count = [c.forced[key]], 0
             else:
-                kind, pool = c.OTHER, []
-            assert c.kind[key] == kind
-            assert c.pool_size[key] == len(pool)
-            row = c.entries[key].tolist()
+                pool, door_count = doors + hallways, len(doors)
+            assert c.door_count[key] == door_count
+            assert c.hallway_count[key] == len(pool) - door_count
+            row = c.pools[key].tolist()
             assert row == [k for k, _ in pool] + [0] * (len(row) - len(pool))
             # An entry's offset is the far end of the opposite heading.
             assert [c.far[k ^ 1] for k, _ in pool] == [offset for _, offset in pool]
-            if kind == c.OTHER:
-                assert c.reach[key] == -np.inf
-            elif pool:
-                assert c.reach[key] == min(c.length[k] for k, _ in pool)
-            else:
-                assert c.reach[key] == np.inf
 
     def test_paper_plan_size(self):
         # One heading per edge end: 68 edges.
@@ -475,32 +499,38 @@ class TestJunctionTable:
 
 
 class TestSingleChoiceDraw:
-    """The walk takes a one-edge pool without ``rng.integers(1)``."""
+    """A draw is a pure function of its indices, and a pool of one takes none."""
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_random_k_equals_k_scalar_draws(self, buffered):
-        # The stack path draws a run of coin rows with one
-        # ``random(out=...)`` call; a half-word left by ``integers``
-        # must not enter it.
-        rngs = [np.random.default_rng(77) for _ in range(3)]
+        # One call over k rows yields the values of k one-row calls, in
+        # any order and whatever was drawn before (``buffered``: another
+        # purpose and hop drawn first).
+        draws = draws_for(77, 3, 9)
         if buffered:
-            for rng in rngs:
-                rng.integers(3)
-        scalar = [rngs[0].random() for _ in range(9)]
-        assert rngs[1].random(9).tolist() == scalar
-        out = np.zeros(12)
-        rngs[2].random(out=out[2:11])
-        assert out[2:11].tolist() == scalar
-        states = [rng.bit_generator.state for rng in rngs]
-        assert states[0] == states[1] == states[2]
+            draws.uniforms(Draw.EXIT, np.arange(27), hop=5)
+        rows = np.array([20, 2, 11, 3, 26, 9, 0, 14, 8])
+        scalar = [uniform(draws, Draw.WALK, int(row), hop=1) for row in rows]
+        assert draws.uniforms(Draw.WALK, rows, hop=1).tolist() == scalar
+        whole = draws.uniforms(Draw.WALK, hop=1)
+        assert whole[rows].tolist() == scalar
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_integers_one_leaves_state_unchanged(self, buffered):
-        rng = np.random.default_rng(2024)
-        if buffered:
-            # A 32-bit draw leaves half a 64-bit word buffered.
-            rng.integers(0, 1000, dtype=np.int32)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        before = rng.bit_generator.state
-        assert rng.integers(1) == 0
-        assert rng.bit_generator.state == before
+        # A forced entry (a hallway pool of one) is taken whatever the
+        # row's uniform: rows one draw apart still take the same entry.
+        compiled = compiled_plan("paper")
+        crossings = compiled.crossings
+        forced = [key for key in range(len(crossings.far)) if crossings.forced[key] is not None]
+        assert forced
+        model = GraphMotionModel(compiled, door_entry_probability=0.5 if buffered else 0.0)
+        key = forced[0]
+        edge, forward = divmod(key, 2)
+        particles = ParticleSet.empty(64)
+        particles.edge[:] = edge
+        particles.direction[:] = 1 if forward else -1
+        particles.offset[:] = compiled.edge_length[edge] - 0.01 if forward else 0.01
+        particles.speed[:] = 0.02
+        model.step(particles, draws_for(5, 1, 64))
+        entry_key, _ = crossings.forced[key]
+        assert (particles.edge == entry_key >> 1).all()

@@ -422,7 +422,9 @@ class TestInitAttribution:
             - counters.get("filter.resumed_runs", 0)
             + counters.get("filter.depletion_reseeds", 0)
         )
-        assert timers["filter.init"]["count"] == seedings
+        # One timed pass seeds every new cloud of a lockstep call, and one
+        # every depleted cloud of an observation.
+        assert 0 < timers["filter.init"]["count"] <= seedings
 
 
 class TestTimerMark:

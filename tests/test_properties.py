@@ -49,7 +49,7 @@ class TestFilterInvariants:
         result = pf.run(
             history,
             current_second=history.last_second + horizon,
-            rng=np.random.default_rng(seed),
+            seed=seed,
         )
         particles = result.particles
         lengths = compiled.edge_length[particles.edge]
@@ -68,7 +68,7 @@ class TestFilterInvariants:
         compiled, compiled_anchors, readers, pf = world
         history = ReadingHistory("o1", (DeviceRun("d2", [0, 1]),))
         result = pf.run(
-            history, current_second=1 + horizon, rng=np.random.default_rng(seed)
+            history, current_second=1 + horizon, seed=seed
         )
         elapsed = result.end_second - 1
         x, y = compiled.points(result.particles.edge, result.particles.offset)

@@ -206,7 +206,7 @@ class TestNegativeInformation:
 
         def covered_mass(config, seed):
             pf = ParticleFilter(compiled, readers, config)
-            result = pf.run(history, current_second=20, rng=np.random.default_rng(seed))
+            result = pf.run(history, current_second=20, seed=seed)
             mask = pf.sensing.in_any_range_mask(result.particles)
             return result.particles.weight[mask].sum()
 

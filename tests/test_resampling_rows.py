@@ -1,10 +1,13 @@
 """Row resamplers: one call on a weight matrix equals one 1-D call per row.
 
-The references below are the 1-D resamplers as they were before the
-registry functions took ``(rows, N)`` weight matrices with one generator
-per row. Every index and every generator's final state must match a
-per-row loop over them, and an invalid row must raise the ``ValueError``
-its own 1-D call raises.
+The references below are 1-D resamplers that read their uniforms from
+one row of a uniform matrix. The registry functions take a ``(rows, N)``
+weight matrix and a uniform source that serves one row of uniforms per
+weight row (the particle filter's counter-based draws), or a generator
+that draws the whole matrix at once. Every index must match a per-row
+loop over the references, a generator source must end where one matrix
+draw leaves it, and an invalid row must raise the ``ValueError`` its own
+1-D call raises.
 """
 
 from __future__ import annotations
@@ -28,32 +31,30 @@ def _validated(weights):
     return weights / total
 
 
-def ref_systematic(weights, n, rng):
+def ref_systematic(weights, n, u):
     weights = _validated(weights)
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
-    u1 = rng.uniform(0.0, 1.0 / n)
-    points = u1 + np.arange(n) / n
+    points = u[0] / n + np.arange(n) / n
     return np.searchsorted(cdf, points, side="left").astype(np.int64)
 
 
-def ref_multinomial(weights, n, rng):
+def ref_multinomial(weights, n, u):
     weights = _validated(weights)
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
-    draws = rng.random(n)
-    return np.searchsorted(cdf, draws, side="left").astype(np.int64)
+    return np.searchsorted(cdf, u[:n], side="left").astype(np.int64)
 
 
-def ref_stratified(weights, n, rng):
+def ref_stratified(weights, n, u):
     weights = _validated(weights)
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
-    points = (np.arange(n) + rng.random(n)) / n
+    points = (np.arange(n) + u[:n]) / n
     return np.searchsorted(cdf, points, side="left").astype(np.int64)
 
 
-def ref_residual(weights, n, rng):
+def ref_residual(weights, n, u):
     weights = _validated(weights)
     scaled = n * weights
     copies = np.floor(scaled).astype(np.int64)
@@ -63,15 +64,17 @@ def ref_residual(weights, n, rng):
         residual = scaled - copies
         total = residual.sum()
         if total <= 0:
-            extra = rng.integers(0, len(weights), size=remainder)
+            extra = (u[:remainder] * len(weights)).astype(np.int64)
         else:
             cdf = np.cumsum(residual / total)
             cdf[-1] = 1.0
-            extra = np.searchsorted(cdf, rng.random(remainder), side="left")
+            extra = np.searchsorted(cdf, u[:remainder], side="left")
         indices = np.concatenate([indices, extra.astype(np.int64)])
     return indices[:n]
 
 
+#: The uniform columns each resampler asks its source for.
+COLUMNS = {"systematic": lambda n: 1}
 REFERENCES = {
     "systematic": ref_systematic,
     "multinomial": ref_multinomial,
@@ -117,12 +120,20 @@ def weight_rows(draw, valid=True):
     return weights, seed
 
 
-def _generators(seed, rows):
-    return [np.random.default_rng([seed, row]) for row in range(rows)]
+def _uniforms(seed, rows, n):
+    """One row of uniforms per weight row, and a source serving them."""
+    table = np.random.default_rng(seed).random((rows, n + 1))
+    asked = []
+
+    def source(columns):
+        asked.append(columns)
+        return table[:, :columns]
+
+    return table, source, asked
 
 
-def _states(generators):
-    return [generator.bit_generator.state for generator in generators]
+def _columns(name, n):
+    return COLUMNS.get(name, lambda n: n)(n)
 
 
 @pytest.mark.parametrize("name", sorted(RESAMPLERS))
@@ -134,33 +145,38 @@ class TestRowsEqualOneCallPerRow:
     def test_indices_and_generator_states(self, name, case, n_extra):
         weights, seed = case
         n = max(weights.shape[1] + n_extra, 1)
-        expected_rngs = _generators(seed, len(weights))
-        expected = [
-            REFERENCES[name](row, n, rng) for row, rng in zip(weights, expected_rngs)
-        ]
-        rngs = _generators(seed, len(weights))
-        picks = RESAMPLERS[name](weights, n, rngs)
+        table, source, asked = _uniforms(seed, len(weights), n)
+        expected = [REFERENCES[name](row, n, u) for row, u in zip(weights, table)]
+        picks = RESAMPLERS[name](weights, n, source)
         assert picks.dtype == np.int64
         assert picks.shape == (len(weights), n)
+        assert asked == [_columns(name, n)]
         for row, want in enumerate(expected):
             assert np.array_equal(picks[row], want), row
-        assert _states(rngs) == _states(expected_rngs)
+        # A generator source draws the whole matrix in one call.
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = reference.random((len(weights), _columns(name, n)))
+        from_rng = RESAMPLERS[name](weights, n, rng)
+        for row, want in enumerate(drawn):
+            assert np.array_equal(from_rng[row], REFERENCES[name](weights[row], n, want))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
     @given(case=weight_rows(valid=False))
     def test_first_invalid_row_raises_its_own_error(self, name, case):
         weights, seed = case
         size = weights.shape[1]
+        table, source, _ = _uniforms(seed, len(weights), size)
         message = None
-        for row, rng in zip(weights, _generators(seed, len(weights))):
+        for row, u in zip(weights, table):
             try:
-                REFERENCES[name](row, size, rng)
+                REFERENCES[name](row, size, u)
             except ValueError as exc:
                 message = str(exc)
                 break
         assert message is not None
         with pytest.raises(ValueError) as raised:
-            RESAMPLERS[name](weights, size, _generators(seed, len(weights)))
+            RESAMPLERS[name](weights, size, source)
         assert str(raised.value) == message
 
     @settings(max_examples=60, deadline=None)
@@ -168,8 +184,9 @@ class TestRowsEqualOneCallPerRow:
     def test_one_dimensional_call_is_the_one_row_case(self, name, case):
         weights, seed = case
         row = weights[0]
+        columns = _columns(name, len(row))
         expected_rng = np.random.default_rng(seed)
-        expected = REFERENCES[name](row, len(row), expected_rng)
+        expected = REFERENCES[name](row, len(row), expected_rng.random((1, columns))[0])
         rng = np.random.default_rng(seed)
         picks = RESAMPLERS[name](row, len(row), rng)
         assert picks.shape == (len(row),)
@@ -177,5 +194,6 @@ class TestRowsEqualOneCallPerRow:
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_one_generator_per_row_is_required(self, name):
-        with pytest.raises(ValueError, match="one generator per row"):
-            RESAMPLERS[name](np.ones((3, 4)), 4, _generators(0, 2))
+        # The source must serve one row of uniforms per weight row.
+        with pytest.raises(ValueError, match="one row per weight row"):
+            RESAMPLERS[name](np.ones((3, 4)), 4, lambda columns: np.zeros((2, columns)))
