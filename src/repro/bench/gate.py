@@ -31,7 +31,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +114,21 @@ class Check(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.worse_by <= self.parent_iqr
+
+
+def smoke_note(seeds: int, scale: str) -> Optional[str]:
+    """The line marking a verdict as a smoke check, or None when it decides.
+
+    With fewer than 10 seeds, or below standard scale, the parent's
+    interquartile range is too coarse to decide on: the kNN hit rate's
+    is 0.0 at quick scale with 3 seeds, so any drop fails there.
+    """
+    if seeds >= 10 and scale == "standard":
+        return None
+    return (
+        f"gate: smoke check only ({seeds} seeds, {scale} scale); a decision "
+        "needs 10 or more seeds at standard scale"
+    )
 
 
 def gate_points(scale: str, particles: int) -> List[Tuple[str, Dict[str, int]]]:

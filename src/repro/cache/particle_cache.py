@@ -3,9 +3,9 @@
 Stores each object's filter state after a filter run so that a later
 query over the same object resumes filtering from the cached timestamp
 instead of replaying from scratch. The cache is backend-agnostic: it
-holds any :class:`repro.filters.base.FilterState` (particle sets,
-symbolic states) and tags its serialized form with the owning backend's
-name and state version so checkpoints refuse incompatible restores.
+holds any :class:`repro.filters.base.FilterState`. It is an optimization,
+not state: every draw is keyed by the stepped second, so a replay equals
+a resume, and checkpoints do not save it.
 
 Invalidation policy (exactly as the paper argues): a cached state is only
 valid while the object has not been detected by a *new* device since it
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Optional, Set, Tuple
 
 import repro.obs as obs
-from repro.core.particles import ParticleSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.filters.base import FilterState
@@ -61,27 +60,15 @@ class ParticleCacheManager:
     """Per-object filter state cache with generation-based invalidation.
 
     Despite the historical name, the manager caches *any* backend's
-    filter state; ``backend`` / ``state_version`` record whose states it
-    holds so serialized caches are self-describing. The default
-    ``decoder`` keeps plain ``ParticleCacheManager()`` (and pre-backend
-    checkpoints) decoding particle sets.
+    filter state. A restored service starts with an empty cache: its
+    first tick replays each object's history, which gives the same
+    cloud as resuming a saved entry.
 
-    Thread-safe, so callers may filter and checkpoint from different
-    threads: lookups, stores, serialization and the statistics counters
-    are guarded by one lock.
+    Thread-safe: lookups, stores and the statistics counters are guarded
+    by one lock.
     """
 
-    def __init__(
-        self,
-        backend: str = "particle",
-        state_version: int = 1,
-        decoder: "Optional[Callable[[Dict[str, object]], FilterState]]" = None,
-    ) -> None:
-        self.backend = backend
-        self.state_version = state_version
-        self._decoder: "Callable[[Dict[str, object]], FilterState]" = (
-            decoder if decoder is not None else ParticleSet.from_state
-        )
+    def __init__(self) -> None:
         self._entries: Dict[str, CachedFilterState] = {}
         #: Ids stored since the last :meth:`settle`; their states may share memory.
         self._latest: Set[str] = set()
@@ -164,63 +151,6 @@ class ParticleCacheManager:
         """Drop all entries; statistics are preserved."""
         with self._lock:
             self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # checkpoint support (repro.service.checkpoint)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """All entries as a JSON-safe dict (statistics are not included).
-
-        Filter states round-trip bit-for-bit through their ``to_state``
-        methods, which is what makes a restored service resume *exactly*
-        where it left off: a resumed filter run replays the same seconds
-        from the same state. The document carries the owning backend's
-        name and state version so restores can refuse mismatches.
-        """
-        with self._lock:
-            return {
-                "backend": self.backend,
-                "state_version": self.state_version,
-                "entries": {
-                    object_id: {
-                        "state_second": entry.state_second,
-                        "device_generation": entry.device_generation,
-                        "state": entry.state.to_state(),
-                    }
-                    for object_id, entry in self._entries.items()
-                },
-            }
-
-    def restore_state(self, state: dict) -> None:
-        """Replace all entries from :meth:`state_dict` output.
-
-        Raises ``FilterStateError`` when the document was produced by a
-        different backend or an incompatible state version.
-        """
-        from repro.filters.base import FilterStateError
-
-        backend = state.get("backend", "particle")
-        version = int(state.get("state_version", 1))
-        if backend != self.backend:
-            raise FilterStateError(
-                f"cached filter states belong to backend {backend!r}; "
-                f"this cache decodes {self.backend!r} states"
-            )
-        if version != self.state_version:
-            raise FilterStateError(
-                f"cached {self.backend!r} states have state version "
-                f"{version}; this cache speaks version {self.state_version}"
-            )
-        with self._lock:
-            self._entries = {
-                object_id: CachedFilterState(
-                    object_id=object_id,
-                    state=self._decoder(entry["state"]),
-                    state_second=int(entry["state_second"]),
-                    device_generation=int(entry["device_generation"]),
-                )
-                for object_id, entry in state["entries"].items()
-            }
 
     def __contains__(self, object_id: str) -> bool:
         return object_id in self._entries

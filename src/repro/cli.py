@@ -22,7 +22,7 @@ Ten subcommands::
                       stacks)
     repro profile     run a seeded workload under the deterministic
                       profiler clock and print/export where time goes
-                      (per phase, backend, object bucket)
+                      (per phase and backend)
     repro top         live ANSI dashboard over a running serve endpoint
                       or an --events log file
     repro bench       run the deterministic workload suite and print its
@@ -771,7 +771,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     import repro
-    from repro.bench.gate import render_checks, run_gate
+    from repro.bench.gate import render_checks, run_gate, smoke_note
 
     if args.parent is None:
         raise SystemExit("repro experiment gate: --parent DIR is required")
@@ -790,6 +790,9 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     print(render_checks(checks))
     failed = [check for check in checks if not check.passed]
     print(f"gate: {'FAIL' if failed else 'PASS'} ({len(checks) - len(failed)}/{len(checks)} checks)")
+    note = smoke_note(args.seeds, args.scale)
+    if note is not None:
+        print(note)
     return 1 if failed else 0
 
 
@@ -1126,7 +1129,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.restore,
                 plan=plan,
                 readers=readers,
-                use_cache=None if not args.no_cache else False,
+                use_cache=not args.no_cache,
                 filter_backend=args.filter_backend,
             )
         except CheckpointCompatibilityError as exc:

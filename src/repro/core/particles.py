@@ -119,34 +119,6 @@ class ParticleSet:
         self.dwelling[rows] = self.dwelling[indices]
         self.weight[rows] = 1.0 / max(block_size or len(indices), 1)
 
-    def to_state(self) -> dict:
-        """Serialize to a JSON-safe dict of plain lists.
-
-        Used by the service checkpoint module; :meth:`from_state` inverts
-        it exactly (dtypes included), so a checkpoint/restore round trip
-        preserves particle state bit-for-bit.
-        """
-        return {
-            "edge": self.edge.tolist(),
-            "offset": self.offset.tolist(),
-            "direction": self.direction.tolist(),
-            "speed": self.speed.tolist(),
-            "dwelling": self.dwelling.tolist(),
-            "weight": self.weight.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ParticleSet":
-        """Rebuild a set from :meth:`to_state` output."""
-        return cls(
-            edge=np.asarray(state["edge"], dtype=np.int64),
-            offset=np.asarray(state["offset"], dtype=np.float64),
-            direction=np.asarray(state["direction"], dtype=np.int8),
-            speed=np.asarray(state["speed"], dtype=np.float64),
-            dwelling=np.asarray(state["dwelling"], dtype=bool),
-            weight=np.asarray(state["weight"], dtype=np.float64),
-        )
-
     def normalize_weights(self, blocks: int = 1) -> None:
         """Scale each block's weights to sum to 1 (Algorithm 2 line 28).
 

@@ -60,13 +60,7 @@ class PreprocessingModule:
         # Stateless backends have nothing worth resuming; they get no
         # cache, so lookups are not wasted (and stats stay meaningful).
         self.cache: "Optional[ParticleCacheManager]" = (
-            ParticleCacheManager(
-                backend=self.backend.name,
-                state_version=self.backend.state_version,
-                decoder=self.backend.state_from_dict,
-            )
-            if use_cache and self.backend.cacheable
-            else None
+            ParticleCacheManager() if use_cache and self.backend.cacheable else None
         )
 
     def process(

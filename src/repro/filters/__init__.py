@@ -4,12 +4,11 @@ Every location estimator in the system — the paper's SIR particle
 filter and the symbolic uniform-over-reachable baseline — is a
 :class:`~repro.filters.base.FilterBackend`: ``run_many`` turns a tick's
 :class:`~repro.filters.base.FilterRequest` list into plain
-:class:`~repro.filters.base.FilterRun` records, ``posteriors`` snaps
-those runs to anchor distributions, and ``state_from_dict`` decodes a
-checkpointed belief. Engines, executors, and the CLI resolve backends
-by name (``--filter {particle, symbolic}``) through
-:func:`~repro.filters.registry.create_backend` and otherwise never
-special-case an estimator.
+:class:`~repro.filters.base.FilterRun` records, and ``posteriors``
+snaps those runs to anchor distributions. Engines, executors, and the
+CLI resolve backends by name (``--filter {particle, symbolic}``)
+through :func:`~repro.filters.registry.create_backend` and otherwise
+never special-case an estimator.
 """
 
 from repro.filters.base import (
@@ -17,7 +16,6 @@ from repro.filters.base import (
     FilterRequest,
     FilterRun,
     FilterState,
-    FilterStateError,
 )
 from repro.filters.particle import ParticleBackend
 from repro.filters.registry import (
@@ -36,7 +34,6 @@ __all__ = [
     "FilterRequest",
     "FilterRun",
     "FilterState",
-    "FilterStateError",
     "BACKENDS",
     "BackendSpec",
     "available_backends",

@@ -17,8 +17,8 @@ from them. The preprocessing module makes two calls per tick:
   probability mass, the ``{ap_id: probability}`` form all query
   evaluation code consumes.
 
-A belief checkpoints through its ``to_state()`` document, which
-:meth:`FilterBackend.state_from_dict` decodes bit-exactly.
+Beliefs are never serialized: a checkpoint saves reading histories,
+and a restore replays them.
 
 Randomness is keyed, not threaded: ``run_many`` takes the system seed,
 and a backend that draws keys every draw by ``(seed, object, stepped
@@ -42,19 +42,11 @@ from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
 
 
-class FilterStateError(ValueError):
-    """A serialized filter state is unreadable or from the wrong backend."""
-
-
 class FilterState(Protocol):
-    """What a backend's mutable belief must support to be cached/checkpointed."""
+    """What a backend's mutable belief must support to be cached."""
 
     def detached(self) -> "FilterState":
         """This belief if it shares no memory with others, else a copy."""
-        ...  # pragma: no cover - protocol
-
-    def to_state(self) -> Dict[str, object]:
-        """A JSON-safe document that round-trips bit-exactly."""
         ...  # pragma: no cover - protocol
 
 
@@ -79,14 +71,11 @@ class FilterBackend(ABC):
     Subclasses declare:
 
     * ``name`` — the ``--filter`` value it is created under;
-    * ``state_version`` — bumped whenever ``to_state`` layout changes, so
-      checkpoints refuse incompatible restores instead of mis-decoding;
     * ``cacheable`` — whether resuming from a cached belief is cheaper
       than recomputing (stateless backends opt out).
     """
 
     name: ClassVar[str]
-    state_version: ClassVar[int] = 1
     cacheable: ClassVar[bool] = True
 
     def __init__(
@@ -107,10 +96,6 @@ class FilterBackend(ABC):
             self.readers = {r.reader_id: r for r in readers}
         self.compiled_graph = CompiledGraph(graph)
         self.compiled_anchors = CompiledAnchors(anchor_index, self.compiled_graph)
-
-    @abstractmethod
-    def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
-        """Decode a belief's ``to_state()`` document (checkpoints)."""
 
     @abstractmethod
     def run_many(

@@ -18,7 +18,7 @@ from repro.core.discretize import particles_to_anchor_distribution
 from repro.core.filter import FilterRequest, ParticleFilter
 from repro.core.particles import ParticleSet
 from repro.core.resampling import systematic_resample
-from repro.filters.base import FilterBackend, FilterRun, FilterState, FilterStateError
+from repro.filters.base import FilterBackend, FilterRun
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
@@ -28,10 +28,6 @@ class ParticleBackend(FilterBackend):
     """The paper's SIR particle filter behind the backend contract."""
 
     name = "particle"
-    #: Version 2: draws keyed by (seed, object, stepped second). A
-    #: version-1 state was stepped on per-tick generator streams, so
-    #: resuming it here would not continue the run that wrote it.
-    state_version = 2
     cacheable = True
 
     def __init__(
@@ -49,14 +45,6 @@ class ParticleBackend(FilterBackend):
             config,
             resampler=resampler if resampler is not None else systematic_resample,
         )
-
-    def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
-        try:
-            return ParticleSet.from_state(payload)
-        except KeyError as exc:
-            raise FilterStateError(
-                f"particle state document is missing field {exc.args[0]!r}"
-            ) from exc
 
     def run_many(
         self,

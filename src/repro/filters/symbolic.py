@@ -35,7 +35,7 @@ import repro.obs as obs
 from repro.collector.collector import DeviceRun, ReadingHistory
 from repro.config import SimulationConfig
 from repro.core.filter import FilterRequest
-from repro.filters.base import FilterBackend, FilterRun, FilterState, FilterStateError
+from repro.filters.base import FilterBackend, FilterRun
 from repro.graph.anchors import AnchorIndex
 from repro.graph.walking_graph import WalkingGraph
 from repro.rfid.reader import RFIDReader
@@ -47,72 +47,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SymbolicState:
     """A symbolic belief is just the inputs: the history and the second."""
 
-    __slots__ = ("object_id", "runs", "now")
+    __slots__ = ("history", "now")
 
-    def __init__(
-        self, object_id: str, runs: Sequence[Mapping[str, object]], now: int
-    ) -> None:
-        self.object_id = object_id
-        self.runs: List[Dict[str, object]] = [dict(r) for r in runs]
+    def __init__(self, history: ReadingHistory, now: int) -> None:
+        self.history = history
         self.now = now
 
     @classmethod
     def from_history(cls, history: ReadingHistory, now: int) -> "SymbolicState":
-        """Capture a reading history at evaluation second ``now``."""
-        return cls(
-            history.object_id,
-            [
-                {"reader_id": run.reader_id, "seconds": list(run.seconds)}
-                for run in history.runs
-            ],
-            now,
-        )
+        """Capture a reading history at evaluation second ``now``.
 
-    def history(self) -> ReadingHistory:
-        """The captured history as the collector's type."""
-        return ReadingHistory(
-            object_id=self.object_id,
-            runs=tuple(
-                DeviceRun(
-                    reader_id=cast(str, run["reader_id"]),
-                    seconds=list(cast(List[int], run["seconds"])),
-                )
-                for run in self.runs
-            ),
-        )
+        The runs are copied: the collector keeps appending to its own.
+        """
+        runs = tuple(DeviceRun(run.reader_id, list(run.seconds)) for run in history.runs)
+        return cls(ReadingHistory(history.object_id, runs), now)
 
     def detached(self) -> "SymbolicState":
         """This state: it shares nothing with other states."""
         return self
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot (plain ints and strings round-trip exactly)."""
-        return {
-            "object_id": self.object_id,
-            "runs": [dict(r) for r in self.runs],
-            "now": self.now,
-        }
-
-    @classmethod
-    def from_state(cls, payload: Mapping[str, object]) -> "SymbolicState":
-        """Rebuild a belief from a :meth:`to_state` document."""
-        try:
-            return cls(
-                cast(str, payload["object_id"]),
-                cast(List[Mapping[str, object]], payload["runs"]),
-                cast(int, payload["now"]),
-            )
-        except KeyError as exc:
-            raise FilterStateError(
-                f"symbolic state document is missing field {exc.args[0]!r}"
-            ) from exc
 
 
 class SymbolicBackend(FilterBackend):
     """The symbolic location model behind the backend contract."""
 
     name = "symbolic"
-    state_version = 1
     #: Stateless in the Bayesian sense: the posterior is a closed-form
     #: function of (history, now), so caching beliefs buys nothing.
     cacheable = False
@@ -135,9 +93,6 @@ class SymbolicBackend(FilterBackend):
         )
 
     # ------------------------------------------------------------------
-    def state_from_dict(self, payload: Dict[str, object]) -> FilterState:
-        return SymbolicState.from_state(payload)
-
     def run_many(
         self,
         requests: Sequence[FilterRequest],
@@ -170,6 +125,6 @@ class SymbolicBackend(FilterBackend):
         distributions: List[Dict[int, float]] = []
         for run in runs:
             state = cast(SymbolicState, run.state)
-            distribution = self.model.infer(state.history(), state.now)
+            distribution = self.model.infer(state.history, state.now)
             distributions.append(dict(distribution) if distribution else {})
         return distributions

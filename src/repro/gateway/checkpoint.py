@@ -3,7 +3,7 @@
 A gateway checkpoint is one JSON document, written by one atomic
 rename (:func:`~repro.service.checkpoint.write_json_atomic`)::
 
-    {"format": "repro-gateway-checkpoint", "checkpoint_version": 3,
+    {"format": "repro-gateway-checkpoint", "checkpoint_version": 4,
      "state": GatewayCoordinator.state_dict()}
 
 The state holds the ring (``partitions``, ``vnodes``), the tenant
@@ -18,14 +18,18 @@ not part of what persists. A crash mid-checkpoint leaves the previous
 complete file in place: readers see the old cut or the new one.
 
 Restoring at a *different* partition count splits each tenant's state
-along the new ring (:func:`split_tenant_state`). Because every filter
-draw is keyed by ``(seed, object, stepped second)``, the re-placed
-objects resume bit-identically.
+along the new ring (:func:`split_tenant_state`). No filter state is
+saved: every filter draw is keyed by ``(seed, object, stepped
+second)``, so each worker replays its objects' histories and the
+re-placed objects resume bit-identically.
 
 Version 3 dropped two fields nothing read: each service state's
 collector event log and the per-tenant ``serving.shed_subticks``
-counter of the retired ``shed`` queue policy. Version-2 files are
-migrated on load by dropping both.
+counter of the retired ``shed`` queue policy. Version 4 dropped each
+service state's cached filter states. Version-2 and version-3 files are
+migrated on load (:func:`~repro.service.checkpoint.migrate_state`), and
+their service states pass the same keyed-draw check as a service
+checkpoint's (:func:`~repro.service.checkpoint.check_filter_state`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.service.checkpoint import (
     CheckpointCompatibilityError,
     check_filter_state,
     checkpoint_config,
-    migrate_v2,
+    migrate_state,
     write_json_atomic,
 )
 
@@ -49,7 +53,7 @@ if TYPE_CHECKING:
     from repro.gateway.coordinator import GatewayCoordinator
 
 GATEWAY_CHECKPOINT_FORMAT = "repro-gateway-checkpoint"
-GATEWAY_CHECKPOINT_VERSION = 3
+GATEWAY_CHECKPOINT_VERSION = 4
 
 
 class GatewayCompatibilityError(ValueError):
@@ -89,7 +93,7 @@ def load_checkpoint(path: str) -> dict:
             "it with --checkpoint FILE"
         )
     version = document.get("checkpoint_version")
-    if version not in (2, GATEWAY_CHECKPOINT_VERSION):
+    if version not in (2, 3, GATEWAY_CHECKPOINT_VERSION):
         raise GatewayCompatibilityError(
             f"{path}: checkpoint version {version!r} is not supported "
             f"(this build speaks {GATEWAY_CHECKPOINT_VERSION}); re-create "
@@ -105,8 +109,9 @@ def load_checkpoint(path: str) -> dict:
     if version == 2:
         for record in state["serving"].values():
             record.pop("shed_subticks", None)
+    if version != GATEWAY_CHECKPOINT_VERSION:
         for service in state["services"].values():
-            migrate_v2(service)
+            migrate_state(service, version)
     return state
 
 
@@ -128,9 +133,9 @@ _MERGE_INVARIANT_KEYS = (
 def merge_tenant_states(states: Sequence[dict]) -> dict:
     """Merge one tenant's per-partition service states into one.
 
-    All per-object parts (collector runs/generations/tags, cache
-    entries) are disjoint across partitions, so the merge is a keyed
-    union; scalar parts must agree or the cut was not coordinated.
+    The per-object parts (collector runs, generations and tags) are
+    disjoint across partitions, so the merge is a keyed union; scalar
+    parts must agree or the cut was not coordinated.
     Mappings are rebuilt in sorted-key order, so the merged state is
     canonical — independent of how many partitions produced it.
     """
@@ -158,8 +163,6 @@ def merge_tenant_states(states: Sequence[dict]) -> dict:
         collector["runs"].update(other_collector["runs"])
         collector["generations"].update(other_collector["generations"])
         collector["tag_to_object"].update(other_collector["tag_to_object"])
-        if base.get("cache") is not None and other.get("cache") is not None:
-            base["cache"]["entries"].update(other["cache"]["entries"])
     collector = base["collector"]
     collector["runs"] = {key: collector["runs"][key] for key in sorted(collector["runs"])}
     collector["generations"] = {
@@ -169,11 +172,6 @@ def merge_tenant_states(states: Sequence[dict]) -> dict:
         key: collector["tag_to_object"][key]
         for key in sorted(collector["tag_to_object"])
     }
-    if base.get("cache") is not None:
-        base["cache"]["entries"] = {
-            key: base["cache"]["entries"][key]
-            for key in sorted(base["cache"]["entries"])
-        }
     return base
 
 
@@ -196,12 +194,6 @@ def split_tenant_state(merged: dict, keep: Callable[[str], bool]) -> dict:
         for tag, object_id in collector["tag_to_object"].items()
         if keep(object_id)
     }
-    if out.get("cache") is not None:
-        out["cache"]["entries"] = {
-            object_id: entry
-            for object_id, entry in out["cache"]["entries"].items()
-            if keep(object_id)
-        }
     # Sessions and analytics live at the gateway, not in workers.
     out["sessions"] = None
     out["analytics"] = None

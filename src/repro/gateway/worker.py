@@ -11,7 +11,8 @@ op         meaning
 =========  ===========================================================
 tick       ingest one tenant-second of readings, filter, reply with
            the slice's snapshot (``op: snapshot``)
-state      reply with every tenant service's full ``state_dict``
+state      reply with every tenant service's ``state_dict`` (no filter
+           states: a restore replays them)
 restore    restore every tenant service from checkpoint slices,
            reply with each tenant's re-published snapshot slice
 ping       liveness probe; replies per-tenant tick counters

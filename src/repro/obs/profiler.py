@@ -14,11 +14,8 @@ time actually went, as
 * **speedscope JSON** — an evented profile per thread, loadable at
   https://www.speedscope.app (``repro profile --speedscope`` /
   ``repro stats --flamegraph``);
-* **per-backend / per-object-bucket rollups** — read from
-  the labeled metric series and ``filter.run`` span attributes, the
-  decision record for where vectorization effort should go. Object
-  buckets see only spans that name one object: the particle filter's
-  batches of one and the other backends' per-object runs.
+* **per-backend rollups** — read from the labeled metric series and
+  ``filter.run`` span attributes.
 
 Determinism: attribution is pure arithmetic over the snapshot, and
 ``repro profile`` (without ``--wall``) drives the pipeline under a
@@ -38,17 +35,11 @@ from __future__ import annotations
 
 import json
 import threading
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 PROFILE_FORMAT = "repro-profile"
-PROFILE_VERSION = 1
-
-#: Object ids are hashed into this many buckets for the per-object
-#: rollup (a bounded dimension, mirroring the labels rule: attribution
-#: tables never carry unbounded per-object cardinality).
-OBJECT_BUCKETS = 8
+PROFILE_VERSION = 2
 
 #: Speedscope's published schema URL (part of the file format).
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
@@ -83,13 +74,6 @@ class CountingClock:
         """How many times the clock has been read."""
         with self._lock:
             return self._reads
-
-
-def object_bucket(object_id: str, buckets: int = OBJECT_BUCKETS) -> int:
-    """Stable object-id bucket (CRC32 of the id, modulo ``buckets``)."""
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    return zlib.crc32(object_id.encode("utf-8")) % buckets
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +155,6 @@ class AttributionProfile:
     values: List[Dict[str, object]]
     paths: List[PathRow]
     backends: List[Dict[str, object]]
-    object_buckets: List[Dict[str, object]]
     dropped_spans: int
     meta: Dict[str, object]
 
@@ -187,7 +170,6 @@ class AttributionProfile:
             "values": list(self.values),
             "paths": [row.as_dict() for row in self.paths],
             "backends": list(self.backends),
-            "object_buckets": list(self.object_buckets),
             "dropped_spans": self.dropped_spans,
         }
 
@@ -302,39 +284,6 @@ def _histogram_rows(
     return timers, values
 
 
-def _bucket_rows(spans: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    seconds = [0.0] * OBJECT_BUCKETS
-    calls = [0] * OBJECT_BUCKETS
-    objects: List[set] = [set() for _ in range(OBJECT_BUCKETS)]
-    seen = False
-    for span in spans:
-        if span.get("name") != "filter.run":
-            continue
-        attrs = span.get("attrs")
-        if not isinstance(attrs, dict):
-            continue
-        object_id = attrs.get("object")
-        if object_id is None:
-            continue
-        seen = True
-        bucket = object_bucket(str(object_id))
-        seconds[bucket] += _duration(span)
-        calls[bucket] += 1
-        objects[bucket].add(str(object_id))
-    if not seen:
-        return []
-    return [
-        {
-            "bucket": index,
-            "objects": len(objects[index]),
-            "filter_runs": calls[index],
-            "seconds": _round(seconds[index]),
-        }
-        for index in range(OBJECT_BUCKETS)
-        if calls[index]
-    ]
-
-
 def build_profile(
     snapshot: Mapping[str, object],
     clock: str = "wall",
@@ -429,7 +378,6 @@ def build_profile(
         values=values,
         paths=paths,
         backends=_backend_rows(snapshot, spans),
-        object_buckets=_bucket_rows(spans),
         dropped_spans=dropped,
         meta=dict(meta) if meta else {},
     )
@@ -612,15 +560,6 @@ def render_attribution(profile: AttributionProfile, top: int = 12) -> str:
                 f"  {backend['backend']}: "
                 f"{_fmt_seconds(float(str(backend['seconds'])), deterministic)} {unit}, "
                 f"{backend['filter_runs']} filter runs"
-            )
-    if profile.object_buckets:
-        lines.append("")
-        lines.append(f"object buckets (crc32 % {OBJECT_BUCKETS})")
-        for bucket in profile.object_buckets:
-            lines.append(
-                f"  bucket {bucket['bucket']}: {bucket['objects']} objects, "
-                f"{bucket['filter_runs']} runs, "
-                f"{_fmt_seconds(float(str(bucket['seconds'])), deterministic)} {unit}"
             )
     if profile.dropped_spans:
         lines.append("")

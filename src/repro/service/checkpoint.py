@@ -1,33 +1,37 @@
 """Checkpoint / restore: warm restart for the tracking service.
 
-A checkpoint is one JSON document capturing the full mutable state of a
+A checkpoint is one JSON document capturing the mutable state of a
 :class:`~repro.service.tracking.TrackingService` after some tick:
 
 * the collector's retained device runs, generations, and tag registry,
-* every cached filter state, bit-exact (so resumed filter runs replay
-  the same seconds from the same belief), tagged with the producing
-  backend's name and state version,
+* the filter backend's name,
 * all standing-query sessions plus the continuous monitor's diff
   baseline (so the first resumed tick reports true deltas, not a replay
   of the whole result set),
+* the analytics aggregates, if any,
 * the tick counter, last processed second, and RNG seed.
 
-Because every filter draw is keyed by ``(seed, object, stepped
-second)`` — never drawn from an evolving generator — no generator state
-needs to be serialized, and ``checkpoint → restore → resume`` is
-tick-for-tick identical to an uninterrupted run (asserted in
-``tests/test_service_checkpoint.py``).
+It holds no filter state. Every filter draw is keyed by ``(seed,
+object, stepped second)``, so a cloud is a function of its history and
+the second it reaches, and the particle cache only saves work (paper
+Section 4.5). A restore re-publishes the saved tick by replaying each
+tracked object's history, which refills the cache; ``checkpoint →
+restore → resume`` is tick-for-tick identical to an uninterrupted run
+(asserted in ``tests/test_service_checkpoint.py``). A change to the draw
+scheme changes what a replay computes, so it must bump
+:data:`CHECKPOINT_VERSION`.
 
-Version history: version 1 predates pluggable filter backends (its
-caches are implicitly particle-filter states); version 2 records the
-backend name and state version both at the service level and inside the
-cache document; version 3 drops the collector's ENTER/LEAVE event log,
-which nothing read and which grew with every tick. Version-2 files are
-migrated on load. A version-1 file holds particle states of state
-version 1, which this build cannot resume (:func:`check_filter_state`),
-so it is refused on load. Restoring onto a service running a *different*
-backend, or states of another state version, raises
-:class:`CheckpointCompatibilityError` instead of mis-decoding.
+Version history: version 1 predates pluggable filter backends; version 2
+records the backend name and its filter state version; version 3 drops
+the collector's ENTER/LEAVE event log, which nothing read; version 4
+drops the cached filter states and the state version. Version-2 and
+version-3 files are migrated on load (:func:`migrate_state`) and resume
+only when they recorded this build's keyed-draw state version
+(:data:`KEYED_DRAW_STATE_VERSIONS`, checked by
+:func:`check_filter_state`): their sessions and analytics were built
+from tables of that draw scheme. A version-1 file predates keyed draws
+and is refused on load. Restoring onto a service running a *different*
+backend raises :class:`CheckpointCompatibilityError`.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import fields
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.config import SimulationConfig
-from repro.filters import BACKENDS, available_backends
+from repro.filters import available_backends
 
 if TYPE_CHECKING:
     from repro.floorplan.plan import FloorPlan
@@ -48,7 +52,13 @@ if TYPE_CHECKING:
 PathLike = Union[str, "os.PathLike[str]"]
 
 CHECKPOINT_FORMAT = "repro-service-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+#: The filter state version a version-2 or version-3 file must record for
+#: each backend to be resumed: the states of this build's keyed draws. An
+#: older particle state was stepped on per-tick generator streams, so the
+#: tables its sessions and analytics saw are not this build's.
+KEYED_DRAW_STATE_VERSIONS = {"particle": 2, "symbolic": 1}
 
 
 class CheckpointCompatibilityError(ValueError):
@@ -86,66 +96,15 @@ def checkpoint_config(recorded: dict) -> SimulationConfig:
     )
 
 
-#: Dicts and lists with more items than this are encoded this many at a time.
-_JSON_SLICE = 32
-
-#: Encoded characters buffered before each write to the file.
-_JSON_FLUSH_CHARS = 1 << 16
-
-
-def _json_pieces(value: object, encode: Callable[[object], str]) -> Iterator[str]:
-    """``json.dumps(value)`` as consecutive pieces.
-
-    A dict or list with more than :data:`_JSON_SLICE` items is encoded
-    that many items per ``encode`` call; a smaller dict is walked key by
-    key, so a large container nested in it is sliced too. Anything else
-    is one ``encode`` call. Joined, the pieces equal ``json.dumps(value)``.
-    """
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        if len(value) > _JSON_SLICE:
-            items = list(value.items())
-            for start in range(0, len(items), _JSON_SLICE):
-                text = encode(dict(items[start:start + _JSON_SLICE]))
-                yield ("{" if start == 0 else ", ") + text[1:-1]
-            yield "}"
-            return
-        separator = "{"
-        for key, item in value.items():
-            yield separator + encode(key) + ": "
-            separator = ", "
-            yield from _json_pieces(item, encode)
-        yield "}"
-    elif isinstance(value, list) and len(value) > _JSON_SLICE:
-        for start in range(0, len(value), _JSON_SLICE):
-            text = encode(value[start:start + _JSON_SLICE])
-            yield ("[" if start == 0 else ", ") + text[1:-1]
-        yield "]"
-    else:
-        yield encode(value)
-
-
 def write_json_atomic(path: PathLike, document: object) -> None:
     """Write ``json.dumps(document)`` to ``path`` via a temp file + rename.
 
     Readers see either the old complete file or the new one, never a
-    torn write. The text is streamed (:func:`_json_pieces`) in batches,
-    so the whole document never exists as one string; the file's bytes
-    equal ``json.dumps(document)``. Service and gateway checkpoints both
-    go through here.
+    torn write. Service and gateway checkpoints both go through here.
     """
-    encode = json.JSONEncoder().encode
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        batch: List[str] = []
-        buffered = 0
-        for piece in _json_pieces(document, encode):
-            batch.append(piece)
-            buffered += len(piece)
-            if buffered >= _JSON_FLUSH_CHARS:
-                handle.write("".join(batch))
-                batch.clear()
-                buffered = 0
-        handle.write("".join(batch))
+        handle.write(json.dumps(document))
     os.replace(tmp_path, path)
 
 
@@ -159,22 +118,26 @@ def save_checkpoint(service: TrackingService, path: PathLike) -> None:
     write_json_atomic(path, document)
 
 
-def migrate_v2(state: dict) -> dict:
-    """Lift a version-2 service state to the version-3 layout, in place.
+def migrate_state(state: dict, version: int) -> dict:
+    """Lift a version-2 or version-3 service state to version 4, in place.
 
-    Version 2 carried the collector's ENTER/LEAVE event log, which no
-    reader ever consumed; it is dropped. Gateway checkpoints hold one
-    service state per tenant and migrate each of them through here.
+    Version 3 dropped the collector's ENTER/LEAVE event log, which no
+    reader ever consumed; version 4 drops the cached filter states. The
+    filter record keeps its ``state_version`` for
+    :func:`check_filter_state`. Gateway checkpoints hold one service
+    state per tenant and migrate each of them through here.
     """
-    state["collector"].pop("events", None)
+    if version == 2:
+        state["collector"].pop("events", None)
+    state.pop("cache", None)
     return state
 
 
 def load_checkpoint(path: PathLike) -> dict:
     """Read and validate a checkpoint; returns the raw state dict.
 
-    Version-2 documents (with the collector event log) are migrated to
-    the current layout; version-1 documents are refused.
+    Version-2 and version-3 documents are migrated to the current layout
+    (:func:`migrate_state`); version-1 documents are refused.
     """
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
@@ -188,10 +151,10 @@ def load_checkpoint(path: PathLike) -> dict:
         raise CheckpointCompatibilityError(
             f"{path}: checkpoint version 1 carries particle states of state "
             f"version 1, but this build speaks version "
-            f"{BACKENDS['particle'].state_version}; re-create the checkpoint"
+            f"{KEYED_DRAW_STATE_VERSIONS['particle']}; re-create the checkpoint"
         )
-    if version == 2:
-        return migrate_v2(state)
+    if version in (2, 3):
+        return migrate_state(state, version)
     if version != CHECKPOINT_VERSION:
         raise CheckpointCompatibilityError(
             f"{path}: unsupported checkpoint version {version!r} "
@@ -201,12 +164,13 @@ def load_checkpoint(path: PathLike) -> dict:
 
 
 def check_filter_state(state: dict) -> None:
-    """Refuse a service state whose filter states this build cannot resume.
+    """Refuse a service state this build cannot resume.
 
-    The recorded backend must exist here and speak the recorded state
-    version: a particle state of version 1 was stepped on per-tick
-    generator streams, not on keyed draws, so resuming it would not
-    continue the run that wrote it.
+    The recorded backend must exist here. A state migrated from version
+    2 or 3 must also record its backend's keyed-draw state version
+    (:data:`KEYED_DRAW_STATE_VERSIONS`): a particle state of version 1
+    was stepped on per-tick generator streams, so its sessions and
+    analytics would not continue the run that wrote it.
     """
     recorded = state.get("filter", {"backend": "particle", "state_version": 1})
     name = str(recorded.get("backend", "particle"))
@@ -216,11 +180,13 @@ def check_filter_state(state: dict) -> None:
             f"which this build does not have (it has "
             f"{', '.join(available_backends())}); re-create the checkpoint"
         )
-    version = int(recorded.get("state_version", 1))
-    if version != BACKENDS[name].state_version:
+    if "state_version" not in recorded:
+        return
+    version = int(recorded["state_version"])
+    if version != KEYED_DRAW_STATE_VERSIONS[name]:
         raise CheckpointCompatibilityError(
             f"checkpoint carries {name!r} states at version {version}, but "
-            f"this build speaks version {BACKENDS[name].state_version}; "
+            f"this build speaks version {KEYED_DRAW_STATE_VERSIONS[name]}; "
             "re-create the checkpoint"
         )
 
@@ -229,7 +195,7 @@ def restore_service(
     state: dict,
     plan: Optional[FloorPlan] = None,
     readers: Optional[Sequence[RFIDReader]] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
     filter_backend: Optional[str] = None,
 ) -> TrackingService:
     """Build a :class:`TrackingService` resumed from a checkpoint state.
@@ -240,11 +206,13 @@ def restore_service(
     placement: determinism is per-object, so a checkpoint resumes the
     same way whatever process layout wrote it.
 
-    The filter backend is **not** free to change: cached beliefs only
-    decode under the backend that produced them. ``filter_backend=None``
-    adopts the checkpoint's recorded backend; a recorded backend this
-    build does not have, a different name, or an incompatible state
-    version is refused with :class:`CheckpointCompatibilityError`.
+    The filter backend is **not** free to change: the sessions and
+    analytics were built from that backend's tables.
+    ``filter_backend=None`` adopts the checkpoint's recorded backend; a
+    recorded backend this build does not have, a different name, or an
+    old file of another draw scheme is refused with
+    :class:`CheckpointCompatibilityError`. ``use_cache`` changes speed,
+    not answers.
     Config fields in :data:`RETIRED_CONFIG_KEYS` are dropped; any other
     unknown config field is refused the same way.
     """
@@ -255,8 +223,6 @@ def restore_service(
     if filter_backend is None:
         filter_backend = recorded
     config = checkpoint_config(state["config"])
-    if use_cache is None:
-        use_cache = state["cache"] is not None
     service = TrackingService(
         config=config,
         plan=plan,
@@ -275,7 +241,7 @@ def restore_from_file(
     path: PathLike,
     plan: Optional[FloorPlan] = None,
     readers: Optional[Sequence[RFIDReader]] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
     filter_backend: Optional[str] = None,
 ) -> TrackingService:
     """:func:`load_checkpoint` + :func:`restore_service` in one call."""

@@ -14,7 +14,8 @@ sessions — and exposes:
   never stall the write path;
 * **checkpointing**: :meth:`state_dict` / :meth:`restore_state` capture
   everything needed to resume tick-for-tick after a crash (collector
-  retention, cached particle states, sessions, diff baselines).
+  retention, sessions, diff baselines); filter states are replayed, not
+  saved.
 
 Unknown tags default to *identity registration* (the tag id is the
 object id), matching how a real deployment treats never-seen-before
@@ -237,16 +238,8 @@ class TrackingService:
             "use_pruning": self.use_pruning,
             "identity_tags": self._identity_tags,
             "config": self.config.to_dict(),
-            "filter": {
-                "backend": self.executor.filter_backend.name,
-                "state_version": self.executor.filter_backend.state_version,
-            },
+            "filter": {"backend": self.executor.filter_backend.name},
             "collector": self.collector.state_dict(),
-            "cache": (
-                self.executor.cache.state_dict()
-                if self.executor.cache is not None
-                else None
-            ),
             "sessions": self.sessions.state_dict(),
             "analytics": (
                 self.analytics.state_dict()
@@ -259,15 +252,12 @@ class TrackingService:
         """Restore from :meth:`state_dict` output (same world geometry).
 
         Refuses (with ``CheckpointCompatibilityError``) to load state
-        produced by a different filter backend or an incompatible state
-        version: decoding another estimator's belief documents would
-        silently corrupt tracking.
+        produced by a different filter backend: its sessions and
+        analytics were built from another estimator's tables.
         """
         from repro.service.checkpoint import CheckpointCompatibilityError
 
-        recorded = state.get(
-            "filter", {"backend": "particle", "state_version": 1}
-        )
+        recorded = state["filter"]
         backend = self.executor.filter_backend
         if recorded["backend"] != backend.name:
             raise CheckpointCompatibilityError(
@@ -275,12 +265,6 @@ class TrackingService:
                 f"{recorded['backend']!r}, but this service runs "
                 f"{backend.name!r}; restart with --filter "
                 f"{recorded['backend']} or re-create the checkpoint"
-            )
-        if int(recorded["state_version"]) != backend.state_version:
-            raise CheckpointCompatibilityError(
-                f"checkpoint carries {backend.name!r} states at version "
-                f"{recorded['state_version']}, but this build speaks "
-                f"version {backend.state_version}; re-create the checkpoint"
             )
         self.seed = int(state["seed"])
         self.executor.seed = self.seed
@@ -290,8 +274,6 @@ class TrackingService:
         self.use_pruning = bool(state["use_pruning"])
         self._identity_tags = bool(state["identity_tags"])
         self.collector.restore_state(state["collector"])
-        if state["cache"] is not None and self.executor.cache is not None:
-            self.executor.cache.restore_state(state["cache"])
         if state["sessions"] is not None:
             # None marks a gateway worker slice: sessions live at the gateway.
             self.sessions.restore_state(state["sessions"])
@@ -303,12 +285,10 @@ class TrackingService:
             # guarantee.
             self.enable_analytics().restore_state(analytics_state)
         if self.last_second is not None:
-            # Re-publish the saved tick's table. The collector and cache
-            # are as that tick left them, so every candidate resumes its
-            # cached state with nothing to replay (or, without a cache,
-            # replays its history on the tick's own stream): the table
-            # equals the one the saved service served, and the cache's
-            # entries come out unchanged.
+            # Re-publish the saved tick's table. The collector is as that
+            # tick left it, and every draw is keyed by the stepped
+            # second, so replaying each candidate's history gives the
+            # table the saved service served and refills the cache.
             self._snapshot = self._filter_tick(self.last_second)
 
     # ------------------------------------------------------------------

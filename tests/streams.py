@@ -1,6 +1,8 @@
-"""Counter-based draws for tests that drive the motion model directly."""
+"""Counter-based draws and clouds for tests that drive the filter directly."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -16,3 +18,11 @@ def draws_for(seed: int, blocks: int, size: int, second: int = 0) -> CounterDraw
 def seed_cloud(model, n, circle, seed=12345, second=0):
     """One cloud of ``n`` particles seeded within ``circle``."""
     return model.initialize_in_circles([circle], draws_for(seed, 1, n, second))
+
+
+def cloud_json(particles) -> str:
+    """Every field of a particle cloud, dtype and values, as one JSON string."""
+    return json.dumps([
+        [name, str(getattr(particles, name).dtype), getattr(particles, name).tolist()]
+        for name in ("edge", "offset", "direction", "speed", "dwelling", "weight")
+    ])

@@ -11,6 +11,7 @@ from repro.core import ParticleSet
 from repro.geometry import Rect
 from repro.service import ReplaySource, TrackingService
 from repro.sim import Simulation
+from tests.streams import cloud_json
 
 
 def particles(offset=1.0):
@@ -65,7 +66,7 @@ class TestCacheBasics:
                         stored[id(entry.state)] = (entry.state, copy.deepcopy(entry.state))
             assert cache.stats.hits >= 3
             for state, snapshot in stored.values():
-                assert state.to_state() == snapshot.to_state()
+                assert cloud_json(state) == cloud_json(snapshot)
         finally:
             service.close()
 
@@ -83,7 +84,7 @@ class TestCacheBasics:
         kept, _ = cache.lookup("b", 0)
         assert kept is not second
         assert kept.edge.base is None and kept.offset.base is None
-        assert kept.to_state() == second.to_state()
+        assert cloud_json(kept) == cloud_json(second)
         assert cache.lookup("a", 0)[0] is replacement
         cache.settle([])
         detached, _ = cache.lookup("a", 0)

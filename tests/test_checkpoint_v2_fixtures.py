@@ -1,14 +1,18 @@
-"""Version-2 checkpoints written by an older build: loaded, then refused.
+"""Checkpoints written by older builds: version 2 refused, version 3 resumed.
 
 ``tests/fixtures/checkpoints`` holds two files written by the last
-version-2 build (see the README there for the exact commands):
+version-2 build and one written by the last version-3 build (see the
+README there for the exact commands):
 
 * ``service-v2.json`` — ``repro serve`` over the ``simulate --objects 10
   --seconds 20 --seed 3`` world, checkpointed after 10 of 20 seconds,
   with one standing range and one standing kNN query;
 * ``gateway-v2.json`` — ``repro gateway`` with two ``small``-plan demo
   tenants of 5 objects, checkpointed after 6 seconds, with analytics
-  and one range and one kNN session per tenant.
+  and one range and one kNN session per tenant;
+* ``service-v3.json`` — the same ``serve`` run as ``service-v2.json``,
+  written with keyed draws (particle state version 2) and a cache
+  document of particle states.
 
 Version 3 dropped the collector's ENTER/LEAVE event log and the
 gateway's ``shed_subticks`` counter; loading still migrates both away.
@@ -17,6 +21,10 @@ per-tick generator streams, while this build keys every draw by the
 stepped second (state version 2). A resume could not continue the run
 that wrote them, so restoring either is refused: exit 2 and "re-create
 the checkpoint".
+
+Version 4 dropped the cache. The version-3 file's cache is dropped on
+load, and its restore replays every history: the resumed run prints the
+deltas of an uninterrupted run of this build.
 """
 
 import json
@@ -26,6 +34,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import DEFAULT_CONFIG
+from repro.geometry import Point, Rect
 from repro.gateway import (
     GatewayCompatibilityError,
     load_checkpoint as load_gateway_checkpoint,
@@ -43,6 +52,7 @@ from repro.service.checkpoint import (
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoints")
 SERVICE_V2 = os.path.join(FIXTURES, "service-v2.json")
+SERVICE_V3 = os.path.join(FIXTURES, "service-v3.json")
 GATEWAY_V2 = os.path.join(FIXTURES, "gateway-v2.json")
 
 SERVICE_CUT = 10
@@ -111,8 +121,8 @@ class TestServiceFixture:
         assert status == 2
         assert "re-create the checkpoint" in capsys.readouterr().err
 
-    def test_resave_is_version_3(self, world, tmp_path):
-        # A checkpoint of this build over the same world is version 3.
+    def test_resave_is_version_4(self, world, tmp_path):
+        # A checkpoint of this build over the same world is version 4.
         service = TrackingService(
             DEFAULT_CONFIG, plan=world["plan"], readers=world["readers"]
         )
@@ -121,9 +131,85 @@ class TestServiceFixture:
             _serve(service, world)
             save_checkpoint(service, path)
         document = _raw(path)
-        assert document["checkpoint_version"] == CHECKPOINT_VERSION == 3
+        assert document["checkpoint_version"] == CHECKPOINT_VERSION == 4
         assert "events" not in document["state"]["collector"]
-        assert document["state"]["filter"] == {"backend": "particle", "state_version": 2}
+        assert "cache" not in document["state"]
+        assert document["state"]["filter"] == {"backend": "particle"}
+
+
+class TestServiceV3Fixture:
+    SERVE = ["--range", "4,0,30,12", "--knn", "30,5,3"]
+
+    def _serve_args(self, world):
+        return [
+            "serve", "--replay", world["replay"],
+            "--plan", world["plan_path"], "--deployment", world["readers_path"],
+        ]
+
+    def _delta_lines(self, text):
+        return [line for line in text.splitlines() if line.startswith("[t=")]
+
+    def test_fixture_is_a_version_3_file_with_cached_particles(self):
+        document = _raw(SERVICE_V3)
+        assert document["checkpoint_version"] == 3
+        state = document["state"]
+        assert state["filter"] == {"backend": "particle", "state_version": 2}
+        assert state["cache"]["entries"]
+        assert state["ticks"] == SERVICE_CUT
+
+    def test_load_drops_the_cache(self):
+        state = load_checkpoint(SERVICE_V3)
+        assert "cache" not in state
+        assert state["filter"] == {"backend": "particle", "state_version": 2}
+
+    def test_restore_resumes_like_an_uninterrupted_run(self, world):
+        with TrackingService(
+            DEFAULT_CONFIG, plan=world["plan"], readers=world["readers"]
+        ) as uninterrupted:
+            uninterrupted.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="range-0")
+            uninterrupted.sessions.subscribe_knn(Point(30, 5), 3, session_id="knn-0")
+            full = []
+            for batch in ReplaySource.from_file(world["replay"]).batches():
+                deltas = uninterrupted.process_batch(batch)
+                full.append((_table(uninterrupted.snapshot().table), deltas))
+        with restore_from_file(
+            SERVICE_V3, plan=world["plan"], readers=world["readers"]
+        ) as resumed:
+            assert resumed.ticks == resumed.last_second == SERVICE_CUT
+            assert _table(resumed.snapshot().table) == full[SERVICE_CUT - 1][0]
+            tail = []
+            source = ReplaySource.from_file(world["replay"], start_after=SERVICE_CUT)
+            for batch in source.batches():
+                deltas = resumed.process_batch(batch)
+                tail.append((_table(resumed.snapshot().table), deltas))
+
+        def ticks_json(ticks):
+            return json.dumps(
+                [[table, [_delta_key(d) for d in deltas]] for table, deltas in ticks]
+            )
+
+        assert ticks_json(tail) == ticks_json(full[SERVICE_CUT:])
+        assert any(deltas for _, deltas in tail)
+
+    def test_serve_restore_prints_the_uninterrupted_deltas(self, world, capsys):
+        assert main(self._serve_args(world) + self.SERVE + ["--seconds", "20"]) == 0
+        uninterrupted = [
+            line for line in self._delta_lines(capsys.readouterr().out)
+            if int(line[3:line.index("]")]) > SERVICE_CUT
+        ]
+        assert main(self._serve_args(world) + ["--restore", SERVICE_V3]) == 0
+        restored = self._delta_lines(capsys.readouterr().out)
+        assert restored == uninterrupted
+        assert restored[0].startswith(f"[t={SERVICE_CUT + 1}]")
+
+    def test_an_old_stream_copy_is_refused(self, world, tmp_path, capsys):
+        document = _raw(SERVICE_V3)
+        document["state"]["filter"]["state_version"] = 1
+        path = tmp_path / "old-stream.json"
+        path.write_text(json.dumps(document))
+        status = main(self._serve_args(world) + ["--restore", str(path)])
+        assert status == 2
+        assert "re-create the checkpoint" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The streamed checkpoint writer: the file's bytes equal ``json.dumps``."""
+"""The checkpoint writer: the file's bytes equal ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ from repro.gateway import GatewayCoordinator, TenantWorld, demo_tenants
 from repro.gateway import checkpoint as gateway_checkpoint
 from repro.service import LiveSimSource, TrackingService
 from repro.service import checkpoint as service_checkpoint
-from repro.service.checkpoint import _JSON_SLICE, write_json_atomic
+from repro.service.checkpoint import write_json_atomic
 from repro.sim import Simulation
+
+#: Container sizes around which the cases are laid out.
+_JSON_SLICE = 32
 
 CASES = {
     "list longer than a slice": list(range(3 * _JSON_SLICE + 1)),
@@ -95,9 +98,9 @@ def test_service_checkpoint_over_a_fixed_replay(tmp_path):
             "checkpoint_version": service_checkpoint.CHECKPOINT_VERSION,
             "state": service.state_dict(),
         }
-    entries = document["state"]["cache"]["entries"].values()
-    # The particle lists are long enough to be written in slices.
-    assert entries and all(len(e["state"]["offset"]) > _JSON_SLICE for e in entries)
+    # A checkpoint holds no filter states: a restore replays them.
+    assert "cache" not in document["state"]
+    assert document["state"]["collector"]["runs"]
     assert path.read_bytes() == json.dumps(document).encode("utf-8")
 
 
@@ -124,4 +127,6 @@ def test_gateway_checkpoint_over_a_fixed_replay(tmp_path):
             "checkpoint_version": gateway_checkpoint.GATEWAY_CHECKPOINT_VERSION,
             "state": coordinator.state_dict(),
         }
+    for service in document["state"]["services"].values():
+        assert "cache" not in service
     assert path.read_bytes() == json.dumps(document).encode("utf-8")

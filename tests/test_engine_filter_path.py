@@ -21,6 +21,7 @@ from repro.queries import IndoorQueryEngine, KNNQuery, RangeQuery
 from repro.service import ReadingBatch, ReplaySource, TrackingService, restore_service
 from repro.sim import Simulation
 from repro.sim.experiments import evaluate_accuracy
+from tests.streams import cloud_json
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIG = DEFAULT_CONFIG.with_overrides(num_objects=10, seed=13)
@@ -77,9 +78,7 @@ class TestFilterEntryPoints:
                 [FilterRequest(history, resume)], 20, 5
             )
             assert alone.end_second == batch.end_second
-            assert json.dumps(alone.particles.to_state()) == json.dumps(
-                batch.particles.to_state()
-            )
+            assert cloud_json(alone.particles) == cloud_json(batch.particles)
 
 
 class TestHistoricalEvaluation:

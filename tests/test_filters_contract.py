@@ -2,22 +2,21 @@
 
 Every backend — whatever its estimator — must honor the same
 observable contract: posteriors are probability distributions over
-anchors, states checkpoint and restore bit-exactly, and incompatible
-state documents are refused loudly instead of mis-decoded.
+anchors, a run resumed from a state reproduces it, and checkpoints of
+another backend or draw scheme are refused loudly.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.cache import ParticleCacheManager
 from repro.collector.collector import ReadingHistory
 from repro.config import DEFAULT_CONFIG
 from repro.filters import (
-    BACKENDS,
     DEFAULT_BACKEND,
     FilterRequest,
-    FilterStateError,
     available_backends,
     create_backend,
 )
@@ -30,7 +29,9 @@ from repro.service import (
     restore_service,
     save_checkpoint,
 )
+from repro.service.checkpoint import KEYED_DRAW_STATE_VERSIONS
 from repro.sim import Simulation
+from tests.test_keyed_draws import table_json
 
 ALL_BACKENDS = ("particle", "symbolic")
 
@@ -104,7 +105,8 @@ class TestFactory:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_state_version_is_positive(self, name):
-        assert BACKENDS[name].state_version >= 1
+        # The state version a version-2 or version-3 file must record.
+        assert KEYED_DRAW_STATE_VERSIONS[name] >= 1
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -118,55 +120,39 @@ class TestBackendContract:
             assert all(p >= 0.0 for p in posterior.values())
             assert sum(posterior.values()) == pytest.approx(1.0)
 
-    def test_state_round_trip_is_bit_exact(self, name, world, backends):
-        _, histories = world
-        backend = backends[name]
-        object_id, history = next(iter(histories.items()))
-        document = _run(backend, object_id, history).state.to_state()
-        decoded = backend.state_from_dict(document)
-        assert decoded.to_state() == document
-
     def test_restored_state_reproduces_posterior(self, name, world, backends):
         _, histories = world
         backend = backends[name]
         object_id, history = next(iter(histories.items()))
         run = _run(backend, object_id, history)
-        decoded = backend.state_from_dict(run.state.to_state())
-        restored = _run(backend, object_id, history, resume=(decoded, run.end_second))
+        restored = _run(backend, object_id, history, resume=(run.state, run.end_second))
         assert restored.end_second == run.end_second
         assert _posterior(backend, restored) == _posterior(backend, run)
 
-    def test_missing_state_field_raises_filter_state_error(
-        self, name, world, backends
-    ):
-        _, histories = world
-        backend = backends[name]
-        object_id, history = next(iter(histories.items()))
-        document = _run(backend, object_id, history).state.to_state()
-        document.pop(next(iter(document)))
-        with pytest.raises(FilterStateError):
-            backend.state_from_dict(document)
+    def test_state_round_trip_is_bit_exact(self, name, replay_readings, tmp_path):
+        """A checkpoint holds no belief: the restore's replay re-publishes it."""
+        path = tmp_path / "ckpt.json"
+        with TrackingService(FAST, filter_backend=name) as service:
+            for batch in ReplaySource(replay_readings, max_seconds=10).batches():
+                service.process_batch(batch)
+            save_checkpoint(service, path)
+            saved = [table_json(service.snapshot().table), json.dumps(service.state_dict())]
+        with restore_from_file(path) as restored:
+            assert [
+                table_json(restored.snapshot().table), json.dumps(restored.state_dict())
+            ] == saved
 
-    def test_state_version_check(self, name, world, backends):
-        """A cache of this backend's states refuses any other state version."""
-        _, histories = world
-        backend = backends[name]
-
-        def cache():
-            return ParticleCacheManager(
-                backend=backend.name,
-                state_version=backend.state_version,
-                decoder=backend.state_from_dict,
-            )
-
-        object_id, history = next(iter(histories.items()))
-        written = cache()
-        written.store(object_id, _run(backend, object_id, history).state, 30, 0)
-        document = written.state_dict()
-        cache().restore_state(document)
-        document["state_version"] = backend.state_version + 1
-        with pytest.raises(FilterStateError, match="version"):
-            cache().restore_state(document)
+    def test_state_version_check(self, name, replay_readings):
+        """A version-3 state resumes only at its backend's keyed-draw version."""
+        with TrackingService(FAST, filter_backend=name) as service:
+            for batch in ReplaySource(replay_readings, max_seconds=4).batches():
+                service.process_batch(batch)
+            state = service.state_dict()
+        state["filter"]["state_version"] = KEYED_DRAW_STATE_VERSIONS[name]
+        restore_service(state).close()
+        state["filter"]["state_version"] += 1
+        with pytest.raises(CheckpointCompatibilityError, match="version"):
+            restore_service(state)
 
     def test_empty_history_is_rejected(self, name, backends):
         backend = backends[name]
@@ -202,8 +188,8 @@ class TestSymbolicBatch:
         alone = [backend.run_many([request], 30)[0] for request in requests]
         assert len(batch) == len(requests) > 1
         assert [run.end_second for run in batch] == [run.end_second for run in alone]
-        assert [run.state.to_state() for run in batch] == [
-            run.state.to_state() for run in alone
+        assert [(run.state.history, run.state.now) for run in batch] == [
+            (run.state.history, run.state.now) for run in alone
         ]
         assert backend.posteriors(batch) == [
             backend.posteriors([run])[0] for run in alone
@@ -330,8 +316,6 @@ class TestCheckpointCompatibility:
     def test_v1_checkpoint_is_refused(self, replay_readings, tmp_path):
         """Pre-backend checkpoints hold particle states of state version 1,
         stepped on per-tick generator streams: they are refused on load."""
-        import json
-
         path = tmp_path / "ckpt.json"
         service = self._served(replay_readings, "particle")
         try:
@@ -340,17 +324,8 @@ class TestCheckpointCompatibility:
             service.close()
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
-        # Rewrite the file in the version-1 layout.
-        state = document["state"]
-        state.pop("filter")
-        state["cache"] = {
-            object_id: {
-                "state_second": entry["state_second"],
-                "device_generation": entry["device_generation"],
-                "particles": entry["state"],
-            }
-            for object_id, entry in state["cache"]["entries"].items()
-        }
+        # Rewrite the file in the version-1 layout: no filter record.
+        document["state"].pop("filter")
         document["checkpoint_version"] = 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
@@ -363,8 +338,6 @@ class TestCheckpointCompatibility:
     def test_v1_migration_refused_onto_other_backend(
         self, replay_readings, tmp_path
     ):
-        import json
-
         path = tmp_path / "ckpt.json"
         service = self._served(replay_readings, "particle")
         try:

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.gate import Check, GateError, gate_points, run_gate
-from repro.cli import build_parser
+from repro.bench.gate import Check, GateError, gate_points, run_gate, smoke_note
+from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -61,3 +61,29 @@ def test_cli_takes_gate_as_an_experiment_subject():
         ["experiment", "gate", "--parent", ".", "--seeds", "3", "--particles", "8"]
     )
     assert (args.figure, args.parent, args.seeds, args.particles) == ("gate", ".", 3, 8)
+
+
+def test_a_verdict_below_ten_standard_seeds_says_it_is_a_smoke_check():
+    assert smoke_note(10, "standard") is None
+    assert smoke_note(12, "standard") is None
+    for seeds, scale in ((9, "standard"), (10, "quick"), (10, "paper"), (3, "quick")):
+        note = smoke_note(seeds, scale)
+        assert note.startswith("gate: smoke check only")
+        assert "10 or more seeds at standard scale" in note
+
+
+@pytest.mark.parametrize("seeds, scale, smoke", [("3", "quick", True), ("10", "standard", False)])
+def test_cli_prints_the_smoke_line_and_keeps_the_exit_code(
+    monkeypatch, capsys, seeds, scale, smoke
+):
+    import repro.bench.gate as gate
+
+    checks = [Check("fig11", "knn_hit", 0.9, 0.9, 0.0)]
+    monkeypatch.setattr(gate, "run_gate", lambda *args, **kwargs: ([], checks))
+    status = main(
+        ["experiment", "gate", "--parent", ".", "--seeds", seeds, "--scale", scale]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[-1 - smoke] == "gate: PASS (1/1 checks)"
+    assert lines[-1].startswith("gate: smoke check only") is smoke

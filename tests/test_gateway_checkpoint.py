@@ -215,6 +215,13 @@ class TestResume:
         assert os.listdir(os.path.dirname(checkpoint_path)) == [
             os.path.basename(checkpoint_path)
         ]
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["checkpoint_version"] == 4
+        for service in document["state"]["services"].values():
+            # No filter state: a restore replays the histories.
+            assert "cache" not in service
+            assert service["filter"] == {"backend": "particle"}
         state = load_checkpoint(checkpoint_path)
         assert state["partitions"] == 2
         assert sorted(state["services"]) == ["tenant-0", "tenant-1"]
@@ -321,6 +328,44 @@ class TestRetiredConfigKeys:
             restore_coordinator(str(path), transport="inline")
 
 
+class TestVersion3:
+    """A version-3 file: its cached states are dropped, and it replays."""
+
+    def _as_version_3(self, checkpoint_path, tmp_path, state_version):
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["checkpoint_version"] = 3
+        for service in document["state"]["services"].values():
+            service["filter"]["state_version"] = state_version
+            service["cache"] = {
+                "backend": "particle",
+                "state_version": state_version,
+                "entries": {"ghost": {"state": {}}},
+            }
+        path = tmp_path / "gateway-v3.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_load_drops_the_cache(self, checkpoint_path, tmp_path):
+        state = load_checkpoint(self._as_version_3(checkpoint_path, tmp_path, 2))
+        for service in state["services"].values():
+            assert "cache" not in service
+
+    @pytest.mark.parametrize("num_partitions", [1, 3])
+    def test_resumes_like_a_cold_run(
+        self, tenant_batches, cold, checkpoint_path, tmp_path, num_partitions
+    ):
+        path = self._as_version_3(checkpoint_path, tmp_path, 2)
+        assert _resume_tail(
+            path, tenant_batches, CUT_AT, num_partitions=num_partitions
+        ) == _tail(cold, CUT_AT)
+
+    def test_old_stream_states_are_refused(self, checkpoint_path, tmp_path):
+        path = self._as_version_3(checkpoint_path, tmp_path, 1)
+        with pytest.raises(GatewayCompatibilityError, match="re-create the checkpoint"):
+            restore_coordinator(path, transport="inline")
+
+
 class TestCrashSafety:
     @pytest.mark.parametrize("crash", ["before-write", "after-write"])
     def test_a_crashed_save_leaves_a_complete_cut(
@@ -397,7 +442,7 @@ class TestRefusals:
         [
             ("format", "repro-service-checkpoint", "not a repro-gateway-checkpoint"),
             ("checkpoint_version", 1, "re-create"),
-            ("checkpoint_version", 4, "re-create"),
+            ("checkpoint_version", 5, "re-create"),
         ],
     )
     def test_wrong_envelope_is_refused(

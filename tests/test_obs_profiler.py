@@ -10,14 +10,12 @@ from repro.config import DEFAULT_CONFIG
 from repro.service import LiveSimSource, TrackingService
 from repro.sim import Simulation
 from repro.obs.profiler import (
-    OBJECT_BUCKETS,
     PROFILE_FORMAT,
     PROFILE_VERSION,
     SPEEDSCOPE_SCHEMA,
     CountingClock,
     build_profile,
     load_profile,
-    object_bucket,
     render_attribution,
     to_collapsed,
     to_speedscope,
@@ -205,26 +203,6 @@ class TestBuildProfile:
         assert 'service.filter_tick{backend="particle"}' not in series  # plain k=v form
         assert "service.filter_tick{backend=particle}" in series
 
-    def test_object_buckets_group_by_crc32(self):
-        spans = [
-            _span(0, "filter.run", 0.0, 1.0, attrs={"object": "o1"}),
-            _span(1, "filter.run", 1.0, 3.0, attrs={"object": "o1"}),
-            _span(2, "filter.run", 3.0, 4.0, attrs={"object": "o2"}),
-            _span(3, "other", 4.0, 5.0, attrs={"object": "o1"}),
-        ]
-        profile = build_profile(_snapshot(spans))
-        by_bucket = {r["bucket"]: r for r in profile.object_buckets}
-        b1 = by_bucket[object_bucket("o1")]
-        assert b1["filter_runs"] >= 2 and b1["objects"] >= 1
-        total_runs = sum(r["filter_runs"] for r in profile.object_buckets)
-        assert total_runs == 3  # "other" span does not count
-
-    def test_bucket_function_is_stable_and_bounded(self):
-        assert 0 <= object_bucket("obj-123") < OBJECT_BUCKETS
-        assert object_bucket("obj-123") == object_bucket("obj-123")
-        with pytest.raises(ValueError):
-            object_bucket("x", buckets=0)
-
 
 # ----------------------------------------------------------------------
 # exports
@@ -268,7 +246,8 @@ class TestExports:
         write_profile(profile, str(p))
         loaded = load_profile(str(p))
         assert loaded["format"] == PROFILE_FORMAT
-        assert loaded["version"] == PROFILE_VERSION
+        assert loaded["version"] == PROFILE_VERSION == 2
+        assert "object_buckets" not in loaded
         write_speedscope(snapshot, str(tmp_path / "ss.json"))
         write_collapsed(profile, str(tmp_path / "c.txt"))
         assert (tmp_path / "c.txt").read_text() == to_collapsed(profile)

@@ -1,12 +1,15 @@
-"""Checkpoint/restore: warm restart must be invisible in the output."""
+"""Checkpoint/restore: warm restart must be invisible in the output.
+
+A checkpoint holds no filter state: a restore replays each tracked
+object's history to re-publish the saved tick, and every later table
+and session delta equals an uninterrupted run's, byte for byte.
+"""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.core.particles import ParticleSet
 from repro.geometry import Point, Rect
 from repro.service import (
     CheckpointCompatibilityError,
@@ -18,6 +21,7 @@ from repro.service import (
     save_checkpoint,
 )
 from repro.sim import Simulation
+from tests.test_keyed_draws import table_json
 
 FAST = DEFAULT_CONFIG.with_overrides(num_objects=8, seed=11)
 
@@ -70,25 +74,6 @@ def _run(service, readings, start_after=None, max_seconds=None):
 
 
 class TestRoundTrips:
-    def test_particle_set_round_trip_is_bit_exact(self):
-        rng = np.random.default_rng(4)
-        particles = ParticleSet(
-            edge=rng.integers(0, 50, 16),
-            offset=rng.uniform(0, 10, 16),
-            direction=np.where(rng.random(16) < 0.5, 1, -1).astype(np.int8),
-            speed=rng.uniform(0.5, 1.5, 16),
-            dwelling=rng.random(16) < 0.3,
-            weight=rng.dirichlet(np.ones(16)),
-        )
-        restored = ParticleSet.from_state(
-            json.loads(json.dumps(particles.to_state()))
-        )
-        for name in ("edge", "offset", "direction", "speed", "dwelling", "weight"):
-            original = getattr(particles, name)
-            copy = getattr(restored, name)
-            assert original.dtype == copy.dtype
-            assert np.array_equal(original, copy)
-
     def test_collector_state_round_trip(self, replay_readings):
         service = _new_service()
         try:
@@ -162,19 +147,81 @@ class TestResumeEquivalence:
             tail = [_delta_key(d) for d in full_deltas if d.second > 12]
             assert [_delta_key(d) for d in resumed_deltas] == tail
 
-            table_full = uninterrupted.snapshot().table
-            table_resumed = resumed.snapshot().table
-            assert sorted(table_full.objects()) == sorted(table_resumed.objects())
-            for obj in table_full.objects():
-                assert table_full.distribution_of(obj) == table_resumed.distribution_of(obj)
-            # Final particle states bit-for-bit.
-            assert (
-                uninterrupted.executor.cache.state_dict()
-                == resumed.executor.cache.state_dict()
+            assert table_json(resumed.snapshot().table) == table_json(
+                uninterrupted.snapshot().table
+            )
+            assert json.dumps(resumed.state_dict()) == json.dumps(
+                uninterrupted.state_dict()
             )
         finally:
             uninterrupted.close()
             resumed.close()
+
+    @pytest.mark.parametrize(
+        "backend, prune",
+        [("particle", False), ("particle", True), ("symbolic", False)],
+    )
+    def test_every_table_and_delta_equals_an_uninterrupted_run(
+        self, tmp_path, replay_readings, backend, prune
+    ):
+        """``json.dumps`` of each tick's table and deltas, from the restore on."""
+        cut = 10
+
+        def served(service, start_after=None):
+            ticks = []
+            source = ReplaySource(replay_readings, start_after=start_after)
+            for batch in source.batches():
+                deltas = service.process_batch(batch)
+                ticks.append(json.dumps([
+                    batch.second,
+                    table_json(service.snapshot().table),
+                    [[d.query_id, d.second, d.entered, d.left, d.updated] for d in deltas],
+                ]))
+            return ticks
+
+        def new_service():
+            service = TrackingService(FAST, use_pruning=prune, filter_backend=backend)
+            service.sessions.subscribe_range(Rect(4, 0, 30, 12), session_id="r0")
+            service.sessions.subscribe_knn(Point(30, 5), 3, session_id="k0")
+            return service
+
+        with new_service() as uninterrupted:
+            full = served(uninterrupted)
+        with new_service() as interrupted:
+            _run(interrupted, replay_readings, max_seconds=cut)
+            saved_table = table_json(interrupted.snapshot().table)
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(interrupted, path)
+        document = json.loads(path.read_text())
+        assert document["checkpoint_version"] == 4
+        assert "cache" not in document["state"]
+        assert document["state"]["filter"] == {"backend": backend}
+        with restore_from_file(path) as resumed:
+            assert resumed.use_pruning is prune
+            assert table_json(resumed.snapshot().table) == saved_table
+            assert served(resumed, start_after=cut) == full[cut:]
+
+    def test_restore_without_a_cache_equals_one_with_it(self, tmp_path, replay_readings):
+        service = _new_service()
+        try:
+            _run(service, replay_readings, max_seconds=12)
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(service, path)
+        finally:
+            service.close()
+        cached = restore_from_file(path)
+        cacheless = restore_from_file(path, use_cache=False)
+        try:
+            assert cached.executor.cache is not None
+            assert cacheless.executor.cache is None
+            for service in (cached, cacheless):
+                _run(service, replay_readings, start_after=12)
+            assert table_json(cached.snapshot().table) == table_json(
+                cacheless.snapshot().table
+            )
+        finally:
+            cached.close()
+            cacheless.close()
 
     def test_restore_keeps_sessions_and_baseline(self, tmp_path, replay_readings):
         service = _new_service()
@@ -228,9 +275,8 @@ class TestRetiredConfigKeys:
             tail = [_delta_key(d) for d in full if d.second > 12]
             deltas = _run(resumed, replay_readings, start_after=12)
             assert [_delta_key(d) for d in deltas] == tail
-            assert (
-                uninterrupted.executor.cache.state_dict()
-                == resumed.executor.cache.state_dict()
+            assert table_json(resumed.snapshot().table) == table_json(
+                uninterrupted.snapshot().table
             )
             # A checkpoint written after the restore drops the fields.
             assert resumed.state_dict()["config"] == uninterrupted.state_dict()["config"]

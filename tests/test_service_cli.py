@@ -183,10 +183,10 @@ class TestServeFilterBackends:
         assert code == 0
         capsys.readouterr()
         document = json.loads(ckpt.read_text())
-        document["checkpoint_version"] = 4
+        document["checkpoint_version"] = 5
         ckpt.write_text(json.dumps(document))
         code = _serve(world, "--restore", str(ckpt), "--quiet")
         assert code == 2
         captured = capsys.readouterr()
-        assert "unsupported checkpoint version 4" in captured.err
+        assert "unsupported checkpoint version 5" in captured.err
         assert "re-create the checkpoint" in captured.err
