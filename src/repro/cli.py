@@ -47,6 +47,7 @@ Installed as the ``repro`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -147,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         " or gate: this tree's accuracy against --parent's",
     )
     experiment.add_argument(
-        "--scale", choices=list(SCALES), default="paper",
-        help="sampling effort and sweeps (default: paper)",
+        "--scale", choices=list(SCALES), default=None,
+        help="sampling effort and sweeps (default: paper for the figures and"
+        " ablations, standard for gate)",
     )
     experiment.add_argument(
         "--parent", metavar="DIR",
@@ -723,6 +725,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.scale is None:
+        args.scale = "standard" if args.figure == "gate" else "paper"
     if args.figure == "gate":
         return _cmd_gate(args)
     _require_parent_dir("--out-csv", args.out_csv)
@@ -1028,7 +1032,7 @@ def _parse_range_spec(text: str) -> Rect:
     if len(parts) != 4:
         raise SystemExit(f"repro: error: bad --range {text!r} (want X1,Y1,X2,Y2)")
     try:
-        x1, y1, x2, y2 = (float(p) for p in parts)
+        x1, y1, x2, y2 = _finite_floats(parts)
         return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
     except ValueError:
         raise SystemExit(f"repro: error: bad --range {text!r}") from None
@@ -1039,9 +1043,20 @@ def _parse_knn_spec(text: str):
     if len(parts) != 3:
         raise SystemExit(f"repro: error: bad --knn {text!r} (want X,Y,K)")
     try:
-        return Point(float(parts[0]), float(parts[1])), int(parts[2])
+        point, k = Point(*_finite_floats(parts[:2])), int(parts[2])
+        if k < 1:
+            raise ValueError(k)
+        return point, k
     except ValueError:
         raise SystemExit(f"repro: error: bad --knn {text!r}") from None
+
+
+def _finite_floats(parts: List[str]) -> List[float]:
+    """``parts`` as floats; ValueError if one is malformed, NaN or infinite."""
+    values = [float(part) for part in parts]
+    if not all(math.isfinite(value) for value in values):
+        raise ValueError(f"not finite: {parts}")
+    return values
 
 
 def _format_delta(delta) -> str:

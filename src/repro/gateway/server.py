@@ -44,6 +44,7 @@ SLO signal) and counted in ``gateway.http_requests{endpoint}``.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Type
@@ -53,6 +54,14 @@ import repro.obs as obs
 from repro.geometry import Point, Rect
 
 from repro.gateway.coordinator import GatewayCoordinator, GatewayError
+
+
+def _finite(values) -> list:
+    """``values`` as floats; ValueError if any is NaN or infinite."""
+    floats = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in floats):
+        raise ValueError(f"not finite: {floats}")
+    return floats
 
 
 class _BadRequest(ValueError):
@@ -95,9 +104,12 @@ def _make_handler(
         def _float(self, params: Dict[str, str], name: str) -> float:
             raw = self._param(params, name)
             try:
-                return float(raw)
+                value = float(raw)
             except ValueError:
                 raise _BadRequest(f"parameter {name!r} is not a number: {raw!r}")
+            if not math.isfinite(value):
+                raise _BadRequest(f"parameter {name!r} is not finite: {raw!r}")
+            return value
 
         def _tenant(self, params: Dict[str, str]) -> str:
             tenant_id = self._param(params, "tenant")
@@ -231,12 +243,14 @@ def _make_handler(
         def _get_range(self) -> None:
             params = self._params()
             tenant_id = self._tenant(params)
-            window = Rect(
-                self._float(params, "min_x"),
-                self._float(params, "min_y"),
-                self._float(params, "max_x"),
-                self._float(params, "max_y"),
-            )
+            corners = [
+                self._float(params, name)
+                for name in ("min_x", "min_y", "max_x", "max_y")
+            ]
+            try:
+                window = Rect(*corners)
+            except ValueError as exc:
+                raise _BadRequest(str(exc))
             result = coordinator.query_range(tenant_id, window)
             snapshot = coordinator.latest_snapshot(tenant_id)
             self._send_json(
@@ -321,20 +335,26 @@ def _make_handler(
             session_id = body.get("session_id")
             if kind == "range":
                 try:
-                    window = Rect(*[float(v) for v in body["window"]])
+                    window = Rect(*_finite(body["window"]))
                 except (KeyError, TypeError, ValueError):
                     raise _BadRequest(
                         "range session needs window: [min_x, min_y, max_x, max_y]"
+                        " (finite, min <= max)"
                     )
                 opened = coordinator.subscribe_range(
                     tenant_id, window, session_id=session_id
                 )
             elif kind == "knn":
                 try:
-                    x, y = (float(v) for v in body["point"])
-                    k = int(body["k"])
+                    x, y = _finite(body["point"])
                 except (KeyError, TypeError, ValueError):
-                    raise _BadRequest("knn session needs point: [x, y] and k")
+                    raise _BadRequest("knn session needs point: [x, y] (finite)")
+                try:
+                    k = int(body["k"])
+                    if k < 1:
+                        raise ValueError(k)
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    raise _BadRequest("knn session needs k: an integer >= 1")
                 opened = coordinator.subscribe_knn(
                     tenant_id, Point(x, y), k, session_id=session_id
                 )

@@ -7,8 +7,8 @@ so inferred object locations live on this discrete set.
 
 ``AnchorIndex`` also provides the spatial lookups the query algorithms
 need: nearest anchor to a point, anchors inside a rectangle (range
-queries), anchors per room, ordered anchors per edge (kNN expansion), and
-the network distance from one location to every anchor (kNN pruning).
+queries), anchors per room, and the network distance from one location to
+every anchor (the kNN order of Algorithm 4 and its pruning bounds, Eq. 6).
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class AnchorIndex:
         self.spacing = spacing
         self._anchors: List[AnchorPoint] = anchors
         self._by_node: Dict[str, int] = {}
-        self._by_edge: Dict[int, List[Tuple[float, int]]] = {
-            e.edge_id: [] for e in graph.edges
-        }
         self._by_room: Dict[str, List[int]] = {}
         self._grid: Dict[Tuple[int, int], List[int]] = {}
         self._cell = max(spacing, 1e-6)
@@ -71,17 +68,6 @@ class AnchorIndex:
         # query rectangle costs no more than the whole grid.
         self._grid_lo = (min(ix for ix, _ in self._grid), min(iy for _, iy in self._grid))
         self._grid_hi = (max(ix for ix, _ in self._grid), max(iy for _, iy in self._grid))
-
-        # Per-edge ordered anchor lists include the endpoint (node) anchors,
-        # so edge traversals see every anchor on the edge.
-        for ap in anchors:
-            if ap.node_id is None:
-                self._by_edge[ap.location.edge_id].append((ap.location.offset, ap.ap_id))
-        for edge in graph.edges:
-            for node_id in (edge.node_a, edge.node_b):
-                ap_id = self._by_node[node_id]
-                self._by_edge[edge.edge_id].append((edge.offset_of(node_id), ap_id))
-            self._by_edge[edge.edge_id].sort()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -102,10 +88,6 @@ class AnchorIndex:
     def node_anchor(self, node_id: str) -> AnchorPoint:
         """The anchor coinciding with a graph node."""
         return self._anchors[self._by_node[node_id]]
-
-    def on_edge(self, edge_id: int) -> List[Tuple[float, int]]:
-        """``(offset, ap_id)`` pairs on an edge, ascending by offset."""
-        return list(self._by_edge[edge_id])
 
     def in_room(self, room_id: str) -> List[AnchorPoint]:
         """Anchors inside a room (door-edge anchors past the door + center)."""
@@ -164,29 +146,6 @@ class AnchorIndex:
             if circle.contains(ap.point)
         ]
 
-    def neighbors(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Adjacency between consecutive anchors along edges.
-
-        Each anchor links to its immediate neighbours on the same edge
-        (node anchors therefore bridge edges), with the offset gap as the
-        link length. Built lazily and cached; this is the search structure
-        for the kNN expansion of paper Algorithm 4.
-        """
-        if getattr(self, "_neighbors", None) is None:
-            adjacency: Dict[int, List[Tuple[int, float]]] = {
-                ap.ap_id: [] for ap in self._anchors
-            }
-            for edge_id, ordered in self._by_edge.items():
-                for (off_a, ap_a), (off_b, ap_b) in zip(ordered, ordered[1:]):
-                    gap = off_b - off_a
-                    if ap_a == ap_b:
-                        continue
-                    adjacency[ap_a].append((ap_b, gap))
-                    adjacency[ap_b].append((ap_a, gap))
-                del edge_id
-            self._neighbors = adjacency
-        return self._neighbors
-
     def network_distances(self, loc: GraphLocation) -> np.ndarray:
         """Shortest network distance from ``loc`` to every anchor.
 
@@ -196,8 +155,10 @@ class AnchorIndex:
         the all-pairs node distances, in the same order, takes their
         minimum, and for anchors on ``loc``'s own edge also the direct
         offset gap. The node matrix and per-anchor arrays are built lazily
-        on the first call and cached; this is the per-query distance
-        vector of the kNN pruning bounds (paper Eq. 6).
+        on the first call and cached. This is the one network-distance
+        kernel of kNN: a :class:`~repro.queries.knn_query.KNNPlan` walks
+        its ``(distance, ap_id)`` order (paper Algorithm 4) and pruning
+        bounds regions with it (Eq. 6).
         """
         if getattr(self, "_distance_tables", None) is None:
             self._distance_tables = self._build_distance_tables()

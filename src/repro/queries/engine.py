@@ -73,8 +73,9 @@ class TableQueryEngine:
     evaluation, into a :class:`~repro.queries.range_query.RangePlan` or
     :class:`~repro.queries.knn_query.KNNPlan`; later rounds run only the
     table pass. Plans live exactly as long as their query is registered.
-    Query-aware pruning reads the kNN plans' located points
-    (:meth:`knn_plans`), so a registered kNN query is located once.
+    Query-aware pruning reads the kNN plans' distance vectors
+    (:meth:`knn_plans`), so a registered kNN query is located, and its
+    network distances computed, once.
     """
 
     def __init__(

@@ -16,12 +16,12 @@ filtering step.
 The network-distance bounds are evaluated over the anchor points inside
 the uncertain region (the uncertain region restricted to the walking
 graph), padded by one anchor spacing so the discretization can never
-prune a true candidate. Each kNN query computes one vector of network
-distances to every anchor (:meth:`AnchorIndex.network_distances`) from
-its located point (a :class:`~repro.queries.knn_query.KNNPlan` brings
-one); a region's bounds are then a min/max over its anchor ids, which
-are memoized per region, and every region of a round is bounded in one
-``reduceat`` pass over their concatenated ids.
+prune a true candidate. They read the network distances from the query
+point to every anchor that the query's
+:class:`~repro.queries.knn_query.KNNPlan` computed once, the same vector
+Algorithm 4 walks; a region's bounds are then a min/max over its anchor
+ids, which are memoized per region, and every region of a round is
+bounded in one ``reduceat`` pass over their concatenated ids.
 
 Objects last seen by the same reader in the same second share one
 uncertain region, so each distinct region is built, range-tested and
@@ -41,10 +41,9 @@ from repro.collector.collector import EventDrivenCollector
 from repro.config import SimulationConfig
 from repro.geometry import Circle, Point
 from repro.graph.anchors import AnchorIndex
-from repro.graph.location import GraphLocation
 from repro.graph.walking_graph import WalkingGraph
 from repro.queries.knn_query import KNNPlan
-from repro.queries.types import KNNQuery, RangeQuery
+from repro.queries.types import RangeQuery
 from repro.rfid.reader import RFIDReader
 
 #: Each distinct uncertain region, with the objects whose region it is.
@@ -91,14 +90,13 @@ class QueryAwareOptimizer:
         collector: EventDrivenCollector,
         now: int,
         range_queries: Sequence[RangeQuery] = (),
-        knn_queries: Sequence[KNNQuery] = (),
         *,
         knn_plans: Sequence[KNNPlan] = (),
     ) -> Set[str]:
         """The union of candidate sets over all registered queries.
 
-        ``knn_queries`` are located here; each of ``knn_plans`` brings its
-        query with the point its plan already located.
+        Each of ``knn_plans`` brings its kNN query with the network
+        distances its plan already computed.
         """
         with obs.span("prune.candidates"):
             result: Set[str] = set()
@@ -106,10 +104,8 @@ class QueryAwareOptimizer:
             regions = self._uncertain_regions(collector, objects, now)
             if range_queries:
                 result |= self.range_candidates(regions, range_queries)
-            for query in knn_queries:
-                result |= self.knn_candidates(regions, query)
             for plan in knn_plans:
-                result |= self.knn_candidates(regions, plan.query, plan.location)
+                result |= self.knn_candidates(regions, plan)
         if obs.enabled():
             # Pruning effectiveness (paper §4.3): of the objects the
             # collector has seen, how many survived into the candidate
@@ -160,36 +156,23 @@ class QueryAwareOptimizer:
                     break
         return result
 
-    def knn_candidates(
-        self,
-        regions: Regions,
-        query: KNNQuery,
-        location: Optional[GraphLocation] = None,
-    ) -> Set[str]:
-        """Distance-based pruning for one kNN query (paper Eq. 6).
-
-        ``location`` is the query point on the walking graph; it is
-        located here when not given.
-        """
+    def knn_candidates(self, regions: Regions, plan: KNNPlan) -> Set[str]:
+        """Distance-based pruning for one kNN query's plan (paper Eq. 6)."""
         if not regions:
             return set()
-        if location is None:
-            location, _ = self.graph.locate(query.point)
-        distances = self.anchor_index.network_distances(location)
+        k = plan.query.k
         bounds = list(zip(
-            self._distance_bounds(
-                location, query.point, [region for region, _ in regions], distances
-            ),
+            self._distance_bounds(plan, [region for region, _ in regions]),
             [members for _, members in regions],
         ))
-        if sum(len(members) for _, members in bounds) <= query.k:
+        if sum(len(members) for _, members in bounds) <= k:
             f = math.inf
         else:
             # f: the k-th smallest l_i over objects, each region counted
             # once per object that shares it.
             ranked = sorted(bounds, key=lambda bound: bound[0][1])
             counts = accumulate(len(members) for _, members in ranked)
-            f = next(l_i for ((_, l_i), _), n in zip(ranked, counts) if n >= query.k)
+            f = next(l_i for ((_, l_i), _), n in zip(ranked, counts) if n >= k)
         result: Set[str] = set()
         for (s_i, _), members in bounds:
             if s_i <= f:
@@ -225,22 +208,19 @@ class QueryAwareOptimizer:
         return ids
 
     def _distance_bounds(
-        self,
-        q_loc: GraphLocation,
-        q_point: Point,
-        regions: Sequence[Circle],
-        distances: np.ndarray,
+        self, plan: KNNPlan, regions: Sequence[Circle]
     ) -> List[Tuple[float, float]]:
         """``(s_i, l_i)`` network-distance bounds to each uncertain region.
 
-        ``distances`` is the query location's network distance to every
-        anchor (:meth:`AnchorIndex.network_distances`). The regions'
-        anchor ids are gathered in one concatenation and each region's
-        min and max taken by one ``reduceat`` each; a region holding
-        every anchor reads the whole vector's min and max instead. ``s_i``
-        is floored by the Euclidean lower bound so that the anchor
-        discretization can only loosen (never tighten) the pruning.
+        They are read from the plan's network distance to every anchor
+        (:attr:`KNNPlan.distances`). The regions' anchor ids are gathered
+        in one concatenation and each region's min and max taken by one
+        ``reduceat`` each; a region holding every anchor reads the whole
+        vector's min and max instead. ``s_i`` is floored by the Euclidean
+        lower bound so that the anchor discretization can only loosen
+        (never tighten) the pruning.
         """
+        q_loc, q_point, distances = plan.location, plan.query.point, plan.distances
         pad = self.anchor_index.spacing
         region_ids = [self.region_anchor_ids(region) for region in regions]
         all_ids = self._all_ids

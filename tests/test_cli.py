@@ -151,12 +151,25 @@ class TestExperiment:
         assert all(row["filter_runs_per_s"] > 0 for row in rows)
         assert all(row["snapshot_seconds"] >= 0 for row in rows)
 
-    def test_scale_choices(self):
+    def test_scale_choices(self, monkeypatch, capsys):
+        from repro.sim.experiments import SCALES
+
         parser = build_parser()
-        assert parser.parse_args(["experiment", "fig9"]).scale == "paper"
+        # Without --scale the subject decides: the figures and ablations
+        # run at paper scale (the gate's standard default: test_gate.py).
+        assert parser.parse_args(["experiment", "fig9"]).scale is None
         assert parser.parse_args(["experiment", "dwell", "--scale", "quick"]).scale == "quick"
         with pytest.raises(SystemExit):
             parser.parse_args(["experiment", "fig9", "--scale", "huge"])
+        scales = []
+        monkeypatch.setattr(
+            "repro.cli.run_subject",
+            lambda subject, scale, config, **kwargs: scales.append(scale) or [],
+        )
+        assert main(["experiment", "fig9"]) == 0
+        assert main(["experiment", "dwell", "--scale", "quick"]) == 0
+        assert scales == [SCALES["paper"], SCALES["quick"]]
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "flag,value", [("--objects", "0"), ("--seconds", "-5"), ("--seconds", "0")]

@@ -87,3 +87,22 @@ def test_cli_prints_the_smoke_line_and_keeps_the_exit_code(
     assert status == 0
     assert lines[-1 - smoke] == "gate: PASS (1/1 checks)"
     assert lines[-1].startswith("gate: smoke check only") is smoke
+
+
+def test_gate_resolves_to_standard_scale_by_default(monkeypatch, capsys):
+    import repro.bench.gate as gate
+
+    seen = {}
+    checks = [Check("fig11", "knn_hit", 0.9, 0.9, 0.0)]
+
+    def stub(*args, **kwargs):
+        seen.update(kwargs)
+        return [], checks
+
+    monkeypatch.setattr(gate, "run_gate", stub)
+    assert main(["experiment", "gate", "--parent", "."]) == 0
+    out = capsys.readouterr().out
+    assert seen["scale"] == "standard"
+    assert "scale standard, seeds 1..10" in out
+    assert "smoke check only" not in out
+    assert out.splitlines()[-1] == "gate: PASS (1/1 checks)"

@@ -117,6 +117,13 @@ class TestGatewayCommand:
         assert runs["1"], "expected at least one standing-query delta"
         assert runs["1"] == runs["2"]
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--range", "0,nan,12,12"), ("--knn", "inf,5,2"), ("--knn", "5,5,nan"),
+    ])
+    def test_non_finite_spec_is_refused(self, flag, spec):
+        with pytest.raises(SystemExit, match=f"bad {flag} '{spec}'"):
+            main(FAST + ["--seconds", "1", flag, spec])
+
     def test_analytics_flag(self, capsys):
         assert main(
             FAST + [

@@ -201,6 +201,48 @@ class TestErrorMapping:
         status, _ = _request(url + "/query/knn?tenant=tenant-0&x=5&y=5&k=0")
         assert status == 400
 
+    @pytest.mark.parametrize("query, name", [
+        ("knn?tenant=tenant-0&x=nan&y=5&k=2", "x"),
+        ("knn?tenant=tenant-0&x=inf&y=5&k=2", "x"),
+        ("knn?tenant=tenant-0&x=5&y=-inf&k=2", "y"),
+        ("knn?tenant=tenant-0&x=5&y=5&k=nan", "k"),
+        ("knn?tenant=tenant-0&x=5&y=5&k=inf", "k"),
+        ("range?tenant=tenant-0&min_x=nan&min_y=0&max_x=9&max_y=9", "min_x"),
+        ("range?tenant=tenant-0&min_x=0&min_y=0&max_x=9&max_y=Infinity", "max_y"),
+    ])
+    def test_non_finite_parameter_400(self, gateway, query, name):
+        url, _ = gateway
+        status, doc = _request(url + "/query/" + query)
+        assert status == 400
+        assert f"parameter {name!r} is not finite" in doc["error"]
+
+    def test_inverted_window_400(self, gateway):
+        url, _ = gateway
+        status, doc = _request(
+            url + "/query/range?tenant=tenant-0&min_x=9&min_y=0&max_x=1&max_y=9"
+        )
+        assert status == 400
+        assert "invalid Rect" in doc["error"]
+
+    @pytest.mark.parametrize("body, name", [
+        ({"kind": "range", "window": [0, 0, float("nan"), 9]}, "window"),
+        ({"kind": "range", "window": [0, float("-inf"), 9, 9]}, "window"),
+        ({"kind": "knn", "point": [float("nan"), 5], "k": 2}, "point"),
+        ({"kind": "knn", "point": [5, float("inf")], "k": 2}, "point"),
+        ({"kind": "knn", "point": [5, 5], "k": float("nan")}, "k"),
+        ({"kind": "knn", "point": [5, 5], "k": float("inf")}, "k"),
+        ({"kind": "knn", "point": [5, 5], "k": 0}, "k"),
+    ])
+    def test_non_finite_session_body_400(self, gateway, body, name):
+        url, _ = gateway
+        before = _request(url + "/sessions?tenant=tenant-0")
+        status, doc = _request(
+            url + "/sessions", method="POST", body={"tenant": "tenant-0", **body}
+        )
+        assert status == 400
+        assert f"needs {name}:" in doc["error"]
+        assert _request(url + "/sessions?tenant=tenant-0") == before
+
     def test_bad_session_body_400(self, gateway):
         url, _ = gateway
         status, _ = _request(

@@ -1,11 +1,27 @@
 """Tests for anchor point generation and the anchor index."""
 
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Circle, Point, Rect
 from repro.graph import build_anchor_index
+
+
+def along(anchors, edge):
+    """``(offset, ap_id)`` of every anchor on ``edge``, its end nodes' included.
+
+    Read from the anchors' own locations, ascending by offset.
+    """
+    ordered = [
+        (ap.location.offset, ap.ap_id)
+        for ap in anchors
+        if ap.node_id is None and ap.location.edge_id == edge.edge_id
+    ]
+    for node_id in (edge.node_a, edge.node_b):
+        ordered.append((edge.offset_of(node_id), anchors.node_anchor(node_id).ap_id))
+    return sorted(ordered)
 
 
 class TestGeneration:
@@ -30,18 +46,23 @@ class TestGeneration:
             )
 
     def test_interior_anchor_spacing(self, paper_anchors, paper_graph):
-        for edge in paper_graph.edges[:20]:
-            ordered = paper_anchors.on_edge(edge.edge_id)
-            offsets = [off for off, _ in ordered]
-            assert offsets == sorted(offsets)
-            for lo, hi in zip(offsets, offsets[1:]):
+        for edge in paper_graph.edges:
+            ordered = along(paper_anchors, edge)
+            interior = [ap_id for _, ap_id in ordered[1:-1]]
+            # Interior anchors are generated edge by edge, in offset order.
+            assert interior == sorted(interior)
+            for (lo, _), (hi, _) in zip(ordered, ordered[1:]):
                 assert hi - lo <= paper_anchors.spacing * 1.5 + 1e-9
 
     def test_edge_lists_include_endpoints(self, paper_anchors, paper_graph):
-        for edge in paper_graph.edges[:20]:
-            ordered = paper_anchors.on_edge(edge.edge_id)
-            assert ordered[0][0] == pytest.approx(0.0)
+        for edge in paper_graph.edges:
+            ordered = along(paper_anchors, edge)
+            assert ordered[0][0] == 0.0
             assert ordered[-1][0] == pytest.approx(edge.length)
+            for offset, ap_id in ordered:
+                assert paper_graph.point_of(
+                    paper_anchors.anchor(ap_id).location
+                ).is_close(edge.point_at(offset), tol=1e-6)
 
     def test_classification_room_vs_hallway(self, paper_anchors, paper_graph):
         plan = paper_graph.floorplan
@@ -114,36 +135,44 @@ class TestSpatialQueries:
 
 
 class TestNeighbors:
+    """Consecutive anchors along each edge, and over the network."""
+
     def test_neighbors_symmetric(self, paper_anchors):
-        adjacency = paper_anchors.neighbors()
-        for ap_id, links in adjacency.items():
-            for other, gap in links:
-                assert (ap_id, pytest.approx(gap)) in [
-                    (a, pytest.approx(g)) for a, g in adjacency[other]
-                ]
+        rows = [
+            paper_anchors.network_distances(ap.location) for ap in paper_anchors
+        ]
+        for a in range(0, len(paper_anchors), 7):
+            for b in range(len(paper_anchors)):
+                assert rows[a][b] == pytest.approx(rows[b][a], abs=1e-9)
 
-    def test_gaps_positive_and_bounded(self, paper_anchors):
-        adjacency = paper_anchors.neighbors()
-        for links in adjacency.values():
-            for _, gap in links:
-                assert 0 < gap <= paper_anchors.spacing * 1.5 + 1e-9
+    def test_gaps_positive_and_bounded(self, paper_anchors, paper_graph):
+        for edge in paper_graph.edges:
+            ordered = along(paper_anchors, edge)
+            for (lo, ap_lo), (hi, ap_hi) in zip(ordered, ordered[1:]):
+                assert 0 < hi - lo <= paper_anchors.spacing * 1.5 + 1e-9
+                distance = paper_anchors.network_distances(
+                    paper_anchors.anchor(ap_lo).location
+                )[ap_hi]
+                assert distance <= hi - lo + 1e-9
 
-    def test_connected(self, paper_anchors):
-        adjacency = paper_anchors.neighbors()
-        seen = set()
-        stack = [next(iter(adjacency))]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(other for other, _ in adjacency[current])
-        assert len(seen) == len(paper_anchors)
+    def test_connected(self, paper_anchors, paper_graph):
+        for node in paper_graph.nodes:
+            distances = paper_anchors.network_distances(
+                paper_anchors.node_anchor(node.node_id).location
+            )
+            assert all(math.isfinite(d) for d in distances.tolist()), node.node_id
 
     def test_interior_anchor_has_two_neighbors(self, paper_anchors, paper_graph):
-        # A mid-edge anchor links to its predecessor and successor only.
-        edge = paper_graph.hallway_edges()[0]
-        ordered = paper_anchors.on_edge(edge.edge_id)
-        if len(ordered) >= 3:
-            _, mid_ap = ordered[1]
-            assert len(paper_anchors.neighbors()[mid_ap]) == 2
+        # A mid-edge anchor's two nearest anchors over the network are its
+        # predecessor and successor on its edge.
+        for edge in paper_graph.hallway_edges():
+            ordered = along(paper_anchors, edge)
+            for (_, before), (_, mid), (_, after) in zip(
+                ordered, ordered[1:], ordered[2:]
+            ):
+                distances = paper_anchors.network_distances(
+                    paper_anchors.anchor(mid).location
+                ).tolist()
+                ranked = sorted(range(len(distances)), key=distances.__getitem__)
+                assert ranked[0] == mid
+                assert set(ranked[1:3]) == {before, after}

@@ -26,6 +26,11 @@ def raw(second, tag, reader):
     return [RawReading(second + 0.5, tag, reader)]
 
 
+def plan_of(optimizer, query):
+    """The query's kNN plan, as an engine builds it before pruning."""
+    return KNNPlan.build(query, optimizer.graph, optimizer.anchor_index)
+
+
 @pytest.fixture
 def optimizer(paper_graph, paper_anchors, paper_readers_by_id):
     return QueryAwareOptimizer(
@@ -104,12 +109,12 @@ class TestRangeCandidates:
 class TestKnnCandidates:
     def test_all_kept_when_fewer_than_k(self, optimizer, collector, paper_readers_by_id):
         query = KNNQuery("q", paper_readers_by_id["d1"].position, k=10)
-        candidates = optimizer.candidates(collector, now=1, knn_queries=[query])
+        candidates = optimizer.candidates(collector, now=1, knn_plans=[plan_of(optimizer, query)])
         assert candidates == {"o1", "o2", "o3", "o4", "o5"}
 
     def test_prunes_far_objects(self, optimizer, collector, paper_readers_by_id):
         query = KNNQuery("q", paper_readers_by_id["d1"].position, k=1)
-        candidates = optimizer.candidates(collector, now=1, knn_queries=[query])
+        candidates = optimizer.candidates(collector, now=1, knn_plans=[plan_of(optimizer, query)])
         assert "o1" in candidates
         assert len(candidates) < 5
 
@@ -118,14 +123,15 @@ class TestKnnCandidates:
     ):
         # The object at d1 is by construction the nearest to d1's position.
         query = KNNQuery("q", paper_readers_by_id["d1"].position, k=1)
-        candidates = optimizer.candidates(collector, now=5, knn_queries=[query])
+        candidates = optimizer.candidates(collector, now=5, knn_plans=[plan_of(optimizer, query)])
         assert "o1" in candidates
 
     def test_safety_under_growth(self, optimizer, collector, paper_readers_by_id):
         # As uncertainty grows, pruning must only get more conservative.
         query = KNNQuery("q", paper_readers_by_id["d1"].position, k=2)
-        soon = optimizer.candidates(collector, now=1, knn_queries=[query])
-        later = optimizer.candidates(collector, now=120, knn_queries=[query])
+        plan = plan_of(optimizer, query)
+        soon = optimizer.candidates(collector, now=1, knn_plans=[plan])
+        later = optimizer.candidates(collector, now=120, knn_plans=[plan])
         assert soon <= later
 
 
@@ -141,7 +147,7 @@ class TestQueryTypes:
             collector,
             now=1,
             range_queries=[RangeQuery("r", Rect(d1.x - 1, d1.y - 1, d1.x + 1, d1.y + 1))],
-            knn_queries=[KNNQuery("k", d16, k=1)],
+            knn_plans=[plan_of(optimizer, KNNQuery("k", d16, k=1))],
         )
         assert "o1" in both
         assert "o5" in both
@@ -268,20 +274,20 @@ class TestVectorBounds:
             float(rng.uniform(bounds.min_x, bounds.max_x)),
             float(rng.uniform(bounds.min_y, bounds.max_y)),
         )
+        plan = plan_of(optimizer, KNNQuery("q", q_point, k=1))
         q_loc, _ = optimizer.graph.locate(q_point)
-        distances = optimizer.anchor_index.network_distances(q_loc)
         regions, wants = [], []
         for reader in optimizer.readers.values():
             for dt in range(saturation_dt(optimizer, reader) + 4):
                 region = uncertain_region(reader, 0, dt, DEFAULT_CONFIG.max_speed)
-                [got] = optimizer._distance_bounds(q_loc, q_point, [region], distances)
+                [got] = optimizer._distance_bounds(plan, [region])
                 want = reference_distance_bounds(optimizer, q_loc, q_point, region)
                 assert got == want, (reader.reader_id, dt)
                 assert all(type(v) is float for v in got)
                 regions.append(region)
                 wants.append(want)
         # One batched call over every region, saturated ones included.
-        assert optimizer._distance_bounds(q_loc, q_point, regions, distances) == wants
+        assert optimizer._distance_bounds(plan, regions) == wants
 
     def test_degenerate_region_falls_back_to_the_centre(self, optimizer):
         # A zero-radius circle between anchors holds no anchor.
@@ -291,10 +297,10 @@ class TestVectorBounds:
         assert len(optimizer.region_anchor_ids(region)) == 0
         q_point = optimizer.readers["d1"].position
         q_loc, _ = optimizer.graph.locate(q_point)
-        distances = optimizer.anchor_index.network_distances(q_loc)
-        assert optimizer._distance_bounds(
-            q_loc, q_point, [region], distances
-        ) == [reference_distance_bounds(optimizer, q_loc, q_point, region)]
+        plan = plan_of(optimizer, KNNQuery("q", q_point, k=1))
+        assert optimizer._distance_bounds(plan, [region]) == [
+            reference_distance_bounds(optimizer, q_loc, q_point, region)
+        ]
 
     def test_knn_candidates_equal_the_reference_on_a_replay(self):
         config = DEFAULT_CONFIG.with_overrides(num_objects=30, seed=11)
@@ -311,7 +317,7 @@ class TestVectorBounds:
             for point in sim.random_query_points(3):
                 for k in (1, 3, 5):
                     query = KNNQuery("q", point, k=k)
-                    got = optimizer.knn_candidates(regions, query)
+                    got = optimizer.knn_candidates(regions, plan_of(optimizer, query))
                     assert got == reference_knn_candidates(optimizer, per_object, query)
                     checked += len(per_object) > k
         assert checked > 0
@@ -401,6 +407,16 @@ def _count_locates(monkeypatch, graph):
     return calls
 
 
+def _count_vectors(monkeypatch, anchor_index):
+    calls = []
+    original = anchor_index.network_distances
+    monkeypatch.setattr(
+        anchor_index, "network_distances",
+        lambda loc: calls.append(loc) or original(loc),
+    )
+    return calls
+
+
 class TestSharedRegions:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_objects_share_regions(self, optimizer, paper_readers_by_id, seed):
@@ -436,14 +452,13 @@ class TestSharedRegions:
                 assert optimizer.range_candidates(
                     regions, [RangeQuery("r", window)]
                 ) == reference_range_candidates(per_object, [RangeQuery("r", window)])
-                location, _ = optimizer.graph.locate(point)
                 for k in (1, 2, 5, 13, 59, 60, 61):
                     query = KNNQuery("q", point, k=k)
+                    plan = plan_of(optimizer, query)
                     want = reference_knn_candidates(optimizer, per_object, query)
-                    assert optimizer.knn_candidates(regions, query) == want
-                    assert optimizer.knn_candidates(regions, query, location) == want
+                    assert optimizer.knn_candidates(regions, plan) == want
                     assert optimizer.candidates(
-                        collector, now, knn_queries=[query]
+                        collector, now, knn_plans=[plan]
                     ) == want
                     checked += len(want) < len(per_object)
         assert checked > 0
@@ -454,10 +469,13 @@ class TestSharedRegions:
         collector = crowded_collector(paper_readers_by_id, 30, 3, 4)
         query = KNNQuery("q", paper_readers_by_id["d8"].position, k=3)
         plan = KNNPlan.build(query, paper_graph, paper_anchors)
-        want = optimizer.candidates(collector, 6, knn_queries=[query])
+        want = reference_knn_candidates(
+            optimizer, per_object_regions(optimizer, collector, 6), query
+        )
         located = _count_locates(monkeypatch, optimizer.graph)
+        vectors = _count_vectors(monkeypatch, optimizer.anchor_index)
         assert optimizer.candidates(collector, 6, knn_plans=[plan]) == want
-        assert located == []
+        assert located == [] and vectors == []
 
 
 class TestStandingKnnIsLocatedOnce:
@@ -493,3 +511,14 @@ class TestStandingKnnIsLocatedOnce:
                 service.process_batch(batch)
             assert service.ticks == self.SECONDS
         assert len(calls) == 1
+
+    def test_pruned_session_computes_its_distances_once(self, world, monkeypatch):
+        config, sim, readings = world
+        with TrackingService(config, plan=sim.plan, readers=sim.readers,
+                             use_pruning=True, seed=5) as service:
+            service.sessions.subscribe_knn(sim.readers[3].position, 3)
+            vectors = _count_vectors(monkeypatch, service.anchor_index)
+            for batch in ReplaySource(readings).batches():
+                service.process_batch(batch)
+            assert service.ticks == self.SECONDS
+        assert len(vectors) == 1

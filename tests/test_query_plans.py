@@ -10,8 +10,7 @@ does. The lifecycle tests pin when plans are built and dropped.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
+import math
 
 import numpy as np
 import pytest
@@ -132,45 +131,33 @@ def _reference_range(query, plan, anchor_index, table):
     return probabilities
 
 
-def _reference_knn(query, graph, anchor_index, table, heap_out=None):
+def _reference_knn(query, graph, anchor_index, table, distance=None):
     """Algorithm 4 as one loop; also returns the anchors it visited.
 
-    ``heap_out``, a list, receives the heap as the loop left it.
+    Anchors are visited in ``(distance, ap_id)`` order, with each
+    distance computed on its own by ``distance(q_loc, anchor)``
+    (``graph.distance`` to the anchor's location by default); anchors at
+    an infinite distance are unreachable and never visited.
     """
     q_loc, _ = graph.locate(query.point)
-    ordered = anchor_index.on_edge(q_loc.edge_id)
-    pos = bisect_left([off for off, _ in ordered], q_loc.offset)
-    seeds = {}
-    for index in (pos - 1, pos):
-        if 0 <= index < len(ordered):
-            offset, ap_id = ordered[index]
-            gap = abs(offset - q_loc.offset)
-            if ap_id not in seeds or gap < seeds[ap_id]:
-                seeds[ap_id] = gap
-    heap = []
-    for ap_id, gap in seeds.items():
-        heapq.heappush(heap, (gap, ap_id))
-
-    adjacency = anchor_index.neighbors()
-    probabilities, visited, popped = {}, set(), []
+    if distance is None:
+        def distance(loc, ap):
+            return graph.distance(loc, ap.location)
+    ranked = sorted(
+        (distance(q_loc, ap), ap.ap_id) for ap in anchor_index.anchors
+    )
+    probabilities, visited = {}, []
     total = 0.0
-    while heap:
-        distance, ap_id = heapq.heappop(heap)
-        if ap_id in visited:
-            continue
-        visited.add(ap_id)
-        popped.append(ap_id)
+    for gap, ap_id in ranked:
+        if not math.isfinite(gap):
+            break
+        visited.append(ap_id)
         for obj, p in table.items_at(ap_id):
             probabilities[obj] = probabilities.get(obj, 0.0) + p
             total += p
         if total >= query.k:
             break
-        for neighbor, gap in adjacency[ap_id]:
-            if neighbor not in visited:
-                heapq.heappush(heap, (distance + gap, neighbor))
-    if heap_out is not None:
-        heap_out.extend(heap)
-    return probabilities, popped
+    return probabilities, visited
 
 
 def _items(result):
@@ -239,24 +226,49 @@ class TestPlansMatchTheSingleLoop:
         plan, graph, anchor_index = worlds[name]
         query = KNNQuery("k", _point_in(plan.bounds, *where), k)
         compiled = KNNPlan.build(query, graph, anchor_index)
-        reach = 0
-        for n, seed in enumerate(seeds):
+        for seed in seeds:
             table = _random_table(anchor_index, seed)
-            heap = []
-            expected, popped = _reference_knn(query, graph, anchor_index, table, heap)
-            if n == 0:
-                # A fresh plan does the single loop's heap work, no more.
-                compiled.answer(table)
-                assert sorted(compiled._heap) == sorted(heap)
+            expected, visited = _reference_knn(query, graph, anchor_index, table)
             assert _items(compiled.answer(table)) == list(expected.items())
             assert _items(
                 evaluate_knn_query(query, graph, anchor_index, table)
             ) == list(expected.items())
-            # The plan's order is the single loop's pop order, extended
-            # only as far as the furthest table needed.
-            reach = max(reach, len(popped))
-            assert compiled.order == popped + compiled.order[len(popped):]
-            assert len(compiled.order) == reach
+            # The plan's order starts with the anchors the loop visited.
+            assert compiled.order[:len(visited)] == visited
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLANS)),
+        where=st.tuples(unit, unit),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**31),
+        cut=st.sets(st.integers(0, 10_000), max_size=40),
+    )
+    def test_unreachable_anchors_are_never_visited(
+        self, worlds, name, where, k, seed, cut
+    ):
+        plan, graph, anchor_index = worlds[name]
+        query = KNNQuery("k", _point_in(plan.bounds, *where), k)
+        unreachable = {ap_id % len(anchor_index) for ap_id in cut}
+        location, _ = graph.locate(query.point)
+        distances = anchor_index.network_distances(location)
+        distances[sorted(unreachable)] = math.inf
+        compiled = KNNPlan(query, location, distances)
+        assert not compiled.distances.flags.writeable
+        assert unreachable.isdisjoint(compiled.order)
+        assert len(compiled.order) == len(anchor_index) - len(unreachable)
+
+        def distance(loc, ap):
+            if ap.ap_id in unreachable:
+                return math.inf
+            return graph.distance(loc, ap.location)
+
+        table = _random_table(anchor_index, seed, objects=12)
+        expected, visited = _reference_knn(
+            query, graph, anchor_index, table, distance
+        )
+        assert unreachable.isdisjoint(visited)
+        assert _items(compiled.answer(table)) == list(expected.items())
 
 
 # ----------------------------------------------------------------------
@@ -313,16 +325,15 @@ class TestEdgeCases:
         table = _random_table(anchor_index, 11, objects=3)
         query = KNNQuery("k", Point(1.0, 1.0), 50)
         compiled = KNNPlan.build(query, graph, anchor_index)
-        expected, popped = _reference_knn(query, graph, anchor_index, table)
+        expected, visited = _reference_knn(query, graph, anchor_index, table)
         result = compiled.answer(table)
         assert _items(result) == list(expected.items())
         assert sorted(result.probabilities) == sorted(table.objects())
-        # The search ran dry: every anchor was visited, and a second
-        # table walks the finished order without extending it.
-        assert compiled.order == popped
-        assert len(popped) == len(anchor_index)
+        # The total never reached k: every anchor is reachable, and the
+        # loop and the plan both visited all of them in one order.
+        assert compiled.order == visited
+        assert len(visited) == len(anchor_index)
         assert _items(compiled.answer(table)) == list(expected.items())
-        assert compiled.order == popped
 
     def test_empty_table(self, worlds):
         plan, graph, anchor_index = worlds["small"]

@@ -61,6 +61,27 @@ class TestServeReplay:
         with pytest.raises(SystemExit):
             _serve(world, "--range", "1,2,3")
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--range", "nan,0,30,12"),
+        ("--range", "4,0,inf,12"),
+        ("--knn", "nan,5,3"),
+        ("--knn", "30,-inf,3"),
+        ("--knn", "30,5,nan"),
+        ("--knn", "30,5,inf"),
+        ("--knn", "30,5,0"),
+    ])
+    def test_non_finite_spec_is_refused_before_the_first_tick(
+        self, world, flag, spec, capsys
+    ):
+        with pytest.raises(SystemExit, match=f"bad {flag} '{spec}'"):
+            _serve(world, flag, spec)
+        assert "[t=" not in capsys.readouterr().out
+
+    def test_live_non_finite_knn_is_refused(self, capsys):
+        with pytest.raises(SystemExit, match="bad --knn 'nan,5,3'"):
+            main(["serve", "--live", "--objects", "3", "--seconds", "2",
+                  "--knn", "nan,5,3"])
+
     def test_trace_output(self, world, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         code = _serve(
